@@ -5,8 +5,8 @@ deterministic end to end (rerunning writes byte-identical files).  Exit
 codes: 0 on success, 2 for usage errors (argparse), 3 for unreadable or
 invalid input files, 4 when a fiducial pool is not informationally
 complete, 5 when a germ candidate pool is not amplificationally complete.
-``--threads`` (default from ``GSTDESIGN_THREADS``) is forwarded to the
-Fisher-information reductions.
+Fisher-information products run on the BLAS threads numpy is configured
+with (``OPENBLAS_NUM_THREADS`` and the like).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .fiducials import (
     per_qubit_pattern_pool,
     select_fiducials,
 )
-from .model import Circuit, GateSet, GateSetError
+from .model import Circuit, GateSet, GateSetError, param_blocks
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 3
@@ -84,6 +84,22 @@ def _load_circuit_list(path: str, what: str) -> list[Circuit]:
     return [Circuit(tuple(labels)) for labels in doc]
 
 
+def _load_design(path: str, gs: GateSet | None) -> dz.ExperimentDesign:
+    """Load a design file; with ``gs``, also check every circuit label
+    belongs to that gate set."""
+    try:
+        design = dz.ExperimentDesign.load(path)
+    except FileNotFoundError:
+        raise CliError(f"design file not found: {path}") from None
+    except (OSError, dz.DesignError) as exc:
+        raise CliError(f"invalid design file {path}: {exc}") from None
+    if gs is not None:
+        unknown = {lab for c in design.circuits for lab in c.labels} - set(gs.labels)
+        if unknown:
+            raise CliError(f"design file {path} uses labels not in the gate set: {sorted(unknown)}")
+    return design
+
+
 def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
     attr = "prep_fiducials" if kind == "prep" else "meas_fiducials"
     path = getattr(args, attr, None)
@@ -101,18 +117,21 @@ def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
 def _germ_set(args, gs: GateSet) -> list[Circuit]:
     if getattr(args, "germ_file", None):
         return _load_circuit_list(args.germ_file, "germ")
-    mode = args.germs
-    if mode == "bare":
+    if args.germs == "bare":
         return gz.bare_germs(gs)
+    return _select_germs(args, gs).germs
+
+
+def _select_germs(args, gs: GateSet) -> gz.GermSelectionResult:
+    """Greedy robust or standard germ selection over the default pool."""
     models = [gs]
-    if mode == "robust":
+    if args.germs == "robust":
         models += nz.perturbed_models(gs, args.robust_models, args.perturb_sigma, args.seed + 7919)
     pool = gz.germ_candidate_pool(gs.labels, args.germ_depth)
     try:
-        result = gz.select_germs(models, pool, score_fn=args.germ_score)
+        return gz.select_germs(models, pool, score_fn=args.germ_score)
     except gz.GermSelectionError as exc:
         raise CliError(str(exc), EXIT_POOL_NOT_AC) from None
-    return result.germs
 
 
 def _write_json(path: str, doc) -> None:
@@ -155,32 +174,22 @@ def cmd_design(args) -> int:
 
 def cmd_certify(args) -> int:
     gs = _load_gateset(args.gateset)
-    try:
-        design = dz.ExperimentDesign.load(args.design)
-    except FileNotFoundError:
-        raise CliError(f"design file not found: {args.design}") from None
+    design = _load_design(args.design, gs)
+    if args.kind == "projected" and args.op not in param_blocks(gs):
+        raise CliError(f"unknown operation label {args.op!r}; have {sorted(param_blocks(gs))}")
     gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
-
+    thresholds = fz.CertificationThresholds()
+    increments = fz.bucket_fims(gs_eval, design, args.shots, fz.certification_clip_floor(args.shots))
     report = fz.certify_design(
-        gs_eval, design, target=gs, shots=args.shots, threads=args.threads
+        gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, increments=increments
     )
-    if args.kind == "cumulative":
-        series = fz.cumulative_series(
-            gs_eval, design, args.shots, args.threads, fz.certification_clip_floor(args.shots)
-        )
-        classes = ["growing" if s >= 0.8 else "plateaued" for s in report.slopes]
-    elif args.kind == "incremental":
-        series = fz.incremental_series(
-            gs_eval, design, args.shots, args.threads, fz.certification_clip_floor(args.shots)
-        )
-        classes = None
-    else:
-        base = fz.incremental_series(
-            gs_eval, design, args.shots, args.threads, fz.certification_clip_floor(args.shots)
-        )
-        series = fz.projected_series(base, gs_eval, args.op)
-        classes = None
     if args.csv:
+        series = fz.fisher_series(gs_eval, design, increments, cumulative=args.kind == "cumulative")
+        classes = None
+        if args.kind == "cumulative":
+            classes = ["growing" if s >= thresholds.slope_threshold else "plateaued" for s in report.slopes]
+        elif args.kind == "projected":
+            series = fz.projected_series(series, gs_eval, args.op)
         fz.series_to_csv(series, args.csv, classes)
     if args.report:
         fz.report_to_json(report, args.report)
@@ -193,10 +202,7 @@ def cmd_certify(args) -> int:
 
 def cmd_simulate(args) -> int:
     gs = _load_gateset(args.gateset)
-    try:
-        design = dz.ExperimentDesign.load(args.design)
-    except FileNotFoundError:
-        raise CliError(f"design file not found: {args.design}") from None
+    design = _load_design(args.design, gs)
     spec = nz.NoiseSpec(
         kind=args.noise, sigma=args.sigma, eta=args.eta, seed=args.seed
     )
@@ -211,14 +217,10 @@ def cmd_wallclock(args) -> int:
     devices = list(bi.BUILTIN_DEVICES) if args.device == "all" else [args.device]
     columns = []
     if args.design:
+        gs = _load_gateset(args.gateset) if args.gateset else None
+        two_q = gs.two_qubit_labels if gs else frozenset()
         for path in args.design:
-            try:
-                design = dz.ExperimentDesign.load(path)
-            except FileNotFoundError:
-                raise CliError(f"design file not found: {path}") from None
-            gs = _load_gateset(args.gateset) if args.gateset else None
-            two_q = gs.two_qubit_labels if gs else frozenset()
-            columns.append((path, design, two_q))
+            columns.append((path, _load_design(path, gs), two_q))
     for count in args.circuits or []:
         columns.append((f"{count} circuits", int(count), None))
     if not columns:
@@ -289,15 +291,7 @@ def cmd_germs(args) -> int:
         _write_json(args.out, [list(g.labels) for g in germs])
         print(f"{len(germs)} bare germs written to {args.out}")
         return EXIT_OK
-    models = [gs]
-    if args.germs == "robust":
-        models += nz.perturbed_models(gs, args.robust_models, args.perturb_sigma, args.seed + 7919)
-    pool = gz.germ_candidate_pool(gs.labels, args.germ_depth)
-    try:
-        result = gz.select_germs(models, pool, score_fn=args.germ_score)
-    except gz.GermSelectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POOL_NOT_AC
+    result = _select_germs(args, gs)
     _write_json(args.out, [list(g.labels) for g in result.germs])
     print(f"{len(result.germs)} germs written to {args.out}")
     print(f"per-model ranks: {result.ranks} (targets {result.targets})")
@@ -344,7 +338,6 @@ def cmd_fpr(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
     p.add_argument("--gateset", required=True, help="builtin name (xyi, xycphase) or JSON path")
-    p.add_argument("--threads", type=int, default=fz.default_threads(), help="worker threads")
     p.add_argument("--seed", type=int, required=seed_required, help="master RNG seed")
 
 
@@ -444,9 +437,9 @@ def main(argv=None) -> int:
     if args.command == "certify" and args.kind == "projected" and not args.op:
         print("error: --kind projected requires --op", file=sys.stderr)
         return 2
-    np.seterr(over="raise")
     try:
-        return args.func(args)
+        with np.errstate(over="raise"):
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

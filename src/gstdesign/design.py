@@ -174,25 +174,36 @@ class ExperimentDesign:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ExperimentDesign":
-        return ExperimentDesign(
-            prep_fiducials=tuple(Circuit(tuple(f)) for f in doc["fiducials"]["prep"]),
-            meas_fiducials=tuple(Circuit(tuple(f)) for f in doc["fiducials"]["meas"]),
-            germs=tuple(Circuit(tuple(g)) for g in doc["germs"]),
-            maxdepths=tuple(doc["maxdepths"]),
-            fpr_policy=FprPolicy.from_json_dict(doc["fpr_policy"]),
-            plaquettes=tuple(
-                Plaquette(
-                    germ_index=p["germ"],
-                    max_depth=p["L"],
-                    power=p["power"],
-                    pairs=tuple((int(a), int(b)) for a, b in p["pairs"]),
-                )
-                for p in doc["plaquettes"]
-            ),
-            circuits=tuple(Circuit(tuple(c["labels"])) for c in doc["circuits"]),
-            buckets=tuple(c["L"] for c in doc["circuits"]),
-            gateset_ref=doc.get("gateset_ref", ""),
-        )
+        """Parse a design document; raises :class:`DesignError` when keys are
+        missing or malformed, or a circuit's bucket is not in ``maxdepths``."""
+        try:
+            design = ExperimentDesign(
+                prep_fiducials=tuple(Circuit(tuple(f)) for f in doc["fiducials"]["prep"]),
+                meas_fiducials=tuple(Circuit(tuple(f)) for f in doc["fiducials"]["meas"]),
+                germs=tuple(Circuit(tuple(g)) for g in doc["germs"]),
+                maxdepths=validate_schedule(doc["maxdepths"]),
+                fpr_policy=FprPolicy.from_json_dict(doc["fpr_policy"]),
+                plaquettes=tuple(
+                    Plaquette(
+                        germ_index=p["germ"],
+                        max_depth=p["L"],
+                        power=p["power"],
+                        pairs=tuple((int(a), int(b)) for a, b in p["pairs"]),
+                    )
+                    for p in doc["plaquettes"]
+                ),
+                circuits=tuple(Circuit(tuple(c["labels"])) for c in doc["circuits"]),
+                buckets=tuple(c["L"] for c in doc["circuits"]),
+                gateset_ref=doc.get("gateset_ref", ""),
+            )
+            stray = sorted(set(design.buckets) - set(design.maxdepths))
+        except DesignError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DesignError(f"malformed design document ({type(exc).__name__}: {exc})") from None
+        if stray:
+            raise DesignError(f"circuit buckets {stray} are not in maxdepths {design.maxdepths}")
+        return design
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -200,8 +211,14 @@ class ExperimentDesign:
 
     @staticmethod
     def load(path) -> "ExperimentDesign":
+        """Read a design file; :class:`DesignError` when it is not valid JSON
+        or not a valid design document."""
         with open(path) as f:
-            return ExperimentDesign.from_json_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise DesignError(f"not a JSON document ({exc})") from None
+        return ExperimentDesign.from_json_dict(doc)
 
     def circuit_text(self) -> str:
         """Newline-delimited export, one space-separated label sequence per line."""

@@ -3,10 +3,17 @@
 Per circuit the Fisher information under multinomial sampling is
 ``N_c sum_i (1/p_i) (grad p_i)(grad p_i)^T`` (the Hessian terms cancel
 because outcome probabilities sum to one); information is additive over
-circuits, so a design's matrix is the sum over its circuit list.  Series
-bucket each deduplicated circuit at the smallest max depth at which it
-enters the design: the incremental matrix at L sums bucket L only, the
-cumulative matrix sums all buckets up to L.
+circuits, so a design's matrix is the sum over its circuit list.  It is
+accumulated as ``W^T W``: for each block of ``FIM_BLOCK`` circuits the
+weighted Jacobian rows ``sqrt(N_c / p_i) grad p_i`` are stacked into ``W``
+and ``W^T W`` is added to the running total, blocks in circuit order.  The
+block size bounds memory; the summation order is fixed, so the result
+depends on nothing but the circuit list and the BLAS build (BLAS threading
+may change the last bits of the products).
+
+Series bucket each deduplicated circuit at the smallest max depth at
+which it enters the design.  :func:`bucket_fims` builds the incremental
+matrix of each bucket once; cumulative matrices are their prefix sums.
 
 Certification evaluates the cumulative series at a point unitarily
 perturbed off the target (degenerate spectra at the exact target hide the
@@ -21,8 +28,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +55,8 @@ __all__ = [
     "circuit_fim_hessian_form",
     "circuits_fim",
     "design_fim",
+    "bucket_fims",
+    "fisher_series",
     "cumulative_series",
     "incremental_series",
     "projected_fim",
@@ -59,22 +66,19 @@ __all__ = [
     "default_eval_model",
     "series_to_csv",
     "DEFAULT_SHOTS",
+    "FIM_BLOCK",
 ]
 
 DEFAULT_SHOTS = 1000
-
-
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GSTDESIGN_THREADS", "1")))
-    except ValueError:
-        return 1
+# circuits per W^T W product; a two-qubit block of W is about 10 MB
+FIM_BLOCK = 256
 
 
 def circuit_fim(
     gs: GateSet, circuit: Circuit, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> np.ndarray:
-    """Outer-product form ``N_c sum_i (1/p_i) grad p_i grad p_i^T``.
+    """Outer-product form ``N_c sum_i (1/p_i) grad p_i grad p_i^T`` of one
+    circuit, the reference for :func:`circuits_fim`.
 
     Probabilities are clipped to ``[clip_floor, 1]`` inside the inverse, so
     exact zeros never divide out.
@@ -95,57 +99,26 @@ def circuit_fim_hessian_form(
     return shots * (jac.T @ (jac / p[:, None]) - hess.sum(axis=0))
 
 
-def _pairwise_sum(mats: list[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise tree reduction (order independent of threading)."""
-    if not mats:
-        raise ValueError("nothing to sum")
-    work = list(mats)
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(work[i] + work[i + 1])
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
 def circuits_fim(
-    gs: GateSet,
-    circuits,
-    shots: int = DEFAULT_SHOTS,
-    threads: int | None = None,
-    clip_floor: float = PROB_CLIP_FLOOR,
+    gs: GateSet, circuits, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> np.ndarray:
-    """Sum of per-circuit matrices with a fixed chunked pairwise reduction.
-
-    The chunking is constant (independent of the thread count), so results
-    are bit-identical however many workers compute the chunks.
-    """
+    """Summed Fisher matrix of ``circuits``, one ``W^T W`` product per block
+    of ``FIM_BLOCK`` circuits (see the module docstring)."""
     circuits = list(circuits)
     npar = n_params(gs)
-    if not circuits:
-        return np.zeros((npar, npar))
-    threads = threads or default_threads()
-    chunk = 64
-    ranges = [(lo, min(lo + chunk, len(circuits))) for lo in range(0, len(circuits), chunk)]
-
-    def chunk_sum(bounds):
-        lo, hi = bounds
-        return _pairwise_sum([circuit_fim(gs, c, shots, clip_floor) for c in circuits[lo:hi]])
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(chunk_sum, ranges))
-    else:
-        sums = [chunk_sum(r) for r in ranges]
-    return _pairwise_sum(sums)
+    total = np.zeros((npar, npar))
+    for lo in range(0, len(circuits), FIM_BLOCK):
+        rows = []
+        for c in circuits[lo : lo + FIM_BLOCK]:
+            p = np.clip(circuit_probabilities(gs, c), clip_floor, 1.0)
+            rows.append(probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None])
+        w = np.concatenate(rows)
+        total += w.T @ w
+    return total
 
 
-def design_fim(
-    gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS, threads: int | None = None
-) -> np.ndarray:
-    return circuits_fim(gs, design.circuits, shots, threads)
+def design_fim(gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS) -> np.ndarray:
+    return circuits_fim(gs, design.circuits, shots)
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -168,44 +141,40 @@ class FisherSeries:
     matrices: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
 
-def _series(
-    gs: GateSet,
-    design: ExperimentDesign,
-    shots: int,
-    cumulative: bool,
-    threads: int | None,
-    clip_floor: float = PROB_CLIP_FLOOR,
-) -> FisherSeries:
-    incs = []
-    for depth in design.maxdepths:
-        bucket = [c for c, b in zip(design.circuits, design.buckets) if b == depth]
-        incs.append(
-            circuits_fim(gs, bucket, shots, threads, clip_floor)
-            if bucket
-            else np.zeros((n_params(gs), n_params(gs)))
-        )
-    mats = list(np.cumsum(incs, axis=0)) if cumulative else incs
-    spectra = tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats)
-    null = n_params(gs) - non_gauge_count(gs)
+def bucket_fims(
+    gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
+) -> tuple[np.ndarray, ...]:
+    """Incremental Fisher matrix of each max-depth bucket, in schedule order:
+    the one place a design's per-bucket matrices are built."""
+    return tuple(
+        circuits_fim(gs, [c for c, b in zip(design.circuits, design.buckets) if b == depth], shots, clip_floor)
+        for depth in design.maxdepths
+    )
+
+
+def fisher_series(gs: GateSet, design: ExperimentDesign, increments, cumulative: bool) -> FisherSeries:
+    """Series of the bucket matrices ``increments`` (see :func:`bucket_fims`),
+    or of their prefix sums when ``cumulative``."""
+    mats = tuple(np.cumsum(increments, axis=0)) if cumulative else tuple(increments)
     return FisherSeries(
         maxdepths=design.maxdepths,
-        spectra=spectra,
+        spectra=tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats),
         kind="cumulative" if cumulative else "incremental",
-        gauge_null_count=null,
-        matrices=tuple(mats),
+        gauge_null_count=n_params(gs) - non_gauge_count(gs),
+        matrices=mats,
     )
 
 
 def cumulative_series(
-    gs, design, shots: int = DEFAULT_SHOTS, threads=None, clip_floor: float = PROB_CLIP_FLOOR
+    gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return _series(gs, design, shots, cumulative=True, threads=threads, clip_floor=clip_floor)
+    return fisher_series(gs, design, bucket_fims(gs, design, shots, clip_floor), cumulative=True)
 
 
 def incremental_series(
-    gs, design, shots: int = DEFAULT_SHOTS, threads=None, clip_floor: float = PROB_CLIP_FLOOR
+    gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return _series(gs, design, shots, cumulative=False, threads=threads, clip_floor=clip_floor)
+    return fisher_series(gs, design, bucket_fims(gs, design, shots, clip_floor), cumulative=False)
 
 
 def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
@@ -266,7 +235,6 @@ class CertificationReport:
     total_information: list[float]
     insensitive: list[int]
     gauge_null_count: int
-    spectra: list[list[float]]  # non-gauge cumulative spectra per depth
 
     def to_json_dict(self) -> dict:
         return {
@@ -294,7 +262,7 @@ def certify_design(
     target: GateSet | None = None,
     shots: int = DEFAULT_SHOTS,
     thresholds: CertificationThresholds = CertificationThresholds(),
-    threads: int | None = None,
+    increments=None,
 ) -> CertificationReport:
     """Classify every non-gauge direction of the cumulative series.
 
@@ -318,53 +286,42 @@ def certify_design(
 
     Certification clips probabilities at the shot-resolution scale (see
     :func:`certification_clip_floor`) rather than the hard floor.
+    ``increments`` are the design's bucket matrices at that floor, as
+    :func:`bucket_fims` returns them; they are built when not given.
     """
     target = target or gs_eval
-    floor = certification_clip_floor(shots)
-    series = cumulative_series(gs_eval, design, shots, threads, clip_floor=floor)
+    if increments is None:
+        increments = bucket_fims(gs_eval, design, shots, certification_clip_floor(shots))
     q = nongauge_projector(gs_eval)
-    mats = [q.T @ m @ q for m in series.matrices]
-    spectra = np.array([np.sort(np.linalg.eigvalsh(m))[::-1] for m in mats])
+    mats = q.T @ np.cumsum(increments, axis=0) @ q
 
     depths = np.asarray(design.maxdepths, float)
     n_fit = max(2, int(np.ceil(len(depths) * thresholds.fit_fraction)))
     sel = slice(len(depths) - n_fit, len(depths))
-    logl = np.log(depths[sel])
 
+    # Rayleigh quotient of every direction at every depth: traj[depth, k]
     _, eigvecs = np.linalg.eigh(mats[-1])
-    slopes = []
-    final_info = []
-    for k in range(eigvecs.shape[1]):
-        vec = eigvecs[:, k]
-        traj = np.array([float(vec @ m @ vec) for m in mats])
-        final_info.append(traj[-1])
-        slope = float(np.polyfit(logl, np.log(np.maximum(traj[sel], 1e-300)), 1)[0])
-        slopes.append(slope)
+    traj = np.einsum("ik,lij,jk->lk", eigvecs, mats, eigvecs, optimize=True)
+    slopes = np.polyfit(np.log(depths[sel]), np.log(np.maximum(traj[sel], 1e-300)), 1)[0]
 
-    growing = sum(s >= thresholds.slope_threshold for s in slopes)
-    plateaued = len(slopes) - growing
+    growing = int(np.sum(slopes >= thresholds.slope_threshold))
+    plateaued = slopes.size - growing
     spam_budget = non_gauge_count(target) - amplifiable_count(target)
 
     # information delivered by the deepest layer alone
-    last_bucket = [c for c, b in zip(design.circuits, design.buckets) if b == design.maxdepths[-1]]
-    inc_last = circuits_fim(gs_eval, last_bucket, shots, threads, floor)
-    inc_evals = np.clip(np.sort(np.linalg.eigvalsh(q.T @ inc_last @ q))[::-1], 0.0, None)
-    inc_median = float(np.median(inc_evals))
-    insensitive = [
-        int(k) for k in range(inc_evals.size) if inc_evals[k] <= thresholds.insensitive_rel * inc_median
-    ]
+    inc_evals = np.clip(np.sort(np.linalg.eigvalsh(q.T @ increments[-1] @ q))[::-1], 0.0, None)
+    insensitive = np.flatnonzero(inc_evals <= thresholds.insensitive_rel * np.median(inc_evals))
 
     return CertificationReport(
         maxdepths=design.maxdepths,
-        growing=int(growing),
-        plateaued=int(plateaued),
+        growing=growing,
+        plateaued=plateaued,
         spam_budget=int(spam_budget),
         well_constructed=plateaued <= spam_budget,
-        slopes=slopes,
-        total_information=final_info,
-        insensitive=insensitive,
-        gauge_null_count=series.gauge_null_count,
-        spectra=[[float(x) for x in row] for row in spectra],
+        slopes=slopes.tolist(),
+        total_information=traj[-1].tolist(),
+        insensitive=insensitive.tolist(),
+        gauge_null_count=n_params(gs_eval) - non_gauge_count(gs_eval),
     )
 
 

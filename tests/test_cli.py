@@ -1,9 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from gstdesign import cli
+from gstdesign import cli, fisher
 from gstdesign.design import ExperimentDesign
 
 
@@ -205,10 +207,81 @@ def test_germs_and_fpr_pipeline(tmp_path):
     assert all(len(v) == 4 for v in doc["pairs"].values())
 
 
-def test_threads_env_default(monkeypatch):
-    monkeypatch.setenv("GSTDESIGN_THREADS", "3")
-    from gstdesign.fisher import default_threads
+def test_main_leaves_numpy_error_state(small_design, tmp_path):
+    with np.errstate(over="warn"):  # a known state, whatever earlier tests left
+        before = np.geterr()
+        assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == 0
+        assert np.geterr() == before
 
-    assert default_threads() == 3
-    monkeypatch.setenv("GSTDESIGN_THREADS", "junk")
-    assert default_threads() == 1
+
+@pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
+def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatch, kind):
+    seen = Counter()
+    circuits_fim = fisher.circuits_fim
+
+    def counting(gs, circuits, *args, **kwargs):
+        circuits = list(circuits)
+        seen.update(c.labels for c in circuits)
+        return circuits_fim(gs, circuits, *args, **kwargs)
+
+    monkeypatch.setattr(fisher, "circuits_fim", counting)
+    code = run(
+        [
+            "certify", "--gateset", "xyi", "--design", str(small_design), "--kind", kind,
+            "--op", "Gx", "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0
+    design = ExperimentDesign.load(small_design)
+    assert seen == Counter(c.labels for c in design.circuits)
+    assert set(seen.values()) == {1}
+
+
+def _bad_design(tmp_path, small_design, edit):
+    doc = json.loads(small_design.read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize(
+    "case, gateset",
+    [
+        ("missing-key", "xyi"),
+        ("not-json", "xyi"),
+        ("bucket-outside-schedule", "xyi"),
+        ("labels-not-in-gateset", "xycphase"),
+    ],
+)
+def test_bad_design_exits_3(small_design, tmp_path, capsys, command, case, gateset):
+    if case == "missing-key":
+        path = _bad_design(tmp_path, small_design, lambda doc: doc.pop("germs"))
+    elif case == "not-json":
+        path = tmp_path / "bad.json"
+        path.write_text("this is not a design\n")
+    elif case == "bucket-outside-schedule":
+        path = _bad_design(tmp_path, small_design, lambda doc: doc["circuits"][0].update(L=3))
+    else:
+        path = small_design
+    argv = [command, "--gateset", gateset, "--design", str(path)]
+    if command == "simulate":
+        argv += ["--seed", "1", "--out", str(tmp_path / "ds.json")]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_wallclock_design_labels_checked_against_gateset(small_design, capsys):
+    code = run(["wallclock", "--device", "all", "--gateset", "xycphase", "--design", str(small_design)])
+    assert code == cli.EXIT_BAD_INPUT
+    assert "not in the gate set" in capsys.readouterr().err
+
+
+def test_certify_projected_unknown_op_exits_3(small_design, capsys):
+    code = run(
+        ["certify", "--gateset", "xyi", "--design", str(small_design), "--kind", "projected", "--op", "Gz"]
+    )
+    assert code == cli.EXIT_BAD_INPUT
+    assert "unknown operation label" in capsys.readouterr().err

@@ -92,19 +92,23 @@ def test_fim_against_expected_loglikelihood_hessian(xyi, rng):
 
 
 def test_additivity_exact(eval_model):
+    # W^T W sums in a different order than the per-circuit outer products,
+    # so agreement is to rounding relative to the largest entry (~4e8)
     circuits = [Circuit(("Gx",)), Circuit(("Gy", "Gx")), Circuit(("Gi",))]
     total = FI.circuits_fim(eval_model, circuits)
     summed = sum(FI.circuit_fim(eval_model, c) for c in circuits)
-    assert np.array_equal(total, summed) or np.max(np.abs(total - summed)) < 1e-12
+    assert np.max(np.abs(total - summed)) <= 1e-12 * np.max(np.abs(summed))
 
 
-def test_thread_count_does_not_change_reduction(eval_model, xyi_fiducials):
+def test_blocked_accumulation_matches_reference(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
     )
-    one = FI.circuits_fim(eval_model, des.circuits, threads=1)
-    four = FI.circuits_fim(eval_model, des.circuits, threads=4)
-    assert np.max(np.abs(one - four)) <= 1e-12
+    assert FI.FIM_BLOCK < len(des.circuits) <= 2 * FI.FIM_BLOCK  # two W^T W blocks
+    total = FI.circuits_fim(eval_model, des.circuits)
+    summed = sum(FI.circuit_fim(eval_model, c) for c in des.circuits)
+    assert np.max(np.abs(total - summed)) <= 1e-12 * np.max(np.abs(summed))
+    assert np.array_equal(total, FI.circuits_fim(eval_model, des.circuits))
 
 
 def test_gauge_annihilation(eval_model, xyi_fiducials):
