@@ -2,7 +2,6 @@
 
 from .model import (  # noqa: F401
     Circuit,
-    CircuitStructure,
     GateSet,
     GateSetError,
     GaugeTangent,

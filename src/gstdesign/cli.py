@@ -69,7 +69,8 @@ def _load_device(spec: str) -> wz.DeviceParams:
         raise CliError(f"invalid device file {spec}: {exc}") from None
 
 
-def _load_circuit_list(path: str, what: str) -> list[Circuit]:
+def _load_circuit_list(path: str, what: str, gs: GateSet) -> list[Circuit]:
+    """Read a JSON list of label arrays and check every label belongs to ``gs``."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -79,8 +80,11 @@ def _load_circuit_list(path: str, what: str) -> list[Circuit]:
         raise CliError(f"invalid {what} file {path}: {exc}") from None
     if isinstance(doc, dict):
         doc = doc.get("circuits", doc.get("germs", doc.get("fiducials")))
-    if not isinstance(doc, list):
+    if not isinstance(doc, list) or not all(isinstance(c, list) and all(isinstance(x, str) for x in c) for c in doc):
         raise CliError(f"invalid {what} file {path}: expected a list of label arrays")
+    unknown = {lab for labels in doc for lab in labels} - set(gs.labels)
+    if unknown:
+        raise CliError(f"{what} file {path} uses labels not in the gate set: {sorted(unknown)}")
     return [Circuit(tuple(labels)) for labels in doc]
 
 
@@ -104,7 +108,7 @@ def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
     attr = "prep_fiducials" if kind == "prep" else "meas_fiducials"
     path = getattr(args, attr, None)
     if path:
-        return _load_circuit_list(path, f"{kind} fiducials")
+        return _load_circuit_list(path, f"{kind} fiducials", gs)
     if args.gateset in bi.BUILTIN_GATESETS:
         return bi.builtin_fiducials(args.gateset, kind)
     # no list given: run greedy selection over the default candidate pool
@@ -116,7 +120,7 @@ def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
 
 def _germ_set(args, gs: GateSet) -> list[Circuit]:
     if getattr(args, "germ_file", None):
-        return _load_circuit_list(args.germ_file, "germ")
+        return _load_circuit_list(args.germ_file, "germ", gs)
     if args.germs == "bare":
         return gz.bare_germs(gs)
     return _select_germs(args, gs).germs
@@ -184,7 +188,7 @@ def cmd_certify(args) -> int:
         gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, increments=increments
     )
     if args.csv:
-        series = fz.fisher_series(gs_eval, design, increments, cumulative=args.kind == "cumulative")
+        series = fz.fisher_series(design, increments, cumulative=args.kind == "cumulative")
         classes = None
         if args.kind == "cumulative":
             classes = ["growing" if s >= thresholds.slope_threshold else "plateaued" for s in report.slopes]
@@ -304,13 +308,11 @@ def cmd_fpr(args) -> int:
     gs = _load_gateset(args.gateset)
     preps = _default_fiducials(args, gs, "prep")
     meass = _default_fiducials(args, gs, "meas")
-    germs = _load_circuit_list(args.germ_file, "germ")
+    germs = _load_circuit_list(args.germ_file, "germ", gs)
     if args.mode == "per-germ":
         result = fprz.per_germ_fpr(gs, preps, meass, germs, eps_lambda=args.eps, search_seed=args.seed)
         doc = {
-            "mode": "per-germ",
-            "eps_lambda": args.eps,
-            "pairs_by_germ": {str(k): [list(p) for p in v] for k, v in result.pairs_by_germ.items()},
+            **result.to_policy().to_json_dict(),
             "achieved_ratio": {str(k): v for k, v in result.achieved_ratio.items()},
             "baseline_rank": {str(k): v for k, v in result.baseline_rank.items()},
             "fallback_germs": sorted(result.fell_back_to_full),
@@ -336,6 +338,20 @@ def cmd_fpr(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
     p.add_argument("--gateset", required=True, help="builtin name (xyi, xycphase) or JSON path")
     p.add_argument("--seed", type=int, required=seed_required, help="master RNG seed")
@@ -344,7 +360,7 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
 def _add_germ_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--germs", choices=["robust", "standard", "bare"], default="standard")
     p.add_argument("--germ-file", help="JSON list of germ label arrays (skips selection)")
-    p.add_argument("--germ-depth", type=int, default=6, help="candidate germ pool depth bound")
+    p.add_argument("--germ-depth", type=_positive_int, default=6, help="candidate germ pool depth bound")
     p.add_argument("--germ-score", choices=["sum", "min"], default="sum")
     p.add_argument("--robust-models", type=int, default=5, help="perturbed models for robust mode")
     p.add_argument("--perturb-sigma", type=float, default=1e-3)
@@ -360,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prep-fiducials", help="JSON list of label arrays")
     p.add_argument("--meas-fiducials", help="JSON list of label arrays")
     p.add_argument("--fpr", choices=["full", "per-germ", "random"], default="full")
-    p.add_argument("--eps", type=float, default=1.0 / 30.0, help="per-germ FPR eigenvalue ratio")
-    p.add_argument("--gamma", type=float, default=0.125, help="random FPR keep fraction")
+    p.add_argument("--eps", type=_fraction, default=1.0 / 30.0, help="per-germ FPR eigenvalue ratio")
+    p.add_argument("--gamma", type=_fraction, default=0.125, help="random FPR keep fraction")
     p.add_argument("--rounding", choices=["floor", "ceil"], default="floor")
-    p.add_argument("--Lmax", dest="lmax", type=int, required=True)
+    p.add_argument("--Lmax", dest="lmax", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--circuit-text", help="also write newline-delimited circuit list")
     p.set_defaults(func=cmd_design)
@@ -371,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="Fisher-information certification of a design")
     _add_common(p, seed_required=False)
     p.add_argument("--design", required=True)
-    p.add_argument("--shots", type=int, default=fz.DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
     p.add_argument("--perturb-seed", type=int, default=97)
     p.add_argument("--perturb-sigma", type=float, default=1e-3)
     p.add_argument("--kind", choices=["cumulative", "incremental", "projected"], default="cumulative")
@@ -386,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["coherent-only", "coherent-depol"], default="coherent-depol")
     p.add_argument("--sigma", type=float, default=0.01)
     p.add_argument("--eta", type=float, default=0.001)
-    p.add_argument("--shots", type=int, default=fz.DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -394,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gateset", help="used to mark two-qubit labels of designs")
     p.add_argument("--device", required=True, help="builtin name, JSON path, or 'all'")
     p.add_argument("--design", action="append", help="design file (repeatable)")
-    p.add_argument("--circuits", action="append", type=int, help="bare circuit count (repeatable)")
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--circuits", action="append", type=_positive_int, help="bare circuit count (repeatable)")
+    p.add_argument("--shots", type=_positive_int, default=100)
     p.add_argument("--mean-depth", type=float, default=0.0, help="approximate-mode depth assumption")
     p.add_argument("--two-qubit-fraction", type=float, default=0.0)
     p.add_argument("--report", help="write JSON report here")
@@ -422,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prep-fiducials")
     p.add_argument("--meas-fiducials")
     p.add_argument("--mode", choices=["per-germ", "random"], default="per-germ")
-    p.add_argument("--eps", type=float, default=1.0 / 30.0)
-    p.add_argument("--gamma", type=float, default=0.125)
+    p.add_argument("--eps", type=_fraction, default=1.0 / 30.0)
+    p.add_argument("--gamma", type=_fraction, default=0.125)
     p.add_argument("--rounding", choices=["floor", "ceil"], default="floor")
-    p.add_argument("--Lmax", dest="lmax", type=int, default=1024)
+    p.add_argument("--Lmax", dest="lmax", type=_positive_int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fpr)
 

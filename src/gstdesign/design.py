@@ -4,19 +4,32 @@ A design is the LGST base layer (``F_j H_i`` and ``F_j G_k H_i`` for every
 bare gate) plus one plaquette per (germ, max depth) holding the retained
 fiducial pairs; every plaquette circuit is ``F_j g_k^p H_i`` with the germ
 power ``p`` the largest repetition count that fits inside the depth limit.
-Circuits are deduplicated on their exact label sequence and each unique
-circuit is bucketed at the smallest max depth at which it first appears,
-which is what the Fisher-information series consume.
+:func:`plaquettes` is the one place that decides which plaquettes exist and
+which pairs they keep, and :func:`plaquette_circuits` the one place that
+expands a plaquette into circuits.  Circuits are deduplicated on their
+exact label sequence and each unique circuit is bucketed at the smallest
+max depth at which it appears, which is what the Fisher-information series
+consume.
+
+Loading a design checks it against its plaquettes: the stored (germ, L,
+power) list must be the one :func:`plaquettes` gives for the stored germs,
+schedule and policy; every plaquette's pairs must be distinct, inside the
+fiducial grid and equal to the policy's pairs (for a random policy, only
+their count is checked, since numpy does not promise the same random
+stream across versions); no circuit may be listed twice; and every
+plaquette circuit must be present with a bucket no deeper than its
+plaquette's ``L``.  Circuit order is free.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Circuit, CircuitStructure
+from .model import Circuit
 
 __all__ = [
     "DesignError",
@@ -26,6 +39,8 @@ __all__ = [
     "default_schedule",
     "validate_schedule",
     "germ_power",
+    "plaquettes",
+    "plaquette_circuits",
     "build_design",
     "circuit_count",
     "count_by_depth",
@@ -110,19 +125,26 @@ class FprPolicy:
     def from_json_dict(doc: dict) -> "FprPolicy":
         mode = doc["mode"]
         if mode == "per-germ":
-            pairs = {
-                int(k): tuple((int(a), int(b)) for a, b in v)
-                for k, v in doc["pairs_by_germ"].items()
-            }
+            pairs = {int(k): tuple((int(a), int(b)) for a, b in v) for k, v in doc["pairs_by_germ"].items()}
             return FprPolicy(mode=mode, eps_lambda=doc.get("eps_lambda"), pairs_by_germ=pairs)
         if mode == "random":
-            return FprPolicy(
-                mode=mode,
-                gamma=doc["gamma"],
-                seed=doc["seed"],
-                rounding=doc.get("rounding", "floor"),
-            )
-        return FprPolicy(mode="full")
+            return FprPolicy(mode=mode, gamma=doc["gamma"], seed=doc["seed"], rounding=doc.get("rounding", "floor"))
+        return FprPolicy(mode=mode)
+
+    def pairs(self, germ_index: int, max_depth: int, n_prep: int, n_meas: int) -> tuple[tuple[int, int], ...]:
+        """The (prep, meas) index pairs the (germ, max depth) plaquette keeps."""
+        if self.mode == "full":
+            return tuple((j, i) for j in range(n_prep) for i in range(n_meas))
+        if self.mode == "per-germ":
+            pairs = self.pairs_by_germ.get(germ_index)
+            if not pairs:
+                raise DesignError(f"per-germ policy has no pairs for germ index {germ_index}")
+            return tuple(pairs)
+        n_pairs = n_prep * n_meas
+        keep = keep_count(self.gamma, n_pairs, self.rounding)
+        rng = np.random.default_rng(np.random.SeedSequence([int(self.seed), germ_index, max_depth]))
+        chosen = rng.choice(n_pairs, size=keep, replace=False)
+        return tuple(sorted((int(k) // n_meas, int(k) % n_meas) for k in chosen))
 
 
 @dataclass(frozen=True)
@@ -145,10 +167,6 @@ class ExperimentDesign:
     # per-circuit smallest max depth at which the circuit enters the design
     buckets: tuple[int, ...]
     gateset_ref: str = ""
-    provenance: dict[int, tuple[str, ...]] = field(default_factory=dict, compare=False)
-
-    def circuits_up_to(self, max_depth: int) -> list[Circuit]:
-        return [c for c, b in zip(self.circuits, self.buckets) if b <= max_depth]
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,12 +179,7 @@ class ExperimentDesign:
             "maxdepths": list(self.maxdepths),
             "fpr_policy": self.fpr_policy.to_json_dict(),
             "plaquettes": [
-                {
-                    "germ": p.germ_index,
-                    "L": p.max_depth,
-                    "power": p.power,
-                    "pairs": [list(q) for q in p.pairs],
-                }
+                {"germ": p.germ_index, "L": p.max_depth, "power": p.power, "pairs": [list(q) for q in p.pairs]}
                 for p in self.plaquettes
             ],
             "circuits": [{"labels": list(c.labels), "L": b} for c, b in zip(self.circuits, self.buckets)],
@@ -175,7 +188,8 @@ class ExperimentDesign:
     @staticmethod
     def from_json_dict(doc: dict) -> "ExperimentDesign":
         """Parse a design document; raises :class:`DesignError` when keys are
-        missing or malformed, or a circuit's bucket is not in ``maxdepths``."""
+        missing or malformed, a circuit's bucket is not in ``maxdepths``, or
+        the circuits do not match the plaquettes (see the module docstring)."""
         try:
             design = ExperimentDesign(
                 prep_fiducials=tuple(Circuit(tuple(f)) for f in doc["fiducials"]["prep"]),
@@ -184,12 +198,7 @@ class ExperimentDesign:
                 maxdepths=validate_schedule(doc["maxdepths"]),
                 fpr_policy=FprPolicy.from_json_dict(doc["fpr_policy"]),
                 plaquettes=tuple(
-                    Plaquette(
-                        germ_index=p["germ"],
-                        max_depth=p["L"],
-                        power=p["power"],
-                        pairs=tuple((int(a), int(b)) for a, b in p["pairs"]),
-                    )
+                    Plaquette(p["germ"], p["L"], p["power"], tuple((int(a), int(b)) for a, b in p["pairs"]))
                     for p in doc["plaquettes"]
                 ),
                 circuits=tuple(Circuit(tuple(c["labels"])) for c in doc["circuits"]),
@@ -197,12 +206,13 @@ class ExperimentDesign:
                 gateset_ref=doc.get("gateset_ref", ""),
             )
             stray = sorted(set(design.buckets) - set(design.maxdepths))
+            if stray:
+                raise DesignError(f"circuit buckets {stray} are not in maxdepths {design.maxdepths}")
+            _check_plaquettes(design)
         except DesignError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DesignError(f"malformed design document ({type(exc).__name__}: {exc})") from None
-        if stray:
-            raise DesignError(f"circuit buckets {stray} are not in maxdepths {design.maxdepths}")
         return design
 
     def save(self, path) -> None:
@@ -236,14 +246,60 @@ def keep_count(gamma: float, n_pairs: int, rounding: str = "floor") -> int:
     raise DesignError(f"unknown rounding {rounding!r}")
 
 
-def random_pairs_for_plaquette(
-    policy: FprPolicy, germ_index: int, max_depth: int, n_prep: int, n_meas: int
-) -> tuple[tuple[int, int], ...]:
-    n_pairs = n_prep * n_meas
-    keep = keep_count(policy.gamma, n_pairs, policy.rounding)
-    rng = np.random.default_rng(np.random.SeedSequence([int(policy.seed), germ_index, max_depth]))
-    chosen = rng.choice(n_pairs, size=keep, replace=False)
-    return tuple(sorted((int(k) // n_meas, int(k) % n_meas) for k in chosen))
+def plaquettes(germs, maxdepths, policy: FprPolicy, n_prep: int, n_meas: int) -> tuple[Plaquette, ...]:
+    """The plaquettes of a design, germ by germ in schedule order.
+
+    One plaquette per (germ, max depth) whose germ power is at least 1 and
+    differs from that germ's power at the previous depth (a repeated power
+    would repeat the previous plaquette's circuits); each holds the pairs
+    ``policy`` keeps.
+    """
+    out = []
+    for k, germ in enumerate(germs):
+        prev_power = 0
+        for depth in maxdepths:
+            power = germ_power(germ, depth)
+            if power >= 1 and power != prev_power:
+                out.append(Plaquette(k, depth, power, policy.pairs(k, depth, n_prep, n_meas)))
+                prev_power = power
+    return tuple(out)
+
+
+def plaquette_circuits(preps, meass, germ: Circuit, plaquette: Plaquette) -> list[Circuit]:
+    """The circuits ``F_j g^p H_i`` of ``plaquette``, in pair order."""
+    body = germ.labels * plaquette.power
+    return [Circuit(preps[j].labels + body + meass[i].labels) for j, i in plaquette.pairs]
+
+
+def _check_plaquettes(design: ExperimentDesign) -> None:
+    """Raise :class:`DesignError` unless the circuits of ``design`` match its
+    plaquettes and the plaquettes match its germs, schedule and policy."""
+    preps, meass, policy = design.prep_fiducials, design.meas_fiducials, design.fpr_policy
+    expected = plaquettes(design.germs, design.maxdepths, policy, len(preps), len(meass))
+    have = [(p.germ_index, p.max_depth, p.power) for p in design.plaquettes]
+    want = [(p.germ_index, p.max_depth, p.power) for p in expected]
+    for n, (h, w) in enumerate(itertools.zip_longest(have, want)):
+        if h != w:
+            raise DesignError(
+                f"plaquette {n} is (germ, L, power) {h}, but the germs, maxdepths and fpr_policy give {w}"
+            )
+    bucket_of = {c.labels: b for c, b in zip(design.circuits, design.buckets)}
+    if len(bucket_of) != len(design.circuits):
+        raise DesignError("a circuit is listed more than once")
+    for p, e in zip(design.plaquettes, expected):
+        where = f"plaquette (germ {p.germ_index}, L={p.max_depth})"
+        if len(set(p.pairs)) != len(p.pairs):
+            raise DesignError(f"{where} repeats a fiducial pair")
+        if not all(0 <= j < len(preps) and 0 <= i < len(meass) for j, i in p.pairs):
+            raise DesignError(f"{where} has a pair outside the {len(preps)}x{len(meass)} fiducial grid")
+        same = len(p.pairs) == len(e.pairs) if policy.mode == "random" else p.pairs == e.pairs
+        if not same:
+            raise DesignError(f"{where} does not keep the pairs of its {policy.mode!r} fpr_policy")
+        for c in plaquette_circuits(preps, meass, design.germs[p.germ_index], p):
+            bucket = bucket_of.get(c.labels)
+            if bucket is None or bucket > p.max_depth:
+                state = "missing" if bucket is None else f"bucketed at L={bucket}"
+                raise DesignError(f"{where}: circuit {c} is {state}")
 
 
 def build_design(
@@ -259,8 +315,7 @@ def build_design(
 
     ``gateset_labels`` supplies the bare gates of the LGST base layer; when
     omitted it defaults to the distinct labels appearing in germs and
-    fiducials.  Plaquettes whose power repeats the previous depth's power
-    for the same germ are skipped since their circuits already exist.
+    fiducials.  The plaquettes are those of :func:`plaquettes`.
     """
     preps = tuple(prep_fiducials)
     meass = tuple(meas_fiducials)
@@ -269,67 +324,30 @@ def build_design(
         raise DesignError("fiducial lists must be nonempty")
     sched = validate_schedule(maxdepths)
     policy = fpr_policy or FprPolicy()
-
     if gateset_labels is None:
-        seen = {}
-        for c in list(preps) + list(meass) + list(germs):
-            for lab in c.labels:
-                seen[lab] = True
-        gateset_labels = tuple(seen)
+        gateset_labels = tuple(dict.fromkeys(lab for c in preps + meass + germs for lab in c.labels))
 
     circuits: list[Circuit] = []
     buckets: list[int] = []
-    provenance: dict[int, list[str]] = {}
     index_of: dict[tuple[str, ...], int] = {}
 
-    def emit(circuit: Circuit, bucket: int, tag: str) -> None:
+    def emit(circuit: Circuit, bucket: int) -> None:
         idx = index_of.get(circuit.labels)
         if idx is None:
-            idx = len(circuits)
-            index_of[circuit.labels] = idx
+            index_of[circuit.labels] = len(circuits)
             circuits.append(circuit)
             buckets.append(bucket)
-            provenance[idx] = []
-        provenance[idx].append(tag)
+        elif bucket < buckets[idx]:
+            buckets[idx] = bucket
 
-    base_bucket = sched[0]
-    for j, fj in enumerate(preps):
-        for i, hi in enumerate(meass):
-            emit(fj + hi, base_bucket, f"base:{j},{i}")
-    for k, lab in enumerate(gateset_labels):
-        mid = Circuit((lab,))
-        for j, fj in enumerate(preps):
-            for i, hi in enumerate(meass):
-                emit(fj + mid + hi, base_bucket, f"base:{lab}:{j},{i}")
-
-    full_grid = tuple((j, i) for j in range(len(preps)) for i in range(len(meass)))
-    plaquettes: list[Plaquette] = []
-    for k, germ in enumerate(germs):
-        prev_power = 0
-        for depth in sched:
-            power = germ_power(germ, depth)
-            if power < 1 or power == prev_power:
-                prev_power = power if power >= 1 else prev_power
-                continue
-            prev_power = power
-            if policy.mode == "full":
-                pairs = full_grid
-            elif policy.mode == "per-germ":
-                pairs = policy.pairs_by_germ.get(k)
-                if not pairs:
-                    raise DesignError(f"per-germ policy has no pairs for germ index {k}")
-            else:
-                pairs = random_pairs_for_plaquette(policy, k, depth, len(preps), len(meass))
-            if not pairs:
-                raise DesignError(f"empty fiducial-pair set for germ {k} at L={depth}")
-            repeated = germ.repeated(power)
-            for j, i in pairs:
-                circ = Circuit(
-                    preps[j].labels + repeated.labels + meass[i].labels,
-                    structure=CircuitStructure(j, k, power, i),
-                )
-                emit(circ, depth, f"plaq:{k}@{depth}:{j},{i}")
-            plaquettes.append(Plaquette(k, depth, power, tuple(pairs)))
+    for mid in [Circuit(())] + [Circuit((lab,)) for lab in gateset_labels]:
+        for fj in preps:
+            for hi in meass:
+                emit(fj + mid + hi, sched[0])
+    plaqs = plaquettes(germs, sched, policy, len(preps), len(meass))
+    for p in plaqs:
+        for circuit in plaquette_circuits(preps, meass, germs[p.germ_index], p):
+            emit(circuit, p.max_depth)
 
     return ExperimentDesign(
         prep_fiducials=preps,
@@ -337,11 +355,10 @@ def build_design(
         germs=germs,
         maxdepths=sched,
         fpr_policy=policy,
-        plaquettes=tuple(plaquettes),
+        plaquettes=plaqs,
         circuits=tuple(circuits),
         buckets=tuple(buckets),
         gateset_ref=gateset_ref,
-        provenance={k: tuple(v) for k, v in provenance.items()},
     )
 
 

@@ -40,7 +40,6 @@ from .model import (
     circuit_probabilities,
     gauge_tangent,
     n_params,
-    non_gauge_count,
     param_blocks,
     probability_hessian,
     probability_jacobian,
@@ -136,8 +135,6 @@ class FisherSeries:
 
     maxdepths: tuple[int, ...]
     spectra: tuple[tuple[float, ...], ...]  # sorted descending per depth
-    kind: str  # "cumulative" | "incremental" | "projected:<label>"
-    gauge_null_count: int
     matrices: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
 
@@ -152,15 +149,13 @@ def bucket_fims(
     )
 
 
-def fisher_series(gs: GateSet, design: ExperimentDesign, increments, cumulative: bool) -> FisherSeries:
+def fisher_series(design: ExperimentDesign, increments, cumulative: bool) -> FisherSeries:
     """Series of the bucket matrices ``increments`` (see :func:`bucket_fims`),
     or of their prefix sums when ``cumulative``."""
     mats = tuple(np.cumsum(increments, axis=0)) if cumulative else tuple(increments)
     return FisherSeries(
         maxdepths=design.maxdepths,
         spectra=tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats),
-        kind="cumulative" if cumulative else "incremental",
-        gauge_null_count=n_params(gs) - non_gauge_count(gs),
         matrices=mats,
     )
 
@@ -168,13 +163,13 @@ def fisher_series(gs: GateSet, design: ExperimentDesign, increments, cumulative:
 def cumulative_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return fisher_series(gs, design, bucket_fims(gs, design, shots, clip_floor), cumulative=True)
+    return fisher_series(design, bucket_fims(gs, design, shots, clip_floor), cumulative=True)
 
 
 def incremental_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return fisher_series(gs, design, bucket_fims(gs, design, shots, clip_floor), cumulative=False)
+    return fisher_series(design, bucket_fims(gs, design, shots, clip_floor), cumulative=False)
 
 
 def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
@@ -191,13 +186,7 @@ def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
 def projected_series(series: FisherSeries, gs: GateSet, label: str) -> FisherSeries:
     mats = tuple(projected_fim(m, gs, label) for m in series.matrices)
     spectra = tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats)
-    return FisherSeries(
-        maxdepths=series.maxdepths,
-        spectra=spectra,
-        kind=f"projected:{label}",
-        gauge_null_count=series.gauge_null_count,
-        matrices=mats,
-    )
+    return FisherSeries(maxdepths=series.maxdepths, spectra=spectra, matrices=mats)
 
 
 def nongauge_projector(gs: GateSet) -> np.ndarray:
@@ -306,7 +295,8 @@ def certify_design(
 
     growing = int(np.sum(slopes >= thresholds.slope_threshold))
     plateaued = slopes.size - growing
-    spam_budget = non_gauge_count(target) - amplifiable_count(target)
+    tangent = gauge_tangent(target)
+    spam_budget = n_params(target) - tangent.rank - amplifiable_count(target, tangent)
 
     # information delivered by the deepest layer alone
     inc_evals = np.clip(np.sort(np.linalg.eigvalsh(q.T @ increments[-1] @ q))[::-1], 0.0, None)
@@ -321,7 +311,7 @@ def certify_design(
         slopes=slopes.tolist(),
         total_information=traj[-1].tolist(),
         insensitive=insensitive.tolist(),
-        gauge_null_count=n_params(gs_eval) - non_gauge_count(gs_eval),
+        gauge_null_count=q.shape[0] - q.shape[1],
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import keep_count, random_pairs_for_plaquette, FprPolicy, germ_power, validate_schedule
+from .design import FprPolicy, keep_count, plaquettes, validate_schedule
 from .germs import IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
 from .model import (
     RANK_RTOL,
@@ -86,11 +86,6 @@ def kite_param_jacobian(
     return jac
 
 
-def _gram_spectrum(jac: np.ndarray) -> np.ndarray:
-    svals = np.linalg.svd(jac, compute_uv=False)
-    return svals**2
-
-
 @dataclass
 class PerGermFprResult:
     """Retained pairs and achieved eigenvalue ratios per germ index."""
@@ -115,7 +110,6 @@ def per_germ_fpr(
     eps_lambda: float = 1.0 / 30.0,
     search_seed: int = 0,
     candidates_per_size: int = 100,
-    degeneracy_tol: float = IDEAL_DEGENERACY_TOL,
 ) -> PerGermFprResult:
     """Random incremental pair search per germ (accept at eps_lambda ratio).
 
@@ -141,7 +135,7 @@ def per_germ_fpr(
     fallback: set[int] = set()
 
     for k, germ in enumerate(germs):
-        kite = kite_structure(circuit_ptm(gs, germ), degeneracy_tol)
+        kite = kite_structure(circuit_ptm(gs, germ), IDEAL_DEGENERACY_TOL)
         jac_full = kite_param_jacobian(gs, germ, full_grid, preps, meass, kite)
         svals = np.linalg.svd(jac_full, compute_uv=False)
         rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals[0] > 0 else 0
@@ -162,7 +156,7 @@ def per_germ_fpr(
             for _ in range(candidates_per_size):
                 sel = sorted(rng.choice(len(full_grid), size=size, replace=False).tolist())
                 rows = np.concatenate([np.arange(r * m, (r + 1) * m) for r in sel])
-                spec = np.sort(_gram_spectrum(jac_full[rows]))[::-1]
+                spec = np.sort(np.linalg.svd(jac_full[rows], compute_uv=False) ** 2)[::-1]
                 lam = float(spec[rank - 1]) if spec.size >= rank else 0.0
                 batch.append((lam, sel))
             if not batch:
@@ -194,19 +188,14 @@ def random_fpr(
     prep_fiducials, meas_fiducials, germs, maxdepths, gamma: float, seed: int,
     rounding: str = "floor",
 ) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Per-(germ, max depth) retained pair sets, as used by random designs.
+    """Per-(germ, max depth) retained pair sets of the plaquettes a random
+    design with this schedule holds.
 
     Streams are split per plaquette from the master seed so the draw for a
     given (germ, depth) does not depend on the rest of the schedule.
     """
-    sched = validate_schedule(maxdepths)
     policy = FprPolicy(mode="random", gamma=gamma, seed=seed, rounding=rounding)
-    out = {}
-    for k, germ in enumerate(germs):
-        for depth in sched:
-            if germ_power(germ, depth) < 1:
-                continue
-            out[(k, depth)] = random_pairs_for_plaquette(
-                policy, k, depth, len(list(prep_fiducials)), len(list(meas_fiducials))
-            )
-    return out
+    plaqs = plaquettes(
+        list(germs), validate_schedule(maxdepths), policy, len(list(prep_fiducials)), len(list(meas_fiducials))
+    )
+    return {(p.germ_index, p.max_depth): p.pairs for p in plaqs}

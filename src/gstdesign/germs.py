@@ -29,6 +29,7 @@ from .model import (
     RANK_RTOL,
     Circuit,
     GateSet,
+    GaugeTangent,
     circuit_ptm,
     gauge_tangent,
     matrix_rank_rel,
@@ -226,17 +227,18 @@ def germset_jacobian(
     return out
 
 
-def amplifiable_count(model: GateSet) -> int:
+def amplifiable_count(model: GateSet, tangent: GaugeTangent | None = None) -> int:
     """Gate parameters minus the gauge tangent's rank within gate coordinates.
 
     At an ideal (noise-free) target the similarity direction that rescales
     all traceless components moves no gate, so it drops out of the
     projected rank and is excluded from the count automatically; at
-    perturbed models it re-enters and the target drops by one.
+    perturbed models it re-enters and the target drops by one.  ``tangent``
+    is ``gauge_tangent(model)`` when the caller already has it.
     """
     blocks = param_blocks(model)
     n_gate = sum(blocks[l].stop - blocks[l].start for l in model.gates)
-    basis = gauge_tangent(model).basis
+    basis = (tangent or gauge_tangent(model)).basis
     gate_rows = np.vstack([basis[blocks[l], :] for l in model.gates])
     return n_gate - matrix_rank_rel(gate_rows)
 
@@ -303,10 +305,6 @@ def select_germs(
     candidate_pool,
     score_fn: str = "sum",
     degeneracy_tols=None,
-    length_normalize: bool = True,
-    length_penalty: float = 0.0,
-    count_penalty: float = 0.0,
-    pretest: bool = True,
 ) -> GermSelectionResult:
     """Greedy worst-case-over-models germ selection.
 
@@ -316,10 +314,10 @@ def select_germs(
     inverse Gram eigenvalues counted up to each model's amplifiable target,
     so a rank-deficient set scores infinitely badly.
 
-    ``length_normalize`` scores each germ's Jacobian divided by its length:
-    a germ of length q only reaches power L/q at max depth L, so per-depth
-    amplification is what the experiment actually buys.  Additive
-    ``length_penalty`` / ``count_penalty`` charges are also available.
+    Each germ's Jacobian is scored divided by its length: a germ of length
+    q only reaches power L/q at max depth L, so per-depth amplification is
+    what the experiment actually buys.  A pool whose full Gram falls short
+    of a model's target raises :class:`GermSelectionError` before any step.
     """
     pool = list(candidate_pool)
     if degeneracy_tols is None:
@@ -330,7 +328,7 @@ def select_germs(
     # germ set because stacking only appends rows
     jacobians = [[None] * len(models) for _ in pool]
     for ci, germ in enumerate(pool):
-        weight = 1.0 / len(germ.labels) if length_normalize else 1.0
+        weight = 1.0 / len(germ.labels)
         for mi, model in enumerate(models):
             j = germ_twirled_jacobian(model, germ, degeneracy_tols[mi])
             jacobians[ci][mi] = weight * j
@@ -339,16 +337,15 @@ def select_germs(
         j = jacobians[ci][mi]
         return j.T @ j
 
-    if pretest:
-        deficits = []
-        for mi, model in enumerate(models):
-            total = sum(gram_of(ci, mi) for ci in range(len(pool)))
-            rank, _ = _gram_rank_and_score(np.linalg.eigvalsh(total), targets[mi], score_fn)
-            if rank < targets[mi]:
-                deficits.append((mi, rank, targets[mi]))
-        if deficits:
-            msg = "; ".join(f"model {mi}: rank {r} of {t}" for mi, r, t in deficits)
-            raise GermSelectionError(f"candidate pool is not amplificationally complete: {msg}")
+    deficits = []
+    for mi, model in enumerate(models):
+        total = sum(gram_of(ci, mi) for ci in range(len(pool)))
+        rank, _ = _gram_rank_and_score(np.linalg.eigvalsh(total), targets[mi], score_fn)
+        if rank < targets[mi]:
+            deficits.append((mi, rank, targets[mi]))
+    if deficits:
+        msg = "; ".join(f"model {mi}: rank {r} of {t}" for mi, r, t in deficits)
+        raise GermSelectionError(f"candidate pool is not amplificationally complete: {msg}")
 
     chosen_idx: list[int] = []
     chosen_grams = [np.zeros((n_params(m), n_params(m))) for m in models]
@@ -376,7 +373,6 @@ def select_germs(
                 continue
             test = [chosen_grams[mi] + gram_of(ci, mi) for mi in range(len(models))]
             (sfall, wscore), _, _ = worst_over_models(test)
-            wscore += length_penalty * len(pool[ci].labels) + count_penalty
             tie = (len(pool[ci].labels), pool[ci].labels)
             key = (sfall, float(np.round(wscore, 9)), tie)
             if best is None or key < best[0]:

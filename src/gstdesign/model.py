@@ -28,14 +28,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GateSetError",
     "Circuit",
-    "CircuitStructure",
     "GateSet",
     "GaugeTangent",
     "pauli_matrices",
@@ -171,21 +170,10 @@ def hamiltonian_generator_ptms(num_qubits: int) -> list[np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CircuitStructure:
-    """Plaquette provenance of a circuit: F_j g_k^p H_i indices."""
-
-    prep_index: int
-    germ_index: int
-    power: int
-    meas_index: int
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """An ordered gate-label sequence; equality and hashing use labels only."""
+    """An ordered gate-label sequence."""
 
     labels: tuple[str, ...]
-    structure: CircuitStructure | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gstdesign import cli, fisher
+from gstdesign import cli, fisher, germs, model
 from gstdesign.design import ExperimentDesign
 
 
@@ -245,6 +245,22 @@ def _bad_design(tmp_path, small_design, edit):
     return path
 
 
+# small_design: bare germs Gi, Gx, Gy on the 6x6 XYI grid, full FPR, L <= 16
+BAD_DESIGN_EDITS = {
+    "missing-key": lambda doc: doc.pop("germs"),
+    "bucket-outside-schedule": lambda doc: doc["circuits"][0].update(L=3),
+    "dropped-plaquette-circuit": lambda doc: doc["circuits"].pop(),
+    "plaquette-circuit-deeper": lambda doc: next(c for c in doc["circuits"] if c["L"] == 4).update(L=8),
+    "pair-outside-grid": lambda doc: doc["plaquettes"][-1]["pairs"].append([6, 0]),
+    "power-mismatch": lambda doc: doc["plaquettes"][-1].update(power=doc["plaquettes"][-1]["power"] + 1),
+    "per-germ-pairs-disagree": lambda doc: doc.update(
+        fpr_policy={"mode": "per-germ", "pairs_by_germ": {str(k): [[0, 0]] for k in range(3)}}
+    ),
+    "duplicated-circuit": lambda doc: doc["circuits"].append(doc["circuits"][0]),
+    "unknown-mode": lambda doc: doc["fpr_policy"].update(mode="bogus"),
+}
+
+
 @pytest.mark.parametrize("command", ["certify", "simulate"])
 @pytest.mark.parametrize(
     "case, gateset",
@@ -253,18 +269,23 @@ def _bad_design(tmp_path, small_design, edit):
         ("not-json", "xyi"),
         ("bucket-outside-schedule", "xyi"),
         ("labels-not-in-gateset", "xycphase"),
+        ("dropped-plaquette-circuit", "xyi"),
+        ("plaquette-circuit-deeper", "xyi"),
+        ("pair-outside-grid", "xyi"),
+        ("power-mismatch", "xyi"),
+        ("per-germ-pairs-disagree", "xyi"),
+        ("duplicated-circuit", "xyi"),
+        ("unknown-mode", "xyi"),
     ],
 )
 def test_bad_design_exits_3(small_design, tmp_path, capsys, command, case, gateset):
-    if case == "missing-key":
-        path = _bad_design(tmp_path, small_design, lambda doc: doc.pop("germs"))
-    elif case == "not-json":
+    if case == "not-json":
         path = tmp_path / "bad.json"
         path.write_text("this is not a design\n")
-    elif case == "bucket-outside-schedule":
-        path = _bad_design(tmp_path, small_design, lambda doc: doc["circuits"][0].update(L=3))
-    else:
+    elif case == "labels-not-in-gateset":
         path = small_design
+    else:
+        path = _bad_design(tmp_path, small_design, BAD_DESIGN_EDITS[case])
     argv = [command, "--gateset", gateset, "--design", str(path)]
     if command == "simulate":
         argv += ["--seed", "1", "--out", str(tmp_path / "ds.json")]
@@ -285,3 +306,66 @@ def test_certify_projected_unknown_op_exits_3(small_design, capsys):
     )
     assert code == cli.EXIT_BAD_INPUT
     assert "unknown operation label" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option", [("fpr", "--germ-file"), ("design", "--germ-file"), ("design", "--prep-fiducials")]
+)
+def test_circuit_file_labels_checked_against_gateset(tmp_path, capsys, command, option):
+    bad = tmp_path / "bad.json"
+    bad.write_text('[["Gx"], ["Gq"]]')
+    argv = [command, "--gateset", "xyi", "--seed", "1", "--out", str(tmp_path / "o.json"), option, str(bad)]
+    if command == "design":
+        argv += ["--germs", "bare", "--Lmax", "4"]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "not in the gate set: ['Gq']" in err and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--shots", "0"],
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--shots", "-5"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--shots", "-1"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--shots", "0"],
+        ["wallclock", "--device", "all", "--circuits", "10", "--shots", "0"],
+        ["wallclock", "--device", "all", "--circuits", "-3"],
+        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germ-depth", "0"],
+        ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "0"],
+        ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--gamma", "0"],
+        ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--eps", "nan"],
+        ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--eps", "0"],
+        ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--gamma", "1.5"],
+        ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--Lmax", "-2"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+)
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[-2]}" in err and "Traceback" not in err
+
+
+def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypatch):
+    models = []
+    gauge_tangent = model.gauge_tangent
+
+    def counting(gs):
+        models.append(gs)
+        return gauge_tangent(gs)
+
+    for module in (model, fisher, germs):
+        monkeypatch.setattr(module, "gauge_tangent", counting)
+    code = run(
+        [
+            "certify", "--gateset", "xyi", "--design", str(small_design),
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0
+    # one for the evaluation model (the projector), one for the target
+    assert len(models) == 2 and models[0] is not models[1]

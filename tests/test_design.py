@@ -1,10 +1,14 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gstdesign import design as D
+from gstdesign import fpr as FP
+from gstdesign.builtins import standard_xyi_fiducials
 from gstdesign.model import Circuit
 
 GERMS = [
@@ -193,3 +197,83 @@ def test_power_repeat_plaquettes_skipped(xyi, xyi_fiducials):
     )
     # powers at L=3,4,6 are 1,1,2: the L=4 plaquette duplicates L=3 and is skipped
     assert [(p.max_depth, p.power) for p in des.plaquettes] == [(3, 1), (6, 2)]
+
+
+def test_shared_circuit_is_bucketed_at_its_smallest_depth(xyi, xyi_fiducials):
+    # F_0 (Gx Gx Gx Gy Gy) H_1 of germ 2's L=8 plaquette is also
+    # F_3 (Gx Gy Gy) H_1 of germ 3's L=4 plaquette
+    germs = [Circuit(g.split()) for g in ("Gi", "Gx Gx Gy", "Gx Gx Gx Gy Gy", "Gx Gy Gy")]
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, germs, D.default_schedule(8), gateset_labels=xyi.labels
+    )
+    buckets = dict(zip(des.circuits, des.buckets))
+    assert buckets[Circuit("Gx Gx Gx Gy Gy Gx".split())] == 4
+    for p in des.plaquettes:
+        circuits = D.plaquette_circuits(xyi_fiducials, xyi_fiducials, germs[p.germ_index], p)
+        assert all(buckets[c] <= p.max_depth for c in circuits)
+
+
+def test_circuit_order_is_free_on_load(xyi, xyi_fiducials):
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16),
+        D.FprPolicy(mode="random", gamma=0.25, seed=2), gateset_labels=xyi.labels,
+    )
+    doc = des.to_json_dict()
+    doc["circuits"].reverse()
+    loaded = D.ExperimentDesign.from_json_dict(doc)
+    assert dict(zip(loaded.circuits, loaded.buckets)) == dict(zip(des.circuits, des.buckets))
+
+
+FIDUCIALS = standard_xyi_fiducials()
+LABELS = ("Gi", "Gx", "Gy")
+germ_lists = st.lists(
+    st.lists(st.sampled_from(LABELS), min_size=1, max_size=4).map(Circuit), max_size=4
+)
+schedules = st.sets(st.integers(1, 24), min_size=1, max_size=5).map(sorted)
+
+
+@st.composite
+def design_inputs(draw):
+    preps = FIDUCIALS[: draw(st.integers(1, 4))]
+    meass = FIDUCIALS[-draw(st.integers(1, 4)) :]
+    germs = draw(germ_lists)
+    grid = [(j, i) for j in range(len(preps)) for i in range(len(meass))]
+    mode = draw(st.sampled_from(["full", "random", "per-germ"]))
+    if mode == "random":
+        policy = D.FprPolicy(
+            mode="random",
+            gamma=draw(st.floats(0.01, 1.0)),
+            seed=draw(st.integers(0, 2**31)),
+            rounding=draw(st.sampled_from(["floor", "ceil"])),
+        )
+    elif mode == "per-germ":
+        pairs = st.lists(st.sampled_from(grid), min_size=1, unique=True).map(tuple)
+        policy = D.FprPolicy(
+            mode="per-germ", pairs_by_germ={k: draw(pairs) for k in range(max(1, len(germs)))}
+        )
+    else:
+        policy = D.FprPolicy()
+    return preps, meass, germs, draw(schedules), policy
+
+
+@given(design_inputs())
+def test_save_load_preserves_design(inputs):
+    preps, meass, germs, sched, policy = inputs
+    des = D.build_design(preps, meass, germs, sched, policy, gateset_labels=LABELS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "design.json")
+        des.save(path)
+        loaded = D.ExperimentDesign.load(path)
+    assert loaded.circuits == des.circuits
+    assert loaded.buckets == des.buckets
+    assert loaded.plaquettes == des.plaquettes
+    assert loaded.fpr_policy == des.fpr_policy
+
+
+@given(germ_lists, schedules)
+def test_random_fpr_gives_the_design_plaquettes(germs, sched):
+    des = D.build_design(
+        FIDUCIALS, FIDUCIALS, germs, sched, D.FprPolicy(mode="random", gamma=0.25, seed=1)
+    )
+    pairs = FP.random_fpr(FIDUCIALS, FIDUCIALS, germs, sched, 0.25, seed=1)
+    assert pairs == {(p.germ_index, p.max_depth): p.pairs for p in des.plaquettes}

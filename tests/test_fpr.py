@@ -138,3 +138,10 @@ def test_random_fpr_different_seeds_differ(xyi_fiducials):
     a = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=13)
     b = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=14)
     assert a != b
+
+
+def test_random_fpr_skips_repeated_powers(xyi_fiducials):
+    # a length-3 germ has powers 1, 1, 2 at L = 3, 4, 6: no L=4 plaquette
+    germ = Circuit(("Gx", "Gy", "Gi"))
+    pairs = FP.random_fpr(xyi_fiducials, xyi_fiducials, [germ], (3, 4, 6), 0.125, seed=1)
+    assert sorted(pairs) == [(0, 3), (0, 6)]

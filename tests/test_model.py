@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
 
 from conftest import random_circuit
 from gstdesign import model as M
@@ -190,13 +189,6 @@ def test_singular_gauge_transform_rejected(xyi):
     bad[0, 0] = 1.0
     with pytest.raises(M.GateSetError):
         M.apply_gauge_transform(xyi, bad)
-
-
-@given(st.integers(0, 3), st.integers(0, 3))
-def test_circuit_equality_ignores_structure(j, i):
-    a = M.Circuit(("Gx", "Gy"), structure=M.CircuitStructure(j, 0, 1, i))
-    b = M.Circuit(("Gx", "Gy"))
-    assert a == b and hash(a) == hash(b)
 
 
 def test_gateset_json_roundtrip(xyi, tmp_path):
