@@ -352,6 +352,20 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+def _depolarization(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
     p.add_argument("--gateset", required=True, help="builtin name (xyi, xycphase) or JSON path")
     p.add_argument("--seed", type=int, required=seed_required, help="master RNG seed")
@@ -362,8 +376,8 @@ def _add_germ_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--germ-file", help="JSON list of germ label arrays (skips selection)")
     p.add_argument("--germ-depth", type=_positive_int, default=6, help="candidate germ pool depth bound")
     p.add_argument("--germ-score", choices=["sum", "min"], default="sum")
-    p.add_argument("--robust-models", type=int, default=5, help="perturbed models for robust mode")
-    p.add_argument("--perturb-sigma", type=float, default=1e-3)
+    p.add_argument("--robust-models", type=_positive_int, default=5, help="perturbed models for robust mode")
+    p.add_argument("--perturb-sigma", type=_nonnegative, default=1e-3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
     p.add_argument("--perturb-seed", type=int, default=97)
-    p.add_argument("--perturb-sigma", type=float, default=1e-3)
+    p.add_argument("--perturb-sigma", type=_nonnegative, default=1e-3)
     p.add_argument("--kind", choices=["cumulative", "incremental", "projected"], default="cumulative")
     p.add_argument("--op", help="operation label for --kind projected")
     p.add_argument("--csv", help="write spectra CSV here")
@@ -400,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--design", required=True)
     p.add_argument("--noise", choices=["coherent-only", "coherent-depol"], default="coherent-depol")
-    p.add_argument("--sigma", type=float, default=0.01)
-    p.add_argument("--eta", type=float, default=0.001)
+    p.add_argument("--sigma", type=_nonnegative, default=0.01)
+    p.add_argument("--eta", type=_depolarization, default=0.001)
     p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

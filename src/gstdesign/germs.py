@@ -15,6 +15,14 @@ target model yields the "standard" set; adding unitarily perturbed copies
 of the target (which break accidental spectral degeneracies, most notably
 the idle gate's) yields the "robust" set; the "bare" set is just the gates
 themselves and is deliberately not AC.
+
+Only work that can change the chosen set is done.  A germ's twirled
+Jacobian is one matrix product per gate label, because the kite projector
+factors through the commutant basis (see :func:`germ_twirled_jacobian`).
+A greedy step stops scoring a candidate on further models as soon as its
+worst score so far already loses to the step's best, which leaves the
+chosen germs exactly as scoring every candidate on every model would (see
+:func:`select_germs`).
 """
 
 from __future__ import annotations
@@ -177,51 +185,63 @@ def germ_twirled_jacobian(
 ) -> np.ndarray:
     """Matricized commutant-projected germ Jacobian, shape (D^2, n_params).
 
+    Column (a, b) of gate ``G`` is ``twirl_project(sum_i suffix_i E_ab
+    prefix_i, kite)``, summed over the occurrences ``i`` of ``G`` in the
+    germ ``tau = suffix_i G prefix_i``.  The kite projector keeps the
+    kite-basis entries (c, d) that share a block, so with
+    ``left_i = S^-1 suffix_i`` and ``right_i = prefix_i S`` the column is
+
+        sum_(c,d) in blocks  S[:, c] S^-1[d, :] * sum_i left_i[c, a] right_i[b, d].
+
+    The first factor depends only on the germ and the second only on the
+    label, so each gate label costs one (D^2, m) @ (m, (D-1) D) product,
+    m being the commutant dimension ``kite.num_params``.
+
     Columns for parameters of gates absent from the germ (and all SPAM
     parameters) are zero.  Real part is returned: the projected derivative
     of a real matrix is real up to rounding because blocks of conjugate
     eigenvalues are projected symmetrically.
     """
     dim = model.dim
-    npar = n_params(model)
     blocks = param_blocks(model)
-    tau = circuit_ptm(model, germ)
-    kite = kite_structure(tau, degeneracy_tol)
-    mask = kite.mask()
+    kite = kite_structure(circuit_ptm(model, germ), degeneracy_tol)
+    s, sinv = kite.basis, kite.basis_inv
+    c, d = np.nonzero(kite.mask())
+    # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
+    image = (s[:, None, c] * sinv.T[None, :, d]).reshape(dim * dim, c.size)
 
     labels = germ.labels
-    nlen = len(labels)
-    prefix = [np.eye(dim)]
-    for lab in labels:
+    prefix = [np.eye(dim)]  # prefix[i] = G_i ... G_1, the gates before occurrence i
+    for lab in labels[:-1]:
         prefix.append(model.gates[lab] @ prefix[-1])
-    suffix = [np.eye(dim)]
-    for lab in reversed(labels):
+    suffix = [np.eye(dim)]  # suffix[i] = G_n ... G_(i+2), the gates after it
+    for lab in reversed(labels[1:]):
         suffix.append(suffix[-1] @ model.gates[lab])
-    suffix.reverse()  # suffix[i] = G_n ... G_{i+1}
+    suffix.reverse()
+    # row 0 of every gate is fixed, so only a >= 1 has a parameter
+    left = np.stack([(sinv @ suf[:, 1:])[c] for suf in suffix])  # (n, m, D-1)
+    right = np.stack([(pre @ s)[:, d] for pre in prefix])  # (n, D, m)
 
-    jac = np.zeros((dim * dim, npar))
-    sinv = kite.basis_inv
-    s = kite.basis
-    for i in range(1, nlen + 1):
-        lab = labels[i - 1]
-        a_mat = sinv @ suffix[i]  # (dim, dim), column a picks suffix[:, a]
-        b_mat = prefix[i - 1] @ s  # row b picks prefix[b, :]
-        # twirled slice for entry (a, b):  S (mask * outer(a_mat[:,a], b_mat[b,:])) S^-1
-        blk = np.einsum("xc,ca,cd,bd,dy->xyab", s, a_mat, mask, b_mat, sinv, optimize=True)
-        cols = blk[:, :, 1:, :].reshape(dim * dim, (dim - 1) * dim)
-        jac[:, blocks[lab]] += np.real(cols)
+    jac = np.zeros((dim * dim, n_params(model)))
+    for lab in dict.fromkeys(labels):
+        occ = [i for i, other in enumerate(labels) if other == lab]
+        # coef[m, a, b] = sum_i left_i[c_m, a] right_i[b, d_m]
+        coef = left[occ].transpose(1, 2, 0) @ right[occ].transpose(2, 0, 1)
+        jac[:, blocks[lab]] = (image @ coef.reshape(c.size, -1)).real
     return jac
 
 
-def germset_jacobian(
-    models: list[GateSet], germs, degeneracy_tols=None
-) -> list[np.ndarray]:
+def _degeneracy_tols(count: int) -> list[float]:
+    """Kite degeneracy tolerance per model position: the first model is the
+    ideal target, the rest are perturbed copies of it."""
+    return [IDEAL_DEGENERACY_TOL] + [PERTURBED_DEGENERACY_TOL] * (count - 1)
+
+
+def germset_jacobian(models: list[GateSet], germs) -> list[np.ndarray]:
     """Per-model vertical stack of each germ's twirled Jacobian."""
     germs = list(germs)
-    if degeneracy_tols is None:
-        degeneracy_tols = [IDEAL_DEGENERACY_TOL] * len(models)
     out = []
-    for model, tol in zip(models, degeneracy_tols):
+    for model, tol in zip(models, _degeneracy_tols(len(models))):
         rows = [germ_twirled_jacobian(model, g, tol) for g in germs]
         out.append(np.vstack(rows) if rows else np.zeros((0, n_params(model))))
     return out
@@ -304,7 +324,6 @@ def select_germs(
     models: list[GateSet],
     candidate_pool,
     score_fn: str = "sum",
-    degeneracy_tols=None,
 ) -> GermSelectionResult:
     """Greedy worst-case-over-models germ selection.
 
@@ -312,16 +331,27 @@ def select_germs(
     candidate, takes each test set's worst (rank, score) over the models
     and keeps the best test set; scores are sums (or the largest) of
     inverse Gram eigenvalues counted up to each model's amplifiable target,
-    so a rank-deficient set scores infinitely badly.
+    so a rank-deficient set scores infinitely badly.  ``models[0]`` is the
+    ideal target and the rest are perturbed copies; the kite degeneracy
+    tolerance follows from that position.
 
     Each germ's Jacobian is scored divided by its length: a germ of length
     q only reaches power L/q at max depth L, so per-depth amplification is
     what the experiment actually buys.  A pool whose full Gram falls short
     of a model's target raises :class:`GermSelectionError` before any step.
+
+    A candidate's key is (worst shortfall, worst score rounded to 9
+    decimals, length and labels), the worst being over models.  The worst
+    over the models scored so far can only grow as more are scored, so a
+    candidate is dropped as soon as that partial key exceeds the best
+    complete key of the step: pruning is exact, every key that decides the
+    step is complete and comes from the same ``eigvalsh`` calls.  Models
+    are scored worst first, ordered by the current set's shortfall and
+    then its score, so that the first model scored is the likeliest to
+    rule a candidate out.  Each trajectory entry records the step's
+    ``eigensolves``.
     """
     pool = list(candidate_pool)
-    if degeneracy_tols is None:
-        degeneracy_tols = [IDEAL_DEGENERACY_TOL] + [PERTURBED_DEGENERACY_TOL] * (len(models) - 1)
     targets = [amplifiable_count(m) for m in models]
 
     # cache per-(candidate, model) Jacobians; their Grams J^T J add over a
@@ -329,18 +359,22 @@ def select_germs(
     jacobians = [[None] * len(models) for _ in pool]
     for ci, germ in enumerate(pool):
         weight = 1.0 / len(germ.labels)
-        for mi, model in enumerate(models):
-            j = germ_twirled_jacobian(model, germ, degeneracy_tols[mi])
-            jacobians[ci][mi] = weight * j
+        for mi, (model, tol) in enumerate(zip(models, _degeneracy_tols(len(models)))):
+            jacobians[ci][mi] = weight * germ_twirled_jacobian(model, germ, tol)
 
     def gram_of(ci: int, mi: int) -> np.ndarray:
         j = jacobians[ci][mi]
         return j.T @ j
 
+    def rank_and_score(gram: np.ndarray, mi: int) -> tuple[int, float]:
+        return _gram_rank_and_score(np.linalg.eigvalsh(gram), targets[mi], score_fn)
+
+    def shortfall(mi: int, rank: int) -> int:
+        return max(targets[mi] - rank, 0)
+
     deficits = []
-    for mi, model in enumerate(models):
-        total = sum(gram_of(ci, mi) for ci in range(len(pool)))
-        rank, _ = _gram_rank_and_score(np.linalg.eigvalsh(total), targets[mi], score_fn)
+    for mi in range(len(models)):
+        rank, _ = rank_and_score(sum(gram_of(ci, mi) for ci in range(len(pool))), mi)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))
     if deficits:
@@ -349,50 +383,53 @@ def select_germs(
 
     chosen_idx: list[int] = []
     chosen_grams = [np.zeros((n_params(m), n_params(m))) for m in models]
+    # the empty set's Grams are zero: rank 0 and an infinite score everywhere
+    ranks = [0] * len(models)
+    scores = [float("inf")] * len(models)
     trajectory: list[dict] = []
 
-    def worst_over_models(test_grams) -> tuple[tuple[int, float], list[int], list[float]]:
-        ranks, scores = [], []
-        for mi in range(len(models)):
-            rank, score = _gram_rank_and_score(
-                np.linalg.eigvalsh(test_grams[mi]), targets[mi], score_fn
-            )
-            ranks.append(rank)
-            scores.append(score)
-        # worst model first by rank shortfall, then by score (lower = better)
-        worst = max((max(t - r, 0), s) for t, r, s in zip(targets, ranks, scores))
-        return worst, ranks, scores
-
     while True:
-        (shortfall, _), ranks, scores = worst_over_models(chosen_grams)
-        if shortfall <= 0 and chosen_idx:
-            break
+        order = sorted(
+            range(len(models)), key=lambda mi: (shortfall(mi, ranks[mi]), scores[mi]), reverse=True
+        )
         best = None
+        eigensolves = 0
         for ci in range(len(pool)):
             if ci in chosen_idx:
                 continue
-            test = [chosen_grams[mi] + gram_of(ci, mi) for mi in range(len(models))]
-            (sfall, wscore), _, _ = worst_over_models(test)
             tie = (len(pool[ci].labels), pool[ci].labels)
-            key = (sfall, float(np.round(wscore, 9)), tie)
-            if best is None or key < best[0]:
-                best = (key, ci, test)
+            test = [None] * len(models)
+            test_ranks = [0] * len(models)
+            test_scores = [0.0] * len(models)
+            worst = (-1, -math.inf)  # below every (shortfall, score)
+            for mi in order:
+                test[mi] = chosen_grams[mi] + gram_of(ci, mi)
+                test_ranks[mi], test_scores[mi] = rank_and_score(test[mi], mi)
+                eigensolves += 1
+                worst = max(worst, (shortfall(mi, test_ranks[mi]), test_scores[mi]))
+                key = (worst[0], float(np.round(worst[1], 9)), tie)
+                if best is not None and key > best[0]:
+                    break  # a lower bound on the final key already loses
+            else:
+                if best is None or key < best[0]:
+                    best = (key, ci, test, test_ranks, test_scores, worst)
         if best is None:
             raise GermSelectionError(
                 "candidate pool exhausted before reaching the amplifiable target"
             )
-        _, ci, test = best
+        _, ci, chosen_grams, ranks, scores, (worst_shortfall, worst_score) = best
         chosen_idx.append(ci)
-        chosen_grams = test
-        (shortfall, wscore), ranks, scores = worst_over_models(chosen_grams)
         trajectory.append(
             {
                 "added": str(pool[ci]),
                 "ranks": list(ranks),
-                "worst_score": wscore,
-                "shortfall": shortfall,
+                "worst_score": worst_score,
+                "shortfall": worst_shortfall,
+                "eigensolves": eigensolves,
             }
         )
+        if worst_shortfall <= 0:
+            break
 
     return GermSelectionResult(
         germs=[pool[ci] for ci in chosen_idx],

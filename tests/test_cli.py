@@ -339,6 +339,16 @@ def test_circuit_file_labels_checked_against_gateset(tmp_path, capsys, command, 
         ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--eps", "0"],
         ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--gamma", "1.5"],
         ["fpr", "--gateset", "xyi", "--seed", "1", "--germ-file", "g.json", "--out", "o.json", "--Lmax", "-2"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--sigma", "-1"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--sigma", "inf"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "2"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "1"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "-0.1"],
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--perturb-sigma", "-1"],
+        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--perturb-sigma", "-1"],
+        ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--perturb-sigma", "nan"],
+        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "-2"],
+        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "0"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )

@@ -3,7 +3,7 @@ import pytest
 
 from gstdesign import germs as G
 from gstdesign.builtins import make_xycphase_gateset
-from gstdesign.model import Circuit, circuit_ptm, matrix_rank_rel, non_gauge_count, param_blocks, to_vector, from_vector
+from gstdesign.model import Circuit, circuit_ptm, matrix_rank_rel, n_params, non_gauge_count, param_blocks, to_vector, from_vector
 from gstdesign.noise import perturbed_models
 
 
@@ -119,6 +119,51 @@ def test_stacking_preserves_row_blocks(xyi):
     assert np.array_equal(stacked[16:], j1)
 
 
+def twirled_jacobian_reference(model, germ, tol):
+    """Per occurrence and per gate entry: twirl_project(sum_i suffix_i E_ab prefix_i)."""
+    dim = model.dim
+    kite = G.kite_structure(circuit_ptm(model, germ), tol)
+    labels = germ.labels
+    ref = np.zeros((dim * dim, n_params(model)))
+    for lab, block in param_blocks(model).items():
+        occurrences = [i for i, other in enumerate(labels) if other == lab]
+        if not occurrences:
+            continue  # SPAM blocks and gates absent from the germ stay zero
+        for col, (a, b) in enumerate((a, b) for a in range(1, dim) for b in range(dim)):
+            deriv = np.zeros((dim, dim))
+            for i in occurrences:
+                suffix = circuit_ptm(model, Circuit(labels[i + 1 :]))
+                prefix = circuit_ptm(model, Circuit(labels[:i]))
+                deriv = deriv + np.outer(suffix[:, a], prefix[b, :])
+            ref[:, block.start + col] = G.twirl_project(deriv, kite).real.ravel()
+    return ref
+
+
+@pytest.mark.parametrize(
+    "case, germ",
+    [
+        ("xyi", "Gi"),  # degenerate kite: one 4x4 block
+        ("xyi", "Gi Gi Gx"),
+        ("xyi", "Gx Gx Gy Gx Gy Gy"),
+        ("perturbed", "Gi Gi Gx"),
+        ("perturbed", "Gx Gy Gi"),
+        ("xycphase", "Gcphase Gxi Giy"),
+    ],
+)
+def test_twirled_jacobian_matches_per_occurrence_projection(xyi, case, germ):
+    if case == "xyi":
+        model, tol = xyi, G.IDEAL_DEGENERACY_TOL
+    elif case == "perturbed":
+        model, tol = perturbed_models(xyi, 1, 1e-3, seed=11)[0], G.PERTURBED_DEGENERACY_TOL
+    else:
+        model, tol = make_xycphase_gateset(), G.IDEAL_DEGENERACY_TOL
+    germ = Circuit(tuple(germ.split()))
+    ref = twirled_jacobian_reference(model, germ, tol)
+    jac = G.germ_twirled_jacobian(model, germ, tol)
+    assert np.max(np.abs(ref)) > 0.1
+    assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_twirled_jacobian_zero_columns_for_absent_gates(xyi):
     jac = G.germ_twirled_jacobian(xyi, Circuit(("Gx",)))
     blocks = param_blocks(xyi)
@@ -151,7 +196,7 @@ def test_amplifiable_count_xycphase():
 
 def test_bare_germ_rank_below_target_at_perturbed_model(xyi):
     model = perturbed_models(xyi, 1, 1e-3, seed=11)[0]
-    jac = G.germset_jacobian([model], G.bare_germs(xyi), [G.PERTURBED_DEGENERACY_TOL])[0]
+    jac = G.germset_jacobian([xyi, model], G.bare_germs(xyi))[1]
     target = G.amplifiable_count(model)
     # at least 3 amplifiable directions beyond SPAM are missed
     assert matrix_rank_rel(jac) <= target - 3
@@ -181,14 +226,71 @@ def test_standard_selection_reaches_target(xyi):
     assert matrix_rank_rel(jac) == 25
 
 
-def test_robust_selection_covers_all_models(xyi):
+@pytest.fixture(scope="module")
+def robust_depth6(xyi):
     models = [xyi] + perturbed_models(xyi, 5, 1e-3, seed=2026)
     pool = G.germ_candidate_pool(xyi.labels, 6)
-    result = G.select_germs(models, pool)
+    return models, pool, G.select_germs(models, pool)
+
+
+def test_robust_selection_covers_all_models(robust_depth6):
+    models, _, result = robust_depth6
     assert all(r >= t for r, t in zip(result.ranks, result.targets))
-    tols = [G.IDEAL_DEGENERACY_TOL] + [G.PERTURBED_DEGENERACY_TOL] * 5
-    for jac, target in zip(G.germset_jacobian(models, result.germs, tols), result.targets):
+    for jac, target in zip(G.germset_jacobian(models, result.germs), result.targets):
         assert matrix_rank_rel(jac) >= target
+
+
+def test_pruning_skips_most_eigensolves(robust_depth6):
+    models, pool, result = robust_depth6
+    unpruned = sum((len(pool) - k) * len(models) for k in range(len(result.trajectory)))
+    made = sum(step["eigensolves"] for step in result.trajectory)
+    assert all(step["eigensolves"] >= len(models) for step in result.trajectory)
+    assert made < unpruned / 2
+
+
+def unpruned_select_germs(models, pool):
+    """Reference greedy loop: every candidate scored on every model."""
+    targets = [G.amplifiable_count(m) for m in models]
+    tols = [G.IDEAL_DEGENERACY_TOL] + [G.PERTURBED_DEGENERACY_TOL] * (len(models) - 1)
+    jacs = [
+        [(1.0 / len(g.labels)) * G.germ_twirled_jacobian(m, g, tol) for m, tol in zip(models, tols)]
+        for g in pool
+    ]
+    chosen, grams, trajectory = [], [np.zeros((n_params(m), n_params(m))) for m in models], []
+    while True:
+        best = None
+        for ci, germ in enumerate(pool):
+            if ci in chosen:
+                continue
+            test = [grams[mi] + jacs[ci][mi].T @ jacs[ci][mi] for mi in range(len(models))]
+            scored = [
+                G._gram_rank_and_score(np.linalg.eigvalsh(t), target, "sum")
+                for t, target in zip(test, targets)
+            ]
+            worst = max((max(t - r, 0), s) for t, (r, s) in zip(targets, scored))
+            key = (worst[0], float(np.round(worst[1], 9)), (len(germ.labels), germ.labels))
+            if best is None or key < best[0]:
+                best = (key, ci, test, scored, worst)
+        _, ci, grams, scored, worst = best
+        chosen.append(ci)
+        ranks = [r for r, _ in scored]
+        trajectory.append(
+            {"added": str(pool[ci]), "ranks": ranks, "worst_score": worst[1], "shortfall": worst[0]}
+        )
+        if worst[0] <= 0:
+            return [pool[ci] for ci in chosen], ranks, [s for _, s in scored], trajectory
+
+
+@pytest.mark.parametrize("perturbed", [0, 2], ids=["standard", "robust"])
+def test_pruned_selection_equals_unpruned(xyi, perturbed):
+    models = [xyi] + perturbed_models(xyi, perturbed, 1e-3, seed=5)
+    pool = G.germ_candidate_pool(xyi.labels, 4)
+    result = G.select_germs(models, pool)
+    germs, ranks, scores, trajectory = unpruned_select_germs(models, pool)
+    assert result.germs == germs
+    assert result.ranks == ranks
+    assert result.scores == scores
+    assert [{k: v for k, v in step.items() if k != "eigensolves"} for step in result.trajectory] == trajectory
 
 
 def test_greedy_rank_monotone(xyi):
@@ -204,5 +306,6 @@ def test_greedy_rank_monotone(xyi):
 
 def test_bare_pool_fails_pretest(xyi):
     model = perturbed_models(xyi, 1, 1e-3, seed=11)[0]
-    with pytest.raises(G.GermSelectionError):
-        G.select_germs([model], G.bare_germs(xyi), degeneracy_tols=[G.PERTURBED_DEGENERACY_TOL])
+    # the perturbed model sits second, so it is judged at the perturbed tolerance
+    with pytest.raises(G.GermSelectionError, match="model 1: rank"):
+        G.select_germs([xyi, model], G.bare_germs(xyi))
