@@ -3,8 +3,9 @@
 Every randomized subcommand requires an explicit ``--seed`` and is
 deterministic end to end (rerunning writes byte-identical files).  Exit
 codes: 0 on success, 2 for usage errors (argparse), 3 for unreadable or
-invalid input files, 4 when a fiducial pool is not informationally
-complete, 5 when a germ candidate pool is not amplificationally complete.
+invalid input files and for a design certify cannot classify (a single max
+depth), 4 when a fiducial pool is not informationally complete, 5 when a
+germ candidate pool is not amplificationally complete.
 Fisher-information products run on the BLAS threads numpy is configured
 with (``OPENBLAS_NUM_THREADS`` and the like).
 """
@@ -184,16 +185,25 @@ def cmd_certify(args) -> int:
     gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
     thresholds = fz.CertificationThresholds()
     increments = fz.bucket_fims(gs_eval, design, args.shots, fz.certification_clip_floor(args.shots))
-    report = fz.certify_design(
-        gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, increments=increments
-    )
+    frame = fz.NongaugeFrame(gs_eval, increments)
+    try:
+        report = fz.certify_design(
+            gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, frame=frame
+        )
+    except fz.CertificationError as exc:
+        raise CliError(f"cannot certify {args.design}: {exc}") from None
     if args.csv:
-        series = fz.fisher_series(design, increments, cumulative=args.kind == "cumulative")
         classes = None
+        if args.kind == "projected":
+            series = fz.projected_series(fz.FisherSeries(design.maxdepths, (), increments), gs_eval, args.op)
+        else:
+            series = fz.fisher_series(design, frame, cumulative=args.kind == "cumulative")
         if args.kind == "cumulative":
-            classes = ["growing" if s >= thresholds.slope_threshold else "plateaued" for s in report.slopes]
-        elif args.kind == "projected":
-            series = fz.projected_series(series, gs_eval, args.op)
+            # row k is the direction with the k-th largest deepest-depth
+            # eigenvalue; report.slopes run in ascending eigenvalue order
+            classes = [
+                "growing" if s >= thresholds.slope_threshold else "plateaued" for s in reversed(report.slopes)
+            ] + ["gauge"] * report.gauge_null_count
         fz.series_to_csv(series, args.csv, classes)
     if args.report:
         fz.report_to_json(report, args.report)
@@ -467,6 +477,8 @@ def main(argv=None) -> int:
     if args.command == "certify" and args.kind == "projected" and not args.op:
         print("error: --kind projected requires --op", file=sys.stderr)
         return 2
+    if args.command == "certify" and args.kind != "projected" and args.op:
+        build_parser().error(f"argument --op: only valid with --kind projected, not --kind {args.kind}")
     try:
         with np.errstate(over="raise"):
             return args.func(args)

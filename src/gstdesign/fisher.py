@@ -15,13 +15,21 @@ Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
+Spectra are taken in the non-gauge frame of the model the matrices were
+evaluated at (:class:`NongaugeFrame`): each bucket matrix is projected
+onto the orthogonal complement of the gauge tangent once, the prefix sums
+are formed there, and each matrix is eigensolved at most once.  At that
+model the gauge directions carry no information, so a series lists the
+non-gauge eigenvalues in descending order followed by one ``0.0`` per
+gauge direction, which is the full-frame spectrum in exact arithmetic.
+
 Certification evaluates the cumulative series at a point unitarily
 perturbed off the target (degenerate spectra at the exact target hide the
-standard germ set's deficiencies), projects out the gauge directions, and
-classifies each remaining eigen-direction as growing or plateaued from the
-log-log slope of its eigenvalue trajectory.  A well-constructed design
-plateaus only in SPAM-dominated directions, which no germ repetition can
-amplify.
+standard germ set's deficiencies), works in the non-gauge frame of that
+point, and classifies each eigen-direction of the deepest cumulative
+matrix as growing or plateaued from the log-log slope of its Rayleigh
+quotient across depths.  A well-constructed design plateaus only in
+SPAM-dominated directions, which no germ repetition can amplify.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ from .noise import PROB_CLIP_FLOOR, NoiseSpec, sample_noisy_gateset
 
 __all__ = [
     "FisherSeries",
+    "NongaugeFrame",
+    "CertificationError",
     "CertificationThresholds",
     "CertificationReport",
     "circuit_fim",
@@ -134,7 +144,7 @@ class FisherSeries:
     """Eigen-spectra of Fisher matrices across the depth schedule."""
 
     maxdepths: tuple[int, ...]
-    spectra: tuple[tuple[float, ...], ...]  # sorted descending per depth
+    spectra: tuple[tuple[float, ...], ...]  # per depth, largest first (gauge rows last: fisher_series)
     matrices: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
 
 
@@ -149,27 +159,77 @@ def bucket_fims(
     )
 
 
-def fisher_series(design: ExperimentDesign, increments, cumulative: bool) -> FisherSeries:
-    """Series of the bucket matrices ``increments`` (see :func:`bucket_fims`),
-    or of their prefix sums when ``cumulative``."""
-    mats = tuple(np.cumsum(increments, axis=0)) if cumulative else tuple(increments)
+class NongaugeFrame:
+    """A design's bucket matrices in the non-gauge frame of one model.
+
+    ``q = nongauge_projector(gs)`` is computed once and each bucket matrix
+    ``M`` of ``increments`` (see :func:`bucket_fims`) is projected to
+    ``q.T @ M @ q`` once; the cumulative matrices are prefix sums in the
+    frame.  Eigensolves are cached, so no matrix is solved twice:
+    :meth:`deepest` is the ``eigh`` of the deepest cumulative matrix and
+    also serves that matrix's spectrum.
+    """
+
+    def __init__(self, gs: GateSet, increments):
+        q = nongauge_projector(gs)
+        self.n_params, self.dim = q.shape
+        self.increments = np.stack([q.T @ m @ q for m in increments])
+        self.cumulative = np.cumsum(self.increments, axis=0)
+        self._spectra: dict[tuple[bool, int], np.ndarray] = {}
+        self._deepest: tuple[np.ndarray, np.ndarray] | None = None
+
+    def deepest(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors of the deepest cumulative matrix."""
+        if self._deepest is None:
+            self._deepest = np.linalg.eigh(self.cumulative[-1])
+        return self._deepest
+
+    def spectrum(self, cumulative: bool, index: int) -> np.ndarray:
+        """Non-gauge eigenvalues, descending, of bucket matrix ``index`` or,
+        when ``cumulative``, of its prefix sum."""
+        index = range(len(self.increments))[index]  # -1 and the last index share a cache entry
+        if cumulative and index == len(self.cumulative) - 1:
+            return self.deepest()[0][::-1]
+        if (cumulative, index) not in self._spectra:
+            mats = self.cumulative if cumulative else self.increments
+            self._spectra[cumulative, index] = np.linalg.eigvalsh(mats[index])[::-1]
+        return self._spectra[cumulative, index]
+
+
+def fisher_series(
+    design: ExperimentDesign, frame: NongaugeFrame, cumulative: bool, matrices=()
+) -> FisherSeries:
+    """Series of the bucket matrices of ``frame``, or of their prefix sums
+    when ``cumulative``.
+
+    Each depth's spectrum is the non-gauge eigenvalues in descending order
+    followed by ``0.0`` for each gauge direction, one value per parameter.
+    At the frame's model the gauge directions carry no information, so in
+    exact arithmetic this is the spectrum of the full-frame matrix.
+    ``matrices`` are the full-frame matrices kept on the series, if any.
+    """
+    gauge = (0.0,) * (frame.n_params - frame.dim)
     return FisherSeries(
         maxdepths=design.maxdepths,
-        spectra=tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats),
-        matrices=mats,
+        spectra=tuple(
+            tuple(frame.spectrum(cumulative, k).tolist()) + gauge for k in range(len(design.maxdepths))
+        ),
+        matrices=tuple(matrices),
     )
 
 
 def cumulative_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return fisher_series(design, bucket_fims(gs, design, shots, clip_floor), cumulative=True)
+    increments = bucket_fims(gs, design, shots, clip_floor)
+    return fisher_series(design, NongaugeFrame(gs, increments), True, np.cumsum(increments, axis=0))
 
 
 def incremental_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    return fisher_series(design, bucket_fims(gs, design, shots, clip_floor), cumulative=False)
+    increments = bucket_fims(gs, design, shots, clip_floor)
+    return fisher_series(design, NongaugeFrame(gs, increments), False, increments)
 
 
 def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
@@ -239,6 +299,10 @@ class CertificationReport:
         }
 
 
+class CertificationError(ValueError):
+    """A design that certification cannot classify."""
+
+
 def default_eval_model(target: GateSet, seed: int = 97, sigma: float = 1e-3) -> GateSet:
     """Seeded coherent perturbation of the target, the recommended
     evaluation point for certification."""
@@ -251,47 +315,55 @@ def certify_design(
     target: GateSet | None = None,
     shots: int = DEFAULT_SHOTS,
     thresholds: CertificationThresholds = CertificationThresholds(),
-    increments=None,
+    frame: NongaugeFrame | None = None,
 ) -> CertificationReport:
     """Classify every non-gauge direction of the cumulative series.
 
-    Gauge directions are removed exactly by projecting each cumulative
-    matrix onto the non-gauge subspace of the evaluation point.  The
-    classified directions are the eigenvectors of the deepest cumulative
-    matrix; each direction's trajectory is its Rayleigh quotient across
-    depths (tracking fixed directions avoids the relabeling artifacts that
-    sorted-eigenvalue trajectories suffer when curves cross).  A direction
-    grows if the least-squares log-log slope over the trailing part of the
-    schedule reaches the threshold.  The SPAM budget (expected plateau
-    count) is the target's non-gauge minus amplifiable parameter count; the
-    design is well constructed when no more than that many directions
-    plateau.
+    All linear algebra runs in the non-gauge frame of the evaluation point
+    (see :class:`NongaugeFrame`), which removes the gauge directions
+    exactly.  The classified directions are the eigenvectors of the deepest
+    cumulative matrix, in ascending order of its eigenvalues, which are
+    the report's ``total_information``; each direction's trajectory is its
+    Rayleigh quotient at the fitted shallower depths (tracking fixed
+    directions avoids the relabeling artifacts that sorted-eigenvalue
+    trajectories suffer when curves cross).  A direction grows if the
+    least-squares log-log slope over the trailing ``fit_fraction`` of the
+    schedule reaches the threshold, so at least two max depths are needed
+    (:class:`CertificationError` otherwise).  The SPAM budget (expected
+    plateau count) is the target's non-gauge minus amplifiable parameter
+    count; the design is well constructed when no more than that many
+    directions plateau.
 
     Insensitive directions are flagged from the deepest incremental
     matrix: eigenvalues below ``insensitive_rel`` times its median mark
     parameter directions about which the deepest circuit layer teaches
     essentially nothing (sparse fiducial-pair sampling produces exact
-    rank deficits there).
+    rank deficits there); they are indices into its descending spectrum.
 
     Certification clips probabilities at the shot-resolution scale (see
     :func:`certification_clip_floor`) rather than the hard floor.
-    ``increments`` are the design's bucket matrices at that floor, as
-    :func:`bucket_fims` returns them; they are built when not given.
+    ``frame`` holds the design's bucket matrices at that floor in the
+    non-gauge frame of ``gs_eval``; it is built when not given, and the
+    eigensolves done here are cached on it for the caller's spectra.
     """
+    if len(design.maxdepths) < 2:
+        raise CertificationError(
+            f"certification fits log-log slopes across max depths and needs at least two;"
+            f" the design has maxdepths {list(design.maxdepths)}"
+        )
     target = target or gs_eval
-    if increments is None:
-        increments = bucket_fims(gs_eval, design, shots, certification_clip_floor(shots))
-    q = nongauge_projector(gs_eval)
-    mats = q.T @ np.cumsum(increments, axis=0) @ q
+    if frame is None:
+        frame = NongaugeFrame(gs_eval, bucket_fims(gs_eval, design, shots, certification_clip_floor(shots)))
 
     depths = np.asarray(design.maxdepths, float)
     n_fit = max(2, int(np.ceil(len(depths) * thresholds.fit_fraction)))
-    sel = slice(len(depths) - n_fit, len(depths))
 
-    # Rayleigh quotient of every direction at every depth: traj[depth, k]
-    _, eigvecs = np.linalg.eigh(mats[-1])
-    traj = np.einsum("ik,lij,jk->lk", eigvecs, mats, eigvecs, optimize=True)
-    slopes = np.polyfit(np.log(depths[sel]), np.log(np.maximum(traj[sel], 1e-300)), 1)[0]
+    evals, evecs = frame.deepest()
+    # traj[depth, k] over the fitted depths: the Rayleigh quotient of direction
+    # k at each shallower depth, its eigenvalue at the deepest
+    shallow = np.einsum("ik,lij,jk->lk", evecs, frame.cumulative[-n_fit:-1], evecs, optimize=True)
+    traj = np.vstack([shallow, evals])
+    slopes = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
 
     growing = int(np.sum(slopes >= thresholds.slope_threshold))
     plateaued = slopes.size - growing
@@ -299,7 +371,7 @@ def certify_design(
     spam_budget = n_params(target) - tangent.rank - amplifiable_count(target, tangent)
 
     # information delivered by the deepest layer alone
-    inc_evals = np.clip(np.sort(np.linalg.eigvalsh(q.T @ increments[-1] @ q))[::-1], 0.0, None)
+    inc_evals = np.clip(frame.spectrum(False, -1), 0.0, None)
     insensitive = np.flatnonzero(inc_evals <= thresholds.insensitive_rel * np.median(inc_evals))
 
     return CertificationReport(
@@ -309,9 +381,9 @@ def certify_design(
         spam_budget=int(spam_budget),
         well_constructed=plateaued <= spam_budget,
         slopes=slopes.tolist(),
-        total_information=traj[-1].tolist(),
+        total_information=evals.tolist(),
         insensitive=insensitive.tolist(),
-        gauge_null_count=q.shape[0] - q.shape[1],
+        gauge_null_count=frame.n_params - frame.dim,
     )
 
 

@@ -228,7 +228,8 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
     code = run(
         [
             "certify", "--gateset", "xyi", "--design", str(small_design), "--kind", kind,
-            "--op", "Gx", "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+            *(["--op", "Gx"] if kind == "projected" else []),
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
         ]
     )
     assert code == 0
@@ -261,22 +262,26 @@ BAD_DESIGN_EDITS = {
 }
 
 
-@pytest.mark.parametrize("command", ["certify", "simulate"])
+BAD_DESIGN_CASES = [
+    ("missing-key", "xyi"),
+    ("not-json", "xyi"),
+    ("bucket-outside-schedule", "xyi"),
+    ("labels-not-in-gateset", "xycphase"),
+    ("dropped-plaquette-circuit", "xyi"),
+    ("plaquette-circuit-deeper", "xyi"),
+    ("pair-outside-grid", "xyi"),
+    ("power-mismatch", "xyi"),
+    ("per-germ-pairs-disagree", "xyi"),
+    ("duplicated-circuit", "xyi"),
+    ("unknown-mode", "xyi"),
+]
+
+
 @pytest.mark.parametrize(
-    "case, gateset",
-    [
-        ("missing-key", "xyi"),
-        ("not-json", "xyi"),
-        ("bucket-outside-schedule", "xyi"),
-        ("labels-not-in-gateset", "xycphase"),
-        ("dropped-plaquette-circuit", "xyi"),
-        ("plaquette-circuit-deeper", "xyi"),
-        ("pair-outside-grid", "xyi"),
-        ("power-mismatch", "xyi"),
-        ("per-germ-pairs-disagree", "xyi"),
-        ("duplicated-circuit", "xyi"),
-        ("unknown-mode", "xyi"),
-    ],
+    "case, gateset, command",
+    [(case, gateset, command) for command in ("certify", "simulate") for case, gateset in BAD_DESIGN_CASES]
+    # a valid design with one max depth: simulate runs it, certify has no slope to fit
+    + [("single-depth", "xyi", "certify")],
 )
 def test_bad_design_exits_3(small_design, tmp_path, capsys, command, case, gateset):
     if case == "not-json":
@@ -284,6 +289,11 @@ def test_bad_design_exits_3(small_design, tmp_path, capsys, command, case, gates
         path.write_text("this is not a design\n")
     elif case == "labels-not-in-gateset":
         path = small_design
+    elif case == "single-depth":
+        path = tmp_path / "single.json"
+        argv = ["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "1", "--seed", "1", "--out", str(path)]
+        assert run(argv) == 0
+        capsys.readouterr()
     else:
         path = _bad_design(tmp_path, small_design, BAD_DESIGN_EDITS[case])
     argv = [command, "--gateset", gateset, "--design", str(path)]
@@ -345,6 +355,7 @@ def test_circuit_file_labels_checked_against_gateset(tmp_path, capsys, command, 
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "1"],
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "-0.1"],
         ["certify", "--gateset", "xyi", "--design", "d.json", "--perturb-sigma", "-1"],
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--kind", "cumulative", "--op", "Gx"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--perturb-sigma", "-1"],
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--perturb-sigma", "nan"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "-2"],
@@ -379,3 +390,60 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
     assert code == 0
     # one for the evaluation model (the projector), one for the target
     assert len(models) == 2 and models[0] is not models[1]
+
+
+# small_design has 5 max depths and 31 non-gauge parameters
+@pytest.mark.parametrize(
+    "options, solves",
+    [
+        # eigh of the deepest cumulative matrix, eigvalsh of the deepest
+        # increment and of the 4 shallower cumulative matrices
+        (["--kind", "cumulative", "--csv"], 6),
+        # eigh of the deepest cumulative matrix, eigvalsh of the 5 increments
+        (["--kind", "incremental", "--csv"], 6),
+        (["--kind", "incremental"], 2),
+        ([], 2),
+    ],
+    ids=["cumulative-csv", "incremental-csv", "incremental", "default"],
+)
+def test_certify_eigensolves_each_nongauge_matrix_once(small_design, tmp_path, monkeypatch, options, solves):
+    widths = []
+
+    def counting(solver):
+        def wrapped(a, *args, **kwargs):
+            widths.append(a.shape[-1])
+            return solver(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    if "--csv" in options:
+        options = options + [str(tmp_path / "s.csv")]
+    assert run(["certify", "--gateset", "xyi", "--design", str(small_design), *options]) == 0
+    assert len(ExperimentDesign.load(small_design).maxdepths) == 5
+    assert len(widths) == solves
+    assert set(widths) == {31}
+
+
+def test_certify_csv_rows_follow_the_report(small_design, tmp_path):
+    csv_path, report_path = tmp_path / "s.csv", tmp_path / "r.json"
+    code = run(
+        [
+            "certify", "--gateset", "xyi", "--design", str(small_design),
+            "--csv", str(csv_path), "--report", str(report_path),
+        ]
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    deepest = [r for r in rows if int(r[0]) == report["maxdepths"][-1]]
+    assert [int(r[1]) for r in deepest] == list(range(43))
+    # row k: the direction with the k-th largest deepest-depth eigenvalue
+    assert [float(r[2]) for r in deepest[:31]] == report["total_information"][::-1]
+    want = ["growing" if s >= 0.8 else "plateaued" for s in report["slopes"][::-1]]
+    assert [r[3] for r in deepest[:31]] == want
+    assert {r[3] for r in deepest} == {"growing", "plateaued", "gauge"}
+    assert all(r[3] == "gauge" and float(r[2]) == 0.0 for r in deepest[31:])
+    # every depth labels its rows the same way
+    assert [r[3] for r in rows] == [r[3] for r in deepest] * len(report["maxdepths"])

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gstdesign import design as D
 from gstdesign import fisher as FI
+from gstdesign.germs import bare_germs
 from gstdesign.model import (
     Circuit,
+    apply_gauge_transform,
     circuit_probabilities,
     from_vector,
     gauge_tangent,
@@ -150,6 +153,79 @@ def test_cumulative_equals_sum_of_incrementals(eval_model, xyi_fiducials):
     spectra = np.array(cum.spectra)
     scale = spectra[:-1, 0][:, None]
     assert np.all(np.diff(spectra, axis=0) >= -1e-9 * scale)
+
+
+def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
+    )
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    for build in (FI.cumulative_series, FI.incremental_series):
+        series = build(eval_model, des, clip_floor=floor)
+        assert len(series.spectra) == len(series.matrices) == len(des.maxdepths)
+        for spectrum, matrix in zip(series.spectra, series.matrices):
+            full = np.linalg.eigvalsh(matrix)[::-1]
+            # 31 non-gauge eigenvalues, descending, then the 12 gauge directions
+            assert list(spectrum[31:]) == [0.0] * 12
+            assert list(spectrum[:31]) == sorted(spectrum[:31], reverse=True)
+            assert np.max(np.abs(np.array(spectrum) - full)) <= 1e-12 * full[0]
+
+
+def test_certify_needs_two_depths(eval_model, xyi_fiducials):
+    des = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, (1,), gateset_labels=eval_model.labels)
+    with pytest.raises(FI.CertificationError, match="at least two"):
+        FI.certify_design(eval_model, des)
+
+
+ROBUST_GERMS = [
+    Circuit(tuple(g.split()))
+    for g in (
+        "Gi", "Gx", "Gy", "Gx Gy", "Gi Gi Gi Gi Gi Gy", "Gi Gi Gi Gi Gi Gx",
+        "Gi Gi Gi Gx Gy Gy", "Gx Gx Gy Gx Gy Gy", "Gi Gi Gy Gx Gx Gx", "Gi Gi Gi Gi Gx Gy",
+    )
+]
+
+
+def _property_designs(xyi, fids):
+    """Two designs certified deficient and one well constructed."""
+    cases = {"bare-16": (bare_germs(xyi), 16), "germs-32": (GERMS, 32), "robust-8": (ROBUST_GERMS, 8)}
+    return {
+        name: D.build_design(fids, fids, germs, D.default_schedule(lmax), gateset_labels=xyi.labels)
+        for name, (germs, lmax) in cases.items()
+    }
+
+
+def test_certification_gauge_invariant(xyi, xyi_fiducials, eval_model):
+    """Certifying at gauge-equivalent evaluation points gives the same
+    verdict and insensitive list, and the same counts up to one direction.
+
+    The Fisher matrices at the two points are congruent, not similar, so
+    eigenvalues and slopes move, and a direction whose slope sits near the
+    threshold or inside a near-degenerate eigenspace can change class: on
+    ``germs-32`` about one transform in 20 moves one direction.  Without
+    the gauge projection, the first transform of ``bare-16`` moves two."""
+    rng = np.random.default_rng(5)
+    designs = _property_designs(xyi, xyi_fiducials)
+    for name, des in designs.items():
+        base = FI.certify_design(eval_model, des, target=xyi)
+        assert base.well_constructed == (name == "robust-8")
+        for _ in range(4):
+            # trace-preserving: the generator's first row is zero
+            kmat = np.zeros((4, 4))
+            kmat[1:, :] = 0.05 * rng.standard_normal((3, 4))
+            moved = apply_gauge_transform(eval_model, scipy.linalg.expm(kmat))
+            report = FI.certify_design(moved, des, target=xyi)
+            assert abs(report.growing - base.growing) <= 1, name
+            assert report.well_constructed == base.well_constructed, name
+            assert report.insensitive == base.insensitive, name
+
+
+def test_fisher_and_report_bit_identical_across_calls(xyi, xyi_fiducials, eval_model):
+    for des in _property_designs(xyi, xyi_fiducials).values():
+        fim = FI.circuits_fim(eval_model, des.circuits)
+        assert np.array_equal(FI.circuits_fim(eval_model, des.circuits), fim)
+        first = FI.certify_design(eval_model, des, target=xyi).to_json_dict()
+        assert FI.certify_design(eval_model, des, target=xyi).to_json_dict() == first
 
 
 def test_design_fim_nongauge_rank_and_null_alignment(xyi, xyi_fiducials):
