@@ -184,8 +184,9 @@ def cmd_certify(args) -> int:
         raise CliError(f"unknown operation label {args.op!r}; have {sorted(param_blocks(gs))}")
     gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
     thresholds = fz.CertificationThresholds()
-    increments = fz.bucket_fims(gs_eval, design, args.shots, fz.certification_clip_floor(args.shots))
-    frame = fz.NongaugeFrame(gs_eval, increments)
+    # --kind projected takes its operation's columns from the same walk over circuits
+    columns = param_blocks(gs)[args.op] if args.kind == "projected" else None
+    frame = fz.NongaugeFrame(gs_eval, design, args.shots, fz.certification_clip_floor(args.shots), columns)
     try:
         report = fz.certify_design(
             gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, frame=frame
@@ -195,7 +196,7 @@ def cmd_certify(args) -> int:
     if args.csv:
         classes = None
         if args.kind == "projected":
-            series = fz.projected_series(fz.FisherSeries(design.maxdepths, (), increments), gs_eval, args.op)
+            series = fz.block_series(design, frame)
         else:
             series = fz.fisher_series(design, frame, cumulative=args.kind == "cumulative")
         if args.kind == "cumulative":

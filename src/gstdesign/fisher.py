@@ -16,12 +16,16 @@ which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
-evaluated at (:class:`NongaugeFrame`): each bucket matrix is projected
-onto the orthogonal complement of the gauge tangent once, the prefix sums
-are formed there, and each matrix is eigensolved at most once.  At that
-model the gauge directions carry no information, so a series lists the
-non-gauge eigenvalues in descending order followed by one ``0.0`` per
-gauge direction, which is the full-frame spectrum in exact arithmetic.
+evaluated at (:class:`NongaugeFrame`).  Its coordinates
+(:class:`NongaugeCoordinates`) come from one pivoted Householder QR of the
+gauge tangent, whose rank is read off ``|diag R|``; they are applied to
+the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
+bucket matrix is accumulated as ``(W Q2)^T (W Q2)`` directly in the frame
+and no parameter-wide matrix or dense basis is formed.  Each matrix is
+eigensolved at most once.  At that model the gauge directions carry no
+information, so a series lists the non-gauge eigenvalues in descending
+order followed by one ``0.0`` per gauge direction, which is the
+full-frame spectrum in exact arithmetic.
 
 Certification evaluates the cumulative series at a point unitarily
 perturbed off the target (degenerate spectra at the exact target hide the
@@ -39,6 +43,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 from .design import ExperimentDesign
 from .germs import amplifiable_count
@@ -56,6 +62,7 @@ from .noise import PROB_CLIP_FLOOR, NoiseSpec, sample_noisy_gateset
 
 __all__ = [
     "FisherSeries",
+    "NongaugeCoordinates",
     "NongaugeFrame",
     "CertificationError",
     "CertificationThresholds",
@@ -69,6 +76,7 @@ __all__ = [
     "cumulative_series",
     "incremental_series",
     "projected_fim",
+    "block_series",
     "nongauge_projector",
     "principal_angles",
     "certify_design",
@@ -81,6 +89,9 @@ __all__ = [
 DEFAULT_SHOTS = 1000
 # circuits per W^T W product; a two-qubit block of W is about 10 MB
 FIM_BLOCK = 256
+# a gauge-tangent column is independent when its pivoted-QR |R_ii| exceeds
+# this share of |R_00|
+GAUGE_RANK_RTOL = 1e-8
 
 
 def circuit_fim(
@@ -109,19 +120,30 @@ def circuit_fim_hessian_form(
 
 
 def circuits_fim(
-    gs: GateSet, circuits, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
+    gs: GateSet,
+    circuits,
+    shots: int = DEFAULT_SHOTS,
+    clip_floor: float = PROB_CLIP_FLOOR,
+    coords=None,
 ) -> np.ndarray:
     """Summed Fisher matrix of ``circuits``, one ``W^T W`` product per block
-    of ``FIM_BLOCK`` circuits (see the module docstring)."""
+    of ``FIM_BLOCK`` circuits (see the module docstring).
+
+    ``coords``, when given, maps each block's ``W`` (one column per
+    parameter) to the columns the matrix is wanted in, before the product:
+    :meth:`NongaugeCoordinates.rows` gives the non-gauge frame, so the
+    result is ``Q2^T F Q2`` without ``F`` ever being formed.
+    """
     circuits = list(circuits)
-    npar = n_params(gs)
-    total = np.zeros((npar, npar))
+    coords = coords or (lambda w: w)
+    width = coords(np.zeros((0, n_params(gs)))).shape[1]  # the map's output width, from an empty block
+    total = np.zeros((width, width))
     for lo in range(0, len(circuits), FIM_BLOCK):
         rows = []
         for c in circuits[lo : lo + FIM_BLOCK]:
             p = np.clip(circuit_probabilities(gs, c), clip_floor, 1.0)
             rows.append(probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None])
-        w = np.concatenate(rows)
+        w = coords(np.concatenate(rows))
         total += w.T @ w
     return total
 
@@ -149,31 +171,101 @@ class FisherSeries:
 
 
 def bucket_fims(
-    gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
+    gs: GateSet,
+    design: ExperimentDesign,
+    shots: int = DEFAULT_SHOTS,
+    clip_floor: float = PROB_CLIP_FLOOR,
+    coords=None,
 ) -> tuple[np.ndarray, ...]:
-    """Incremental Fisher matrix of each max-depth bucket, in schedule order:
-    the one place a design's per-bucket matrices are built."""
+    """Incremental Fisher matrix of each max-depth bucket, in schedule order,
+    in the columns ``coords`` maps to (see :func:`circuits_fim`): the one
+    place a design's per-bucket matrices are built."""
     return tuple(
-        circuits_fim(gs, [c for c, b in zip(design.circuits, design.buckets) if b == depth], shots, clip_floor)
+        circuits_fim(
+            gs, [c for c, b in zip(design.circuits, design.buckets) if b == depth], shots, clip_floor, coords
+        )
         for depth in design.maxdepths
     )
+
+
+class NongaugeCoordinates:
+    """Orthonormal coordinates on the complement of a gauge tangent's span.
+
+    One pivoted Householder QR ``basis P = Q R`` is taken; the rank is the
+    number of ``|R_ii|`` above ``GAUGE_RANK_RTOL`` times ``|R_00|``, and the
+    trailing ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the
+    coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
+    ``dormqr``; it is never formed.
+    """
+
+    def __init__(self, basis: np.ndarray):
+        basis = np.asarray(basis, dtype=float)
+        (self._reflectors, self._tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
+        diag = np.abs(np.diag(r))
+        self.rank = int(np.sum(diag > GAUGE_RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
+        self.n_params = basis.shape[0]
+        self.dim = self.n_params - self.rank
+
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        """``w Q2``: each row of ``w`` (a row over the parameters) in the
+        non-gauge coordinates."""
+        return self._apply("R", w)[:, self.rank :]
+
+    def basis(self) -> np.ndarray:
+        """Dense ``Q2``, ``n_params x dim``: ``Q`` applied to the trailing
+        identity columns."""
+        trailing = np.zeros((self.n_params, self.dim), order="F")
+        trailing[self.rank :] = np.eye(self.dim)
+        return self._apply("L", trailing)
+
+    def _apply(self, side: str, c: np.ndarray) -> np.ndarray:
+        """``Q`` times ``c`` from ``side`` ("L" or "R")."""
+        if c.size == 0:
+            return np.array(c, dtype=float)
+        args = (side, "N", self._reflectors, self._tau, c)
+        lwork = int(lapack.dormqr(*args, -1)[1][0])
+        out, _, info = lapack.dormqr(*args, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+        return out
 
 
 class NongaugeFrame:
     """A design's bucket matrices in the non-gauge frame of one model.
 
-    ``q = nongauge_projector(gs)`` is computed once and each bucket matrix
-    ``M`` of ``increments`` (see :func:`bucket_fims`) is projected to
-    ``q.T @ M @ q`` once; the cumulative matrices are prefix sums in the
-    frame.  Eigensolves are cached, so no matrix is solved twice:
-    :meth:`deepest` is the ``eigh`` of the deepest cumulative matrix and
-    also serves that matrix's spectrum.
+    The frame's :class:`NongaugeCoordinates` are taken once from the gauge
+    tangent of ``gs`` and applied to the weighted Jacobian rows of every
+    block as :func:`bucket_fims` accumulates them, so each bucket matrix is
+    built once, directly ``dim`` wide; the cumulative matrices are prefix
+    sums in the frame.  With ``columns``, a slice of the parameter vector
+    (such as one operation's :func:`~gstdesign.model.param_blocks` entry),
+    the same walk over circuits also accumulates each bucket's full-frame
+    matrix restricted to those columns into ``column_increments``: each
+    ``W`` is mapped to ``[W Q2 | W[:, columns]]`` and the product is split.
+    Eigensolves are cached, so no matrix is solved twice: :meth:`deepest` is
+    the ``eigh`` of the deepest cumulative matrix and also serves that
+    matrix's spectrum.
     """
 
-    def __init__(self, gs: GateSet, increments):
-        q = nongauge_projector(gs)
-        self.n_params, self.dim = q.shape
-        self.increments = np.stack([q.T @ m @ q for m in increments])
+    def __init__(
+        self,
+        gs: GateSet,
+        design: ExperimentDesign,
+        shots: int = DEFAULT_SHOTS,
+        clip_floor: float = PROB_CLIP_FLOOR,
+        columns: slice | None = None,
+    ):
+        coords = NongaugeCoordinates(gauge_tangent(gs).basis)
+        self.n_params, self.dim = coords.n_params, coords.dim
+        self.column_increments: tuple[np.ndarray, ...] = ()
+        if columns is None:
+            self.increments = np.stack(bucket_fims(gs, design, shots, clip_floor, coords.rows))
+        else:
+            joint = bucket_fims(
+                gs, design, shots, clip_floor, lambda w: np.hstack([coords.rows(w), w[:, columns]])
+            )
+            self.increments = np.stack([m[: self.dim, : self.dim] for m in joint])
+            self.column_increments = tuple(m[self.dim :, self.dim :].copy() for m in joint)
         self.cumulative = np.cumsum(self.increments, axis=0)
         self._spectra: dict[tuple[bool, int], np.ndarray] = {}
         self._deepest: tuple[np.ndarray, np.ndarray] | None = None
@@ -221,40 +313,63 @@ def fisher_series(
 def cumulative_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    increments = bucket_fims(gs, design, shots, clip_floor)
-    return fisher_series(design, NongaugeFrame(gs, increments), True, np.cumsum(increments, axis=0))
+    frame = NongaugeFrame(gs, design, shots, clip_floor, columns=slice(None))
+    return fisher_series(design, frame, True, np.cumsum(frame.column_increments, axis=0))
 
 
 def incremental_series(
     gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
 ) -> FisherSeries:
-    increments = bucket_fims(gs, design, shots, clip_floor)
-    return fisher_series(design, NongaugeFrame(gs, increments), False, increments)
+    frame = NongaugeFrame(gs, design, shots, clip_floor, columns=slice(None))
+    return fisher_series(design, frame, False, frame.column_increments)
+
+
+def _op_block(gs: GateSet, label: str) -> slice:
+    blocks = param_blocks(gs)
+    if label not in blocks:
+        raise KeyError(f"unknown operation label {label!r}; have {sorted(blocks)}")
+    return blocks[label]
 
 
 def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
     """Coordinate projection onto one operation's parameter block."""
-    blocks = param_blocks(gs)
-    if label not in blocks:
-        raise KeyError(f"unknown operation label {label!r}; have {sorted(blocks)}")
-    sl = blocks[label]
+    sl = _op_block(gs, label)
     out = np.zeros_like(fim)
     out[sl, sl] = fim[sl, sl]
     return out
 
 
+def _padded_spectrum(block: np.ndarray, n_params: int) -> tuple[float, ...]:
+    """Descending spectrum of the ``n_params``-wide matrix that is ``block``
+    on one diagonal block and zero elsewhere: the block's eigenvalues and
+    one ``0.0`` per other parameter."""
+    evals = np.concatenate([np.linalg.eigvalsh(block), np.zeros(n_params - len(block))])
+    return tuple(np.sort(evals)[::-1].tolist())
+
+
 def projected_series(series: FisherSeries, gs: GateSet, label: str) -> FisherSeries:
-    mats = tuple(projected_fim(m, gs, label) for m in series.matrices)
-    spectra = tuple(tuple(np.sort(np.linalg.eigvalsh(m))[::-1]) for m in mats)
-    return FisherSeries(maxdepths=series.maxdepths, spectra=spectra, matrices=mats)
+    """Spectra of ``series.matrices`` projected onto operation ``label``'s
+    parameter block (see :func:`projected_fim`)."""
+    sl = _op_block(gs, label)
+    return FisherSeries(
+        maxdepths=series.maxdepths,
+        spectra=tuple(_padded_spectrum(m[sl, sl], len(m)) for m in series.matrices),
+    )
+
+
+def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
+    """:func:`projected_series` of the bucket matrices, from the
+    ``column_increments`` of a frame built with one operation's columns."""
+    return FisherSeries(
+        maxdepths=design.maxdepths,
+        spectra=tuple(_padded_spectrum(m, frame.n_params) for m in frame.column_increments),
+    )
 
 
 def nongauge_projector(gs: GateSet) -> np.ndarray:
-    """Orthonormal basis (columns) of the non-gauge parameter subspace."""
-    basis = gauge_tangent(gs).basis
-    u, s, _ = np.linalg.svd(basis, full_matrices=True)
-    rank = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
-    return u[:, rank:]
+    """Orthonormal basis (columns) of the non-gauge parameter subspace, the
+    explicit form of :class:`NongaugeCoordinates`."""
+    return NongaugeCoordinates(gauge_tangent(gs).basis).basis()
 
 
 def principal_angles(subspace_a: np.ndarray, subspace_b: np.ndarray) -> np.ndarray:
@@ -353,7 +468,7 @@ def certify_design(
         )
     target = target or gs_eval
     if frame is None:
-        frame = NongaugeFrame(gs_eval, bucket_fims(gs_eval, design, shots, certification_clip_floor(shots)))
+        frame = NongaugeFrame(gs_eval, design, shots, certification_clip_floor(shots))
 
     depths = np.asarray(design.maxdepths, float)
     n_fit = max(2, int(np.ceil(len(depths) * thresholds.fit_fraction)))

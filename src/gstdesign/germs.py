@@ -97,28 +97,24 @@ class KiteStructure:
 
 
 def _cluster_eigenvalues(evals: np.ndarray, tol: float) -> list[list[int]]:
-    """Connected-component clustering of eigenvalues at relative tolerance."""
+    """Connected-component clustering of eigenvalues at relative tolerance:
+    ``i`` and ``j`` are joined when ``|evals[i] - evals[j]|`` is within
+    ``tol`` of the largest modulus.  Each cluster lists its indices in
+    ascending order; clusters are ordered by their smallest index."""
     scale = float(np.max(np.abs(evals)))
     thresh = tol * (scale if scale > 0 else 1.0)
-    n = evals.size
-    unvisited = set(range(n))
-    clusters = []
-    while unvisited:
-        seed = min(unvisited)
-        group = {seed}
-        frontier = {seed}
-        while frontier:
-            nxt = set()
-            for i in frontier:
-                for j in list(unvisited - group):
-                    if abs(evals[i] - evals[j]) <= thresh:
-                        nxt.add(j)
-            group |= nxt
-            frontier = nxt
-        clusters.append(sorted(group))
-        unvisited -= group
-    clusters.sort(key=lambda g: g[0])
-    return clusters
+    # transitive closure of the adjacency by boolean squaring, then each
+    # index's component is named by the smallest index it reaches
+    reach = np.abs(evals[:, None] - evals[None, :]) <= thresh
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            break
+        reach = wider
+    clusters: dict[int, list[int]] = {}
+    for i, first in enumerate(reach.argmax(axis=1).tolist()):
+        clusters.setdefault(first, []).append(i)
+    return list(clusters.values())
 
 
 def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
@@ -126,7 +122,7 @@ def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
     dim = op.shape[0]
     cols = []
     for group in clusters:
-        lam = np.mean([evals[i] for i in group])
+        lam = evals[group].mean()
         k = len(group)
         m = np.linalg.matrix_power(op - lam * np.eye(dim), k)
         _, s, vh = np.linalg.svd(m)
@@ -157,7 +153,7 @@ def kite_structure(op: np.ndarray, degeneracy_tol: float = IDEAL_DEGENERACY_TOL)
     start = 0
     for group in clusters:
         blocks.append((start, len(group)))
-        reps.append(complex(np.mean([evals[i] for i in group])))
+        reps.append(complex(evals[group].mean()))
         start += len(group)
     return KiteStructure(
         eigenvalues=tuple(reps),

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gstdesign import cli
 from gstdesign import design as D
 from gstdesign import fisher as FI
+from gstdesign.builtins import builtin_fiducials, make_xycphase_gateset
 from gstdesign.germs import bare_germs
 from gstdesign.model import (
     Circuit,
@@ -171,6 +173,89 @@ def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
             assert np.max(np.abs(np.array(spectrum) - full)) <= 1e-12 * full[0]
 
 
+def _frame_case(name, xyi, xyi_fiducials):
+    """Evaluation model and design: XYI germs at L <= 16, or the XYCPHASE
+    germ Gxi on 2 prep x 2 meas fiducials at L <= 2."""
+    if name == "xyi":
+        gs, preps, meass, germs, lmax = xyi, xyi_fiducials, xyi_fiducials, GERMS, 16
+    else:
+        gs = make_xycphase_gateset()
+        preps, meass = builtin_fiducials("xycphase", "prep")[:2], builtin_fiducials("xycphase", "meas")[:2]
+        germs, lmax = [Circuit(("Gxi",))], 2
+    des = D.build_design(preps, meass, germs, D.default_schedule(lmax), gateset_labels=gs.labels)
+    return FI.default_eval_model(gs, seed=41), des
+
+
+@pytest.mark.parametrize("name, op", [("xyi", "Gx"), ("xycphase", "Gxi")])
+def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
+    gs, des = _frame_case(name, xyi, xyi_fiducials)
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    q = FI.nongauge_projector(gs)
+    full = FI.bucket_fims(gs, des, clip_floor=floor)
+    sl = param_blocks(gs)[op]
+    frame = FI.NongaugeFrame(gs, des, clip_floor=floor)
+    joint = FI.NongaugeFrame(gs, des, clip_floor=floor, columns=sl)
+    assert frame.increments.shape == (len(des.maxdepths), q.shape[1], q.shape[1])
+    for k, m in enumerate(full):
+        want = q.T @ m @ q
+        scale = np.max(np.abs(want))
+        assert scale > 0
+        assert np.max(np.abs(frame.increments[k] - want)) <= 1e-12 * scale
+        assert np.max(np.abs(joint.increments[k] - want)) <= 1e-12 * scale
+        assert np.max(np.abs(joint.column_increments[k] - m[sl, sl])) <= 1e-12 * np.max(np.abs(m))
+    assert np.array_equal(frame.cumulative, np.cumsum(frame.increments, axis=0))
+
+
+def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
+    core = rng.standard_normal((30, 5))
+    near = core[:, 1] + 1e-12 * rng.standard_normal(30)  # dependent below the 1e-8 cutoff
+    zero = np.zeros(30)
+    basis = np.column_stack([zero, core, core[:, :2], 3.0 * core[:, 4], zero, near])
+    coords = FI.NongaugeCoordinates(basis)
+    assert (coords.rank, coords.n_params, coords.dim) == (5, 30, 25)
+    q2 = coords.basis()
+    assert q2.shape == (30, 25)
+    assert np.max(np.abs(q2.T @ q2 - np.eye(25))) <= 1e-12
+    assert np.max(np.abs(core.T @ q2)) <= 1e-12 * np.max(np.abs(core))
+    w = rng.standard_normal((7, 30))
+    assert np.max(np.abs(coords.rows(w) - w @ q2)) <= 1e-12 * np.max(np.abs(w))
+    assert coords.rows(np.zeros((0, 30))).shape == (0, 25)
+    assert FI.NongaugeCoordinates(np.zeros((30, 3))).rank == 0
+    for gs in (xyi, make_xycphase_gateset()):
+        tangent = gauge_tangent(gs)
+        assert FI.NongaugeCoordinates(tangent.basis).rank == tangent.rank
+
+
+@pytest.mark.parametrize("kind", ["cumulative", "incremental"])
+def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
+    design = tmp_path / "design.json"
+    argv = ["--gateset", "xyi", "--seed", "3", "--out", str(design)]
+    assert cli.main(["design", "--germs", "bare", "--fpr", "full", "--Lmax", "8", *argv]) == 0
+    shapes = []
+    circuits_fim = FI.circuits_fim
+
+    def recording(*args, **kwargs):
+        fim = circuits_fim(*args, **kwargs)
+        shapes.append(fim.shape)
+        return fim
+
+    def dense_basis(*args, **kwargs):
+        raise AssertionError("certify formed a dense non-gauge basis")
+
+    monkeypatch.setattr(FI, "circuits_fim", recording)
+    monkeypatch.setattr(FI, "nongauge_projector", dense_basis)
+    monkeypatch.setattr(FI.NongaugeCoordinates, "basis", dense_basis)
+    code = cli.main(
+        [
+            "certify", "--gateset", "xyi", "--design", str(design), "--kind", kind,
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0
+    # one matrix per max-depth bucket (L = 1, 2, 4, 8), each 31 x 31
+    assert shapes == [(31, 31)] * 4
+
+
 def test_certify_needs_two_depths(eval_model, xyi_fiducials):
     des = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, (1,), gateset_labels=eval_model.labels)
     with pytest.raises(FI.CertificationError, match="at least two"):
@@ -264,6 +349,21 @@ def test_projection_idempotent(eval_model):
 def test_projected_unknown_label(eval_model):
     with pytest.raises(KeyError):
         FI.projected_fim(np.zeros((43, 43)), eval_model, "Gz")
+
+
+def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
+    )
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    inc = FI.incremental_series(eval_model, des, clip_floor=floor)
+    for label in ("Gx", "rho"):
+        frame = FI.NongaugeFrame(eval_model, des, clip_floor=floor, columns=param_blocks(eval_model)[label])
+        for series in (FI.projected_series(inc, eval_model, label), FI.block_series(des, frame)):
+            assert len(series.spectra) == len(inc.matrices) == len(des.maxdepths)
+            for spectrum, matrix in zip(series.spectra, inc.matrices):
+                full = np.sort(np.linalg.eigvalsh(FI.projected_fim(matrix, eval_model, label)))[::-1]
+                assert np.max(np.abs(np.array(spectrum) - full)) <= 1e-12 * full[0]
 
 
 def test_spam_projected_series_flat(xyi, xyi_fiducials):

@@ -48,6 +48,48 @@ def test_kite_rejects_non_finite():
         G.kite_structure(bad)
 
 
+def set_loop_clusters(evals, tol):
+    """Reference: breadth-first clustering over index sets."""
+    scale = float(np.max(np.abs(evals)))
+    thresh = tol * (scale if scale > 0 else 1.0)
+    unvisited = set(range(evals.size))
+    clusters = []
+    while unvisited:
+        group = frontier = {min(unvisited)}
+        while frontier:
+            frontier = {j for i in frontier for j in unvisited - group if abs(evals[i] - evals[j]) <= thresh}
+            group = group | frontier
+        clusters.append(sorted(group))
+        unvisited -= group
+    return sorted(clusters, key=lambda g: g[0])
+
+
+def test_cluster_eigenvalues_matches_set_loop(rng):
+    tol = 1e-3
+    spectra = [
+        # a~b and b~c but not a~c: one cluster through the chain
+        np.array([1.0, 1.0009, 1.0018, 0.5]),
+        np.array([0.5, 1.0018 + 0j, 1.0, 1.0009, 0.2, 1.0027]),
+        # chains in the complex plane, interleaved with singletons
+        np.exp(1j * np.array([0.3, 0.3008, 2.0, 0.3016, -1.0, 2.0005])),
+        np.zeros(5),
+        np.ones(6),
+        np.array([1.0, -1.0, 1j, -1j]),
+    ]
+    for _ in range(30):
+        n = int(rng.integers(1, 17))
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # degenerate copies, each within tol of its original
+        copies = rng.choice(n, size=int(rng.integers(0, n + 1)))
+        vals = np.concatenate([vals, vals[copies] + 1e-4 * rng.standard_normal(copies.size)])
+        spectra.append(vals[rng.permutation(vals.size)])
+    spectra += [np.linalg.eigvals(g) for g in make_xycphase_gateset().gates.values()]
+    for evals in spectra:
+        for t in (tol, 1e-9, 0.5):
+            assert G._cluster_eigenvalues(evals, t) == set_loop_clusters(evals, t)
+    assert G._cluster_eigenvalues(spectra[0], tol) == [[0, 1, 2], [3]]
+
+
 def test_twirl_idempotent(xyi, rng):
     kite = G.kite_structure(xyi.gates["Gx"])
     for _ in range(5):
