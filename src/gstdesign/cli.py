@@ -195,10 +195,12 @@ def cmd_certify(args) -> int:
         raise CliError(f"cannot certify {args.design}: {exc}") from None
     if args.csv:
         classes = None
-        if args.kind == "projected":
-            series = fz.block_series(design, frame)
-        else:
-            series = fz.fisher_series(design, frame, cumulative=args.kind == "cumulative")
+        series_of = {
+            "cumulative": fz.cumulative_series,
+            "incremental": fz.incremental_series,
+            "projected": fz.block_series,
+        }
+        series = series_of[args.kind](design, frame)
         if args.kind == "cumulative":
             # row k is the direction with the k-th largest deepest-depth
             # eigenvalue; report.slopes run in ascending eigenvalue order
@@ -370,6 +372,13 @@ def _nonnegative(text: str) -> float:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _depolarization(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 1.0:
@@ -437,17 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", action="append", help="design file (repeatable)")
     p.add_argument("--circuits", action="append", type=_positive_int, help="bare circuit count (repeatable)")
     p.add_argument("--shots", type=_positive_int, default=100)
-    p.add_argument("--mean-depth", type=float, default=0.0, help="approximate-mode depth assumption")
-    p.add_argument("--two-qubit-fraction", type=float, default=0.0)
+    p.add_argument("--mean-depth", type=_nonnegative, default=0.0, help="approximate-mode depth assumption")
+    p.add_argument("--two-qubit-fraction", type=_unit_interval, default=0.0)
     p.add_argument("--report", help="write JSON report here")
     p.set_defaults(func=cmd_wallclock)
 
     p = sub.add_parser("fiducials", help="greedy informationally-complete fiducial selection")
     _add_common(p, seed_required=False)
     p.add_argument("--kind", choices=["prep", "meas"], required=True)
-    p.add_argument("--max-depth", type=int, default=3)
+    p.add_argument("--max-depth", type=_positive_int, default=3)
     p.add_argument("--pool", choices=["sequences", "per-qubit"], default="sequences")
-    p.add_argument("--rel-improvement", type=float, default=1e-9)
+    p.add_argument("--rel-improvement", type=_nonnegative, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fiducials)
 

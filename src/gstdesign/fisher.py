@@ -22,10 +22,13 @@ gauge tangent, whose rank is read off ``|diag R|``; they are applied to
 the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
 bucket matrix is accumulated as ``(W Q2)^T (W Q2)`` directly in the frame
 and no parameter-wide matrix or dense basis is formed.  Each matrix is
-eigensolved at most once.  At that model the gauge directions carry no
-information, so a series lists the non-gauge eigenvalues in descending
-order followed by one ``0.0`` per gauge direction, which is the
-full-frame spectrum in exact arithmetic.
+eigensolved at most once.  The frame is the one source of every series:
+:func:`cumulative_series` and :func:`incremental_series` read its
+spectra, and :func:`block_series` the operation block it accumulates
+alongside when built with ``columns``.  At that model the gauge
+directions carry no information, so a series lists the non-gauge
+eigenvalues in descending order followed by one ``0.0`` per gauge
+direction, which is the full-frame spectrum in exact arithmetic.
 
 Certification evaluates the cumulative series at a point unitarily
 perturbed off the target (degenerate spectra at the exact target hide the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,12 +52,12 @@ from scipy.linalg import lapack
 from .design import ExperimentDesign
 from .germs import amplifiable_count
 from .model import (
+    RANK_RTOL,
     Circuit,
     GateSet,
     circuit_probabilities,
     gauge_tangent,
     n_params,
-    param_blocks,
     probability_hessian,
     probability_jacobian,
 )
@@ -70,15 +73,10 @@ __all__ = [
     "circuit_fim",
     "circuit_fim_hessian_form",
     "circuits_fim",
-    "design_fim",
     "bucket_fims",
-    "fisher_series",
     "cumulative_series",
     "incremental_series",
-    "projected_fim",
     "block_series",
-    "nongauge_projector",
-    "principal_angles",
     "certify_design",
     "default_eval_model",
     "series_to_csv",
@@ -89,9 +87,6 @@ __all__ = [
 DEFAULT_SHOTS = 1000
 # circuits per W^T W product; a two-qubit block of W is about 10 MB
 FIM_BLOCK = 256
-# a gauge-tangent column is independent when its pivoted-QR |R_ii| exceeds
-# this share of |R_00|
-GAUGE_RANK_RTOL = 1e-8
 
 
 def circuit_fim(
@@ -148,10 +143,6 @@ def circuits_fim(
     return total
 
 
-def design_fim(gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS) -> np.ndarray:
-    return circuits_fim(gs, design.circuits, shots)
-
-
 def certification_clip_floor(shots: int) -> float:
     """Probability floor used for certification: the resolution scale of
     ``shots`` samples.  Outcomes rarer than one event per shot budget are
@@ -166,8 +157,7 @@ class FisherSeries:
     """Eigen-spectra of Fisher matrices across the depth schedule."""
 
     maxdepths: tuple[int, ...]
-    spectra: tuple[tuple[float, ...], ...]  # per depth, largest first (gauge rows last: fisher_series)
-    matrices: tuple[np.ndarray, ...] = field(default=(), compare=False, repr=False)
+    spectra: tuple[tuple[float, ...], ...]  # per depth, one value per parameter, largest first
 
 
 def bucket_fims(
@@ -192,7 +182,7 @@ class NongaugeCoordinates:
     """Orthonormal coordinates on the complement of a gauge tangent's span.
 
     One pivoted Householder QR ``basis P = Q R`` is taken; the rank is the
-    number of ``|R_ii|`` above ``GAUGE_RANK_RTOL`` times ``|R_00|``, and the
+    number of ``|R_ii|`` above ``RANK_RTOL`` times ``|R_00|``, and the
     trailing ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the
     coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
     ``dormqr``; it is never formed.
@@ -202,7 +192,7 @@ class NongaugeCoordinates:
         basis = np.asarray(basis, dtype=float)
         (self._reflectors, self._tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
         diag = np.abs(np.diag(r))
-        self.rank = int(np.sum(diag > GAUGE_RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
+        self.rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
         self.n_params = basis.shape[0]
         self.dim = self.n_params - self.rank
 
@@ -288,55 +278,28 @@ class NongaugeFrame:
         return self._spectra[cumulative, index]
 
 
-def fisher_series(
-    design: ExperimentDesign, frame: NongaugeFrame, cumulative: bool, matrices=()
-) -> FisherSeries:
-    """Series of the bucket matrices of ``frame``, or of their prefix sums
-    when ``cumulative``.
-
-    Each depth's spectrum is the non-gauge eigenvalues in descending order
-    followed by ``0.0`` for each gauge direction, one value per parameter.
-    At the frame's model the gauge directions carry no information, so in
-    exact arithmetic this is the spectrum of the full-frame matrix.
-    ``matrices`` are the full-frame matrices kept on the series, if any.
-    """
+def _frame_series(design: ExperimentDesign, frame: NongaugeFrame, cumulative: bool) -> FisherSeries:
+    """Each depth's non-gauge eigenvalues in descending order followed by
+    ``0.0`` for each gauge direction, one value per parameter.  At the
+    frame's model the gauge directions carry no information, so in exact
+    arithmetic this is the spectrum of the full-frame matrix."""
     gauge = (0.0,) * (frame.n_params - frame.dim)
     return FisherSeries(
         maxdepths=design.maxdepths,
         spectra=tuple(
             tuple(frame.spectrum(cumulative, k).tolist()) + gauge for k in range(len(design.maxdepths))
         ),
-        matrices=tuple(matrices),
     )
 
 
-def cumulative_series(
-    gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
-) -> FisherSeries:
-    frame = NongaugeFrame(gs, design, shots, clip_floor, columns=slice(None))
-    return fisher_series(design, frame, True, np.cumsum(frame.column_increments, axis=0))
+def cumulative_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
+    """Series of the frame's cumulative matrices (see :func:`_frame_series`)."""
+    return _frame_series(design, frame, True)
 
 
-def incremental_series(
-    gs, design, shots: int = DEFAULT_SHOTS, clip_floor: float = PROB_CLIP_FLOOR
-) -> FisherSeries:
-    frame = NongaugeFrame(gs, design, shots, clip_floor, columns=slice(None))
-    return fisher_series(design, frame, False, frame.column_increments)
-
-
-def _op_block(gs: GateSet, label: str) -> slice:
-    blocks = param_blocks(gs)
-    if label not in blocks:
-        raise KeyError(f"unknown operation label {label!r}; have {sorted(blocks)}")
-    return blocks[label]
-
-
-def projected_fim(fim: np.ndarray, gs: GateSet, label: str) -> np.ndarray:
-    """Coordinate projection onto one operation's parameter block."""
-    sl = _op_block(gs, label)
-    out = np.zeros_like(fim)
-    out[sl, sl] = fim[sl, sl]
-    return out
+def incremental_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
+    """Series of the frame's bucket matrices (see :func:`_frame_series`)."""
+    return _frame_series(design, frame, False)
 
 
 def _padded_spectrum(block: np.ndarray, n_params: int) -> tuple[float, ...]:
@@ -347,37 +310,14 @@ def _padded_spectrum(block: np.ndarray, n_params: int) -> tuple[float, ...]:
     return tuple(np.sort(evals)[::-1].tolist())
 
 
-def projected_series(series: FisherSeries, gs: GateSet, label: str) -> FisherSeries:
-    """Spectra of ``series.matrices`` projected onto operation ``label``'s
-    parameter block (see :func:`projected_fim`)."""
-    sl = _op_block(gs, label)
-    return FisherSeries(
-        maxdepths=series.maxdepths,
-        spectra=tuple(_padded_spectrum(m[sl, sl], len(m)) for m in series.matrices),
-    )
-
-
 def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
-    """:func:`projected_series` of the bucket matrices, from the
-    ``column_increments`` of a frame built with one operation's columns."""
+    """Series of each bucket matrix restricted to one operation's parameter
+    block and zero elsewhere, from the ``column_increments`` of a frame
+    built with that operation's ``columns``."""
     return FisherSeries(
         maxdepths=design.maxdepths,
         spectra=tuple(_padded_spectrum(m, frame.n_params) for m in frame.column_increments),
     )
-
-
-def nongauge_projector(gs: GateSet) -> np.ndarray:
-    """Orthonormal basis (columns) of the non-gauge parameter subspace, the
-    explicit form of :class:`NongaugeCoordinates`."""
-    return NongaugeCoordinates(gauge_tangent(gs).basis).basis()
-
-
-def principal_angles(subspace_a: np.ndarray, subspace_b: np.ndarray) -> np.ndarray:
-    """Principal angles between two column spans (radians, ascending)."""
-    qa, _ = np.linalg.qr(subspace_a)
-    qb, _ = np.linalg.qr(subspace_b)
-    sv = np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), -1.0, 1.0)
-    return np.arccos(sv)[::-1]
 
 
 @dataclass(frozen=True)

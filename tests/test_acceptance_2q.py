@@ -57,14 +57,9 @@ def eval_model_2q(xycphase):
 
 
 def median_trajectory(gs_eval, design, shots=1000):
-    floor = FI.certification_clip_floor(shots)
-    series = FI.cumulative_series(gs_eval, design, shots, clip_floor=floor)
-    q = FI.nongauge_projector(gs_eval)
-    medians = []
-    for mat in series.matrices:
-        evals = np.linalg.eigvalsh(q.T @ mat @ q)
-        medians.append(float(np.median(evals)))
-    return series.maxdepths, medians
+    frame = FI.NongaugeFrame(gs_eval, design, shots, FI.certification_clip_floor(shots))
+    medians = [float(np.median(frame.spectrum(True, k))) for k in range(len(design.maxdepths))]
+    return design.maxdepths, medians
 
 
 def assert_growing(depths, medians):

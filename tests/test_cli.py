@@ -360,6 +360,13 @@ def test_circuit_file_labels_checked_against_gateset(tmp_path, capsys, command, 
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--perturb-sigma", "nan"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "-2"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "0"],
+        ["wallclock", "--device", "all", "--circuits", "10", "--mean-depth", "nan"],
+        ["wallclock", "--device", "all", "--circuits", "10", "--mean-depth", "-3"],
+        ["wallclock", "--device", "all", "--circuits", "10", "--two-qubit-fraction", "1.5"],
+        ["wallclock", "--device", "all", "--circuits", "10", "--two-qubit-fraction", "-0.1"],
+        ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--rel-improvement", "nan"],
+        ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--max-depth", "-2"],
+        ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--max-depth", "0"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -424,6 +431,33 @@ def test_certify_eigensolves_each_nongauge_matrix_once(small_design, tmp_path, m
     assert len(ExperimentDesign.load(small_design).maxdepths) == 5
     assert len(widths) == solves
     assert set(widths) == {31}
+
+
+SERIES = {"cumulative": "cumulative_series", "incremental": "incremental_series", "projected": "block_series"}
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES))
+def test_certify_csv_builds_its_series_once(small_design, tmp_path, monkeypatch, kind):
+    # the traced benchmark counts the CSV's eigensolves inside these functions
+    calls = Counter()
+
+    def counting(name, build):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return wrapped
+
+    for name in SERIES.values():
+        monkeypatch.setattr(fisher, name, counting(name, getattr(fisher, name)))
+    code = run(
+        [
+            "certify", "--gateset", "xyi", "--design", str(small_design), "--kind", kind,
+            *(["--op", "Gx"] if kind == "projected" else []), "--csv", str(tmp_path / "s.csv"),
+        ]
+    )
+    assert code == 0
+    assert calls == Counter({SERIES[kind]: 1})
 
 
 def test_certify_csv_rows_follow_the_report(small_design, tmp_path):

@@ -120,7 +120,7 @@ def test_gauge_annihilation(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
     )
-    fim = FI.design_fim(eval_model, des)
+    fim = FI.circuits_fim(eval_model, des.circuits)
     basis = gauge_tangent(eval_model).basis
     norm = np.linalg.norm(fim, 2)
     for col in range(basis.shape[1]):
@@ -133,26 +133,28 @@ def test_single_circuit_series_coincide(eval_model, xyi_fiducials):
         [Circuit(())], [Circuit(())], [], (1,), gateset_labels=()
     )
     assert D.circuit_count(des) == 1
-    cum = FI.cumulative_series(eval_model, des)
-    inc = FI.incremental_series(eval_model, des)
-    fim = FI.design_fim(eval_model, des)
-    assert np.allclose(cum.matrices[0], inc.matrices[0], atol=0)
-    assert np.allclose(cum.matrices[0], fim, atol=0)
+    assert np.array_equal(FI.bucket_fims(eval_model, des)[0], FI.circuits_fim(eval_model, des.circuits))
+    frame = FI.NongaugeFrame(eval_model, des)
+    assert np.array_equal(frame.cumulative, frame.increments)
+    cum = np.array(FI.cumulative_series(des, frame).spectra)
+    inc = np.array(FI.incremental_series(des, frame).spectra)
+    # eigh and eigvalsh of the same matrix may differ in the last bits
+    assert np.max(np.abs(cum - inc)) <= 1e-12 * np.max(cum)
 
 
 def test_cumulative_equals_sum_of_incrementals(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
-    cum = FI.cumulative_series(eval_model, des)
-    inc = FI.incremental_series(eval_model, des)
-    for k in range(len(des.maxdepths)):
-        acc = sum(inc.matrices[: k + 1])
-        assert np.max(np.abs(cum.matrices[k] - acc)) < 1e-9
+    cum = np.cumsum(FI.bucket_fims(eval_model, des), axis=0)
+    for k, depth in enumerate(des.maxdepths):
+        # the whole design truncated at this depth, summed in one pass
+        prefix = FI.circuits_fim(eval_model, [c for c, b in zip(des.circuits, des.buckets) if b <= depth])
+        assert np.max(np.abs(cum[k] - prefix)) <= 1e-12 * np.max(np.abs(prefix))
     # cumulative spectra are monotone nondecreasing eigenvalue by eigenvalue
     # (Loewner order; tolerance relative to the spectral scale because the
-    # near-zero gauge eigenvalues carry eigensolver noise of eps * lam_max)
-    spectra = np.array(cum.spectra)
+    # near-zero eigenvalues carry eigensolver noise of eps * lam_max)
+    spectra = np.array(FI.cumulative_series(des, FI.NongaugeFrame(eval_model, des)).spectra)
     scale = spectra[:-1, 0][:, None]
     assert np.all(np.diff(spectra, axis=0) >= -1e-9 * scale)
 
@@ -162,10 +164,14 @@ def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    for build in (FI.cumulative_series, FI.incremental_series):
-        series = build(eval_model, des, clip_floor=floor)
-        assert len(series.spectra) == len(series.matrices) == len(des.maxdepths)
-        for spectrum, matrix in zip(series.spectra, series.matrices):
+    frame = FI.NongaugeFrame(eval_model, des, clip_floor=floor)
+    inc = np.stack(FI.bucket_fims(eval_model, des, clip_floor=floor))
+    for series, matrices in (
+        (FI.cumulative_series(des, frame), np.cumsum(inc, axis=0)),
+        (FI.incremental_series(des, frame), inc),
+    ):
+        assert len(series.spectra) == len(matrices) == len(des.maxdepths)
+        for spectrum, matrix in zip(series.spectra, matrices):
             full = np.linalg.eigvalsh(matrix)[::-1]
             # 31 non-gauge eigenvalues, descending, then the 12 gauge directions
             assert list(spectrum[31:]) == [0.0] * 12
@@ -190,7 +196,7 @@ def _frame_case(name, xyi, xyi_fiducials):
 def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = FI.nongauge_projector(gs)
+    q = FI.NongaugeCoordinates(gauge_tangent(gs).basis).basis()
     full = FI.bucket_fims(gs, des, clip_floor=floor)
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des, clip_floor=floor)
@@ -243,7 +249,6 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         raise AssertionError("certify formed a dense non-gauge basis")
 
     monkeypatch.setattr(FI, "circuits_fim", recording)
-    monkeypatch.setattr(FI, "nongauge_projector", dense_basis)
     monkeypatch.setattr(FI.NongaugeCoordinates, "basis", dense_basis)
     code = cli.main(
         [
@@ -325,30 +330,8 @@ def test_design_fim_nongauge_rank_and_null_alignment(xyi, xyi_fiducials):
     assert np.sum(evals > tol) == 31
     null_vecs = evecs[:, evals <= tol]
     gauge = gauge_tangent(eval_gs).basis
-    angles = FI.principal_angles(null_vecs, gauge)
+    angles = scipy.linalg.subspace_angles(null_vecs, gauge)
     assert np.max(angles) < 1e-4
-
-
-def test_projected_blocks_recover_block_diagonal(eval_model):
-    fim = FI.circuit_fim(eval_model, Circuit(("Gx", "Gy", "Gi")))
-    blocks = param_blocks(eval_model)
-    acc = sum(FI.projected_fim(fim, eval_model, lab) for lab in blocks)
-    expected = np.zeros_like(fim)
-    for sl in blocks.values():
-        expected[sl, sl] = fim[sl, sl]
-    assert np.array_equal(acc, expected)
-
-
-def test_projection_idempotent(eval_model):
-    fim = FI.circuit_fim(eval_model, Circuit(("Gx", "Gy")))
-    once = FI.projected_fim(fim, eval_model, "Gx")
-    twice = FI.projected_fim(once, eval_model, "Gx")
-    assert np.array_equal(once, twice)
-
-
-def test_projected_unknown_label(eval_model):
-    with pytest.raises(KeyError):
-        FI.projected_fim(np.zeros((43, 43)), eval_model, "Gz")
 
 
 def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
@@ -356,14 +339,17 @@ def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    inc = FI.incremental_series(eval_model, des, clip_floor=floor)
+    inc = FI.bucket_fims(eval_model, des, clip_floor=floor)
     for label in ("Gx", "rho"):
-        frame = FI.NongaugeFrame(eval_model, des, clip_floor=floor, columns=param_blocks(eval_model)[label])
-        for series in (FI.projected_series(inc, eval_model, label), FI.block_series(des, frame)):
-            assert len(series.spectra) == len(inc.matrices) == len(des.maxdepths)
-            for spectrum, matrix in zip(series.spectra, inc.matrices):
-                full = np.sort(np.linalg.eigvalsh(FI.projected_fim(matrix, eval_model, label)))[::-1]
-                assert np.max(np.abs(np.array(spectrum) - full)) <= 1e-12 * full[0]
+        sl = param_blocks(eval_model)[label]
+        series = FI.block_series(des, FI.NongaugeFrame(eval_model, des, clip_floor=floor, columns=sl))
+        assert len(series.spectra) == len(inc) == len(des.maxdepths)
+        for spectrum, matrix in zip(series.spectra, inc):
+            # the full-frame matrix with everything outside the block zeroed
+            projected = np.zeros_like(matrix)
+            projected[sl, sl] = matrix[sl, sl]
+            full = np.linalg.eigvalsh(projected)[::-1]
+            assert np.max(np.abs(np.array(spectrum) - full)) <= 1e-12 * full[0]
 
 
 def test_spam_projected_series_flat(xyi, xyi_fiducials):
@@ -371,11 +357,10 @@ def test_spam_projected_series_flat(xyi, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(256), gateset_labels=xyi.labels
     )
-    inc = FI.incremental_series(
-        eval_gs, des, clip_floor=FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    )
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     for label in ("rho", "meas"):
-        proj = FI.projected_series(inc, eval_gs, label)
+        frame = FI.NongaugeFrame(eval_gs, des, clip_floor=floor, columns=param_blocks(eval_gs)[label])
+        proj = FI.block_series(des, frame)
         tops = np.array([spec[0] for spec in proj.spectra])
         # flat within a factor of ~3 across depth buckets, no systematic growth
         later = tops[3:]
@@ -391,7 +376,7 @@ def test_certification_csv_and_report(tmp_path, xyi, xyi_fiducials):
     assert report.growing + report.plateaued == 31
     assert report.spam_budget == 6
     path = tmp_path / "spec.csv"
-    series = FI.cumulative_series(eval_gs, des)
+    series = FI.cumulative_series(des, FI.NongaugeFrame(eval_gs, des))
     FI.series_to_csv(series, path, ["growing"] * 31)
     lines = path.read_text().splitlines()
     assert lines[0] == "L,eigenvalue_index,value,classification"
