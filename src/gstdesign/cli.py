@@ -32,7 +32,7 @@ from .fiducials import (
     per_qubit_pattern_pool,
     select_fiducials,
 )
-from .model import Circuit, GateSet, GateSetError, param_blocks
+from .model import Circuit, GateSet, param_blocks
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 3
@@ -46,62 +46,64 @@ class CliError(Exception):
         self.code = code
 
 
+def _read_input(what: str, path: str, load):
+    """``load(path)``, with a missing, unreadable or malformed file reported
+    as a :class:`CliError` (exit 3)."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise CliError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise CliError(f"invalid {what} file {path}: {exc}") from None
+
+
+def _check_labels(what: str, path: str, label_lists, gs: GateSet) -> None:
+    """Exit 3 when a file's label sequences use a label ``gs`` lacks."""
+    unknown = {lab for labels in label_lists for lab in labels} - set(gs.labels)
+    if unknown:
+        raise CliError(f"{what} file {path} uses labels not in the gate set: {sorted(unknown)}")
+
+
 def _load_gateset(spec: str) -> GateSet:
     if spec in bi.BUILTIN_GATESETS:
         return bi.builtin_gateset(spec)
-    try:
-        gs = GateSet.load(spec)
+
+    def load(path: str) -> GateSet:
+        gs = GateSet.load(path)
         gs.validate()
         return gs
-    except FileNotFoundError:
-        raise CliError(f"gate set file not found: {spec}") from None
-    except (GateSetError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid gate set file {spec}: {exc}") from None
+
+    return _read_input("gate set", spec, load)
 
 
 def _load_device(spec: str) -> wz.DeviceParams:
     if spec in bi.BUILTIN_DEVICES:
         return wz.DeviceParams.from_json_dict(bi.builtin_device_doc(spec))
-    try:
-        return wz.DeviceParams.load(spec)
-    except FileNotFoundError:
-        raise CliError(f"device file not found: {spec}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"invalid device file {spec}: {exc}") from None
+    return _read_input("device", spec, wz.DeviceParams.load)
+
+
+def _read_json(path: str):
+    with open(path) as f:
+        return json.load(f)
 
 
 def _load_circuit_list(path: str, what: str, gs: GateSet) -> list[Circuit]:
     """Read a JSON list of label arrays and check every label belongs to ``gs``."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise CliError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid {what} file {path}: {exc}") from None
+    doc = _read_input(what, path, _read_json)
     if isinstance(doc, dict):
         doc = doc.get("circuits", doc.get("germs", doc.get("fiducials")))
     if not isinstance(doc, list) or not all(isinstance(c, list) and all(isinstance(x, str) for x in c) for c in doc):
         raise CliError(f"invalid {what} file {path}: expected a list of label arrays")
-    unknown = {lab for labels in doc for lab in labels} - set(gs.labels)
-    if unknown:
-        raise CliError(f"{what} file {path} uses labels not in the gate set: {sorted(unknown)}")
+    _check_labels(what, path, doc, gs)
     return [Circuit(tuple(labels)) for labels in doc]
 
 
 def _load_design(path: str, gs: GateSet | None) -> dz.ExperimentDesign:
     """Load a design file; with ``gs``, also check every circuit label
     belongs to that gate set."""
-    try:
-        design = dz.ExperimentDesign.load(path)
-    except FileNotFoundError:
-        raise CliError(f"design file not found: {path}") from None
-    except (OSError, dz.DesignError) as exc:
-        raise CliError(f"invalid design file {path}: {exc}") from None
+    design = _read_input("design", path, dz.ExperimentDesign.load)
     if gs is not None:
-        unknown = {lab for c in design.circuits for lab in c.labels} - set(gs.labels)
-        if unknown:
-            raise CliError(f"design file {path} uses labels not in the gate set: {sorted(unknown)}")
+        _check_labels("design", path, (c.labels for c in design.circuits), gs)
     return design
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    RANK_RTOL,
     Circuit,
     GateSet,
     effective_fiducial_effects,
     effective_fiducial_states,
+    numerical_rank,
 )
 
 __all__ = [
@@ -85,7 +85,7 @@ def fiducial_score(gs: GateSet, fids, kind: str) -> FiducialScore:
         raise ValueError("fiducial set must be nonempty")
     vecs = _effective_vectors(gs, fids, kind)
     svals = np.linalg.svd(np.vstack(vecs), compute_uv=False)
-    rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals[0] > 0 else 0
+    rank = numerical_rank(svals)
     req = required_rank(gs, kind)
     evals = np.zeros(max(req, svals.size))
     evals[: svals.size] = svals**2

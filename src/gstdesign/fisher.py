@@ -16,9 +16,9 @@ which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
-evaluated at (:class:`NongaugeFrame`).  Its coordinates
-(:class:`NongaugeCoordinates`) come from one pivoted Householder QR of the
-gauge tangent, whose rank is read off ``|diag R|``; they are applied to
+evaluated at (:class:`NongaugeFrame`).  Its coordinates are that model's
+:class:`~gstdesign.model.GaugeTangent`, whose one pivoted Householder QR
+gives the gauge rank and the complement; they are applied to
 the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
 bucket matrix is accumulated as ``(W Q2)^T (W Q2)`` directly in the frame
 and no parameter-wide matrix or dense basis is formed.  Each matrix is
@@ -46,13 +46,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 from .design import ExperimentDesign
 from .germs import amplifiable_count
 from .model import (
-    RANK_RTOL,
     Circuit,
     GateSet,
     circuit_probabilities,
@@ -65,7 +62,6 @@ from .noise import PROB_CLIP_FLOOR, NoiseSpec, sample_noisy_gateset
 
 __all__ = [
     "FisherSeries",
-    "NongaugeCoordinates",
     "NongaugeFrame",
     "CertificationError",
     "CertificationThresholds",
@@ -126,8 +122,8 @@ def circuits_fim(
 
     ``coords``, when given, maps each block's ``W`` (one column per
     parameter) to the columns the matrix is wanted in, before the product:
-    :meth:`NongaugeCoordinates.rows` gives the non-gauge frame, so the
-    result is ``Q2^T F Q2`` without ``F`` ever being formed.
+    :meth:`~gstdesign.model.GaugeTangent.rows` gives the non-gauge frame,
+    so the result is ``Q2^T F Q2`` without ``F`` ever being formed.
     """
     circuits = list(circuits)
     coords = coords or (lambda w: w)
@@ -178,53 +174,11 @@ def bucket_fims(
     )
 
 
-class NongaugeCoordinates:
-    """Orthonormal coordinates on the complement of a gauge tangent's span.
-
-    One pivoted Householder QR ``basis P = Q R`` is taken; the rank is the
-    number of ``|R_ii|`` above ``RANK_RTOL`` times ``|R_00|``, and the
-    trailing ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the
-    coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
-    ``dormqr``; it is never formed.
-    """
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=float)
-        (self._reflectors, self._tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
-        diag = np.abs(np.diag(r))
-        self.rank = int(np.sum(diag > RANK_RTOL * diag[0])) if diag.size and diag[0] > 0 else 0
-        self.n_params = basis.shape[0]
-        self.dim = self.n_params - self.rank
-
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        """``w Q2``: each row of ``w`` (a row over the parameters) in the
-        non-gauge coordinates."""
-        return self._apply("R", w)[:, self.rank :]
-
-    def basis(self) -> np.ndarray:
-        """Dense ``Q2``, ``n_params x dim``: ``Q`` applied to the trailing
-        identity columns."""
-        trailing = np.zeros((self.n_params, self.dim), order="F")
-        trailing[self.rank :] = np.eye(self.dim)
-        return self._apply("L", trailing)
-
-    def _apply(self, side: str, c: np.ndarray) -> np.ndarray:
-        """``Q`` times ``c`` from ``side`` ("L" or "R")."""
-        if c.size == 0:
-            return np.array(c, dtype=float)
-        args = (side, "N", self._reflectors, self._tau, c)
-        lwork = int(lapack.dormqr(*args, -1)[1][0])
-        out, _, info = lapack.dormqr(*args, lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-        return out
-
-
 class NongaugeFrame:
     """A design's bucket matrices in the non-gauge frame of one model.
 
-    The frame's :class:`NongaugeCoordinates` are taken once from the gauge
-    tangent of ``gs`` and applied to the weighted Jacobian rows of every
+    The frame's coordinates, the :func:`~gstdesign.model.gauge_tangent` of
+    ``gs``, are taken once and applied to the weighted Jacobian rows of every
     block as :func:`bucket_fims` accumulates them, so each bucket matrix is
     built once, directly ``dim`` wide; the cumulative matrices are prefix
     sums in the frame.  With ``columns``, a slice of the parameter vector
@@ -245,14 +199,14 @@ class NongaugeFrame:
         clip_floor: float = PROB_CLIP_FLOOR,
         columns: slice | None = None,
     ):
-        coords = NongaugeCoordinates(gauge_tangent(gs).basis)
-        self.n_params, self.dim = coords.n_params, coords.dim
+        tangent = gauge_tangent(gs)
+        self.n_params, self.dim = tangent.n_params, tangent.dim
         self.column_increments: tuple[np.ndarray, ...] = ()
         if columns is None:
-            self.increments = np.stack(bucket_fims(gs, design, shots, clip_floor, coords.rows))
+            self.increments = np.stack(bucket_fims(gs, design, shots, clip_floor, tangent.rows))
         else:
             joint = bucket_fims(
-                gs, design, shots, clip_floor, lambda w: np.hstack([coords.rows(w), w[:, columns]])
+                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]])
             )
             self.increments = np.stack([m[: self.dim, : self.dim] for m in joint])
             self.column_increments = tuple(m[self.dim :, self.dim :].copy() for m in joint)
@@ -423,7 +377,7 @@ def certify_design(
     growing = int(np.sum(slopes >= thresholds.slope_threshold))
     plateaued = slopes.size - growing
     tangent = gauge_tangent(target)
-    spam_budget = n_params(target) - tangent.rank - amplifiable_count(target, tangent)
+    spam_budget = tangent.dim - amplifiable_count(target, tangent)
 
     # information delivered by the deepest layer alone
     inc_evals = np.clip(frame.spectrum(False, -1), 0.0, None)

@@ -25,12 +25,11 @@ import numpy as np
 from .design import FprPolicy, keep_count, plaquettes, validate_schedule
 from .germs import IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
 from .model import (
-    RANK_RTOL,
-    Circuit,
     GateSet,
+    circuit_ptm,
     effective_fiducial_effects,
     effective_fiducial_states,
-    circuit_ptm,
+    numerical_rank,
 )
 
 __all__ = [
@@ -42,47 +41,31 @@ __all__ = [
 ]
 
 
-def _kite_coordinates(kite: KiteStructure) -> list[tuple[int, int]]:
-    coords = []
-    for start, size in kite.blocks:
-        for u in range(start, start + size):
-            for v in range(start, start + size):
-                coords.append((u, v))
-    return coords
-
-
 def kite_param_jacobian(
-    gs: GateSet,
-    germ: Circuit,
-    pairs,
-    prep_fiducials,
-    meas_fiducials,
-    kite: KiteStructure | None = None,
+    gs: GateSet, pairs, prep_fiducials, meas_fiducials, kite: KiteStructure
 ) -> np.ndarray:
     """Jacobian of pair probabilities with respect to kite coordinates.
 
-    Rows run over (pair, outcome); columns over the in-block entries of the
-    germ superoperator written in its generalized eigenbasis, evaluated at
-    the germ's value.  Entries are complex because the eigenbasis is; the
+    Rows run over (pair, outcome); columns over the in-block entries
+    (``kite.coords``) of the germ superoperator written in its generalized
+    eigenbasis, ``kite`` being the germ's kite structure, evaluated at the
+    germ's value.  Entries are complex because the eigenbasis is; the
     derivative of ``<<E'| S K S^-1 |rho'>>`` in coordinate (u, v) is the
     exact product ``(E'^T S)_u (S^-1 rho')_v``.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("kite_param_jacobian needs at least one fiducial pair")
-    if kite is None:
-        kite = kite_structure(circuit_ptm(gs, germ), IDEAL_DEGENERACY_TOL)
     m = gs.num_effects
     states = effective_fiducial_states(gs, list(prep_fiducials))
     all_effects = effective_fiducial_effects(gs, list(meas_fiducials))
-    coords = _kite_coordinates(kite)
-    jac = np.empty((len(pairs) * m, len(coords)), dtype=complex)
+    us, vs = (idx.tolist() for idx in kite.coords)
+    jac = np.empty((len(pairs) * m, len(us)), dtype=complex)
     for r, (j, i) in enumerate(pairs):
         right = kite.basis_inv @ states[j]
         for t in range(m):
             left = all_effects[i * m + t] @ kite.basis
-            row = np.array([left[u] * right[v] for u, v in coords])
-            jac[r * m + t] = row
+            jac[r * m + t] = [left[u] * right[v] for u, v in zip(us, vs)]
     return jac
 
 
@@ -136,9 +119,9 @@ def per_germ_fpr(
 
     for k, germ in enumerate(germs):
         kite = kite_structure(circuit_ptm(gs, germ), IDEAL_DEGENERACY_TOL)
-        jac_full = kite_param_jacobian(gs, germ, full_grid, preps, meass, kite)
+        jac_full = kite_param_jacobian(gs, full_grid, preps, meass, kite)
         svals = np.linalg.svd(jac_full, compute_uv=False)
-        rank = int(np.sum(svals > RANK_RTOL * svals[0])) if svals[0] > 0 else 0
+        rank = numerical_rank(svals)
         if rank == 0:
             raise ValueError(f"germ {germ} has a rank-0 full-grid Jacobian")
         lam_baseline = float(svals[rank - 1] ** 2)

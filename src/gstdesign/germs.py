@@ -42,6 +42,7 @@ from .model import (
     gauge_tangent,
     matrix_rank_rel,
     n_params,
+    numerical_rank,
     param_blocks,
 )
 
@@ -59,10 +60,15 @@ __all__ = [
     "select_germs",
     "IDEAL_DEGENERACY_TOL",
     "PERTURBED_DEGENERACY_TOL",
+    "GRAM_RANK_RTOL",
 ]
 
 IDEAL_DEGENERACY_TOL = 1e-7
 PERTURBED_DEGENERACY_TOL = 1e-10
+# Relative rank cutoff on Gram eigenvalues: the squared singular-value cutoff,
+# floored at the symmetric eigensolver's noise scale (~1e-12 of the top
+# eigenvalue), below which Gram eigenvalues are indistinguishable from zero
+GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
 
 
 class GermSelectionError(ValueError):
@@ -88,12 +94,14 @@ class KiteStructure:
     def num_params(self) -> int:
         return sum(s * s for _, s in self.blocks)
 
-    def mask(self) -> np.ndarray:
-        dim = self.basis.shape[0]
-        m = np.zeros((dim, dim))
+    @property
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the in-block entries, block by block
+        and row-major within a block: the commutant's coordinates."""
+        inside = np.zeros((len(self.basis),) * 2, dtype=bool)
         for start, size in self.blocks:
-            m[start : start + size, start : start + size] = 1.0
-        return m
+            inside[start : start + size, start : start + size] = True
+        return np.nonzero(inside)
 
 
 def _cluster_eigenvalues(evals: np.ndarray, tol: float) -> list[list[int]]:
@@ -173,7 +181,10 @@ def twirl_project(deriv_slice: np.ndarray, kite: KiteStructure) -> np.ndarray:
     if np.linalg.cond(kite.basis) > 1e10:
         raise ValueError("kite basis is too ill conditioned to project against")
     inner = kite.basis_inv @ deriv_slice @ kite.basis
-    return kite.basis @ (inner * kite.mask()) @ kite.basis_inv
+    rows, cols = kite.coords
+    projected = np.zeros_like(inner)
+    projected[rows, cols] = inner[rows, cols]
+    return kite.basis @ projected @ kite.basis_inv
 
 
 def germ_twirled_jacobian(
@@ -202,7 +213,7 @@ def germ_twirled_jacobian(
     blocks = param_blocks(model)
     kite = kite_structure(circuit_ptm(model, germ), degeneracy_tol)
     s, sinv = kite.basis, kite.basis_inv
-    c, d = np.nonzero(kite.mask())
+    c, d = kite.coords
     # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
     image = (s[:, None, c] * sinv.T[None, :, d]).reshape(dim * dim, c.size)
 
@@ -285,18 +296,12 @@ def germ_candidate_pool(labels, max_depth: int = 6) -> list[Circuit]:
 def _gram_rank_and_score(gram_evals: np.ndarray, target: int, score_fn: str) -> tuple[int, float]:
     """Rank and inverse-eigenvalue score of a Jacobian Gram spectrum.
 
-    The rank cutoff is the squared relative singular-value tolerance but
-    floored at the symmetric-eigensolver noise scale (~1e-12 of the top
-    eigenvalue), below which Gram eigenvalues are indistinguishable from
-    zero in double precision.  The score counts the top min(rank, target)
-    eigenvalues so that rank-deficient sets still compare usefully.
+    The rank cutoff is :data:`GRAM_RANK_RTOL` of the top eigenvalue.  The
+    score counts the top min(rank, target) eigenvalues so that
+    rank-deficient sets still compare usefully.
     """
     evals = np.clip(np.sort(gram_evals)[::-1], 0.0, None)
-    top = evals[0] if evals.size else 0.0
-    if top <= 0.0:
-        return 0, float("inf")
-    cutoff = top * max(RANK_RTOL**2, 1e-12)
-    rank = int(np.sum(evals > cutoff))
+    rank = numerical_rank(evals, GRAM_RANK_RTOL)
     counted = evals[: min(rank, target)]
     if counted.size == 0:
         return rank, float("inf")

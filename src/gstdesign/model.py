@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "GateSetError",
@@ -54,15 +56,15 @@ __all__ = [
     "from_vector",
     "probability_jacobian",
     "probability_hessian",
-    "tp_gauge_generator_indices",
     "gauge_tangent",
     "non_gauge_count",
     "apply_gauge_transform",
     "matrix_rank_rel",
+    "numerical_rank",
     "RANK_RTOL",
 ]
 
-# Relative singular-value cutoff used everywhere a numerical rank is taken.
+# Relative cutoff of :func:`numerical_rank`, used everywhere a numerical rank is taken.
 RANK_RTOL = 1e-8
 
 _PAULI_1Q = {
@@ -77,14 +79,16 @@ class GateSetError(ValueError):
     """Invalid gate set content or an unresolvable circuit label."""
 
 
+def numerical_rank(values, rtol: float = RANK_RTOL) -> int:
+    """Number of entries above ``rtol`` times the first of a descending,
+    non-negative sequence (singular values, ``|diag R|`` of a pivoted QR)."""
+    values = np.asarray(values)
+    return int(np.sum(values > rtol * values[0])) if values.size else 0
+
+
 def matrix_rank_rel(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Rank of ``a`` counting singular values above ``rtol * s_max``."""
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return numerical_rank(np.linalg.svd(a, compute_uv=False), rtol) if a.size else 0
 
 
 def pauli_matrices(num_qubits: int, normalized: bool = True) -> list[np.ndarray]:
@@ -568,53 +572,71 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
 # Gauge structure
 
 
-@dataclass(frozen=True)
 class GaugeTangent:
-    """Parameter-space directions generated by infinitesimal TP gauge motion.
+    """A gauge tangent basis, its rank and orthonormal coordinates on the
+    complement of its span, all from one pivoted Householder QR
+    ``basis P = Q R`` (built by :func:`gauge_tangent`).
 
-    Columns of ``basis`` are images of the generators K = E_ab (first row
-    zero): gates move by K G - G K, the prep by K rho and effects by -E K.
+    ``rank`` is the :func:`numerical_rank` of ``|diag R|``; the trailing
+    ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the non-gauge
+    coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
+    ``dormqr``; it is only formed by :meth:`nongauge_basis`.
     """
 
-    basis: np.ndarray
-    rank: int
+    def __init__(self, basis: np.ndarray):
+        self.basis = np.asarray(basis, dtype=float)
+        (self._reflectors, self._tau), r, _ = scipy.linalg.qr(self.basis, mode="raw", pivoting=True)
+        self.rank = numerical_rank(np.abs(np.diag(r)))
+        self.n_params = self.basis.shape[0]
+        self.dim = self.n_params - self.rank
 
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        """``w Q2``: each row of ``w`` (a row over the parameters) in the
+        non-gauge coordinates."""
+        return self._apply("R", w)[:, self.rank :]
 
-def tp_gauge_generator_indices(dim: int) -> list[tuple[int, int]]:
-    """Index pairs (a, b) of the elementary TP generators (rows a >= 1)."""
-    return [(a, b) for a in range(1, dim) for b in range(dim)]
+    def nongauge_basis(self) -> np.ndarray:
+        """Dense ``Q2``, ``n_params x dim``: ``Q`` applied to the trailing
+        identity columns."""
+        trailing = np.zeros((self.n_params, self.dim), order="F")
+        trailing[self.rank :] = np.eye(self.dim)
+        return self._apply("L", trailing)
+
+    def _apply(self, side: str, c: np.ndarray) -> np.ndarray:
+        """``Q`` times ``c`` from ``side`` ("L" or "R")."""
+        if c.size == 0:
+            return np.array(c, dtype=float)
+        args = (side, "N", self._reflectors, self._tau, c)
+        lwork = int(lapack.dormqr(*args, -1)[1][0])
+        out, _, info = lapack.dormqr(*args, lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
+        return out
 
 
 def gauge_tangent(gs: GateSet) -> GaugeTangent:
-    dim = gs.dim
-    m = gs.num_effects
-    npar = n_params(gs)
-    gens = tp_gauge_generator_indices(dim)
-    basis = np.zeros((npar, len(gens)))
-    blocks = param_blocks(gs)
-    meas = blocks["meas"]
-    for col, (a, b) in enumerate(gens):
-        vec = np.zeros(npar)
-        for label, g in gs.gates.items():
-            # K G - G K with K = E_ab: row a picks up G[b, :], column b drops G[:, a]
-            delta = np.zeros((dim, dim))
-            delta[a, :] += g[b, :]
-            delta[:, b] -= g[:, a]
-            vec[blocks[label]] = delta[1:, :].ravel()
-        dprep = np.zeros(dim)
-        dprep[a] = gs.prep[b]
-        vec[blocks["rho"]] = dprep[1:]
-        for l in range(m - 1):
-            deff = np.zeros(dim)
-            deff[b] = -gs.effects[l][a]
-            vec[meas.start + l * dim : meas.start + (l + 1) * dim] = deff
-        basis[:, col] = vec
-    return GaugeTangent(basis=basis, rank=matrix_rank_rel(basis))
+    """Parameter-space images of the infinitesimal TP gauge generators.
+
+    Column ``(a - 1) D + b`` is the generator ``K = E_ab`` (a >= 1, so the
+    first row stays zero): gates move by ``K G - G K``, the prep by
+    ``K rho`` and effects by ``-E K``.  In the row-major parameter layout
+    each operation's block is one Kronecker product: ``kron(I', G^T) -
+    kron(G', I)`` for a gate (primes drop the first row and column),
+    ``kron(I', rho^T)`` for the prep and ``-kron(E[1:], I)`` for a free
+    effect.  Adding ``0.0`` makes every zero positive: LAPACK takes its
+    Householder signs from the entries, zeros included, so this keeps the
+    QR independent of how each zero was produced.
+    """
+    eye = np.eye(gs.dim)
+    blocks = [np.kron(eye[1:, 1:], g.T) - np.kron(g[1:, 1:], eye) for g in gs.gates.values()]
+    blocks.append(np.kron(eye[1:, 1:], gs.prep))
+    blocks.extend(-np.kron(e[1:], eye) for e in gs.effects[:-1])
+    return GaugeTangent(np.vstack(blocks) + 0.0)
 
 
 def non_gauge_count(gs: GateSet) -> int:
     """Number of physically observable parameters: N_p - gauge rank."""
-    return n_params(gs) - gauge_tangent(gs).rank
+    return gauge_tangent(gs).dim
 
 
 def apply_gauge_transform(gs: GateSet, mat: np.ndarray) -> GateSet:

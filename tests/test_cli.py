@@ -333,6 +333,57 @@ def test_circuit_file_labels_checked_against_gateset(tmp_path, capsys, command, 
     assert not (tmp_path / "o.json").exists()
 
 
+def _gateset_doc(**changes):
+    from gstdesign.builtins import builtin_gateset
+
+    return json.dumps({**builtin_gateset("xyi").to_json_dict(), **changes})
+
+
+def _device_doc(**changes):
+    from gstdesign.builtins import builtin_device_doc
+
+    return json.dumps({**builtin_device_doc("transmons"), **changes})
+
+
+DESIGN_ARGV = ["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "4", "--seed", "1", "--out", "o.json"]
+FPR_ARGV = ["fpr", "--gateset", "xyi", "--seed", "1", "--out", "o.json"]
+WALLCLOCK_ARGV = ["wallclock", "--circuits", "10"]
+
+# (option, file content: text, bytes, or None for a directory, base argv)
+MALFORMED_INPUTS = {
+    "gateset-json-list": ("--gateset", "[1, 2]", DESIGN_ARGV),
+    "gateset-gates-list": ("--gateset", _gateset_doc(gates=[]), DESIGN_ARGV),
+    "gateset-scalar-prep": ("--gateset", _gateset_doc(prep=None), DESIGN_ARGV),
+    "gateset-effects-overflow": ("--gateset", _gateset_doc(effects=[[1e308, 0, 0, 0]] * 2), DESIGN_ARGV),
+    "gateset-directory": ("--gateset", None, DESIGN_ARGV),
+    "device-directory": ("--device", None, WALLCLOCK_ARGV),
+    "germ-file-directory": ("--germ-file", None, FPR_ARGV),
+    "prep-fiducials-directory": ("--prep-fiducials", None, DESIGN_ARGV),
+    "germ-file-not-utf8": ("--germ-file", b"\xff\xfe[[", FPR_ARGV),
+    "meas-fiducials-not-utf8": ("--meas-fiducials", b"\xff\xfe[[", DESIGN_ARGV),
+    "device-json-list": ("--device", "[1]", WALLCLOCK_ARGV),
+    "device-t1q-list": ("--device", _device_doc(t_1q=[1]), WALLCLOCK_ARGV),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_3(tmp_path, monkeypatch, capsys, case):
+    option, content, argv = MALFORMED_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    # a later --gateset overrides the base argv's builtin one
+    assert run([*argv, option, str(path)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,10 +9,12 @@ from gstdesign.builtins import builtin_fiducials, make_xycphase_gateset
 from gstdesign.germs import bare_germs
 from gstdesign.model import (
     Circuit,
+    GaugeTangent,
     apply_gauge_transform,
     circuit_probabilities,
     from_vector,
     gauge_tangent,
+    matrix_rank_rel,
     param_blocks,
     to_vector,
 )
@@ -196,7 +198,7 @@ def _frame_case(name, xyi, xyi_fiducials):
 def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = FI.NongaugeCoordinates(gauge_tangent(gs).basis).basis()
+    q = gauge_tangent(gs).nongauge_basis()
     full = FI.bucket_fims(gs, des, clip_floor=floor)
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des, clip_floor=floor)
@@ -217,19 +219,19 @@ def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
     near = core[:, 1] + 1e-12 * rng.standard_normal(30)  # dependent below the 1e-8 cutoff
     zero = np.zeros(30)
     basis = np.column_stack([zero, core, core[:, :2], 3.0 * core[:, 4], zero, near])
-    coords = FI.NongaugeCoordinates(basis)
+    coords = GaugeTangent(basis)
     assert (coords.rank, coords.n_params, coords.dim) == (5, 30, 25)
-    q2 = coords.basis()
+    q2 = coords.nongauge_basis()
     assert q2.shape == (30, 25)
     assert np.max(np.abs(q2.T @ q2 - np.eye(25))) <= 1e-12
     assert np.max(np.abs(core.T @ q2)) <= 1e-12 * np.max(np.abs(core))
     w = rng.standard_normal((7, 30))
     assert np.max(np.abs(coords.rows(w) - w @ q2)) <= 1e-12 * np.max(np.abs(w))
     assert coords.rows(np.zeros((0, 30))).shape == (0, 25)
-    assert FI.NongaugeCoordinates(np.zeros((30, 3))).rank == 0
+    assert GaugeTangent(np.zeros((30, 3))).rank == 0
     for gs in (xyi, make_xycphase_gateset()):
         tangent = gauge_tangent(gs)
-        assert FI.NongaugeCoordinates(tangent.basis).rank == tangent.rank
+        assert tangent.rank == matrix_rank_rel(tangent.basis)
 
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental"])
@@ -249,7 +251,7 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         raise AssertionError("certify formed a dense non-gauge basis")
 
     monkeypatch.setattr(FI, "circuits_fim", recording)
-    monkeypatch.setattr(FI.NongaugeCoordinates, "basis", dense_basis)
+    monkeypatch.setattr(GaugeTangent, "nongauge_basis", dense_basis)
     code = cli.main(
         [
             "certify", "--gateset", "xyi", "--design", str(design), "--kind", kind,

@@ -43,10 +43,10 @@ def test_keep_count_rejects_bad_gamma():
 def test_kite_jacobian_shapes(xyi, xyi_fiducials):
     germ = GERMS[0]
     kite = G.kite_structure(circuit_ptm(xyi, germ))
-    jac = FP.kite_param_jacobian(xyi, germ, [(0, 0)], xyi_fiducials, xyi_fiducials, kite)
+    jac = FP.kite_param_jacobian(xyi, [(0, 0)], xyi_fiducials, xyi_fiducials, kite)
     assert jac.shape == (xyi.num_effects, kite.num_params)
     full = [(j, i) for j in range(6) for i in range(6)]
-    jac_full = FP.kite_param_jacobian(xyi, germ, full, xyi_fiducials, xyi_fiducials, kite)
+    jac_full = FP.kite_param_jacobian(xyi, full, xyi_fiducials, xyi_fiducials, kite)
     assert jac_full.shape == (36 * xyi.num_effects, kite.num_params)
 
 
@@ -54,15 +54,15 @@ def test_kite_jacobian_matches_finite_differences(xyi, xyi_fiducials):
     germ = GERMS[2]
     kite = G.kite_structure(circuit_ptm(xyi, germ))
     pairs = [(0, 0), (2, 3), (5, 1)]
-    jac = FP.kite_param_jacobian(xyi, germ, pairs, xyi_fiducials, xyi_fiducials, kite)
+    jac = FP.kite_param_jacobian(xyi, pairs, xyi_fiducials, xyi_fiducials, kite)
     states = effective_fiducial_states(xyi, xyi_fiducials)
     effects = effective_fiducial_effects(xyi, xyi_fiducials)
-    coords = FP._kite_coordinates(kite)
+    rows, cols = kite.coords
     base = kite.basis_inv @ circuit_ptm(xyi, germ) @ kite.basis
     m = xyi.num_effects
     step = 1e-6
-    for col in range(0, len(coords), 2):
-        u, v = coords[col]
+    for col in range(0, rows.size, 2):
+        u, v = rows[col], cols[col]
         kp, km = base.copy(), base.copy()
         kp[u, v] += step
         km[u, v] -= step
@@ -104,14 +104,14 @@ def test_baseline_dominance(xyi, xyi_fiducials):
     germ = GERMS[2]
     kite = G.kite_structure(circuit_ptm(xyi, germ))
     full = [(j, i) for j in range(6) for i in range(6)]
-    jac_full = FP.kite_param_jacobian(xyi, germ, full, xyi_fiducials, xyi_fiducials, kite)
+    jac_full = FP.kite_param_jacobian(xyi, full, xyi_fiducials, xyi_fiducials, kite)
     top_full = np.linalg.svd(jac_full, compute_uv=False)[0]
     rng = np.random.default_rng(0)
     for _ in range(10):
         size = int(rng.integers(1, 36))
         sel = rng.choice(36, size=size, replace=False)
         sub = [full[s] for s in sel]
-        jac_sub = FP.kite_param_jacobian(xyi, germ, sub, xyi_fiducials, xyi_fiducials, kite)
+        jac_sub = FP.kite_param_jacobian(xyi, sub, xyi_fiducials, xyi_fiducials, kite)
         assert np.linalg.svd(jac_sub, compute_uv=False)[0] <= top_full + 1e-10
 
 

@@ -35,6 +35,16 @@ def test_gx_kite_blocks(xyi):
     assert kite.num_params == 6
 
 
+def test_kite_coords_are_the_in_block_entries(xyi):
+    kite = G.kite_structure(xyi.gates["Gx"])
+    mask = np.zeros((4, 4), dtype=bool)
+    for start, size in kite.blocks:
+        mask[start : start + size, start : start + size] = True
+    rows, cols = kite.coords
+    assert rows.size == kite.num_params
+    assert np.array_equal(rows, np.nonzero(mask)[0]) and np.array_equal(cols, np.nonzero(mask)[1])
+
+
 def test_generic_matrix_kite_all_singletons(rng):
     mat = rng.standard_normal((4, 4))
     kite = G.kite_structure(mat)

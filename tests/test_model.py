@@ -5,6 +5,7 @@ import scipy.linalg
 from conftest import random_circuit
 from gstdesign import model as M
 from gstdesign.builtins import make_xycphase_gateset
+from gstdesign.noise import NoiseSpec, sample_noisy_gateset
 
 LABELS = ("Gi", "Gx", "Gy")
 
@@ -144,6 +145,46 @@ def test_gauge_counts_xycphase():
     gs = make_xycphase_gateset()
     assert M.n_params(gs) == 1263
     assert M.non_gauge_count(gs) == 1023
+
+
+def reference_gauge_tangent_basis(gs):
+    """Per-generator construction: column (a, b) is the parameter-space image
+    of K = E_ab, gates moving by K G - G K, the prep by K rho, effects by -E K."""
+    dim = gs.dim
+    blocks = M.param_blocks(gs)
+    meas = blocks["meas"]
+    gens = [(a, b) for a in range(1, dim) for b in range(dim)]
+    basis = np.zeros((M.n_params(gs), len(gens)))
+    for col, (a, b) in enumerate(gens):
+        for label, g in gs.gates.items():
+            # row a picks up G[b, :], column b drops G[:, a]
+            delta = np.zeros((dim, dim))
+            delta[a, :] += g[b, :]
+            delta[:, b] -= g[:, a]
+            basis[blocks[label], col] = delta[1:, :].ravel()
+        basis[blocks["rho"].start + a - 1, col] = gs.prep[b]
+        for l in range(gs.num_effects - 1):
+            basis[meas.start + l * dim + b, col] = -gs.effects[l][a]
+    return basis
+
+
+@pytest.mark.parametrize("name", ["xyi", "xycphase", "xyi-perturbed", "xycphase-coherent-depol"])
+def test_gauge_tangent_matches_per_generator_reference(xyi, rng, name):
+    if name == "xyi":
+        gs = xyi
+    elif name == "xycphase":
+        gs = make_xycphase_gateset()
+    elif name == "xyi-perturbed":
+        gs = M.from_vector(xyi, M.to_vector(xyi) + 0.05 * rng.standard_normal(43))
+    else:
+        gs = sample_noisy_gateset(make_xycphase_gateset(), NoiseSpec("coherent-depol", 1e-2, 1e-3, 5))
+    tangent = M.gauge_tangent(gs)
+    assert np.array_equal(tangent.basis, reference_gauge_tangent_basis(gs))
+    # no negative zeros: LAPACK's Householder signs follow the signs of zeros
+    assert not np.any(np.signbit(tangent.basis) & (tangent.basis == 0.0))
+    # the pivoted-QR rank agrees with the singular-value rank
+    assert tangent.rank == M.matrix_rank_rel(tangent.basis)
+    assert tangent.dim == M.n_params(gs) - tangent.rank == M.non_gauge_count(gs)
 
 
 def test_gauge_direction_keeps_probabilities_first_order(xyi, rng):
