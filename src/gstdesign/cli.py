@@ -2,7 +2,8 @@
 
 Every randomized subcommand requires an explicit ``--seed`` and is
 deterministic end to end (rerunning writes byte-identical files).  Exit
-codes: 0 on success, 2 for usage errors (argparse), 3 for unreadable or
+codes: 0 on success, 2 for usage errors (argparse, and a noise sigma so
+large that the sampled model is not finite), 3 for unreadable or
 invalid input files and for a design certify cannot classify (a single max
 depth), 4 when a fiducial pool is not informationally complete, 5 when a
 germ candidate pool is not amplificationally complete.
@@ -35,6 +36,7 @@ from .fiducials import (
 from .model import Circuit, GateSet, param_blocks
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_POOL_NOT_IC = 4
 EXIT_POOL_NOT_AC = 5
@@ -108,8 +110,7 @@ def _load_design(path: str, gs: GateSet | None) -> dz.ExperimentDesign:
 
 
 def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
-    attr = "prep_fiducials" if kind == "prep" else "meas_fiducials"
-    path = getattr(args, attr, None)
+    path = args.prep_fiducials if kind == "prep" else args.meas_fiducials
     if path:
         return _load_circuit_list(path, f"{kind} fiducials", gs)
     if args.gateset in bi.BUILTIN_GATESETS:
@@ -122,7 +123,7 @@ def _default_fiducials(args, gs: GateSet, kind: str) -> list[Circuit]:
 
 
 def _germ_set(args, gs: GateSet) -> list[Circuit]:
-    if getattr(args, "germ_file", None):
+    if args.germ_file:
         return _load_circuit_list(args.germ_file, "germ", gs)
     if args.germs == "bare":
         return gz.bare_germs(gs)
@@ -159,10 +160,7 @@ def cmd_design(args) -> int:
     elif args.fpr == "random":
         policy = dz.FprPolicy(mode="random", gamma=args.gamma, seed=args.seed, rounding=args.rounding)
     else:
-        result = fprz.per_germ_fpr(
-            gs, preps, meass, germs, eps_lambda=args.eps, search_seed=args.seed
-        )
-        policy = result.to_policy()
+        policy = fprz.per_germ_fpr(gs, preps, meass, germs, eps_lambda=args.eps, search_seed=args.seed).to_policy()
 
     design = dz.build_design(
         preps, meass, germs, schedule, policy, gateset_labels=gs.labels, gateset_ref=args.gateset
@@ -184,48 +182,32 @@ def cmd_certify(args) -> int:
     design = _load_design(args.design, gs)
     if args.kind == "projected" and args.op not in param_blocks(gs):
         raise CliError(f"unknown operation label {args.op!r}; have {sorted(param_blocks(gs))}")
-    gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
-    thresholds = fz.CertificationThresholds()
-    # --kind projected takes its operation's columns from the same walk over circuits
-    columns = param_blocks(gs)[args.op] if args.kind == "projected" else None
-    frame = fz.NongaugeFrame(gs_eval, design, args.shots, fz.certification_clip_floor(args.shots), columns)
     try:
-        report = fz.certify_design(
-            gs_eval, design, target=gs, shots=args.shots, thresholds=thresholds, frame=frame
-        )
+        fz.require_certifiable(design)
     except fz.CertificationError as exc:
         raise CliError(f"cannot certify {args.design}: {exc}") from None
+    gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
+    # --kind projected takes its operation's columns from the same walk over circuits
+    columns = param_blocks(gs)[args.op] if args.kind == "projected" else None
+    frame = fz.NongaugeFrame(gs_eval, design, args.shots, columns)
+    report = fz.certify_design(gs_eval, design, target=gs, shots=args.shots, frame=frame)
     if args.csv:
-        classes = None
-        series_of = {
-            "cumulative": fz.cumulative_series,
-            "incremental": fz.incremental_series,
-            "projected": fz.block_series,
-        }
-        series = series_of[args.kind](design, frame)
-        if args.kind == "cumulative":
-            # row k is the direction with the k-th largest deepest-depth
-            # eigenvalue; report.slopes run in ascending eigenvalue order
-            classes = [
-                "growing" if s >= thresholds.slope_threshold else "plateaued" for s in reversed(report.slopes)
-            ] + ["gauge"] * report.gauge_null_count
+        series = {"cumulative": fz.cumulative_series, "incremental": fz.incremental_series,
+                  "projected": fz.block_series}[args.kind](design, frame)
+        classes = report.classifications() if args.kind == "cumulative" else None
         fz.series_to_csv(series, args.csv, classes)
     if args.report:
         fz.report_to_json(report, args.report)
-    verdict = "well-constructed" if report.well_constructed else "not-amplificationally-complete"
     print(f"growing: {report.growing}  plateaued: {report.plateaued} (SPAM budget {report.spam_budget})")
     print(f"insensitive directions at deepest layer: {len(report.insensitive)}")
-    print(f"verdict: {verdict}")
+    print(f"verdict: {report.verdict}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     gs = _load_gateset(args.gateset)
     design = _load_design(args.design, gs)
-    spec = nz.NoiseSpec(
-        kind=args.noise, sigma=args.sigma, eta=args.eta, seed=args.seed
-    )
-    noisy = nz.sample_noisy_gateset(gs, spec)
+    noisy = nz.sample_noisy_gateset(gs, nz.NoiseSpec(args.noise, args.sigma, args.eta, args.seed))
     dataset = nz.simulate_dataset(noisy, design.circuits, args.shots, args.seed)
     dataset.save(args.out)
     print(f"dataset with {len(dataset.circuits)} circuits x {args.shots} shots written to {args.out}")
@@ -234,31 +216,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_wallclock(args) -> int:
     devices = list(bi.BUILTIN_DEVICES) if args.device == "all" else [args.device]
-    columns = []
-    if args.design:
-        gs = _load_gateset(args.gateset) if args.gateset else None
-        two_q = gs.two_qubit_labels if gs else frozenset()
-        for path in args.design:
-            columns.append((path, _load_design(path, gs), two_q))
-    for count in args.circuits or []:
-        columns.append((f"{count} circuits", int(count), None))
+    gs = _load_gateset(args.gateset) if args.gateset and args.design else None
+    two_q = gs.two_qubit_labels if gs else None
+    columns = [(path, _load_design(path, gs)) for path in args.design or []]
+    columns += [(f"{count} circuits", count) for count in args.circuits or []]
     if not columns:
         raise CliError("need at least one --design or --circuits")
 
     reports = {}
     for dev_name in devices:
         dev = _load_device(dev_name)
-        row = []
-        for label, payload, two_q in columns:
-            if isinstance(payload, dz.ExperimentDesign):
-                rep = wz.estimate(payload, args.shots, dev, two_qubit_labels=two_q)
-            else:
-                rep = wz.estimate(
-                    payload, args.shots, dev,
-                    mean_depth=args.mean_depth, two_qubit_fraction=args.two_qubit_fraction,
-                )
-            row.append(rep)
-        reports[dev_name] = row
+        # estimate reads the labels for a design, the depth and fraction for a count
+        reports[dev_name] = [
+            wz.estimate(
+                payload, args.shots, dev, two_qubit_labels=two_q,
+                mean_depth=args.mean_depth, two_qubit_fraction=args.two_qubit_fraction,
+            )
+            for _, payload in columns
+        ]
 
     def fmt(seconds: float) -> str:
         if seconds < 120:
@@ -268,7 +243,7 @@ def cmd_wallclock(args) -> int:
         return f"{seconds / 3600:.2g} hr"
 
     header = ["device"]
-    for label, *_ in columns:
+    for label, _ in columns:
         header += [f"{label} time", "speedup"]
     print("  ".join(header))
     for dev_name, row in reports.items():
@@ -279,7 +254,7 @@ def cmd_wallclock(args) -> int:
             cells += [fmt(rep["total"]), f"{speed:.1f}x"]
         print("  ".join(cells))
     if args.report:
-        _write_json(args.report, {d: rows for d, rows in reports.items()})
+        _write_json(args.report, reports)
     return EXIT_OK
 
 
@@ -293,8 +268,7 @@ def cmd_fiducials(args) -> int:
     try:
         chosen = select_fiducials(gs, pool, args.kind, rel_improvement=args.rel_improvement)
     except PoolNotInformationallyComplete as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POOL_NOT_IC
+        raise CliError(str(exc), EXIT_POOL_NOT_IC) from None
     score = fiducial_score(gs, chosen, args.kind)
     _write_json(args.out, [list(c.labels) for c in chosen])
     print(f"{len(chosen)} {args.kind} fiducials written to {args.out}")
@@ -340,52 +314,35 @@ def cmd_fpr(args) -> int:
                 f" ratio {result.achieved_ratio[k]:.4f}"
             )
     else:
-        sched = dz.default_schedule(args.lmax)
-        pairs = fprz.random_fpr(preps, meass, germs, sched, args.gamma, args.seed, args.rounding)
+        policy = dz.FprPolicy(mode="random", gamma=args.gamma, seed=args.seed, rounding=args.rounding)
+        plaqs = dz.plaquettes(germs, dz.default_schedule(args.lmax), policy, len(preps), len(meass))
         doc = {
-            "mode": "random",
-            "gamma": args.gamma,
-            "seed": args.seed,
-            "pairs": {f"{k}@{depth}": [list(p) for p in v] for (k, depth), v in sorted(pairs.items())},
+            **policy.to_json_dict(),
+            "pairs": {f"{p.germ_index}@{p.max_depth}": [list(pair) for pair in p.pairs] for p in plaqs},
         }
         _write_json(args.out, doc)
-        print(f"random FPR pair sets for {len(pairs)} plaquettes written to {args.out}")
+        print(f"random FPR pair sets for {len(plaqs)} plaquettes written to {args.out}")
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _checked(convert, ok, want: str):
+    """An argparse type: ``convert(text)``, rejected unless ``ok`` of it holds."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {want}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
-
-
-def _nonnegative(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
-
-
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def _depolarization(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "be a positive integer")
+_fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < float("inf"), "be a finite number >= 0")
+_unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_depolarization = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
@@ -395,11 +352,19 @@ def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
 
 def _add_germ_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--germs", choices=["robust", "standard", "bare"], default="standard")
-    p.add_argument("--germ-file", help="JSON list of germ label arrays (skips selection)")
     p.add_argument("--germ-depth", type=_positive_int, default=6, help="candidate germ pool depth bound")
     p.add_argument("--germ-score", choices=["sum", "min"], default="sum")
     p.add_argument("--robust-models", type=_positive_int, default=5, help="perturbed models for robust mode")
     p.add_argument("--perturb-sigma", type=_nonnegative, default=1e-3)
+
+
+def _add_fpr_options(p: argparse.ArgumentParser) -> None:
+    """Fiducial lists and FPR settings, shared by ``design`` and ``fpr``."""
+    p.add_argument("--prep-fiducials", help="JSON list of label arrays")
+    p.add_argument("--meas-fiducials", help="JSON list of label arrays")
+    p.add_argument("--eps", type=_fraction, default=1.0 / 30.0, help="per-germ FPR eigenvalue ratio")
+    p.add_argument("--gamma", type=_fraction, default=0.125, help="random FPR keep fraction")
+    p.add_argument("--rounding", choices=["floor", "ceil"], default="floor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,12 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="select circuits and write a design file")
     _add_common(p)
     _add_germ_options(p)
-    p.add_argument("--prep-fiducials", help="JSON list of label arrays")
-    p.add_argument("--meas-fiducials", help="JSON list of label arrays")
+    p.add_argument("--germ-file", help="JSON list of germ label arrays (skips selection)")
+    _add_fpr_options(p)
     p.add_argument("--fpr", choices=["full", "per-germ", "random"], default="full")
-    p.add_argument("--eps", type=_fraction, default=1.0 / 30.0, help="per-germ FPR eigenvalue ratio")
-    p.add_argument("--gamma", type=_fraction, default=0.125, help="random FPR keep fraction")
-    p.add_argument("--rounding", choices=["floor", "ceil"], default="floor")
     p.add_argument("--Lmax", dest="lmax", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--circuit-text", help="also write newline-delimited circuit list")
@@ -470,13 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fpr", help="fiducial pair reduction for an existing germ list")
     _add_common(p)
-    p.add_argument("--germ-file", dest="germ_file", required=True)
-    p.add_argument("--prep-fiducials")
-    p.add_argument("--meas-fiducials")
+    p.add_argument("--germ-file", required=True)
+    _add_fpr_options(p)
     p.add_argument("--mode", choices=["per-germ", "random"], default="per-germ")
-    p.add_argument("--eps", type=_fraction, default=1.0 / 30.0)
-    p.add_argument("--gamma", type=_fraction, default=0.125)
-    p.add_argument("--rounding", choices=["floor", "ceil"], default="floor")
     p.add_argument("--Lmax", dest="lmax", type=_positive_int, default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fpr)
@@ -488,7 +446,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "certify" and args.kind == "projected" and not args.op:
         print("error: --kind projected requires --op", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     if args.command == "certify" and args.kind != "projected" and args.op:
         build_parser().error(f"argument --op: only valid with --kind projected, not --kind {args.kind}")
     try:
@@ -497,6 +455,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except nz.NonFiniteModelError as exc:
+        # simulate samples its model at --sigma; certify, germs and design at --perturb-sigma
+        option = "--sigma" if args.command == "simulate" else "--perturb-sigma"
+        print(f"error: argument {option}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -101,16 +101,15 @@ def fiducial_candidate_pool(labels, max_depth: int = 3) -> list[Circuit]:
     return pool
 
 
-def per_qubit_pattern_pool(q0_labels, q1_labels, patterns=None) -> list[Circuit]:
-    """Two-qubit candidates: one local pattern per qubit, concatenated.
+# label-index sequences applied to each qubit's (x, y) gate pair; they
+# mirror the single-qubit octahedral fiducials
+QUBIT_PATTERNS = ((), (0,), (1,), (0, 0), (0, 0, 0), (1, 1, 1))
 
-    ``patterns`` are label-index sequences applied to each qubit's (x, y)
-    gate pair; the default mirrors the single-qubit octahedral set.
-    """
-    if patterns is None:
-        patterns = [(), (0,), (1,), (0, 0), (0, 0, 0), (1, 1, 1)]
+
+def per_qubit_pattern_pool(q0_labels, q1_labels) -> list[Circuit]:
+    """Two-qubit candidates: one of ``QUBIT_PATTERNS`` per qubit, concatenated."""
     pool = []
-    for pat0, pat1 in itertools.product(patterns, repeat=2):
+    for pat0, pat1 in itertools.product(QUBIT_PATTERNS, repeat=2):
         labels = tuple(q0_labels[i] for i in pat0) + tuple(q1_labels[i] for i in pat1)
         pool.append(Circuit(labels))
     return pool
@@ -121,7 +120,7 @@ def _greedy_key(gs, chosen, candidate, kind, req):
     capped = min(s.rank, req)
     lam = s.spectrum[capped - 1] if capped >= 1 else 0.0
     # quantize so the gate-count tie-break is not defeated by fp jitter
-    return (capped, float(np.round(lam, 10))), s
+    return capped, float(np.round(lam, 10))
 
 
 def select_fiducials(gs: GateSet, pool, kind: str, rel_improvement: float = 1e-9) -> list[Circuit]:
@@ -145,7 +144,7 @@ def select_fiducials(gs: GateSet, pool, kind: str, rel_improvement: float = 1e-9
     while remaining:
         scored = []
         for cand in remaining:
-            key, _ = _greedy_key(gs, chosen, cand, kind, req)
+            key = _greedy_key(gs, chosen, cand, kind, req)
             scored.append((key, (len(cand.labels), cand.labels), cand))
         # max key; ties -> fewest gates, then lexicographic labels
         scored.sort(key=lambda t: (-t[0][0], -t[0][1], t[1]))

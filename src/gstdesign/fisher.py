@@ -36,7 +36,10 @@ standard germ set's deficiencies), works in the non-gauge frame of that
 point, and classifies each eigen-direction of the deepest cumulative
 matrix as growing or plateaued from the log-log slope of its Rayleigh
 quotient across depths.  A well-constructed design plateaus only in
-SPAM-dominated directions, which no germ repetition can amplify.
+SPAM-dominated directions, which no germ repetition can amplify.  The
+rule's three constants are ``SLOPE_THRESHOLD``, ``FIT_FRACTION`` and
+``INSENSITIVE_REL``; :class:`CertificationReport` derives the counts, the
+verdict and the cumulative CSV's classification column from its slopes.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "FisherSeries",
     "NongaugeFrame",
     "CertificationError",
-    "CertificationThresholds",
     "CertificationReport",
     "circuit_fim",
     "circuit_fim_hessian_form",
@@ -73,16 +75,26 @@ __all__ = [
     "cumulative_series",
     "incremental_series",
     "block_series",
+    "require_certifiable",
     "certify_design",
     "default_eval_model",
     "series_to_csv",
     "DEFAULT_SHOTS",
     "FIM_BLOCK",
+    "SLOPE_THRESHOLD",
+    "FIT_FRACTION",
+    "INSENSITIVE_REL",
 ]
 
 DEFAULT_SHOTS = 1000
 # circuits per W^T W product; a two-qubit block of W is about 10 MB
 FIM_BLOCK = 256
+# certification: a direction grows when its log-log slope, fitted over the
+# trailing FIT_FRACTION of the schedule, reaches SLOPE_THRESHOLD; it is
+# insensitive below INSENSITIVE_REL times the deepest layer's median information
+SLOPE_THRESHOLD = 0.8
+FIT_FRACTION = 0.5
+INSENSITIVE_REL = 1e-6
 
 
 def circuit_fim(
@@ -186,9 +198,10 @@ class NongaugeFrame:
     the same walk over circuits also accumulates each bucket's full-frame
     matrix restricted to those columns into ``column_increments``: each
     ``W`` is mapped to ``[W Q2 | W[:, columns]]`` and the product is split.
-    Eigensolves are cached, so no matrix is solved twice: :meth:`deepest` is
-    the ``eigh`` of the deepest cumulative matrix and also serves that
-    matrix's spectrum.
+    Probabilities are clipped at :func:`certification_clip_floor` of
+    ``shots``.  Eigensolves are cached, so no matrix is solved twice:
+    :meth:`deepest` is the ``eigh`` of the deepest cumulative matrix and
+    also serves that matrix's spectrum.
     """
 
     def __init__(
@@ -196,9 +209,9 @@ class NongaugeFrame:
         gs: GateSet,
         design: ExperimentDesign,
         shots: int = DEFAULT_SHOTS,
-        clip_floor: float = PROB_CLIP_FLOOR,
         columns: slice | None = None,
     ):
+        clip_floor = certification_clip_floor(shots)
         tangent = gauge_tangent(gs)
         self.n_params, self.dim = tangent.n_params, tangent.dim
         self.column_increments: tuple[np.ndarray, ...] = ()
@@ -274,25 +287,40 @@ def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries
     )
 
 
-@dataclass(frozen=True)
-class CertificationThresholds:
-    slope_threshold: float = 0.8
-    insensitive_rel: float = 1e-6
-    # log-log slopes are fitted over this trailing fraction of the schedule
-    fit_fraction: float = 0.5
-
-
 @dataclass
 class CertificationReport:
+    """``slopes`` has one entry per direction, in ascending order of
+    ``total_information``; the counts and verdict follow from :meth:`classifications`."""
+
     maxdepths: tuple[int, ...]
-    growing: int
-    plateaued: int
     spam_budget: int
-    well_constructed: bool
     slopes: list[float]
     total_information: list[float]
     insensitive: list[int]
     gauge_null_count: int
+
+    def classifications(self) -> list[str]:
+        """One label per row of a cumulative series: row ``k`` is the
+        direction with the ``k``-th largest deepest-depth eigenvalue,
+        ``growing`` or ``plateaued``, then one ``gauge`` per gauge direction."""
+        labels = ["growing" if s >= SLOPE_THRESHOLD else "plateaued" for s in reversed(self.slopes)]
+        return labels + ["gauge"] * self.gauge_null_count
+
+    @property
+    def growing(self) -> int:
+        return self.classifications().count("growing")
+
+    @property
+    def plateaued(self) -> int:
+        return len(self.slopes) - self.growing
+
+    @property
+    def well_constructed(self) -> bool:
+        return self.plateaued <= self.spam_budget
+
+    @property
+    def verdict(self) -> str:
+        return "well-constructed" if self.well_constructed else "not-amplificationally-complete"
 
     def to_json_dict(self) -> dict:
         return {
@@ -300,7 +328,7 @@ class CertificationReport:
             "growing": self.growing,
             "plateaued": self.plateaued,
             "spam_budget": self.spam_budget,
-            "verdict": "well-constructed" if self.well_constructed else "not-amplificationally-complete",
+            "verdict": self.verdict,
             "slopes": self.slopes,
             "total_information": self.total_information,
             "insensitive_directions": self.insensitive,
@@ -318,12 +346,21 @@ def default_eval_model(target: GateSet, seed: int = 97, sigma: float = 1e-3) -> 
     return sample_noisy_gateset(target, NoiseSpec("coherent-only", sigma, 0.0, seed))
 
 
+def require_certifiable(design: ExperimentDesign) -> None:
+    """Raise :class:`CertificationError` for a design with fewer than two
+    max depths, before any Fisher matrix is built for it."""
+    if len(design.maxdepths) < 2:
+        raise CertificationError(
+            f"certification fits log-log slopes across max depths and needs at least two;"
+            f" the design has maxdepths {list(design.maxdepths)}"
+        )
+
+
 def certify_design(
     gs_eval: GateSet,
     design: ExperimentDesign,
     target: GateSet | None = None,
     shots: int = DEFAULT_SHOTS,
-    thresholds: CertificationThresholds = CertificationThresholds(),
     frame: NongaugeFrame | None = None,
 ) -> CertificationReport:
     """Classify every non-gauge direction of the cumulative series.
@@ -336,15 +373,15 @@ def certify_design(
     Rayleigh quotient at the fitted shallower depths (tracking fixed
     directions avoids the relabeling artifacts that sorted-eigenvalue
     trajectories suffer when curves cross).  A direction grows if the
-    least-squares log-log slope over the trailing ``fit_fraction`` of the
-    schedule reaches the threshold, so at least two max depths are needed
-    (:class:`CertificationError` otherwise).  The SPAM budget (expected
+    least-squares log-log slope over the trailing ``FIT_FRACTION`` of the
+    schedule reaches ``SLOPE_THRESHOLD``, so at least two max depths are
+    needed (see :func:`require_certifiable`).  The SPAM budget (expected
     plateau count) is the target's non-gauge minus amplifiable parameter
     count; the design is well constructed when no more than that many
     directions plateau.
 
     Insensitive directions are flagged from the deepest incremental
-    matrix: eigenvalues below ``insensitive_rel`` times its median mark
+    matrix: eigenvalues below ``INSENSITIVE_REL`` times its median mark
     parameter directions about which the deepest circuit layer teaches
     essentially nothing (sparse fiducial-pair sampling produces exact
     rank deficits there); they are indices into its descending spectrum.
@@ -355,17 +392,12 @@ def certify_design(
     non-gauge frame of ``gs_eval``; it is built when not given, and the
     eigensolves done here are cached on it for the caller's spectra.
     """
-    if len(design.maxdepths) < 2:
-        raise CertificationError(
-            f"certification fits log-log slopes across max depths and needs at least two;"
-            f" the design has maxdepths {list(design.maxdepths)}"
-        )
+    require_certifiable(design)
     target = target or gs_eval
-    if frame is None:
-        frame = NongaugeFrame(gs_eval, design, shots, certification_clip_floor(shots))
+    frame = frame or NongaugeFrame(gs_eval, design, shots)
 
     depths = np.asarray(design.maxdepths, float)
-    n_fit = max(2, int(np.ceil(len(depths) * thresholds.fit_fraction)))
+    n_fit = max(2, int(np.ceil(len(depths) * FIT_FRACTION)))
 
     evals, evecs = frame.deepest()
     # traj[depth, k] over the fitted depths: the Rayleigh quotient of direction
@@ -374,21 +406,16 @@ def certify_design(
     traj = np.vstack([shallow, evals])
     slopes = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
 
-    growing = int(np.sum(slopes >= thresholds.slope_threshold))
-    plateaued = slopes.size - growing
     tangent = gauge_tangent(target)
     spam_budget = tangent.dim - amplifiable_count(target, tangent)
 
     # information delivered by the deepest layer alone
     inc_evals = np.clip(frame.spectrum(False, -1), 0.0, None)
-    insensitive = np.flatnonzero(inc_evals <= thresholds.insensitive_rel * np.median(inc_evals))
+    insensitive = np.flatnonzero(inc_evals <= INSENSITIVE_REL * np.median(inc_evals))
 
     return CertificationReport(
         maxdepths=design.maxdepths,
-        growing=growing,
-        plateaued=plateaued,
         spam_budget=int(spam_budget),
-        well_constructed=plateaued <= spam_budget,
         slopes=slopes.tolist(),
         total_information=evals.tolist(),
         insensitive=insensitive.tolist(),

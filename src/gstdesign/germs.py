@@ -133,7 +133,7 @@ def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
         lam = evals[group].mean()
         k = len(group)
         m = np.linalg.matrix_power(op - lam * np.eye(dim), k)
-        _, s, vh = np.linalg.svd(m)
+        vh = np.linalg.svd(m)[2]
         cols.append(vh.conj().T[:, dim - k :])
     return np.hstack(cols)
 

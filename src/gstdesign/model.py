@@ -62,10 +62,13 @@ __all__ = [
     "matrix_rank_rel",
     "numerical_rank",
     "RANK_RTOL",
+    "TP_TOL",
 ]
 
 # Relative cutoff of :func:`numerical_rank`, used everywhere a numerical rank is taken.
 RANK_RTOL = 1e-8
+# Largest departure from trace preservation that :meth:`GateSet.validate` accepts.
+TP_TOL = 1e-12
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -86,9 +89,9 @@ def numerical_rank(values, rtol: float = RANK_RTOL) -> int:
     return int(np.sum(values > rtol * values[0])) if values.size else 0
 
 
-def matrix_rank_rel(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Rank of ``a`` counting singular values above ``rtol * s_max``."""
-    return numerical_rank(np.linalg.svd(a, compute_uv=False), rtol) if a.size else 0
+def matrix_rank_rel(a: np.ndarray) -> int:
+    """Rank of ``a`` counting singular values above ``RANK_RTOL * s_max``."""
+    return numerical_rank(np.linalg.svd(a, compute_uv=False)) if a.size else 0
 
 
 def pauli_matrices(num_qubits: int, normalized: bool = True) -> list[np.ndarray]:
@@ -254,7 +257,7 @@ class GateSet:
     def effect_matrix(self) -> np.ndarray:
         return np.vstack(self.effects)
 
-    def validate(self, tp_tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Check shape/finite/TP invariants; raises :class:`GateSetError`."""
         dim = self.dim
         d = math.isqrt(dim)
@@ -269,9 +272,9 @@ class GateSet:
                 raise GateSetError(f"gate {label!r} has non-finite entries")
             first_row = np.zeros(dim)
             first_row[0] = 1.0
-            if np.max(np.abs(g[0] - first_row)) > tp_tol:
+            if np.max(np.abs(g[0] - first_row)) > TP_TOL:
                 raise GateSetError(f"gate {label!r} is not trace preserving")
-        if abs(self.prep[0] - 1.0 / math.sqrt(d)) > tp_tol:
+        if abs(self.prep[0] - 1.0 / math.sqrt(d)) > TP_TOL:
             raise GateSetError("prep first entry must be 1/sqrt(d)")
         trace_covec = np.zeros(dim)
         trace_covec[0] = math.sqrt(d)

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import gammaln
 
 from .model import Circuit, GateSet, circuit_probabilities, depolarizing_ptm, hamiltonian_generator_ptms
 
 __all__ = [
     "NoiseSpec",
+    "NonFiniteModelError",
     "Dataset",
     "sample_noisy_gateset",
     "perturbed_models",
@@ -55,12 +55,17 @@ class NoiseSpec:
             raise ValueError("eta must lie in [0, 1)")
 
 
+class NonFiniteModelError(ValueError):
+    """A sampled noisy gate has a non-finite entry: sigma overflows floating point."""
+
+
 def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
     """Apply per-gate sampled coherent error (and optional depolarization).
 
     Each gate becomes ``D_eta . expm(sum_a h_a H_a) . G`` with independent
     weights per gate; the error factor acts after the gate.  With
-    sigma = eta = 0 the target is returned unchanged.
+    sigma = eta = 0 the target is returned unchanged.  A gate with a
+    non-finite entry raises :class:`NonFiniteModelError`.
     """
     if spec.sigma == 0.0 and (spec.kind == "coherent-only" or spec.eta == 0.0):
         return target
@@ -75,6 +80,8 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
         noisy = err @ g
         if depol is not None:
             noisy = depol @ noisy
+        if not np.all(np.isfinite(noisy)):
+            raise NonFiniteModelError(f"noise sigma {spec.sigma:g} makes gate {label!r} non-finite")
         gates[label] = noisy
     return GateSet(gates, target.prep, target.effects, target.two_qubit_labels)
 
@@ -148,7 +155,5 @@ def log_likelihood(gs: GateSet, dataset: Dataset) -> float:
     shots = dataset.shots
     for c, n in zip(dataset.circuits, dataset.counts):
         p = np.clip(circuit_probabilities(gs, c), PROB_CLIP_FLOOR, 1.0)
-        total += (
-            gammaln(shots + 1) - np.sum(gammaln(n + 1)) + float(n @ np.log(p))
-        )
+        total += math.lgamma(shots + 1) - sum(math.lgamma(k + 1) for k in n.tolist()) + float(n @ np.log(p))
     return float(total)

@@ -105,7 +105,7 @@ def estimate(
     n_shots: int,
     dev: DeviceParams,
     two_qubit_labels=None,
-    mean_depth: float | None = None,
+    mean_depth: float = 0.0,
     two_qubit_fraction: float = 0.0,
 ) -> dict:
     """Wall-clock report {T_c, T_u, total, ...} for a design or a count.
@@ -123,8 +123,6 @@ def estimate(
         assumptions = {}
     else:
         n_circ = int(design_or_counts)
-        if mean_depth is None:
-            mean_depth = 0.0
         t_c = _approx_exec_time(n_circ, n_shots, dev, mean_depth, two_qubit_fraction)
         mode = "approximate"
         assumptions = {"mean_depth": mean_depth, "two_qubit_fraction": two_qubit_fraction}

@@ -57,7 +57,7 @@ def eval_model_2q(xycphase):
 
 
 def median_trajectory(gs_eval, design, shots=1000):
-    frame = FI.NongaugeFrame(gs_eval, design, shots, FI.certification_clip_floor(shots))
+    frame = FI.NongaugeFrame(gs_eval, design, shots)
     medians = [float(np.median(frame.spectrum(True, k))) for k in range(len(design.maxdepths))]
     return design.maxdepths, medians
 

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gstdesign import cli, fisher, germs, model
-from gstdesign.design import ExperimentDesign
+from gstdesign.builtins import builtin_fiducials
+from gstdesign.design import ExperimentDesign, FprPolicy, default_schedule, plaquettes
 
 
 def run(argv):
@@ -532,3 +537,81 @@ def test_certify_csv_rows_follow_the_report(small_design, tmp_path):
     assert all(r[3] == "gauge" and float(r[2]) == 0.0 for r in deepest[31:])
     # every depth labels its rows the same way
     assert [r[3] for r in rows] == [r[3] for r in deepest] * len(report["maxdepths"])
+
+
+@pytest.fixture
+def germ_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([["Gx"], ["Gy"], ["Gx", "Gy"]]))
+    return path
+
+
+def test_fpr_random_file_reads_back_as_its_policy(germ_file, tmp_path):
+    out = tmp_path / "fpr.json"
+    code = run(
+        ["fpr", "--gateset", "xyi", "--germ-file", str(germ_file), "--mode", "random", "--gamma", "0.1",
+         "--rounding", "ceil", "--Lmax", "16", "--seed", "4", "--out", str(out)]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["rounding"] == "ceil"
+    # ceil(0.1 * 36) = 4 pairs, where floor would keep 3
+    assert {len(v) for v in doc["pairs"].values()} == {4}
+    germ_list = [model.Circuit(tuple(g)) for g in json.loads(germ_file.read_text())]
+    fids = builtin_fiducials("xyi", "prep")
+    plaqs = plaquettes(germ_list, default_schedule(16), FprPolicy.from_json_dict(doc), len(fids), len(fids))
+    assert doc["pairs"] == {f"{p.germ_index}@{p.max_depth}": [list(pair) for pair in p.pairs] for p in plaqs}
+
+
+def test_germs_rejects_germ_file(germ_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["germs", "--gateset", "xyi", "--seed", "1", "--germ-file", str(germ_file),
+             "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert "--germ-file" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["certify", "--gateset", "xyi", "--design", "DESIGN", "--perturb-sigma", "1e300"], "--perturb-sigma"),
+        (["simulate", "--gateset", "xyi", "--design", "DESIGN", "--seed", "1", "--out", "OUT", "--sigma", "1e300"],
+         "--sigma"),
+        (["germs", "--gateset", "xyi", "--seed", "1", "--out", "OUT", "--germs", "robust", "--perturb-sigma", "1e300"],
+         "--perturb-sigma"),
+        (["design", "--gateset", "xyi", "--seed", "1", "--out", "OUT", "--Lmax", "4", "--germs", "robust",
+          "--perturb-sigma", "1e300"], "--perturb-sigma"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_non_finite_noisy_model_exits_2(small_design, tmp_path, capsys, argv, option):
+    out = tmp_path / "o.json"
+    argv = [str(small_design) if a == "DESIGN" else str(out) if a == "OUT" else a for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {option}: ") and "non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_certify_single_depth_exits_3_before_any_fisher_matrix(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "single.json"
+    assert run(["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "1", "--seed", "1", "--out", str(path)]) == 0
+    calls = []
+    circuits_fim = fisher.circuits_fim
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return circuits_fim(*args, **kwargs)
+
+    monkeypatch.setattr(fisher, "circuits_fim", counting)
+    assert run(["certify", "--gateset", "xyi", "--design", str(path)]) == cli.EXIT_BAD_INPUT
+    assert "needs at least two" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_import_leaves_scipy_special_unloaded():
+    code = "import sys, gstdesign.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

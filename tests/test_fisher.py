@@ -166,7 +166,7 @@ def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    frame = FI.NongaugeFrame(eval_model, des, clip_floor=floor)
+    frame = FI.NongaugeFrame(eval_model, des)
     inc = np.stack(FI.bucket_fims(eval_model, des, clip_floor=floor))
     for series, matrices in (
         (FI.cumulative_series(des, frame), np.cumsum(inc, axis=0)),
@@ -201,8 +201,8 @@ def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, na
     q = gauge_tangent(gs).nongauge_basis()
     full = FI.bucket_fims(gs, des, clip_floor=floor)
     sl = param_blocks(gs)[op]
-    frame = FI.NongaugeFrame(gs, des, clip_floor=floor)
-    joint = FI.NongaugeFrame(gs, des, clip_floor=floor, columns=sl)
+    frame = FI.NongaugeFrame(gs, des)
+    joint = FI.NongaugeFrame(gs, des, columns=sl)
     assert frame.increments.shape == (len(des.maxdepths), q.shape[1], q.shape[1])
     for k, m in enumerate(full):
         want = q.T @ m @ q
@@ -344,7 +344,7 @@ def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
     inc = FI.bucket_fims(eval_model, des, clip_floor=floor)
     for label in ("Gx", "rho"):
         sl = param_blocks(eval_model)[label]
-        series = FI.block_series(des, FI.NongaugeFrame(eval_model, des, clip_floor=floor, columns=sl))
+        series = FI.block_series(des, FI.NongaugeFrame(eval_model, des, columns=sl))
         assert len(series.spectra) == len(inc) == len(des.maxdepths)
         for spectrum, matrix in zip(series.spectra, inc):
             # the full-frame matrix with everything outside the block zeroed
@@ -359,9 +359,8 @@ def test_spam_projected_series_flat(xyi, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(256), gateset_labels=xyi.labels
     )
-    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     for label in ("rho", "meas"):
-        frame = FI.NongaugeFrame(eval_gs, des, clip_floor=floor, columns=param_blocks(eval_gs)[label])
+        frame = FI.NongaugeFrame(eval_gs, des, columns=param_blocks(eval_gs)[label])
         proj = FI.block_series(des, frame)
         tops = np.array([spec[0] for spec in proj.spectra])
         # flat within a factor of ~3 across depth buckets, no systematic growth

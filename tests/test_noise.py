@@ -13,6 +13,12 @@ def test_zero_noise_returns_target_exactly(xyi):
     assert out is xyi
 
 
+@pytest.mark.parametrize("kind", ["coherent-only", "coherent-depol"])
+def test_non_finite_noisy_model_raises_named_error(xyi, kind):
+    with pytest.raises(N.NonFiniteModelError, match="non-finite"):
+        N.sample_noisy_gateset(xyi, N.NoiseSpec(kind, 1e300, 0.001 if kind == "coherent-depol" else 0.0, 1))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         N.NoiseSpec("weird", 0.01, 0.0, 1)
