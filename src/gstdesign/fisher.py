@@ -15,27 +15,40 @@ Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
+A matrix ``F^T F`` is held by its smaller side (:class:`HeldFim`).  While
+it has fewer stacked rows ``m`` than columns, its rank is at most ``m`` and
+it is kept as the rows ``F`` themselves: a reduced design keeps few
+circuits, so a two-qubit bucket of a few hundred rows is never squared
+into a 1023-wide matrix of rounding noise.  Once ``m`` reaches the width it
+is kept as the Gram ``F^T F``, summed per block as above.  The spectrum of
+a row-held matrix is ``eigvalsh(F F^T)``, ``m`` values, followed by one
+exact ``0.0`` for each of the other ``width - m`` directions.
+
 Spectra are taken in the non-gauge frame of the model the matrices were
 evaluated at (:class:`NongaugeFrame`).  Its coordinates are that model's
 :class:`~gstdesign.model.GaugeTangent`, whose one pivoted Householder QR
 gives the gauge rank and the complement; they are applied to
 the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
-bucket matrix is accumulated as ``(W Q2)^T (W Q2)`` directly in the frame
-and no parameter-wide matrix or dense basis is formed.  Each matrix is
-eigensolved at most once.  The frame is the one source of every series:
-:func:`cumulative_series` and :func:`incremental_series` read its
-spectra, and :func:`block_series` the operation block it accumulates
-alongside when built with ``columns``.  At that model the gauge
-directions carry no information, so a series lists the non-gauge
-eigenvalues in descending order followed by one ``0.0`` per gauge
-direction, which is the full-frame spectrum in exact arithmetic.
+bucket matrix is held as ``W Q2`` or accumulated as ``(W Q2)^T (W Q2)``
+directly in the frame and no parameter-wide matrix or dense basis is
+formed.  Each matrix is eigensolved at most once.  The frame is the one
+source of every series: :func:`cumulative_series` and
+:func:`incremental_series` read its spectra, and :func:`block_series` the
+operation block it accumulates alongside when built with ``columns``.
+At that model the gauge directions carry no information, so a series
+lists the non-gauge eigenvalues in descending order followed by one
+``0.0`` per gauge direction, which is the full-frame spectrum in exact
+arithmetic.
 
 Certification evaluates the cumulative series at a point unitarily
 perturbed off the target (degenerate spectra at the exact target hide the
 standard germ set's deficiencies), works in the non-gauge frame of that
 point, and classifies each eigen-direction of the deepest cumulative
 matrix as growing or plateaued from the log-log slope of its Rayleigh
-quotient across depths.  A well-constructed design plateaus only in
+quotient across depths.  When the deepest cumulative matrix is row-held,
+its directions come from a thin SVD of its rows; the directions outside
+their span carry exactly ``0.0`` information and get slope ``0.0``
+(plateaued).  A well-constructed design plateaus only in
 SPAM-dominated directions, which no germ repetition can amplify.  The
 rule's three constants are ``SLOPE_THRESHOLD``, ``FIT_FRACTION`` and
 ``INSENSITIVE_REL``; :class:`CertificationReport` derives the counts, the
@@ -45,6 +58,7 @@ verdict and the cumulative CSV's classification column from its slopes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -65,6 +79,7 @@ from .noise import PROB_CLIP_FLOOR, NoiseSpec, sample_noisy_gateset
 
 __all__ = [
     "FisherSeries",
+    "HeldFim",
     "NongaugeFrame",
     "CertificationError",
     "CertificationReport",
@@ -122,15 +137,68 @@ def circuit_fim_hessian_form(
     return shots * (jac.T @ (jac / p[:, None]) - hess.sum(axis=0))
 
 
+@dataclass(frozen=True, eq=False)
+class HeldFim:
+    """A Fisher matrix ``F^T F`` held by its smaller side: ``rows`` is ``F``
+    itself (``m x width``, ``m < width``), or ``gram`` is ``F^T F``.
+    Exactly one of the two is set."""
+
+    rows: np.ndarray | None = None
+    gram: np.ndarray | None = None
+
+    @property
+    def width(self) -> int:
+        return (self.gram if self.rows is None else self.rows).shape[1]
+
+    def matrix(self) -> np.ndarray:
+        """The dense ``width x width`` matrix ``F^T F``."""
+        return self.gram if self.rows is None else self.rows.T @ self.rows
+
+    def eigvalsh(self) -> np.ndarray:
+        """Descending eigenvalues, ``width`` of them: of the Gram, or
+        ``eigvalsh(F F^T)`` followed by one exact ``0.0`` per missing row."""
+        if self.rows is None:
+            return np.linalg.eigvalsh(self.gram)[::-1]
+        small = np.linalg.eigvalsh(self.rows @ self.rows.T)[::-1]
+        return np.concatenate([small, np.zeros(self.width - len(small))])
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors spanning the matrix's row
+        space: ``eigh`` of the Gram (``width`` pairs), or the squared
+        singular values and right singular vectors of a thin SVD of ``F``
+        (``m`` pairs).  The other directions hold exactly zero information."""
+        if self.rows is None:
+            return np.linalg.eigh(self.gram)
+        _, s, vt = np.linalg.svd(self.rows, full_matrices=False)
+        return s[::-1] ** 2, vt[::-1].T
+
+    def block(self, cols: slice) -> HeldFim:
+        """The matrix restricted to ``cols`` (rows and columns), held by its
+        smaller side."""
+        if self.rows is None:
+            return HeldFim(gram=self.gram[cols, cols].copy())
+        rows = self.rows[:, cols]
+        return HeldFim(rows=rows) if len(rows) < rows.shape[1] else HeldFim(gram=rows.T @ rows)
+
+    def __add__(self, other: HeldFim) -> HeldFim:
+        """The sum, held as the stacked rows while they are fewer than the width."""
+        if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < self.width:
+            return HeldFim(rows=np.concatenate([self.rows, other.rows]))
+        return HeldFim(gram=self.matrix() + other.matrix())
+
+
 def circuits_fim(
     gs: GateSet,
     circuits,
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
     coords=None,
-) -> np.ndarray:
-    """Summed Fisher matrix of ``circuits``, one ``W^T W`` product per block
-    of ``FIM_BLOCK`` circuits (see the module docstring).
+    rows_below: int | None = None,
+) -> HeldFim:
+    """Summed Fisher matrix of ``circuits`` in its held form (see the module
+    docstring): the stacked weighted rows while there are fewer than
+    ``rows_below`` of them (default: the width), otherwise the Gram, one
+    ``W^T W`` product per block of ``FIM_BLOCK`` circuits added in order.
 
     ``coords``, when given, maps each block's ``W`` (one column per
     parameter) to the columns the matrix is wanted in, before the product:
@@ -140,15 +208,23 @@ def circuits_fim(
     circuits = list(circuits)
     coords = coords or (lambda w: w)
     width = coords(np.zeros((0, n_params(gs)))).shape[1]  # the map's output width, from an empty block
-    total = np.zeros((width, width))
+    rows_below = width if rows_below is None else rows_below
+    blocks: list[np.ndarray] = []  # row blocks not yet added to the Gram
+    total = None
     for lo in range(0, len(circuits), FIM_BLOCK):
         rows = []
         for c in circuits[lo : lo + FIM_BLOCK]:
             p = np.clip(circuit_probabilities(gs, c), clip_floor, 1.0)
             rows.append(probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None])
-        w = coords(np.concatenate(rows))
-        total += w.T @ w
-    return total
+        blocks.append(coords(np.concatenate(rows)))
+        if total is not None or sum(len(w) for w in blocks) >= rows_below:
+            total = np.zeros((width, width)) if total is None else total
+            for w in blocks:
+                total += w.T @ w
+            blocks = []
+    if total is not None:
+        return HeldFim(gram=total)
+    return HeldFim(rows=np.concatenate([np.zeros((0, width)), *blocks]))
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -174,16 +250,13 @@ def bucket_fims(
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
     coords=None,
-) -> tuple[np.ndarray, ...]:
+    rows_below: int | None = None,
+) -> tuple[HeldFim, ...]:
     """Incremental Fisher matrix of each max-depth bucket, in schedule order,
-    in the columns ``coords`` maps to (see :func:`circuits_fim`): the one
-    place a design's per-bucket matrices are built."""
-    return tuple(
-        circuits_fim(
-            gs, [c for c, b in zip(design.circuits, design.buckets) if b == depth], shots, clip_floor, coords
-        )
-        for depth in design.maxdepths
-    )
+    in the columns ``coords`` maps to and held as :func:`circuits_fim` holds
+    it: the one place a design's per-bucket matrices are built."""
+    buckets = ([c for c, b in zip(design.circuits, design.buckets) if b == depth] for depth in design.maxdepths)
+    return tuple(circuits_fim(gs, circuits, shots, clip_floor, coords, rows_below) for circuits in buckets)
 
 
 class NongaugeFrame:
@@ -192,16 +265,21 @@ class NongaugeFrame:
     The frame's coordinates, the :func:`~gstdesign.model.gauge_tangent` of
     ``gs``, are taken once and applied to the weighted Jacobian rows of every
     block as :func:`bucket_fims` accumulates them, so each bucket matrix is
-    built once, directly ``dim`` wide; the cumulative matrices are prefix
-    sums in the frame.  With ``columns``, a slice of the parameter vector
-    (such as one operation's :func:`~gstdesign.model.param_blocks` entry),
-    the same walk over circuits also accumulates each bucket's full-frame
-    matrix restricted to those columns into ``column_increments``: each
-    ``W`` is mapped to ``[W Q2 | W[:, columns]]`` and the product is split.
-    Probabilities are clipped at :func:`certification_clip_floor` of
-    ``shots``.  Eigensolves are cached, so no matrix is solved twice:
-    :meth:`deepest` is the ``eigh`` of the deepest cumulative matrix and
-    also serves that matrix's spectrum.
+    built once, directly ``dim`` wide.  ``increments`` and their prefix sums
+    ``cumulative`` are :class:`HeldFim`: a matrix of ``m < dim`` rows is
+    held as its rows ``W Q2``, a cumulative one as its buckets' rows
+    stacked, and from ``m >= dim`` on as the Gram, the prefix sums adding
+    the bucket Grams in order.  With ``columns``, a slice of the parameter
+    vector (such as one operation's :func:`~gstdesign.model.param_blocks`
+    entry), the same walk over circuits also accumulates each bucket's
+    full-frame matrix restricted to those columns into
+    ``column_increments``, held the same way: each ``W`` is mapped to
+    ``[W Q2 | W[:, columns]]`` and the held rows or Gram are split by
+    column.  Probabilities are clipped at :func:`certification_clip_floor`
+    of ``shots``.  Eigensolves are cached, so no matrix is solved twice:
+    :meth:`deepest` solves the deepest cumulative matrix and also serves
+    its spectrum.  A row-held spectrum is ``eigvalsh(F F^T)`` padded with
+    exact zeros, so no eigensolve is wider than the rows it comes from.
     """
 
     def __init__(
@@ -214,35 +292,52 @@ class NongaugeFrame:
         clip_floor = certification_clip_floor(shots)
         tangent = gauge_tangent(gs)
         self.n_params, self.dim = tangent.n_params, tangent.dim
-        self.column_increments: tuple[np.ndarray, ...] = ()
+        self.column_increments: tuple[HeldFim, ...] = ()
         if columns is None:
-            self.increments = np.stack(bucket_fims(gs, design, shots, clip_floor, tangent.rows))
+            self.increments = bucket_fims(gs, design, shots, clip_floor, tangent.rows)
         else:
             joint = bucket_fims(
-                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]])
+                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]]), self.dim
             )
-            self.increments = np.stack([m[: self.dim, : self.dim] for m in joint])
-            self.column_increments = tuple(m[self.dim :, self.dim :].copy() for m in joint)
-        self.cumulative = np.cumsum(self.increments, axis=0)
+            self.increments = tuple(m.block(slice(None, self.dim)) for m in joint)
+            self.column_increments = tuple(m.block(slice(self.dim, None)) for m in joint)
+        self.cumulative = tuple(itertools.accumulate(self.increments))
         self._spectra: dict[tuple[bool, int], np.ndarray] = {}
         self._deepest: tuple[np.ndarray, np.ndarray] | None = None
 
     def deepest(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors of the deepest cumulative matrix."""
+        """Ascending eigenvalues and eigenvectors of the deepest cumulative
+        matrix on its row space (:meth:`HeldFim.eigh`): ``dim`` pairs, or
+        one per row when it is row-held."""
         if self._deepest is None:
-            self._deepest = np.linalg.eigh(self.cumulative[-1])
+            self._deepest = self.cumulative[-1].eigh()
         return self._deepest
 
     def spectrum(self, cumulative: bool, index: int) -> np.ndarray:
         """Non-gauge eigenvalues, descending, of bucket matrix ``index`` or,
-        when ``cumulative``, of its prefix sum."""
+        when ``cumulative``, of its prefix sum; a row-held matrix's end in
+        one exact ``0.0`` per missing row."""
         index = range(len(self.increments))[index]  # -1 and the last index share a cache entry
         if cumulative and index == len(self.cumulative) - 1:
-            return self.deepest()[0][::-1]
+            evals = self.deepest()[0]
+            return np.concatenate([evals[::-1], np.zeros(self.dim - len(evals))])
         if (cumulative, index) not in self._spectra:
             mats = self.cumulative if cumulative else self.increments
-            self._spectra[cumulative, index] = np.linalg.eigvalsh(mats[index])[::-1]
+            self._spectra[cumulative, index] = mats[index].eigvalsh()
         return self._spectra[cumulative, index]
+
+    def rayleigh(self, indices, vecs: np.ndarray) -> np.ndarray:
+        """``v^T M v`` for each column ``v`` of ``vecs`` (one column per
+        output column) and each cumulative matrix ``M`` in ``indices`` (one
+        output row each, ascending indices): ``||F v||^2`` of a row-held
+        matrix, one batched contraction of the Gram-held ones."""
+        mats = [self.cumulative[i] for i in indices]
+        # cumulative row counts only grow, so the row-held matrices come first
+        out = [np.sum((m.rows @ vecs) ** 2, axis=0) for m in mats if m.rows is not None]
+        grams = [m.gram for m in mats if m.rows is None]
+        if grams:
+            out.extend(np.einsum("ik,lij,jk->lk", vecs, np.stack(grams), vecs, optimize=True))
+        return np.array(out)
 
 
 def _frame_series(design: ExperimentDesign, frame: NongaugeFrame, cumulative: bool) -> FisherSeries:
@@ -269,11 +364,11 @@ def incremental_series(design: ExperimentDesign, frame: NongaugeFrame) -> Fisher
     return _frame_series(design, frame, False)
 
 
-def _padded_spectrum(block: np.ndarray, n_params: int) -> tuple[float, ...]:
+def _padded_spectrum(block: HeldFim, n_params: int) -> tuple[float, ...]:
     """Descending spectrum of the ``n_params``-wide matrix that is ``block``
     on one diagonal block and zero elsewhere: the block's eigenvalues and
     one ``0.0`` per other parameter."""
-    evals = np.concatenate([np.linalg.eigvalsh(block), np.zeros(n_params - len(block))])
+    evals = np.concatenate([block.eigvalsh(), np.zeros(n_params - block.width)])
     return tuple(np.sort(evals)[::-1].tolist())
 
 
@@ -369,10 +464,14 @@ def certify_design(
     (see :class:`NongaugeFrame`), which removes the gauge directions
     exactly.  The classified directions are the eigenvectors of the deepest
     cumulative matrix, in ascending order of its eigenvalues, which are
-    the report's ``total_information``; each direction's trajectory is its
-    Rayleigh quotient at the fitted shallower depths (tracking fixed
-    directions avoids the relabeling artifacts that sorted-eigenvalue
-    trajectories suffer when curves cross).  A direction grows if the
+    the report's ``total_information``.  When that matrix is held as its
+    ``m < dim`` rows, they are the right singular vectors of the rows, and
+    the ``dim - m`` directions outside their span come first with exactly
+    ``0.0`` information and slope ``0.0`` (plateaued).  Each other
+    direction's trajectory is its Rayleigh quotient at the fitted
+    shallower depths (tracking fixed directions avoids the relabeling
+    artifacts that sorted-eigenvalue trajectories suffer when curves
+    cross).  A direction grows if the
     least-squares log-log slope over the trailing ``FIT_FRACTION`` of the
     schedule reaches ``SLOPE_THRESHOLD``, so at least two max depths are
     needed (see :func:`require_certifiable`).  The SPAM budget (expected
@@ -384,7 +483,8 @@ def certify_design(
     matrix: eigenvalues below ``INSENSITIVE_REL`` times its median mark
     parameter directions about which the deepest circuit layer teaches
     essentially nothing (sparse fiducial-pair sampling produces exact
-    rank deficits there); they are indices into its descending spectrum.
+    rank deficits there); they are indices into its descending spectrum,
+    whose exact zeros past a row-held matrix's rows are always among them.
 
     Certification clips probabilities at the shot-resolution scale (see
     :func:`certification_clip_floor`) rather than the hard floor.
@@ -402,9 +502,11 @@ def certify_design(
     evals, evecs = frame.deepest()
     # traj[depth, k] over the fitted depths: the Rayleigh quotient of direction
     # k at each shallower depth, its eigenvalue at the deepest
-    shallow = np.einsum("ik,lij,jk->lk", evecs, frame.cumulative[-n_fit:-1], evecs, optimize=True)
-    traj = np.vstack([shallow, evals])
-    slopes = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
+    traj = np.vstack([frame.rayleigh(range(len(depths) - n_fit, len(depths) - 1), evecs), evals])
+    fitted = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
+    # directions outside a row-held deepest matrix's rows carry no information
+    unseen = np.zeros(frame.dim - len(evals))
+    slopes, total_information = np.concatenate([unseen, fitted]), np.concatenate([unseen, evals])
 
     tangent = gauge_tangent(target)
     spam_budget = tangent.dim - amplifiable_count(target, tangent)
@@ -417,7 +519,7 @@ def certify_design(
         maxdepths=design.maxdepths,
         spam_budget=int(spam_budget),
         slopes=slopes.tolist(),
-        total_information=evals.tolist(),
+        total_information=total_information.tolist(),
         insensitive=insensitive.tolist(),
         gauge_null_count=frame.n_params - frame.dim,
     )

@@ -8,11 +8,13 @@ smallest pair set whose Jacobian Gram spectrum retains at least a fraction
 ``eps_lambda`` of the full grid's smallest non-trivial eigenvalue, at the
 full grid's rank.
 
-Random FPR ignores the structure entirely: each (germ, power) plaquette
-independently keeps ``keep_count(gamma, n_pairs)`` pairs drawn without
-replacement.  The count uses floor-with-minimum-one so that fractions of
-12.5% and 3% of a 36-pair grid keep 4 and 1 pairs; a ceiling mode is
-available behind the ``rounding`` flag.
+Random FPR ignores the structure entirely: under
+``FprPolicy(mode="random")`` each (germ, power) plaquette of
+:func:`~gstdesign.design.plaquettes` independently keeps
+``keep_count(gamma, n_pairs)`` pairs drawn without replacement.  The
+count uses floor-with-minimum-one so that fractions of 12.5% and 3% of a
+36-pair grid keep 4 and 1 pairs; a ceiling mode is available behind the
+``rounding`` flag.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import FprPolicy, keep_count, plaquettes, validate_schedule
+from .design import FprPolicy, keep_count
 from .germs import IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
 from .model import (
     GateSet,
@@ -37,7 +39,6 @@ __all__ = [
     "keep_count",
     "kite_param_jacobian",
     "per_germ_fpr",
-    "random_fpr",
 ]
 
 
@@ -165,20 +166,3 @@ def per_germ_fpr(
         eps_lambda=eps_lambda,
         fell_back_to_full=fallback,
     )
-
-
-def random_fpr(
-    prep_fiducials, meas_fiducials, germs, maxdepths, gamma: float, seed: int,
-    rounding: str = "floor",
-) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    """Per-(germ, max depth) retained pair sets of the plaquettes a random
-    design with this schedule holds.
-
-    Streams are split per plaquette from the master seed so the draw for a
-    given (germ, depth) does not depend on the rest of the schedule.
-    """
-    policy = FprPolicy(mode="random", gamma=gamma, seed=seed, rounding=rounding)
-    plaqs = plaquettes(
-        list(germs), validate_schedule(maxdepths), policy, len(list(prep_fiducials)), len(list(meas_fiducials))
-    )
-    return {(p.germ_index, p.max_depth): p.pairs for p in plaqs}

@@ -221,26 +221,37 @@ def test_main_leaves_numpy_error_state(small_design, tmp_path):
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
 def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatch, kind):
-    seen = Counter()
+    # the random design keeps one pair per plaquette, so its buckets past
+    # L = 1 hold fewer rows than the 31 non-gauge columns and are row-held
+    sparse_design = tmp_path / "sparse.json"
+    argv = ["--germs", "bare", "--fpr", "random", "--gamma", "0.03", "--Lmax", "16", "--seed", "3"]
+    assert run(["design", "--gateset", "xyi", *argv, "--out", str(sparse_design)]) == 0
+    seen, forms = Counter(), []
     circuits_fim = fisher.circuits_fim
 
     def counting(gs, circuits, *args, **kwargs):
         circuits = list(circuits)
         seen.update(c.labels for c in circuits)
-        return circuits_fim(gs, circuits, *args, **kwargs)
+        fim = circuits_fim(gs, circuits, *args, **kwargs)
+        forms.append(fim.rows is not None)
+        return fim
 
     monkeypatch.setattr(fisher, "circuits_fim", counting)
-    code = run(
-        [
-            "certify", "--gateset", "xyi", "--design", str(small_design), "--kind", kind,
-            *(["--op", "Gx"] if kind == "projected" else []),
-            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
-        ]
-    )
-    assert code == 0
-    design = ExperimentDesign.load(small_design)
-    assert seen == Counter(c.labels for c in design.circuits)
-    assert set(seen.values()) == {1}
+    for path, row_held in ((small_design, False), (sparse_design, True)):
+        seen.clear()
+        forms.clear()
+        code = run(
+            [
+                "certify", "--gateset", "xyi", "--design", str(path), "--kind", kind,
+                *(["--op", "Gx"] if kind == "projected" else []),
+                "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 0
+        design = ExperimentDesign.load(path)
+        assert seen == Counter(c.labels for c in design.circuits)
+        assert set(seen.values()) == {1}
+        assert any(forms) == row_held
 
 
 def _bad_design(tmp_path, small_design, edit):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gstdesign import design as D
-from gstdesign import fpr as FP
 from gstdesign.builtins import standard_xyi_fiducials
 from gstdesign.model import Circuit
 
@@ -272,8 +271,8 @@ def test_save_load_preserves_design(inputs):
 
 @given(germ_lists, schedules)
 def test_random_fpr_gives_the_design_plaquettes(germs, sched):
-    des = D.build_design(
-        FIDUCIALS, FIDUCIALS, germs, sched, D.FprPolicy(mode="random", gamma=0.25, seed=1)
-    )
-    pairs = FP.random_fpr(FIDUCIALS, FIDUCIALS, germs, sched, 0.25, seed=1)
+    policy = D.FprPolicy(mode="random", gamma=0.25, seed=1)
+    des = D.build_design(FIDUCIALS, FIDUCIALS, germs, sched, policy)
+    plaqs = D.plaquettes(germs, sched, policy, len(FIDUCIALS), len(FIDUCIALS))
+    pairs = {(p.germ_index, p.max_depth): p.pairs for p in plaqs}
     assert pairs == {(p.germ_index, p.max_depth): p.pairs for p in des.plaquettes}

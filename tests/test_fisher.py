@@ -102,7 +102,9 @@ def test_additivity_exact(eval_model):
     # W^T W sums in a different order than the per-circuit outer products,
     # so agreement is to rounding relative to the largest entry (~4e8)
     circuits = [Circuit(("Gx",)), Circuit(("Gy", "Gx")), Circuit(("Gi",))]
-    total = FI.circuits_fim(eval_model, circuits)
+    held = FI.circuits_fim(eval_model, circuits)
+    assert held.rows.shape == (6, 43)  # two outcome rows per circuit, fewer than the 43 columns
+    total = held.matrix()
     summed = sum(FI.circuit_fim(eval_model, c) for c in circuits)
     assert np.max(np.abs(total - summed)) <= 1e-12 * np.max(np.abs(summed))
 
@@ -112,17 +114,17 @@ def test_blocked_accumulation_matches_reference(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
     )
     assert FI.FIM_BLOCK < len(des.circuits) <= 2 * FI.FIM_BLOCK  # two W^T W blocks
-    total = FI.circuits_fim(eval_model, des.circuits)
+    total = FI.circuits_fim(eval_model, des.circuits).gram
     summed = sum(FI.circuit_fim(eval_model, c) for c in des.circuits)
     assert np.max(np.abs(total - summed)) <= 1e-12 * np.max(np.abs(summed))
-    assert np.array_equal(total, FI.circuits_fim(eval_model, des.circuits))
+    assert np.array_equal(total, FI.circuits_fim(eval_model, des.circuits).gram)
 
 
 def test_gauge_annihilation(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
     )
-    fim = FI.circuits_fim(eval_model, des.circuits)
+    fim = FI.circuits_fim(eval_model, des.circuits).matrix()
     basis = gauge_tangent(eval_model).basis
     norm = np.linalg.norm(fim, 2)
     for col in range(basis.shape[1]):
@@ -135,12 +137,12 @@ def test_single_circuit_series_coincide(eval_model, xyi_fiducials):
         [Circuit(())], [Circuit(())], [], (1,), gateset_labels=()
     )
     assert D.circuit_count(des) == 1
-    assert np.array_equal(FI.bucket_fims(eval_model, des)[0], FI.circuits_fim(eval_model, des.circuits))
+    assert np.array_equal(FI.bucket_fims(eval_model, des)[0].rows, FI.circuits_fim(eval_model, des.circuits).rows)
     frame = FI.NongaugeFrame(eval_model, des)
-    assert np.array_equal(frame.cumulative, frame.increments)
+    assert frame.cumulative[0] is frame.increments[0]
     cum = np.array(FI.cumulative_series(des, frame).spectra)
     inc = np.array(FI.incremental_series(des, frame).spectra)
-    # eigh and eigvalsh of the same matrix may differ in the last bits
+    # the SVD of the rows and eigvalsh of their Gram may differ in the last bits
     assert np.max(np.abs(cum - inc)) <= 1e-12 * np.max(cum)
 
 
@@ -148,10 +150,10 @@ def test_cumulative_equals_sum_of_incrementals(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
-    cum = np.cumsum(FI.bucket_fims(eval_model, des), axis=0)
+    cum = np.cumsum([m.matrix() for m in FI.bucket_fims(eval_model, des)], axis=0)
     for k, depth in enumerate(des.maxdepths):
         # the whole design truncated at this depth, summed in one pass
-        prefix = FI.circuits_fim(eval_model, [c for c, b in zip(des.circuits, des.buckets) if b <= depth])
+        prefix = FI.circuits_fim(eval_model, [c for c, b in zip(des.circuits, des.buckets) if b <= depth]).matrix()
         assert np.max(np.abs(cum[k] - prefix)) <= 1e-12 * np.max(np.abs(prefix))
     # cumulative spectra are monotone nondecreasing eigenvalue by eigenvalue
     # (Loewner order; tolerance relative to the spectral scale because the
@@ -167,7 +169,7 @@ def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     frame = FI.NongaugeFrame(eval_model, des)
-    inc = np.stack(FI.bucket_fims(eval_model, des, clip_floor=floor))
+    inc = np.stack([m.matrix() for m in FI.bucket_fims(eval_model, des, clip_floor=floor)])
     for series, matrices in (
         (FI.cumulative_series(des, frame), np.cumsum(inc, axis=0)),
         (FI.incremental_series(des, frame), inc),
@@ -199,19 +201,67 @@ def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, na
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     q = gauge_tangent(gs).nongauge_basis()
-    full = FI.bucket_fims(gs, des, clip_floor=floor)
+    full = [m.matrix() for m in FI.bucket_fims(gs, des, clip_floor=floor)]
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
     joint = FI.NongaugeFrame(gs, des, columns=sl)
-    assert frame.increments.shape == (len(des.maxdepths), q.shape[1], q.shape[1])
+    # XYI buckets hold more rows than its 31 non-gauge columns, the 2Q ones
+    # fewer than 1023, so they are held as Grams and as rows respectively
+    row_held = name == "xycphase"
+    for held in (frame, joint):
+        assert [m.width for m in held.increments] == [q.shape[1]] * len(des.maxdepths)
+        assert all((m.rows is not None) == row_held for m in held.increments + held.cumulative)
     for k, m in enumerate(full):
         want = q.T @ m @ q
         scale = np.max(np.abs(want))
         assert scale > 0
-        assert np.max(np.abs(frame.increments[k] - want)) <= 1e-12 * scale
-        assert np.max(np.abs(joint.increments[k] - want)) <= 1e-12 * scale
-        assert np.max(np.abs(joint.column_increments[k] - m[sl, sl])) <= 1e-12 * np.max(np.abs(m))
-    assert np.array_equal(frame.cumulative, np.cumsum(frame.increments, axis=0))
+        assert np.max(np.abs(frame.increments[k].matrix() - want)) <= 1e-12 * scale
+        assert np.max(np.abs(joint.increments[k].matrix() - want)) <= 1e-12 * scale
+        column = joint.column_increments[k].matrix()
+        assert np.max(np.abs(column - m[sl, sl])) <= 1e-12 * np.max(np.abs(m))
+    sums = np.cumsum([m.matrix() for m in frame.increments], axis=0)
+    for cum, want in zip(frame.cumulative, sums):
+        assert np.max(np.abs(cum.matrix() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
+    """A 2Q frame whose buckets hold fewer rows than its 1023 columns:
+    every spectrum matches the dense projected reference and ends in one
+    exact zero per missing row, and the directions certification tracks
+    have the Rayleigh quotients of the dense cumulative matrices."""
+    gs, des = _frame_case("xycphase", xyi, xyi_fiducials)
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    q = gauge_tangent(gs).nongauge_basis()
+    inc = [q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)]
+    frame = FI.NongaugeFrame(gs, des)
+    dim = frame.dim
+    for series, matrices, held in (
+        (FI.cumulative_series(des, frame), np.cumsum(inc, axis=0), frame.cumulative),
+        (FI.incremental_series(des, frame), inc, frame.increments),
+    ):
+        for spectrum, matrix, m in zip(series.spectra, matrices, held):
+            n_rows = len(m.rows)
+            assert n_rows < dim
+            want = np.linalg.eigvalsh(matrix)[::-1]
+            got = np.array(spectrum[:dim])
+            assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+            assert list(got[n_rows:]) == [0.0] * (dim - n_rows)
+
+    evals, evecs = frame.deepest()
+    n_rows = len(frame.cumulative[-1].rows)
+    assert evecs.shape == (dim, n_rows)
+    dense = np.cumsum(inc, axis=0)
+    traj = frame.rayleigh(range(len(des.maxdepths)), evecs)
+    want = np.einsum("ik,lij,jk->lk", evecs, dense, evecs)
+    assert np.max(np.abs(traj - want)) <= 1e-12 * evals[-1]
+    assert np.max(np.abs(traj[-1] - evals)) <= 1e-12 * evals[-1]
+
+    report = FI.certify_design(gs, des, frame=frame)
+    unseen = dim - n_rows
+    assert len(report.slopes) == len(report.total_information) == dim
+    assert report.total_information == [0.0] * unseen + evals.tolist()
+    assert report.slopes[:unseen] == [0.0] * unseen
+    assert report.classifications()[n_rows:dim] == ["plateaued"] * unseen
 
 
 def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
@@ -244,7 +294,7 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
 
     def recording(*args, **kwargs):
         fim = circuits_fim(*args, **kwargs)
-        shapes.append(fim.shape)
+        shapes.append(fim.gram.shape)
         return fim
 
     def dense_basis(*args, **kwargs):
@@ -259,8 +309,48 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         ]
     )
     assert code == 0
-    # one matrix per max-depth bucket (L = 1, 2, 4, 8), each 31 x 31
+    # one Gram per max-depth bucket (L = 1, 2, 4, 8), each 31 x 31
     assert shapes == [(31, 31)] * 4
+
+
+@pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
+def test_certify_eigensolves_no_wider_than_the_rows(tmp_path, monkeypatch, kind):
+    gs = make_xycphase_gateset()
+    preps, meass = builtin_fiducials("xycphase", "prep")[:2], builtin_fiducials("xycphase", "meas")[:2]
+    design = tmp_path / "design.json"
+    D.build_design(
+        preps, meass, [Circuit(("Gxi",))], D.default_schedule(4), gateset_labels=gs.labels, gateset_ref="xycphase"
+    ).save(design)
+    rows, widths = [], []
+    circuits_fim = FI.circuits_fim
+
+    def recording(*args, **kwargs):
+        fim = circuits_fim(*args, **kwargs)
+        rows.append(len(fim.rows))
+        return fim
+
+    def recorded(solve):
+        def wrapper(a, *args, **kwargs):
+            widths.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(FI, "circuits_fim", recording)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    code = cli.main(
+        [
+            "certify", "--gateset", "xycphase", "--design", str(design), "--kind", kind,
+            *(["--op", "Gxi"] if kind == "projected" else []),
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0
+    # one row-held matrix per bucket (L = 1, 2, 4); all of them together
+    # are the deepest cumulative matrix, still fewer rows than 1023 columns
+    assert len(rows) == 3 and sum(rows) < 1023
+    assert widths and all(shape[-1] <= sum(rows) for shape in widths)
 
 
 def test_certify_needs_two_depths(eval_model, xyi_fiducials):
@@ -314,8 +404,8 @@ def test_certification_gauge_invariant(xyi, xyi_fiducials, eval_model):
 
 def test_fisher_and_report_bit_identical_across_calls(xyi, xyi_fiducials, eval_model):
     for des in _property_designs(xyi, xyi_fiducials).values():
-        fim = FI.circuits_fim(eval_model, des.circuits)
-        assert np.array_equal(FI.circuits_fim(eval_model, des.circuits), fim)
+        fim = FI.circuits_fim(eval_model, des.circuits).gram
+        assert np.array_equal(FI.circuits_fim(eval_model, des.circuits).gram, fim)
         first = FI.certify_design(eval_model, des, target=xyi).to_json_dict()
         assert FI.certify_design(eval_model, des, target=xyi).to_json_dict() == first
 
@@ -326,7 +416,7 @@ def test_design_fim_nongauge_rank_and_null_alignment(xyi, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(64), gateset_labels=xyi.labels
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    fim = FI.circuits_fim(eval_gs, des.circuits, clip_floor=floor)
+    fim = FI.circuits_fim(eval_gs, des.circuits, clip_floor=floor).matrix()
     evals, evecs = np.linalg.eigh(fim)
     tol = 1e-8 * evals[-1]
     assert np.sum(evals > tol) == 31
@@ -341,7 +431,7 @@ def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    inc = FI.bucket_fims(eval_model, des, clip_floor=floor)
+    inc = [m.matrix() for m in FI.bucket_fims(eval_model, des, clip_floor=floor)]
     for label in ("Gx", "rho"):
         sl = param_blocks(eval_model)[label]
         series = FI.block_series(des, FI.NongaugeFrame(eval_model, des, columns=sl))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gstdesign import design as D
 from gstdesign import fpr as FP
 from gstdesign import germs as G
 from gstdesign.model import (
@@ -115,10 +116,17 @@ def test_baseline_dominance(xyi, xyi_fiducials):
         assert np.linalg.svd(jac_sub, compute_uv=False)[0] <= top_full + 1e-10
 
 
+def random_pairs(fids, germs, sched, gamma, seed):
+    """Each plaquette's kept pairs under a random FPR policy, by (germ index, max depth)."""
+    policy = D.FprPolicy(mode="random", gamma=gamma, seed=seed)
+    plaqs = D.plaquettes(germs, sched, policy, len(fids), len(fids))
+    return {(p.germ_index, p.max_depth): p.pairs for p in plaqs}
+
+
 def test_random_fpr_reproducible_and_exact_counts(xyi_fiducials):
     sched = (1, 2, 4, 8, 16)
-    a = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=13)
-    b = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=13)
+    a = random_pairs(xyi_fiducials, GERMS, sched, 0.125, seed=13)
+    b = random_pairs(xyi_fiducials, GERMS, sched, 0.125, seed=13)
     assert a == b
     keep = FP.keep_count(0.125, 36)
     for pairs in a.values():
@@ -128,20 +136,20 @@ def test_random_fpr_reproducible_and_exact_counts(xyi_fiducials):
 
 def test_random_fpr_plaquettes_draw_independently(xyi_fiducials):
     sched = (1, 2, 4, 8, 16, 32, 64)
-    sets = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=13)
+    sets = random_pairs(xyi_fiducials, GERMS, sched, 0.125, seed=13)
     distinct = set(tuple(v) for v in sets.values())
     assert len(distinct) > 1  # not all plaquettes share one draw
 
 
 def test_random_fpr_different_seeds_differ(xyi_fiducials):
     sched = (1, 2, 4, 8)
-    a = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=13)
-    b = FP.random_fpr(xyi_fiducials, xyi_fiducials, GERMS, sched, 0.125, seed=14)
+    a = random_pairs(xyi_fiducials, GERMS, sched, 0.125, seed=13)
+    b = random_pairs(xyi_fiducials, GERMS, sched, 0.125, seed=14)
     assert a != b
 
 
 def test_random_fpr_skips_repeated_powers(xyi_fiducials):
     # a length-3 germ has powers 1, 1, 2 at L = 3, 4, 6: no L=4 plaquette
     germ = Circuit(("Gx", "Gy", "Gi"))
-    pairs = FP.random_fpr(xyi_fiducials, xyi_fiducials, [germ], (3, 4, 6), 0.125, seed=1)
+    pairs = random_pairs(xyi_fiducials, [germ], (3, 4, 6), 0.125, seed=1)
     assert sorted(pairs) == [(0, 3), (0, 6)]
