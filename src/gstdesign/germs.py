@@ -16,19 +16,25 @@ of the target (which break accidental spectral degeneracies, most notably
 the idle gate's) yields the "robust" set; the "bare" set is just the gates
 themselves and is deliberately not AC.
 
-Only work that can change the chosen set is done.  A germ's twirled
-Jacobian is one matrix product per gate label, because the kite projector
-factors through the commutant basis (see :func:`germ_twirled_jacobian`).
-A greedy step stops scoring a candidate on further models as soon as its
-worst score so far already loses to the step's best, which leaves the
-chosen germs exactly as scoring every candidate on every model would (see
-:func:`select_germs`).
+Work is done in stacks, and only work that can change the chosen set is
+done.  A germ's twirled Jacobian is one matrix product per gate label,
+because the kite projector factors through the commutant basis, and all
+germs of one length are built together: stacked prefix and suffix
+products, one stacked eigendecomposition, condition number and inverse
+per spectrum type, and one contraction per label (see
+:func:`germ_twirled_jacobians`).  Each member comes out bit for bit as its
+batch of one, which is what :func:`kite_structure` and
+:func:`germ_twirled_jacobian` are.  A greedy step scores its first model
+for every candidate with stacked eigensolves, then completes candidates in
+order of that lower bound and stops at the first one that already loses
+to the step's best, which leaves the chosen germs exactly as scoring every
+candidate on every model would (see :func:`select_germs`).  Stacks hold at
+most :data:`GERM_STACK_BYTES` of working arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +43,8 @@ from .model import (
     RANK_RTOL,
     Circuit,
     GateSet,
+    GateSetError,
     GaugeTangent,
-    circuit_ptm,
     gauge_tangent,
     matrix_rank_rel,
     n_params,
@@ -51,8 +57,10 @@ __all__ = [
     "GermSelectionError",
     "GermSelectionResult",
     "kite_structure",
+    "kite_structures",
     "twirl_project",
     "germ_twirled_jacobian",
+    "germ_twirled_jacobians",
     "germset_jacobian",
     "amplifiable_count",
     "germ_candidate_pool",
@@ -61,6 +69,7 @@ __all__ = [
     "IDEAL_DEGENERACY_TOL",
     "PERTURBED_DEGENERACY_TOL",
     "GRAM_RANK_RTOL",
+    "GERM_STACK_BYTES",
 ]
 
 IDEAL_DEGENERACY_TOL = 1e-7
@@ -69,6 +78,11 @@ PERTURBED_DEGENERACY_TOL = 1e-10
 # floored at the symmetric eigensolver's noise scale (~1e-12 of the top
 # eigenvalue), below which Gram eigenvalues are indistinguishable from zero
 GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
+# Working-array budget of one stack: Jacobians built together, or test Grams
+# eigensolved together in a greedy step.  It bounds the memory stacking adds:
+# a 1Q Gram is 15 KB, so 35 share a stack, while a 2Q Gram (12.7 MB) and a
+# 2Q germ's build are each a stack of one.
+GERM_STACK_BYTES = 1 << 19
 
 
 class GermSelectionError(ValueError):
@@ -104,25 +118,37 @@ class KiteStructure:
         return np.nonzero(inside)
 
 
-def _cluster_eigenvalues(evals: np.ndarray, tol: float) -> list[list[int]]:
-    """Connected-component clustering of eigenvalues at relative tolerance:
-    ``i`` and ``j`` are joined when ``|evals[i] - evals[j]|`` is within
-    ``tol`` of the largest modulus.  Each cluster lists its indices in
-    ascending order; clusters are ordered by their smallest index."""
-    scale = float(np.max(np.abs(evals)))
-    thresh = tol * (scale if scale > 0 else 1.0)
+def _cluster_labels(evals: np.ndarray, tol: float) -> np.ndarray:
+    """Connected-component clustering of a stack of spectra ``(N, D)`` at
+    relative tolerance: ``i`` and ``j`` of one member are joined when
+    ``|evals[i] - evals[j]|`` is within ``tol`` of that member's largest
+    modulus.  Each eigenvalue is labelled by the smallest index of its
+    component."""
+    scale = np.max(np.abs(evals), axis=-1)
+    thresh = tol * np.where(scale > 0, scale, 1.0)
     # transitive closure of the adjacency by boolean squaring, then each
     # index's component is named by the smallest index it reaches
-    reach = np.abs(evals[:, None] - evals[None, :]) <= thresh
+    reach = np.abs(evals[:, :, None] - evals[:, None, :]) <= thresh[:, None, None]
     while True:
         wider = reach @ reach
         if (wider == reach).all():
             break
         reach = wider
+    return reach.argmax(axis=-1)
+
+
+def _clusters(labels: np.ndarray) -> list[list[int]]:
+    """Index lists of one member's clusters, ascending within a cluster and
+    ordered by their smallest index."""
     clusters: dict[int, list[int]] = {}
-    for i, first in enumerate(reach.argmax(axis=1).tolist()):
+    for i, first in enumerate(labels.tolist()):
         clusters.setdefault(first, []).append(i)
     return list(clusters.values())
+
+
+def _cluster_eigenvalues(evals: np.ndarray, tol: float) -> list[list[int]]:
+    """Clusters of one spectrum (see :func:`_cluster_labels`)."""
+    return _clusters(_cluster_labels(np.asarray(evals)[None], tol)[0])
 
 
 def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
@@ -138,37 +164,90 @@ def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
     return np.hstack(cols)
 
 
+@dataclass(frozen=True)
+class _KiteStack:
+    """Kite structures of the members ``members`` of a stack, in arrays of
+    one dtype: ``labels[n, i]`` is eigenvalue ``i``'s cluster (see
+    :func:`_cluster_labels`) and ``order`` the kite order of the eig
+    indices, clusters by smallest index and ascending within one."""
+
+    members: np.ndarray
+    evals: np.ndarray
+    labels: np.ndarray
+    order: np.ndarray
+    basis: np.ndarray
+    basis_inv: np.ndarray
+
+    def in_block(self) -> np.ndarray:
+        """``(N, D, D)`` mask of kite-basis entries that share a block."""
+        ordered = np.take_along_axis(self.labels, self.order, axis=1)
+        return ordered[:, :, None] == ordered[:, None, :]
+
+
+def _kite_stacks(ops: np.ndarray, tol: float) -> list[_KiteStack]:
+    """Kite structures of a stack of operators ``(N, D, D)``, one stacked
+    solve of each kind per spectrum type.
+
+    A stacked ``np.linalg.eig`` returns complex arrays for every member once
+    any member has a complex eigenvalue, where a lone call on a
+    real-spectrum matrix returns real ones, and the later ``cond`` and
+    ``inv`` then run in other arithmetic.  Members with a real spectrum are
+    therefore taken back to real arrays and solved apart from the rest, so
+    that each member's kite is bit for bit that of its batch of one.
+    """
+    if not np.all(np.isfinite(ops)):
+        raise ValueError("kite_structure input has non-finite entries")
+    evals, evecs = np.linalg.eig(ops)
+    members = np.arange(len(ops))
+    groups = [(members, evals, evecs)]
+    if np.iscomplexobj(evals) and not np.iscomplexobj(ops):
+        real = np.all(evals.imag == 0.0, axis=1)
+        as_real = [np.ascontiguousarray(a[real].real) for a in (evals, evecs)]
+        groups = [(members[real], *as_real), (members[~real], evals[~real], evecs[~real])]
+    stacks = []
+    for members, evals, evecs in groups:
+        if members.size == 0:
+            continue
+        labels = _cluster_labels(evals, tol)
+        order = np.argsort(labels, axis=1, kind="stable")
+        # columns in kite order, each member column-major as a lone
+        # ``evecs[:, order]`` is: later products take their BLAS path from it
+        basis = np.take_along_axis(evecs.transpose(0, 2, 1), order[:, :, None], axis=1)
+        basis = basis.transpose(0, 2, 1)
+        # fall back to generalized eigenspaces where the eigenvector matrix
+        # is defective (non-diagonalizable input), one member at a time
+        for n in np.flatnonzero(np.linalg.cond(basis) > 1e12):
+            basis[n] = _generalized_eigenbasis(ops[members[n]], _clusters(labels[n]), evals[n])
+        stacks.append(_KiteStack(members, evals, labels, order, basis, np.linalg.inv(basis)))
+    return stacks
+
+
+def kite_structures(ops, degeneracy_tol: float = IDEAL_DEGENERACY_TOL) -> list[KiteStructure]:
+    """Kite structures of a stack of operators ``(N, D, D)``, each equal bit
+    for bit to :func:`kite_structure` of that member alone."""
+    ops = np.asarray(ops)
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise ValueError("kite_structures needs a stack of square matrices")
+    kites: list[KiteStructure] = [None] * len(ops)
+    for stack in _kite_stacks(ops, degeneracy_tol):
+        for n, member in enumerate(stack.members.tolist()):
+            clusters = _clusters(stack.labels[n])
+            sizes = [len(group) for group in clusters]
+            kites[member] = KiteStructure(
+                eigenvalues=tuple(complex(stack.evals[n][group].mean()) for group in clusters),
+                blocks=tuple(zip(itertools.accumulate([0] + sizes[:-1]), sizes)),
+                basis=stack.basis[n],
+                basis_inv=stack.basis_inv[n],
+            )
+    return kites
+
+
 def kite_structure(op: np.ndarray, degeneracy_tol: float = IDEAL_DEGENERACY_TOL) -> KiteStructure:
     """Eigen-decompose ``op`` and group degenerate eigenvalues into blocks."""
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError("kite_structure needs a square matrix")
-    if not np.all(np.isfinite(op)):
-        raise ValueError("kite_structure input has non-finite entries")
-    evals, evecs = np.linalg.eig(op)
-    clusters = _cluster_eigenvalues(evals, degeneracy_tol)
-
-    order = [i for group in clusters for i in group]
-    basis = evecs[:, order]
-    # fall back to generalized eigenspaces when the eigenvector matrix is
-    # defective (non-diagonalizable input)
-    if np.linalg.cond(basis) > 1e12:
-        basis = _generalized_eigenbasis(op, clusters, evals)
-    basis_inv = np.linalg.inv(basis)
-
-    blocks = []
-    reps = []
-    start = 0
-    for group in clusters:
-        blocks.append((start, len(group)))
-        reps.append(complex(evals[group].mean()))
-        start += len(group)
-    return KiteStructure(
-        eigenvalues=tuple(reps),
-        blocks=tuple(blocks),
-        basis=basis,
-        basis_inv=basis_inv,
-    )
+    return kite_structures(op[None], degeneracy_tol)[0]
 
 
 def twirl_project(deriv_slice: np.ndarray, kite: KiteStructure) -> np.ndarray:
@@ -187,10 +266,11 @@ def twirl_project(deriv_slice: np.ndarray, kite: KiteStructure) -> np.ndarray:
     return kite.basis @ projected @ kite.basis_inv
 
 
-def germ_twirled_jacobian(
-    model: GateSet, germ: Circuit, degeneracy_tol: float = IDEAL_DEGENERACY_TOL
+def germ_twirled_jacobians(
+    model: GateSet, germs, degeneracy_tol: float = IDEAL_DEGENERACY_TOL
 ) -> np.ndarray:
-    """Matricized commutant-projected germ Jacobian, shape (D^2, n_params).
+    """Matricized commutant-projected Jacobians of ``germs``, shape
+    ``(len(germs), D^2, n_params)``.
 
     Column (a, b) of gate ``G`` is ``twirl_project(sum_i suffix_i E_ab
     prefix_i, kite)``, summed over the occurrences ``i`` of ``G`` in the
@@ -204,38 +284,101 @@ def germ_twirled_jacobian(
     label, so each gate label costs one (D^2, m) @ (m, (D-1) D) product,
     m being the commutant dimension ``kite.num_params``.
 
-    Columns for parameters of gates absent from the germ (and all SPAM
+    Germs are built in stacks of one length, at most
+    :data:`GERM_STACK_BYTES` of working arrays at a time: the prefix and
+    suffix products are stacked matmuls, the kites come from
+    :func:`_kite_stacks`, and each label's coefficients are one contraction
+    over the members of equal commutant dimension, the occurrence sum
+    running over every position with weight one or zero.  A member's
+    Jacobian does not depend on the stack it is built in.
+
+    Columns for parameters of gates absent from a germ (and all SPAM
     parameters) are zero.  Real part is returned: the projected derivative
     of a real matrix is real up to rounding because blocks of conjugate
     eigenvalues are projected symmetrically.
     """
+    germs = list(germs)
     dim = model.dim
+    labels = list(model.gates)
+    gates = np.stack([model.gates[lab] for lab in labels])
+    position = {lab: i for i, lab in enumerate(labels)}
+    by_length: dict[int, list[int]] = {}
+    for gi, germ in enumerate(germs):
+        unknown = [lab for lab in germ.labels if lab not in position]
+        if unknown:
+            raise GateSetError(f"unknown gate label {unknown[0]!r}")
+        if germ.labels:  # the empty germ has no gate columns
+            by_length.setdefault(len(germ.labels), []).append(gi)
+
     blocks = param_blocks(model)
-    kite = kite_structure(circuit_ptm(model, germ), degeneracy_tol)
-    s, sinv = kite.basis, kite.basis_inv
-    c, d = kite.coords
-    # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
-    image = (s[:, None, c] * sinv.T[None, :, d]).reshape(dim * dim, c.size)
-
-    labels = germ.labels
-    prefix = [np.eye(dim)]  # prefix[i] = G_i ... G_1, the gates before occurrence i
-    for lab in labels[:-1]:
-        prefix.append(model.gates[lab] @ prefix[-1])
-    suffix = [np.eye(dim)]  # suffix[i] = G_n ... G_(i+2), the gates after it
-    for lab in reversed(labels[1:]):
-        suffix.append(suffix[-1] @ model.gates[lab])
-    suffix.reverse()
-    # row 0 of every gate is fixed, so only a >= 1 has a parameter
-    left = np.stack([(sinv @ suf[:, 1:])[c] for suf in suffix])  # (n, m, D-1)
-    right = np.stack([(pre @ s)[:, d] for pre in prefix])  # (n, D, m)
-
-    jac = np.zeros((dim * dim, n_params(model)))
-    for lab in dict.fromkeys(labels):
-        occ = [i for i, other in enumerate(labels) if other == lab]
-        # coef[m, a, b] = sum_i left_i[c_m, a] right_i[b, d_m]
-        coef = left[occ].transpose(1, 2, 0) @ right[occ].transpose(2, 0, 1)
-        jac[:, blocks[lab]] = (image @ coef.reshape(c.size, -1)).real
+    columns = [blocks[lab] for lab in labels]
+    jac = np.zeros((len(germs), dim * dim, n_params(model)))
+    # image, coefficients and product: at most three complex (D^2, D^2) arrays a member
+    chunk = max(1, GERM_STACK_BYTES // (3 * 16 * dim**4))
+    for members in by_length.values():
+        for lo in range(0, len(members), chunk):
+            idx = np.array(members[lo : lo + chunk])
+            seq = np.array([[position[lab] for lab in germs[gi].labels] for gi in idx])
+            for rows, cols, block in _twirled_jacobian_stack(gates, seq, columns, degeneracy_tol):
+                jac[idx[rows], :, cols] = block
     return jac
+
+
+def _twirled_jacobian_stack(gates, seq, columns, tol):
+    """Twirled Jacobians of the germs ``seq`` ``(N, n)``, gate indices into
+    ``gates`` in time order, all of one length ``n``.  Yields each nonzero
+    block as (germs, gate columns, values)."""
+    length = seq.shape[1]
+    dim = gates.shape[1]
+    ops = gates[seq]  # ops[:, i] is the gate at occurrence position i
+    prefix = np.empty_like(ops)  # prefix[:, i] = G_i ... G_1, the gates before position i
+    prefix[:, 0] = np.eye(dim)
+    for i in range(1, length):
+        prefix[:, i] = ops[:, i - 1] @ prefix[:, i - 1]
+    suffix = np.empty_like(ops)  # suffix[:, i] = G_n ... G_(i+2), the gates after it
+    suffix[:, -1] = np.eye(dim)
+    for i in range(length - 2, -1, -1):
+        suffix[:, i] = suffix[:, i + 1] @ ops[:, i + 1]
+    taus = ops[:, -1] @ prefix[:, -1]
+
+    for stack in _kite_stacks(taus, tol):
+        inside = stack.in_block()
+        sizes = inside.sum(axis=(1, 2))
+        for size in np.unique(sizes).tolist():
+            sub = np.flatnonzero(sizes == size)
+            germ = stack.members[sub]
+            s, sinv = stack.basis[sub], stack.basis_inv[sub]
+            # (c, d): each member's in-block entries, row-major
+            _, c, d = np.nonzero(inside[sub])
+            c, d = c.reshape(sub.size, size), d.reshape(sub.size, size)
+            # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
+            s_c = np.take_along_axis(s, c[:, None, :], axis=2)
+            sinv_d = np.take_along_axis(sinv, d[:, :, None], axis=1)
+            image = s_c[:, :, None, :] * sinv_d.transpose(0, 2, 1)[:, None, :, :]
+            image = image.reshape(sub.size, dim * dim, size)
+            # row 0 of every gate is fixed, so only a >= 1 has a parameter
+            left = sinv[:, None] @ suffix[germ][..., 1:]  # (members, n, D, D-1)
+            left = np.take_along_axis(left, c[:, None, :, None], axis=2)
+            right = np.take_along_axis(prefix[germ] @ s[:, None], d[:, None, None, :], axis=3)
+            for gate, cols in enumerate(columns):
+                occurs = seq[germ] == gate  # (members, n)
+                present = occurs.any(axis=1)
+                if not present.any():
+                    continue
+                weights = occurs[present].astype(float)[:, :, None, None]
+                # coef[m, a, b] = sum_i [G at i] left_i[c_m, a] right_i[b, d_m]
+                coef = (left[present] * weights).transpose(0, 2, 3, 1)
+                coef = coef @ right[present].transpose(0, 3, 1, 2)
+                flat = coef.reshape(coef.shape[0], size, -1)
+                yield germ[present], cols, (image[present] @ flat).real
+
+
+def germ_twirled_jacobian(
+    model: GateSet, germ: Circuit, degeneracy_tol: float = IDEAL_DEGENERACY_TOL
+) -> np.ndarray:
+    """One germ's twirled Jacobian, shape (D^2, n_params): the batch of one
+    of :func:`germ_twirled_jacobians`."""
+    return germ_twirled_jacobians(model, [germ], degeneracy_tol)[0]
 
 
 def _degeneracy_tols(count: int) -> list[float]:
@@ -247,11 +390,10 @@ def _degeneracy_tols(count: int) -> list[float]:
 def germset_jacobian(models: list[GateSet], germs) -> list[np.ndarray]:
     """Per-model vertical stack of each germ's twirled Jacobian."""
     germs = list(germs)
-    out = []
-    for model, tol in zip(models, _degeneracy_tols(len(models))):
-        rows = [germ_twirled_jacobian(model, g, tol) for g in germs]
-        out.append(np.vstack(rows) if rows else np.zeros((0, n_params(model))))
-    return out
+    return [
+        germ_twirled_jacobians(model, germs, tol).reshape(-1, n_params(model))
+        for model, tol in zip(models, _degeneracy_tols(len(models)))
+    ]
 
 
 def amplifiable_count(model: GateSet, tangent: GaugeTangent | None = None) -> int:
@@ -338,44 +480,56 @@ def select_germs(
 
     Each germ's Jacobian is scored divided by its length: a germ of length
     q only reaches power L/q at max depth L, so per-depth amplification is
-    what the experiment actually buys.  A pool whose full Gram falls short
-    of a model's target raises :class:`GermSelectionError` before any step.
+    what the experiment actually buys.  Every candidate's Jacobian is built
+    up front by :func:`germ_twirled_jacobians`, one stacked build per model
+    and germ length.  A pool whose full Gram falls short of a model's
+    target raises :class:`GermSelectionError` before any step; so does an
+    empty pool, and an empty model list raises ``ValueError``.
 
     A candidate's key is (worst shortfall, worst score rounded to 9
-    decimals, length and labels), the worst being over models.  The worst
-    over the models scored so far can only grow as more are scored, so a
-    candidate is dropped as soon as that partial key exceeds the best
-    complete key of the step: pruning is exact, every key that decides the
-    step is complete and comes from the same ``eigvalsh`` calls.  Models
-    are scored worst first, ordered by the current set's shortfall and
-    then its score, so that the first model scored is the likeliest to
-    rule a candidate out.  Each trajectory entry records the step's
-    ``eigensolves``.
+    decimals, length and labels), the worst being over models, so no two
+    keys tie.  Models are scored worst first, ordered by the current set's
+    shortfall and then its score.  A step scores the first model for every
+    unused candidate at once: the test Grams are stacked, at most
+    :data:`GERM_STACK_BYTES` of them at a time, and eigensolved by one
+    stacked ``eigvalsh``, which gives each member the bits of its own call.
+    That partial key is a lower bound on the candidate's key, so candidates
+    are completed on the remaining models in ascending partial-key order,
+    each dropped as soon as its partial key exceeds the best complete key,
+    and the step ends at the first partial key above it.  The chosen germs
+    are exactly those of scoring every candidate on every model.  Each
+    trajectory entry records the step's ``eigensolves``.
     """
+    if not models:
+        raise ValueError("germ selection needs at least one model")
     pool = list(candidate_pool)
+    if not pool:
+        raise GermSelectionError("candidate pool is empty")
     targets = [amplifiable_count(m) for m in models]
 
-    # cache per-(candidate, model) Jacobians; their Grams J^T J add over a
-    # germ set because stacking only appends rows
-    jacobians = [[None] * len(models) for _ in pool]
-    for ci, germ in enumerate(pool):
-        weight = 1.0 / len(germ.labels)
-        for mi, (model, tol) in enumerate(zip(models, _degeneracy_tols(len(models)))):
-            jacobians[ci][mi] = weight * germ_twirled_jacobian(model, germ, tol)
+    # per-model (candidate, D^2, n_params) Jacobians; their Grams J^T J add
+    # over a germ set because stacking only appends rows
+    weights = np.array([1.0 / len(germ.labels) for germ in pool])[:, None, None]
+    jacobians = []
+    for model, tol in zip(models, _degeneracy_tols(len(models))):
+        jac = germ_twirled_jacobians(model, pool, tol)
+        jac *= weights
+        jacobians.append(jac)
 
     def gram_of(ci: int, mi: int) -> np.ndarray:
-        j = jacobians[ci][mi]
+        j = jacobians[mi][ci]
         return j.T @ j
 
-    def rank_and_score(gram: np.ndarray, mi: int) -> tuple[int, float]:
-        return _gram_rank_and_score(np.linalg.eigvalsh(gram), targets[mi], score_fn)
+    def rank_and_score(gram_evals: np.ndarray, mi: int) -> tuple[int, float]:
+        return _gram_rank_and_score(gram_evals, targets[mi], score_fn)
 
     def shortfall(mi: int, rank: int) -> int:
         return max(targets[mi] - rank, 0)
 
     deficits = []
-    for mi in range(len(models)):
-        rank, _ = rank_and_score(sum(gram_of(ci, mi) for ci in range(len(pool))), mi)
+    for mi, jac in enumerate(jacobians):
+        rows = jac.reshape(-1, jac.shape[-1])
+        rank, _ = rank_and_score(np.linalg.eigvalsh(rows.T @ rows), mi)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))
     if deficits:
@@ -388,38 +542,62 @@ def select_germs(
     ranks = [0] * len(models)
     scores = [float("inf")] * len(models)
     trajectory: list[dict] = []
+    # one stack of test Grams, reused by every step (the models share one
+    # parameterization)
+    chunk = min(len(pool), max(1, GERM_STACK_BYTES // chosen_grams[0].nbytes))
+    stack = np.empty((chunk, *chosen_grams[0].shape))
+
+    def stacked_scores(cands: list[int], mi: int) -> list[tuple[int, float]]:
+        """(rank, score) of the current set joined with each candidate."""
+        out = []
+        for lo in range(0, len(cands), chunk):
+            j = jacobians[mi][cands[lo : lo + chunk]]
+            test = np.matmul(j.transpose(0, 2, 1), j, out=stack[: len(j)])
+            test += chosen_grams[mi]
+            out += [rank_and_score(evals, mi) for evals in np.linalg.eigvalsh(test)]
+        return out
 
     while True:
         order = sorted(
             range(len(models)), key=lambda mi: (shortfall(mi, ranks[mi]), scores[mi]), reverse=True
         )
-        best = None
-        eigensolves = 0
-        for ci in range(len(pool)):
-            if ci in chosen_idx:
-                continue
+        first = order[0]
+        cands = [ci for ci in range(len(pool)) if ci not in chosen_idx]
+        partial = {}
+        for ci, (rank, score) in zip(cands, stacked_scores(cands, first)):
             tie = (len(pool[ci].labels), pool[ci].labels)
-            test = [None] * len(models)
+            partial[ci] = ((shortfall(first, rank), float(np.round(score, 9)), tie), rank, score)
+        eigensolves = len(cands)
+
+        best = None
+        for ci in sorted(cands, key=lambda ci: partial[ci][0]):
+            key, rank, score = partial[ci]
+            if best is not None and key > best[0]:
+                break  # every later partial key, a lower bound, loses too
             test_ranks = [0] * len(models)
             test_scores = [0.0] * len(models)
-            worst = (-1, -math.inf)  # below every (shortfall, score)
-            for mi in order:
-                test[mi] = chosen_grams[mi] + gram_of(ci, mi)
-                test_ranks[mi], test_scores[mi] = rank_and_score(test[mi], mi)
+            test_ranks[first], test_scores[first] = rank, score
+            worst = (shortfall(first, rank), score)
+            for mi in order[1:]:
+                evals = np.linalg.eigvalsh(chosen_grams[mi] + gram_of(ci, mi))
+                test_ranks[mi], test_scores[mi] = rank_and_score(evals, mi)
                 eigensolves += 1
                 worst = max(worst, (shortfall(mi, test_ranks[mi]), test_scores[mi]))
-                key = (worst[0], float(np.round(worst[1], 9)), tie)
+                key = (worst[0], float(np.round(worst[1], 9)), key[2])
                 if best is not None and key > best[0]:
                     break  # a lower bound on the final key already loses
             else:
                 if best is None or key < best[0]:
-                    best = (key, ci, test, test_ranks, test_scores, worst)
+                    best = (key, ci, test_ranks, test_scores, worst)
         if best is None:
             raise GermSelectionError(
                 "candidate pool exhausted before reaching the amplifiable target"
             )
-        _, ci, chosen_grams, ranks, scores, (worst_shortfall, worst_score) = best
+        _, ci, ranks, scores, (worst_shortfall, worst_score) = best
         chosen_idx.append(ci)
+        for mi, gram in enumerate(chosen_grams):
+            j = jacobians[mi][ci]
+            gram += np.matmul(j.T, j, out=stack[0])
         trajectory.append(
             {
                 "added": str(pool[ci]),

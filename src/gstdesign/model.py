@@ -155,21 +155,14 @@ def hamiltonian_generator_ptms(num_qubits: int) -> list[np.ndarray]:
 
     One generator per non-identity (unnormalized) Pauli string ``P_a``; the
     returned matrices are real and antisymmetric, so ``expm(sum h_a H_a)``
-    is orthogonal and TP.
+    is orthogonal and TP.  Entry ``(j, k)`` of generator ``a`` is
+    ``Re tr(P_j^dag (-i [P_a, P_k]))`` in the normalized basis, formed for
+    every ``(a, j, k)`` by one broadcast commutator and one contraction.
     """
-    paulis_norm = pauli_matrices(num_qubits)
-    paulis_raw = pauli_matrices(num_qubits, normalized=False)
-    dim = len(paulis_norm)
-    gens = []
-    for a in range(1, dim):
-        pa = paulis_raw[a]
-        h = np.empty((dim, dim))
-        for k in range(dim):
-            comm = -1j * (pa @ paulis_norm[k] - paulis_norm[k] @ pa)
-            for j in range(dim):
-                h[j, k] = np.real(np.trace(paulis_norm[j].conj().T @ comm))
-        gens.append(h)
-    return gens
+    paulis_norm = np.array(pauli_matrices(num_qubits))
+    paulis_raw = np.array(pauli_matrices(num_qubits, normalized=False))[1:, None]
+    comm = -1j * (paulis_raw @ paulis_norm - paulis_norm @ paulis_raw)  # (a, k, d, d)
+    return list(np.einsum("jyx,akyx->ajk", paulis_norm.conj(), comm).real)
 
 
 # ---------------------------------------------------------------------------

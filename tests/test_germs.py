@@ -361,3 +361,83 @@ def test_bare_pool_fails_pretest(xyi):
     # the perturbed model sits second, so it is judged at the perturbed tolerance
     with pytest.raises(G.GermSelectionError, match="model 1: rank"):
         G.select_germs([xyi, model], G.bare_germs(xyi))
+
+
+def test_empty_pool_raises_germ_selection_error(xyi):
+    with pytest.raises(G.GermSelectionError, match="empty"):
+        G.select_germs([xyi], [])
+
+
+def test_no_models_raises_value_error(xyi):
+    with pytest.raises(ValueError, match="at least one model"):
+        G.select_germs([], G.germ_candidate_pool(xyi.labels, 2))
+
+
+def assert_same_kite(stacked, alone):
+    assert stacked.eigenvalues == alone.eigenvalues and stacked.blocks == alone.blocks
+    for a, b in ((stacked.basis, alone.basis), (stacked.basis_inv, alone.basis_inv)):
+        assert a.dtype == b.dtype and a.strides == b.strides and np.array_equal(a, b)
+
+
+def assert_stack_matches_batches_of_one(model, germs, tol):
+    kites = G.kite_structures(np.stack([circuit_ptm(model, g) for g in germs]), tol)
+    jacs = G.germ_twirled_jacobians(model, germs, tol)
+    assert jacs.shape == (len(germs), model.dim**2, n_params(model))
+    for germ, kite, jac in zip(germs, kites, jacs):
+        assert_same_kite(kite, G.kite_structure(circuit_ptm(model, germ), tol))
+        assert np.array_equal(jac, G.germ_twirled_jacobian(model, germ, tol))
+
+
+def test_stacked_builds_match_batches_of_one(xyi):
+    pool = G.germ_candidate_pool(xyi.labels, 6)
+    models = [xyi] + perturbed_models(xyi, 5, 1e-3, seed=2026)
+    tols = [G.IDEAL_DEGENERACY_TOL] + [G.PERTURBED_DEGENERACY_TOL] * 5
+    for model, tol in zip(models, tols):
+        assert_stack_matches_batches_of_one(model, pool, tol)
+    xycphase = make_xycphase_gateset()
+    germs = [Circuit(tuple(g.split())) for g in ("Gcphase Gxi Giy", "Gxi", "Gxi Giy Gcphase")]
+    assert_stack_matches_batches_of_one(xycphase, germs, G.IDEAL_DEGENERACY_TOL)
+
+
+def test_stack_mixing_real_and_complex_spectra(xyi):
+    # Gi has a real spectrum and Gx a complex one: a stacked eig returns
+    # complex arrays for both, yet Gi's kite must stay real
+    ops = np.stack([xyi.gates["Gi"], xyi.gates["Gx"], xyi.gates["Gi"] @ xyi.gates["Gi"]])
+    kites = G.kite_structures(ops)
+    assert [k.basis.dtype.kind for k in kites] == ["f", "c", "f"]
+    for op, kite in zip(ops, kites):
+        assert_same_kite(kite, G.kite_structure(op))
+
+
+def test_stack_with_defective_member(rng):
+    jordan = np.diag([1.0, 1.0, 0.5, 0.2])
+    jordan[0, 1] = 1.0  # one 2x2 Jordan block: no eigenvector basis
+    ops = np.stack([rng.standard_normal((4, 4)), jordan, np.diag([0.9, 0.3, 0.2, 0.1])])
+    kites = G.kite_structures(ops)
+    assert kites[1].blocks == ((0, 2), (2, 1), (3, 1))
+    assert np.linalg.cond(kites[1].basis) < 1e3  # the generalized eigenbasis
+    for op, kite in zip(ops, kites):
+        assert_same_kite(kite, G.kite_structure(op))
+
+
+def test_selection_independent_of_stack_budget(xyi, monkeypatch):
+    models = [xyi] + perturbed_models(xyi, 2, 1e-3, seed=5)
+    pool = G.germ_candidate_pool(xyi.labels, 4)
+    default = G.select_germs(models, pool)
+    monkeypatch.setattr(G, "GERM_STACK_BYTES", 1)  # one germ or one Gram per stack
+    assert G.select_germs(models, pool) == default
+
+
+def test_kite_basis_is_a_lone_eig_in_kite_order(xyi, rng):
+    # bits and memory layout both: products with the basis downstream (FPR's
+    # kite Jacobian) take their BLAS path, and so their rounding, from it
+    gx_gy = circuit_ptm(xyi, Circuit(("Gx", "Gy")))
+    for op in (xyi.gates["Gx"], xyi.gates["Gi"], gx_gy, rng.standard_normal((4, 4))):
+        evals, evecs = np.linalg.eig(op)
+        clusters = G._cluster_eigenvalues(evals, G.IDEAL_DEGENERACY_TOL)
+        order = [i for group in clusters for i in group]
+        ref = evecs[:, order]
+        kite = G.kite_structure(op)
+        assert kite.basis.dtype == ref.dtype and kite.basis.strides == ref.strides
+        assert np.array_equal(kite.basis, ref)
+        assert np.array_equal(kite.basis_inv, np.linalg.inv(ref))

@@ -246,3 +246,32 @@ def test_effects_sum_to_trace_covector(xyi):
     total = np.sum(xyi.effect_matrix(), axis=0)
     assert np.allclose(total, [np.sqrt(2), 0, 0, 0], atol=1e-12)
     assert abs(xyi.prep[0] - 1 / np.sqrt(2)) < 1e-12
+
+
+def hamiltonian_generators_by_trace(num_qubits):
+    """Reference: each entry as its own trace, ``Re tr(P_j^dag (-i [P_a, P_k]))``."""
+    paulis_norm = M.pauli_matrices(num_qubits)
+    paulis_raw = M.pauli_matrices(num_qubits, normalized=False)
+    dim = len(paulis_norm)
+    gens = []
+    for a in range(1, dim):
+        pa = paulis_raw[a]
+        h = np.empty((dim, dim))
+        for k in range(dim):
+            comm = -1j * (pa @ paulis_norm[k] - paulis_norm[k] @ pa)
+            for j in range(dim):
+                h[j, k] = np.real(np.trace(paulis_norm[j].conj().T @ comm))
+        gens.append(h)
+    return gens
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_hamiltonian_generators_match_trace_reference(num_qubits):
+    gens = M.hamiltonian_generator_ptms(num_qubits)
+    ref = hamiltonian_generators_by_trace(num_qubits)
+    assert len(gens) == len(ref) == 4**num_qubits - 1
+    for h, r in zip(gens, ref):
+        assert h.shape == r.shape and h.dtype == r.dtype
+        # bit for bit, down to the sign of every zero
+        assert np.array_equal(h, r) and np.array_equal(np.signbit(h), np.signbit(r))
+        assert np.array_equal(h, -h.T)
