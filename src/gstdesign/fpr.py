@@ -8,6 +8,16 @@ smallest pair set whose Jacobian Gram spectrum retains at least a fraction
 ``eps_lambda`` of the full grid's smallest non-trivial eigenvalue, at the
 full grid's rank.
 
+The search scores a candidate exactly, by an SVD of its Jacobian rows,
+only when it may be the accepted winner of its size.  Two stacked
+eigensolves per size bound every candidate's score first: a cap from the
+full grid's trailing eigenspace, then an estimate from the candidate's
+Gram, each within ``SCREEN_RTOL`` times the Gram's trace of exact
+arithmetic.  A candidate whose bound falls below the acceptance threshold
+or strictly below another candidate's is provably not the winner, so the
+chosen pairs and ratios are equal in bits to scoring every candidate (see
+:func:`per_germ_fpr`).
+
 Random FPR ignores the structure entirely: under
 ``FprPolicy(mode="random")`` each (germ, power) plaquette of
 :func:`~gstdesign.design.plaquettes` independently keeps
@@ -25,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import FprPolicy, keep_count
-from .germs import IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
+from .germs import GERM_STACK_BYTES, IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
 from .model import (
     GateSet,
     circuit_ptm,
@@ -39,7 +49,24 @@ __all__ = [
     "keep_count",
     "kite_param_jacobian",
     "per_germ_fpr",
+    "SCREEN_RTOL",
 ]
+
+SCREEN_RTOL = 1e-10
+"""Half-width, relative to the trace of a candidate's Gram ``G``, of the
+screen's bounds on its score (see :func:`per_germ_fpr`).
+
+The exact score ``s`` comes from a backward-stable SVD of the candidate's
+rows, the screen's values from sums of per-pair Grams and backward-stable
+``eigvalsh`` calls, and the cap's trailing basis is orthonormal to
+rounding.  Each rounding error is bounded by ``(rows + coords)`` times the
+machine epsilon times ``||G|| <= trace(G)``, so the screen's values and
+``s`` differ from exact arithmetic by a small multiple of
+``(rows + coords) * 2.2e-16 * trace(G)``.  A 2Q grid has at most
+4 * 144 = 576 rows and 256 kite coordinates: about 2e-13 of the trace, a
+margin of more than 300x.  Over 1Q depth-4 and five 2Q germs the largest
+gap seen was 1.3e-16 of the trace.
+"""
 
 
 def kite_param_jacobian(
@@ -68,6 +95,102 @@ def kite_param_jacobian(
             left = all_effects[i * m + t] @ kite.basis
             jac[r * m + t] = [left[u] * right[v] for u, v in zip(us, vs)]
     return jac
+
+
+def _exact_score(jac_full: np.ndarray, sel: np.ndarray, m: int, rank: int) -> float:
+    """A candidate's score: the rank-th largest squared singular value of
+    its rows of ``jac_full`` (pair ``r`` owns rows ``r*m`` to ``r*m + m``).
+    A candidate has at least ``rank`` rows, and the full grid at least
+    ``rank`` columns."""
+    rows = (sel[:, None] * m + np.arange(m)).ravel()
+    return float(np.linalg.svd(jac_full[rows], compute_uv=False)[rank - 1] ** 2)
+
+
+def _pair_grams(blocks: np.ndarray) -> np.ndarray:
+    """Per-pair Grams ``B_r^H B_r`` of ``(pairs, m, w)`` row blocks, one flat
+    row of their real and imaginary parts per pair, so that a 0/1 selection
+    product sums them in real arithmetic."""
+    grams = np.matmul(blocks.conj().transpose(0, 2, 1), blocks)
+    return grams.reshape(len(blocks), -1).view(np.float64)
+
+
+def _selected(select: np.ndarray, pair_grams: np.ndarray, width: int) -> np.ndarray:
+    """Each selection row's sum of per-pair Grams, as a ``width x width`` stack."""
+    return (select @ pair_grams).view(complex).reshape(len(select), width, width)
+
+
+def _eigvalsh_at(grams_of, count: int, width: int, index: int) -> np.ndarray:
+    """Ascending eigenvalue ``index`` of each of ``count`` Hermitian
+    ``width x width`` matrices, ``grams_of(s)`` stacking those of slice
+    ``s``, at most :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
+    chunk = max(1, GERM_STACK_BYTES // (16 * width * width))
+    return np.concatenate([
+        np.linalg.eigvalsh(grams_of(slice(lo, lo + chunk)))[:, index] for lo in range(0, count, chunk)
+    ])
+
+
+class _PairScreen:
+    """Bounds on the scores of one size's candidate pair sets.
+
+    A candidate's score ``s`` is the rank-th largest eigenvalue of its Gram
+    ``G = J^H J``, which is the sum of its per-pair Grams ``P_r = J_r^H J_r``.
+    Two stacked eigensolves bound it, each within ``delta = SCREEN_RTOL *
+    trace(G)`` of exact arithmetic:
+
+    * a cap: ``s`` is at most the top eigenvalue of ``W^H G W`` for any
+      ``width - rank + 1`` orthonormal columns ``W`` (Courant-Fischer).
+      ``W`` spans the full grid's trailing eigenvectors, so the cap solves
+      ``width - rank + 1`` wide matrices, one wide for a full-rank germ;
+    * an estimate ``a``: the rank-th largest eigenvalue of ``G`` held by its
+      smaller side, as :class:`~gstdesign.fisher.HeldFim` holds a Fisher
+      matrix.  Below the width that is the rows' Gram ``J J^H``, a
+      submatrix of the full grid's; at or above it, a 0/1 selection matrix
+      times the stacked ``P_r``.
+    """
+
+    def __init__(self, jac_full: np.ndarray, m: int, rank: int):
+        self.jac, self.m, self.rank = jac_full, m, rank
+        self.pairs, self.width = len(jac_full) // m, jac_full.shape[1]
+        blocks = jac_full.reshape(self.pairs, m, self.width)
+        self.traces = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
+        trailing = np.linalg.eigh(jac_full.conj().T @ jac_full)[1][:, : self.width - rank + 1]
+        self._cap_grams = _pair_grams(blocks @ trailing)
+        self._row_gram = self._pair_grams = None  # built on first use
+
+    def _grams(self, draws: np.ndarray, select: np.ndarray) -> np.ndarray:
+        """Each candidate's Gram, held by its smaller side."""
+        m, (cands, size) = self.m, draws.shape
+        if size * m < self.width:
+            if self._row_gram is None:
+                self._row_gram = self.jac @ self.jac.conj().T
+            rows = (draws[:, :, None] * m + np.arange(m)).reshape(cands, size * m)
+            return self._row_gram[rows[:, :, None], rows[:, None, :]]
+        if self._pair_grams is None:
+            self._pair_grams = _pair_grams(self.jac.reshape(self.pairs, m, self.width))
+        return _selected(select, self._pair_grams, self.width)
+
+    def survivors(self, draws: np.ndarray, threshold: float) -> np.ndarray:
+        """Indices, in draw order, of the candidates (rows of sorted pair
+        indices) whose score may be the largest and reach ``threshold``:
+        those whose cap and ``a + delta`` both reach ``threshold`` and
+        whose ``a + delta`` reaches every capped-in candidate's
+        ``a - delta``.  Every other candidate scores below the threshold or
+        strictly below a survivor."""
+        cands = len(draws)
+        select = np.zeros((cands, self.pairs))
+        select[np.arange(cands)[:, None], draws] = 1.0
+        delta = SCREEN_RTOL * (select @ self.traces)
+        w = self.width - self.rank + 1
+        cap = _eigvalsh_at(lambda s: _selected(select[s], self._cap_grams, w), cands, w, w - 1)
+        idx = np.flatnonzero(cap + delta >= threshold)
+        if not idx.size:
+            return idx
+        held = min(draws.shape[1] * self.m, self.width)
+        est = _eigvalsh_at(
+            lambda s: self._grams(draws[idx[s]], select[idx[s]]), idx.size, held, held - self.rank
+        )
+        upper, lower = est + delta[idx], est - delta[idx]
+        return idx[upper >= max(threshold, lower.max())]
 
 
 @dataclass
@@ -102,8 +225,24 @@ def per_germ_fpr(
     size needed for rank k, draw ``candidates_per_size`` sets per size from
     a per-germ stream split off the master seed, and grow by one pair until
     a set's k-th Gram eigenvalue reaches ``eps_lambda`` times the baseline.
-    If nothing short of the full grid is accepted the full grid is returned
+    A size's winner is its first candidate, in draw order, of largest
+    score; a candidate's score is its k-th squared singular value.  If
+    nothing short of the full grid is accepted the full grid is returned
     with a fallback flag.
+
+    Each size's draws are screened before any is scored (see
+    :class:`_PairScreen`).  With ``delta = SCREEN_RTOL * trace(G)`` for a
+    candidate Gram ``G``, a stacked cap ``c`` and a stacked estimate ``a``
+    satisfy ``s <= c + delta`` and ``|s - a| <= delta`` for the exact
+    score ``s``.  A candidate with ``c + delta`` or ``a + delta`` below the
+    threshold cannot be accepted, and one whose ``a + delta`` is below the
+    largest ``a - delta`` scores strictly below that candidate; neither
+    gets an SVD.  A size with no candidate left is rejected unscored.  The
+    winner of an accepted size reaches the threshold and every score, so
+    it and every candidate tying with it survive, and the first maximal
+    survivor in draw order is the winner of scoring every candidate.  The
+    draws use the random stream exactly as that exhaustive search does, so
+    pairs and ratios are equal in bits to it.
     """
     if not (0.0 < eps_lambda <= 1.0):
         raise ValueError("eps_lambda must lie in (0, 1]")
@@ -126,29 +265,30 @@ def per_germ_fpr(
         if rank == 0:
             raise ValueError(f"germ {germ} has a rank-0 full-grid Jacobian")
         lam_baseline = float(svals[rank - 1] ** 2)
+        threshold = eps_lambda * lam_baseline
         base_rank[k] = rank
-        # row cache: pair r occupies rows [r*m, (r+1)*m)
+        screen = _PairScreen(jac_full, m, rank)
         rng = np.random.default_rng(np.random.SeedSequence([int(search_seed), k]))
 
         found = None
         start_size = max(1, math.ceil(rank / m))
         for size in range(start_size, len(full_grid)):
-            # draw the whole batch for this size, then test best ratio first
-            # (the candidate generator is free; ordering by quality keeps the
-            # accepted set well away from the eps_lambda floor)
-            batch = []
-            for _ in range(candidates_per_size):
-                sel = sorted(rng.choice(len(full_grid), size=size, replace=False).tolist())
-                rows = np.concatenate([np.arange(r * m, (r + 1) * m) for r in sel])
-                spec = np.sort(np.linalg.svd(jac_full[rows], compute_uv=False) ** 2)[::-1]
-                lam = float(spec[rank - 1]) if spec.size >= rank else 0.0
-                batch.append((lam, sel))
-            if not batch:
+            draws = np.array([
+                np.sort(rng.choice(len(full_grid), size=size, replace=False))
+                for _ in range(candidates_per_size)
+            ])
+            if not len(draws):
                 continue
-            batch.sort(key=lambda t: -t[0])
-            lam, sel = batch[0]
-            if lam >= eps_lambda * lam_baseline:
-                found = (sel, lam / lam_baseline)
+            best = None
+            for sel in draws[screen.survivors(draws, threshold)]:
+                lam = _exact_score(jac_full, sel, m, rank)
+                if best is None or lam > best[0]:
+                    best = (lam, sel)
+            if best is None:
+                continue  # no candidate reaches the threshold
+            lam, sel = best
+            if lam >= threshold:
+                found = (sel.tolist(), lam / lam_baseline)
                 break
         if found is None:
             pairs_by_germ[k] = tuple(full_grid)

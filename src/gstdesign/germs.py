@@ -435,23 +435,37 @@ def germ_candidate_pool(labels, max_depth: int = 6) -> list[Circuit]:
     return pool
 
 
-def _gram_rank_and_score(gram_evals: np.ndarray, target: int, score_fn: str) -> tuple[int, float]:
-    """Rank and inverse-eigenvalue score of a Jacobian Gram spectrum.
+def _gram_ranks_and_scores(
+    gram_evals: np.ndarray, target: int, score_fn: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and inverse-eigenvalue scores of a stack of Gram spectra, one
+    per row.
 
     The rank cutoff is :data:`GRAM_RANK_RTOL` of the top eigenvalue.  The
     score counts the top min(rank, target) eigenvalues so that
-    rank-deficient sets still compare usefully.
+    rank-deficient sets still compare usefully.  Rows counting the same
+    number of eigenvalues are summed together along the last axis, so each
+    score is summed in the order of its spectrum alone.
     """
-    evals = np.clip(np.sort(gram_evals)[::-1], 0.0, None)
-    rank = numerical_rank(evals, GRAM_RANK_RTOL)
-    counted = evals[: min(rank, target)]
-    if counted.size == 0:
-        return rank, float("inf")
-    if score_fn == "sum":
-        return rank, float(np.sum(1.0 / counted))
-    if score_fn == "min":
-        return rank, float(1.0 / counted[-1])
-    raise ValueError(f"unknown score_fn {score_fn!r}")
+    evals = np.clip(np.sort(gram_evals, axis=-1)[:, ::-1], 0.0, None)
+    ranks = np.array([numerical_rank(row, GRAM_RANK_RTOL) for row in evals], dtype=int)
+    counted = np.minimum(ranks, target)
+    scores = np.full(len(evals), np.inf)
+    if score_fn not in ("sum", "min"):
+        raise ValueError(f"unknown score_fn {score_fn!r}")
+    for length in np.unique(counted[counted > 0]).tolist():
+        rows = np.flatnonzero(counted == length)
+        if score_fn == "sum":
+            scores[rows] = np.sum(1.0 / evals[rows, :length], axis=1)
+        else:
+            scores[rows] = 1.0 / evals[rows, length - 1]
+    return ranks, scores
+
+
+def _gram_rank_and_score(gram_evals: np.ndarray, target: int, score_fn: str) -> tuple[int, float]:
+    """:func:`_gram_ranks_and_scores` of one spectrum."""
+    ranks, scores = _gram_ranks_and_scores(gram_evals[None], target, score_fn)
+    return int(ranks[0]), float(scores[0])
 
 
 @dataclass
@@ -554,7 +568,8 @@ def select_germs(
             j = jacobians[mi][cands[lo : lo + chunk]]
             test = np.matmul(j.transpose(0, 2, 1), j, out=stack[: len(j)])
             test += chosen_grams[mi]
-            out += [rank_and_score(evals, mi) for evals in np.linalg.eigvalsh(test)]
+            cand_ranks, cand_scores = _gram_ranks_and_scores(np.linalg.eigvalsh(test), targets[mi], score_fn)
+            out += zip(cand_ranks.tolist(), cand_scores.tolist())
         return out
 
     while True:

@@ -127,8 +127,42 @@ class Dataset:
             return Dataset.from_json_dict(json.load(f))
 
 
-def _validated_probabilities(gs: GateSet, circuit: Circuit) -> np.ndarray:
-    p = circuit_probabilities(gs, circuit)
+def _walked_probabilities(gs: GateSet, circuits: tuple[Circuit, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities of every circuit, one row each in circuit
+    order, from one walk per distinct label prefix, and which rows it filled.
+
+    Circuits are visited in sorted label order over a stack of states, the
+    state after each prefix of the previous circuit, and each circuit
+    starts from its longest common prefix with the previous one.  A circuit
+    therefore sees the same ``G @ v`` products as in
+    :func:`~gstdesign.model.circuit_probabilities`, and its probabilities
+    are equal bit for bit.  A circuit holding a label the gate set lacks is
+    left unfilled, for ``circuit_probabilities`` to raise on in order.
+    """
+    effects = gs.effect_matrix()
+    probs = np.zeros((len(circuits), gs.num_effects))
+    filled = np.zeros(len(circuits), dtype=bool)
+    states = np.empty((max(map(len, circuits), default=0) + 1, gs.dim))
+    states[0] = gs.prep
+    path: list[str] = []  # labels walked so far; states[d] follows path[:d]
+    for idx in sorted(range(len(circuits)), key=lambda i: circuits[i].labels):
+        labels = circuits[idx].labels
+        depth = 0
+        while depth < min(len(labels), len(path)) and labels[depth] == path[depth]:
+            depth += 1
+        del path[depth:]
+        for label in labels[depth:]:
+            if label not in gs.gates:
+                break
+            np.matmul(gs.gates[label], states[len(path)], out=states[len(path) + 1])
+            path.append(label)
+        else:
+            probs[idx] = effects @ states[len(path)]
+            filled[idx] = True
+    return probs, filled
+
+
+def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
     if np.min(p) < -1e-9:
         raise ValueError(f"model predicts negative probability {np.min(p):.3e} for {circuit}")
     p = np.clip(p, 0.0, None)
@@ -139,21 +173,32 @@ def _validated_probabilities(gs: GateSet, circuit: Circuit) -> np.ndarray:
 
 
 def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
-    """Draw multinomial counts for every circuit, one RNG stream per circuit."""
+    """Draw multinomial counts for every circuit, one RNG stream per circuit.
+
+    Probabilities come from one walk per distinct label prefix over the
+    circuits in sorted label order, each circuit resuming from its longest
+    common prefix with the one before, and equal those of
+    :func:`~gstdesign.model.circuit_probabilities` bit for bit.  Validation
+    and the draws run in circuit order, so the first invalid circuit is the
+    one an error names.
+    """
     circuits = tuple(circuits)
     counts = np.zeros((len(circuits), gs.num_effects), dtype=np.int64)
+    probs, filled = _walked_probabilities(gs, circuits)
     for idx, c in enumerate(circuits):
-        p = _validated_probabilities(gs, c)
+        p = _validated_probabilities(probs[idx] if filled[idx] else circuit_probabilities(gs, c), c)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
         counts[idx] = rng.multinomial(shots, p)
     return Dataset(circuits=circuits, counts=counts, shots=shots)
 
 
 def log_likelihood(gs: GateSet, dataset: Dataset) -> float:
-    """Multinomial log likelihood of the dataset under the gate set."""
+    """Multinomial log likelihood of the dataset under the gate set, its
+    probabilities from the same prefix walk as :func:`simulate_dataset`."""
     total = 0.0
     shots = dataset.shots
-    for c, n in zip(dataset.circuits, dataset.counts):
-        p = np.clip(circuit_probabilities(gs, c), PROB_CLIP_FLOOR, 1.0)
+    probs, filled = _walked_probabilities(gs, dataset.circuits)
+    for idx, (c, n) in enumerate(zip(dataset.circuits, dataset.counts)):
+        p = np.clip(probs[idx] if filled[idx] else circuit_probabilities(gs, c), PROB_CLIP_FLOOR, 1.0)
         total += math.lgamma(shots + 1) - sum(math.lgamma(k + 1) for k in n.tolist()) + float(n @ np.log(p))
     return float(total)

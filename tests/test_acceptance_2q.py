@@ -52,6 +52,20 @@ def standard_germs_2q(xycphase):
 
 
 @pytest.fixture(scope="module")
+def per_germ_fpr_2q(xycphase, fids2q, standard_germs_2q):
+    """Per-germ FPR of the standard germs (eps 0.5, seed 11), run once for
+    the tests that share it."""
+    preps, meass = fids2q
+    t0 = time.time()
+    result = FP.per_germ_fpr(
+        xycphase, preps, meass, standard_germs_2q, eps_lambda=0.5, search_seed=11
+    )
+    kept = {k: len(v) for k, v in result.pairs_by_germ.items()}
+    print(f"\nper-germ FPR ({time.time() - t0:.0f}s): kept {kept}")
+    return result
+
+
+@pytest.fixture(scope="module")
 def eval_model_2q(xycphase):
     return FI.default_eval_model(xycphase, seed=97)
 
@@ -80,14 +94,11 @@ def test_2q_full_design_median_growth(xycphase, fids2q, standard_germs_2q, eval_
     assert_growing(depths, medians)
 
 
-def test_2q_per_germ_design_median_growth(xycphase, fids2q, standard_germs_2q, eval_model_2q):
+def test_2q_per_germ_design_median_growth(
+    xycphase, fids2q, standard_germs_2q, eval_model_2q, per_germ_fpr_2q
+):
     preps, meass = fids2q
-    t0 = time.time()
-    result = FP.per_germ_fpr(
-        xycphase, preps, meass, standard_germs_2q, eps_lambda=0.5, search_seed=11
-    )
-    kept = {k: len(v) for k, v in result.pairs_by_germ.items()}
-    print(f"per-germ FPR ({time.time() - t0:.0f}s): kept {kept}")
+    result = per_germ_fpr_2q
     assert all(r >= 0.5 for r in result.achieved_ratio.values())
     design = D.build_design(
         preps, meass, standard_germs_2q, D.default_schedule(64), result.to_policy(),
@@ -112,7 +123,7 @@ def test_2q_random_design_median_growth(xycphase, fids2q, standard_germs_2q, eva
     assert_growing(depths, medians)
 
 
-def test_2q_wallclock_totals_within_quarter(xycphase, fids2q, standard_germs_2q):
+def test_2q_wallclock_totals_within_quarter(xycphase, fids2q, standard_germs_2q, per_germ_fpr_2q):
     """Published three-architecture totals for the standard-germ designs at
     L=1024 / 100 shots: full 4.4 min / 7.5 hr / 2.3 hr, per-germ 2.4 min /
     3.5 hr / 1.0 hr.  Our own designs' totals must land within +/-25%."""
@@ -125,11 +136,8 @@ def test_2q_wallclock_totals_within_quarter(xycphase, fids2q, standard_germs_2q)
     designs["full"] = D.build_design(
         preps, meass, standard_germs_2q, D.default_schedule(1024), gateset_labels=xycphase.labels
     )
-    fpr_result = FP.per_germ_fpr(
-        xycphase, preps, meass, standard_germs_2q, eps_lambda=0.5, search_seed=11
-    )
     designs["per-germ"] = D.build_design(
-        preps, meass, standard_germs_2q, D.default_schedule(1024), fpr_result.to_policy(),
+        preps, meass, standard_germs_2q, D.default_schedule(1024), per_germ_fpr_2q.to_policy(),
         gateset_labels=xycphase.labels,
     )
     for kind, design in designs.items():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,11 +7,13 @@ from hypothesis import given, strategies as st
 from gstdesign import design as D
 from gstdesign import fpr as FP
 from gstdesign import germs as G
+from gstdesign.builtins import builtin_fiducials, make_xycphase_gateset
 from gstdesign.model import (
     Circuit,
     circuit_ptm,
     effective_fiducial_effects,
     effective_fiducial_states,
+    numerical_rank,
 )
 
 GERMS = [
@@ -153,3 +157,103 @@ def test_random_fpr_skips_repeated_powers(xyi_fiducials):
     germ = Circuit(("Gx", "Gy", "Gi"))
     pairs = random_pairs(xyi_fiducials, [germ], (3, 4, 6), 0.125, seed=1)
     assert sorted(pairs) == [(0, 3), (0, 6)]
+
+
+def exhaustive_per_germ_fpr(gs, preps, meass, germs, eps_lambda, search_seed, candidates_per_size=100, trace=None):
+    """Reference search: every candidate of every size gets the exact SVD
+    score and the stable sort's first maximum wins.  ``trace``, when given,
+    collects ``(germ index, size, draws, scores)`` for every size tried."""
+    m = gs.num_effects
+    full_grid = [(j, i) for j in range(len(preps)) for i in range(len(meass))]
+    pairs_by_germ, achieved = {}, {}
+    for k, germ in enumerate(germs):
+        kite = G.kite_structure(circuit_ptm(gs, germ), G.IDEAL_DEGENERACY_TOL)
+        jac_full = FP.kite_param_jacobian(gs, full_grid, preps, meass, kite)
+        svals = np.linalg.svd(jac_full, compute_uv=False)
+        rank = numerical_rank(svals)
+        lam_baseline = float(svals[rank - 1] ** 2)
+        rng = np.random.default_rng(np.random.SeedSequence([int(search_seed), k]))
+        found = None
+        for size in range(max(1, math.ceil(rank / m)), len(full_grid)):
+            batch = []
+            for _ in range(candidates_per_size):
+                sel = sorted(rng.choice(len(full_grid), size=size, replace=False).tolist())
+                rows = np.concatenate([np.arange(r * m, (r + 1) * m) for r in sel])
+                spec = np.sort(np.linalg.svd(jac_full[rows], compute_uv=False) ** 2)[::-1]
+                batch.append((float(spec[rank - 1]) if spec.size >= rank else 0.0, sel))
+            if trace is not None:
+                trace.append((k, size, [sel for _, sel in batch], [lam for lam, _ in batch]))
+            if not batch:
+                continue
+            batch.sort(key=lambda t: -t[0])
+            lam, sel = batch[0]
+            if lam >= eps_lambda * lam_baseline:
+                found = (sel, lam / lam_baseline)
+                break
+        if found is None:
+            pairs_by_germ[k], achieved[k] = tuple(full_grid), 1.0
+        else:
+            pairs_by_germ[k] = tuple(full_grid[r] for r in found[0])
+            achieved[k] = found[1]
+    return pairs_by_germ, achieved
+
+
+def assert_matches_exhaustive(gs, preps, meass, germs, eps, seed, **kw):
+    result = FP.per_germ_fpr(gs, preps, meass, germs, eps_lambda=eps, search_seed=seed, **kw)
+    pairs, ratios = exhaustive_per_germ_fpr(gs, preps, meass, germs, eps, seed, **kw)
+    assert result.pairs_by_germ == pairs
+    assert result.achieved_ratio == ratios  # equal in bits
+    return result
+
+
+@pytest.mark.parametrize("seed, eps", [(0, 1.0 / 30.0), (3, 0.0333), (5, 0.1), (7, 0.5)])
+def test_screened_search_equals_exhaustive_xyi(xyi, xyi_fiducials, seed, eps):
+    pool = G.germ_candidate_pool(xyi.labels, 3)
+    assert_matches_exhaustive(xyi, xyi_fiducials, xyi_fiducials, pool, eps, seed)
+
+
+def test_screened_search_equals_exhaustive_2q():
+    gs = make_xycphase_gateset()
+    preps, meass = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
+    assert_matches_exhaustive(gs, preps, meass, [Circuit(("Gcphase", "Gxi", "Giy"))], 0.1, 11)
+
+
+def count_svds(monkeypatch) -> list:
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_exact_tie_goes_to_the_earliest_draw(xyi, xyi_fiducials, monkeypatch):
+    # prep fiducials 0 and 1 are the same circuit, so sets that differ only
+    # by swapping pair (0, 0) for (1, 0) have equal rows and equal scores
+    f = xyi_fiducials
+    preps, meass, germs = [f[1], f[1], f[2]], [f[0]], [GERMS[2]]
+    trace = []
+    pairs, ratios = exhaustive_per_germ_fpr(xyi, preps, meass, germs, 1e-3, 3, candidates_per_size=6, trace=trace)
+    _, size, draws, scores = trace[-1]
+    tied = [sel for sel, lam in zip(draws, scores) if lam == max(scores)]
+    assert len({tuple(sel) for sel in tied}) >= 2  # distinct sets, equal in bits
+    calls = count_svds(monkeypatch)
+    result = FP.per_germ_fpr(xyi, preps, meass, germs, eps_lambda=1e-3, search_seed=3, candidates_per_size=6)
+    assert result.pairs_by_germ == pairs and result.achieved_ratio == ratios
+    full_grid = [(j, 0) for j in range(3)]
+    assert result.pairs_by_germ[0] == tuple(full_grid[r] for r in tied[0])
+    # every tied set survives the screen: the multi-survivor path ran
+    scored = [shape for shape in calls if shape[0] == size * xyi.num_effects]
+    assert len(scored) >= len(tied)
+
+
+def test_screen_skips_sizes_without_exact_scores(xyi, xyi_fiducials, monkeypatch):
+    calls = count_svds(monkeypatch)
+    result = FP.per_germ_fpr(xyi, xyi_fiducials, xyi_fiducials, [GERMS[2]], eps_lambda=0.5, search_seed=7)
+    rank = result.baseline_rank[0]
+    sizes_tried = len(result.pairs_by_germ[0]) - math.ceil(rank / xyi.num_effects) + 1
+    exact = len(calls) - 1  # one SVD is the full grid's baseline
+    assert sizes_tried > 1 and 1 <= exact < sizes_tried  # some size needed no SVD at all

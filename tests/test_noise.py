@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,3 +163,52 @@ def test_likelihood_dominance(xyi, rng):
         if l_true >= N.log_likelihood(other, ds):
             wins += 1
     assert wins >= 0.95 * trials
+
+def shuffled_design_circuits(xyi, xyi_fiducials, seed):
+    from gstdesign import design as D
+    from gstdesign.germs import bare_germs
+
+    design = D.build_design(
+        xyi_fiducials, xyi_fiducials, bare_germs(xyi) + [Circuit(("Gx", "Gy"))], D.default_schedule(16),
+        gateset_labels=xyi.labels,
+    )
+    circuits = list(design.circuits)
+    order = np.random.default_rng(seed).permutation(len(circuits))
+    return [circuits[i] for i in order]
+
+
+def test_prefix_walk_equals_circuit_probabilities_in_bits(xyi, xyi_fiducials):
+    noisy = N.sample_noisy_gateset(xyi, N.NoiseSpec("coherent-depol", 0.02, 0.01, 3))
+    circuits = shuffled_design_circuits(xyi, xyi_fiducials, seed=4)
+    circuits += [Circuit(()), circuits[0], Circuit(circuits[1].labels[:1])]  # empty, repeated, a prefix
+    probs, filled = N._walked_probabilities(noisy, tuple(circuits))
+    assert filled.all()
+    for c, p in zip(circuits, probs):
+        assert p.tobytes() == circuit_probabilities(noisy, c).tobytes()
+
+
+def test_simulate_and_likelihood_equal_per_circuit_reference(xyi, xyi_fiducials):
+    circuits = shuffled_design_circuits(xyi, xyi_fiducials, seed=9)
+    ds = N.simulate_dataset(xyi, circuits, shots=300, seed=21)
+    expected, total = [], 0.0
+    for idx, c in enumerate(circuits):
+        p = np.clip(circuit_probabilities(xyi, c), 0.0, None)
+        rng = np.random.default_rng(np.random.SeedSequence([21, idx]))
+        expected.append(rng.multinomial(300, p / p.sum()))
+        q = np.clip(circuit_probabilities(xyi, c), N.PROB_CLIP_FLOOR, 1.0)
+        n = expected[-1]
+        total += math.lgamma(301) - sum(math.lgamma(k + 1) for k in n.tolist()) + float(n @ np.log(q))
+    assert np.array_equal(ds.counts, np.array(expected))
+    assert N.log_likelihood(xyi, ds) == total
+
+
+def test_invalid_circuit_error_names_the_first_in_circuit_order(xyi):
+    from gstdesign.model import GateSetError
+
+    # "Ga" sorts first, but "Gq" comes first in circuit order
+    circuits = [Circuit(("Gx",)), Circuit(("Gx", "Gq")), Circuit(("Ga",))]
+    with pytest.raises(GateSetError, match="'Gq'"):
+        N.simulate_dataset(xyi, circuits, shots=10, seed=1)
+    ds = N.Dataset(circuits=tuple(circuits), counts=np.zeros((3, 2), dtype=np.int64), shots=0)
+    with pytest.raises(GateSetError, match="'Gq'"):
+        N.log_likelihood(xyi, ds)
