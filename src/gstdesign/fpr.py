@@ -86,14 +86,20 @@ def kite_param_jacobian(
         raise ValueError("kite_param_jacobian needs at least one fiducial pair")
     m = gs.num_effects
     states = effective_fiducial_states(gs, list(prep_fiducials))
-    all_effects = effective_fiducial_effects(gs, list(meas_fiducials))
-    us, vs = (idx.tolist() for idx in kite.coords)
-    jac = np.empty((len(pairs) * m, len(us)), dtype=complex)
-    for r, (j, i) in enumerate(pairs):
-        right = kite.basis_inv @ states[j]
-        for t in range(m):
-            left = all_effects[i * m + t] @ kite.basis
-            jac[r * m + t] = [left[u] * right[v] for u, v in zip(us, vs)]
+    effects = effective_fiducial_effects(gs, list(meas_fiducials))
+    us, vs = kite.coords
+    # one matvec per fiducial; row (r, t) of pair r = (j, i) takes effect
+    # i*m + t and state j
+    j, i = np.array(pairs).T
+    left = np.array([e @ kite.basis for e in effects])[:, us][(i[:, None] * m + np.arange(m)).ravel()]
+    right = np.array([kite.basis_inv @ s for s in states])[:, vs][np.repeat(j, m)]
+    if not np.iscomplexobj(left):
+        return (left * right).astype(complex)  # imaginary parts +0.0
+    # real multiplies round as the scalar complex product does, which a
+    # vectorised complex product does not
+    jac = np.empty(left.shape, dtype=complex)
+    jac.real = left.real * right.real - left.imag * right.imag
+    jac.imag = left.real * right.imag + left.imag * right.real
     return jac
 
 
@@ -114,18 +120,14 @@ def _pair_grams(blocks: np.ndarray) -> np.ndarray:
     return grams.reshape(len(blocks), -1).view(np.float64)
 
 
-def _selected(select: np.ndarray, pair_grams: np.ndarray, width: int) -> np.ndarray:
-    """Each selection row's sum of per-pair Grams, as a ``width x width`` stack."""
-    return (select @ pair_grams).view(complex).reshape(len(select), width, width)
-
-
-def _eigvalsh_at(grams_of, count: int, width: int, index: int) -> np.ndarray:
-    """Ascending eigenvalue ``index`` of each of ``count`` Hermitian
-    ``width x width`` matrices, ``grams_of(s)`` stacking those of slice
-    ``s``, at most :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
+def _eigvalsh_at(select: np.ndarray, pair_grams: np.ndarray, width: int, index: int) -> np.ndarray:
+    """Ascending eigenvalue ``index`` of each selection row's sum of
+    per-pair Grams, a Hermitian ``width x width`` matrix, stacked at most
+    :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
     chunk = max(1, GERM_STACK_BYTES // (16 * width * width))
+    grams = (select[lo : lo + chunk] @ pair_grams for lo in range(0, len(select), chunk))
     return np.concatenate([
-        np.linalg.eigvalsh(grams_of(slice(lo, lo + chunk)))[:, index] for lo in range(0, count, chunk)
+        np.linalg.eigvalsh(g.view(complex).reshape(-1, width, width))[:, index] for g in grams
     ])
 
 
@@ -141,33 +143,22 @@ class _PairScreen:
       ``width - rank + 1`` orthonormal columns ``W`` (Courant-Fischer).
       ``W`` spans the full grid's trailing eigenvectors, so the cap solves
       ``width - rank + 1`` wide matrices, one wide for a full-rank germ;
-    * an estimate ``a``: the rank-th largest eigenvalue of ``G`` held by its
-      smaller side, as :class:`~gstdesign.fisher.HeldFim` holds a Fisher
-      matrix.  Below the width that is the rows' Gram ``J J^H``, a
-      submatrix of the full grid's; at or above it, a 0/1 selection matrix
-      times the stacked ``P_r``.
+    * an estimate ``a``: the rank-th largest eigenvalue of ``G``, a 0/1
+      selection matrix times the stacked ``P_r``.  ``G`` is
+      ``width x width`` at every size, also for a candidate with fewer
+      rows than that: its eigenvalues beyond the rows are zero, a candidate
+      has at least ``rank`` rows, and the bound holds for a Gram of any
+      rank.
     """
 
     def __init__(self, jac_full: np.ndarray, m: int, rank: int):
-        self.jac, self.m, self.rank = jac_full, m, rank
+        self.rank = rank
         self.pairs, self.width = len(jac_full) // m, jac_full.shape[1]
         blocks = jac_full.reshape(self.pairs, m, self.width)
         self.traces = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
         trailing = np.linalg.eigh(jac_full.conj().T @ jac_full)[1][:, : self.width - rank + 1]
         self._cap_grams = _pair_grams(blocks @ trailing)
-        self._row_gram = self._pair_grams = None  # built on first use
-
-    def _grams(self, draws: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """Each candidate's Gram, held by its smaller side."""
-        m, (cands, size) = self.m, draws.shape
-        if size * m < self.width:
-            if self._row_gram is None:
-                self._row_gram = self.jac @ self.jac.conj().T
-            rows = (draws[:, :, None] * m + np.arange(m)).reshape(cands, size * m)
-            return self._row_gram[rows[:, :, None], rows[:, None, :]]
-        if self._pair_grams is None:
-            self._pair_grams = _pair_grams(self.jac.reshape(self.pairs, m, self.width))
-        return _selected(select, self._pair_grams, self.width)
+        self._pair_grams = _pair_grams(blocks)
 
     def survivors(self, draws: np.ndarray, threshold: float) -> np.ndarray:
         """Indices, in draw order, of the candidates (rows of sorted pair
@@ -181,14 +172,11 @@ class _PairScreen:
         select[np.arange(cands)[:, None], draws] = 1.0
         delta = SCREEN_RTOL * (select @ self.traces)
         w = self.width - self.rank + 1
-        cap = _eigvalsh_at(lambda s: _selected(select[s], self._cap_grams, w), cands, w, w - 1)
+        cap = _eigvalsh_at(select, self._cap_grams, w, w - 1)
         idx = np.flatnonzero(cap + delta >= threshold)
         if not idx.size:
             return idx
-        held = min(draws.shape[1] * self.m, self.width)
-        est = _eigvalsh_at(
-            lambda s: self._grams(draws[idx[s]], select[idx[s]]), idx.size, held, held - self.rank
-        )
+        est = _eigvalsh_at(select[idx], self._pair_grams, self.width, self.width - self.rank)
         upper, lower = est + delta[idx], est - delta[idx]
         return idx[upper >= max(threshold, lower.max())]
 

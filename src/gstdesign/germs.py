@@ -146,11 +146,6 @@ def _clusters(labels: np.ndarray) -> list[list[int]]:
     return list(clusters.values())
 
 
-def _cluster_eigenvalues(evals: np.ndarray, tol: float) -> list[list[int]]:
-    """Clusters of one spectrum (see :func:`_cluster_labels`)."""
-    return _clusters(_cluster_labels(np.asarray(evals)[None], tol)[0])
-
-
 def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
     """Schur-free fallback: null spaces of (A - lambda I)^k per cluster."""
     dim = op.shape[0]
@@ -399,11 +394,14 @@ def germset_jacobian(models: list[GateSet], germs) -> list[np.ndarray]:
 def amplifiable_count(model: GateSet, tangent: GaugeTangent | None = None) -> int:
     """Gate parameters minus the gauge tangent's rank within gate coordinates.
 
-    At an ideal (noise-free) target the similarity direction that rescales
-    all traceless components moves no gate, so it drops out of the
-    projected rank and is excluded from the count automatically; at
-    perturbed models it re-enters and the target drops by one.  ``tangent``
-    is ``gauge_tangent(model)`` when the caller already has it.
+    The gauge direction ``diag(0, 1, ..., 1)``, which rescales all
+    traceless components, commutes with every unital gate (one whose first
+    column is ``(1, 0, ..., 0)``: it maps the identity to itself).  While
+    every gate is unital it moves no gate, drops out of the projected rank
+    and is excluded from the count automatically; ideal targets, coherent
+    perturbations and depolarization all keep gates unital.  A non-unital
+    gate brings it back and the target drops by one.  ``tangent`` is
+    ``gauge_tangent(model)`` when the caller already has it.
     """
     blocks = param_blocks(model)
     n_gate = sum(blocks[l].stop - blocks[l].start for l in model.gates)
@@ -462,12 +460,6 @@ def _gram_ranks_and_scores(
     return ranks, scores
 
 
-def _gram_rank_and_score(gram_evals: np.ndarray, target: int, score_fn: str) -> tuple[int, float]:
-    """:func:`_gram_ranks_and_scores` of one spectrum."""
-    ranks, scores = _gram_ranks_and_scores(gram_evals[None], target, score_fn)
-    return int(ranks[0]), float(scores[0])
-
-
 @dataclass
 class GermSelectionResult:
     germs: list[Circuit]
@@ -508,7 +500,8 @@ def select_germs(
     :data:`GERM_STACK_BYTES` of them at a time, and eigensolved by one
     stacked ``eigvalsh``, which gives each member the bits of its own call.
     That partial key is a lower bound on the candidate's key, so candidates
-    are completed on the remaining models in ascending partial-key order,
+    are completed on the remaining models, each model's test Gram a stack
+    of one, in ascending partial-key order,
     each dropped as soon as its partial key exceeds the best complete key,
     and the step ends at the first partial key above it.  The chosen germs
     are exactly those of scoring every candidate on every model.  Each
@@ -530,20 +523,18 @@ def select_germs(
         jac *= weights
         jacobians.append(jac)
 
-    def gram_of(ci: int, mi: int) -> np.ndarray:
-        j = jacobians[mi][ci]
-        return j.T @ j
-
-    def rank_and_score(gram_evals: np.ndarray, mi: int) -> tuple[int, float]:
-        return _gram_rank_and_score(gram_evals, targets[mi], score_fn)
-
     def shortfall(mi: int, rank: int) -> int:
         return max(targets[mi] - rank, 0)
+
+    def key_of(ci: int, worst: tuple[int, float]) -> tuple:
+        """Key of the current set joined with ``ci`` from its worst
+        (shortfall, score) over the models scored so far."""
+        return (worst[0], float(np.round(worst[1], 9)), (len(pool[ci].labels), pool[ci].labels))
 
     deficits = []
     for mi, jac in enumerate(jacobians):
         rows = jac.reshape(-1, jac.shape[-1])
-        rank, _ = rank_and_score(np.linalg.eigvalsh(rows.T @ rows), mi)
+        (rank,), _ = _gram_ranks_and_scores(np.linalg.eigvalsh(rows.T @ rows)[None], targets[mi], score_fn)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))
     if deficits:
@@ -578,27 +569,24 @@ def select_germs(
         )
         first = order[0]
         cands = [ci for ci in range(len(pool)) if ci not in chosen_idx]
-        partial = {}
-        for ci, (rank, score) in zip(cands, stacked_scores(cands, first)):
-            tie = (len(pool[ci].labels), pool[ci].labels)
-            partial[ci] = ((shortfall(first, rank), float(np.round(score, 9)), tie), rank, score)
+        first_scores = dict(zip(cands, stacked_scores(cands, first)))
+        partial = {ci: key_of(ci, (shortfall(first, r), s)) for ci, (r, s) in first_scores.items()}
         eigensolves = len(cands)
 
         best = None
-        for ci in sorted(cands, key=lambda ci: partial[ci][0]):
-            key, rank, score = partial[ci]
+        for ci in sorted(cands, key=partial.__getitem__):
+            key = partial[ci]
             if best is not None and key > best[0]:
                 break  # every later partial key, a lower bound, loses too
             test_ranks = [0] * len(models)
             test_scores = [0.0] * len(models)
-            test_ranks[first], test_scores[first] = rank, score
-            worst = (shortfall(first, rank), score)
+            test_ranks[first], test_scores[first] = first_scores[ci]
+            worst = (shortfall(first, test_ranks[first]), test_scores[first])
             for mi in order[1:]:
-                evals = np.linalg.eigvalsh(chosen_grams[mi] + gram_of(ci, mi))
-                test_ranks[mi], test_scores[mi] = rank_and_score(evals, mi)
+                [(test_ranks[mi], test_scores[mi])] = stacked_scores([ci], mi)
                 eigensolves += 1
                 worst = max(worst, (shortfall(mi, test_ranks[mi]), test_scores[mi]))
-                key = (worst[0], float(np.round(worst[1], 9)), key[2])
+                key = key_of(ci, worst)
                 if best is not None and key > best[0]:
                     break  # a lower bound on the final key already loses
             else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import Circuit, GateSet, circuit_probabilities, depolarizing_ptm, hamiltonian_generator_ptms
+from .model import Circuit, GateSet, GateSetError, depolarizing_ptm, hamiltonian_generator_ptms
 
 __all__ = [
     "NoiseSpec",
@@ -127,21 +127,24 @@ class Dataset:
             return Dataset.from_json_dict(json.load(f))
 
 
-def _walked_probabilities(gs: GateSet, circuits: tuple[Circuit, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _walked_probabilities(gs: GateSet, circuits: tuple[Circuit, ...]) -> np.ndarray:
     """Outcome probabilities of every circuit, one row each in circuit
-    order, from one walk per distinct label prefix, and which rows it filled.
+    order, from one walk per distinct label prefix.
 
-    Circuits are visited in sorted label order over a stack of states, the
-    state after each prefix of the previous circuit, and each circuit
+    Every label is checked first, in circuit order, so the first circuit
+    holding a label the gate set lacks raises :class:`GateSetError`.
+    Circuits are then visited in sorted label order over a stack of states,
+    the state after each prefix of the previous circuit, and each circuit
     starts from its longest common prefix with the previous one.  A circuit
     therefore sees the same ``G @ v`` products as in
     :func:`~gstdesign.model.circuit_probabilities`, and its probabilities
-    are equal bit for bit.  A circuit holding a label the gate set lacks is
-    left unfilled, for ``circuit_probabilities`` to raise on in order.
+    are equal bit for bit.
     """
+    unknown = [label for c in circuits for label in c.labels if label not in gs.gates]
+    if unknown:
+        raise GateSetError(f"unknown gate label {unknown[0]!r}")
     effects = gs.effect_matrix()
     probs = np.zeros((len(circuits), gs.num_effects))
-    filled = np.zeros(len(circuits), dtype=bool)
     states = np.empty((max(map(len, circuits), default=0) + 1, gs.dim))
     states[0] = gs.prep
     path: list[str] = []  # labels walked so far; states[d] follows path[:d]
@@ -152,14 +155,10 @@ def _walked_probabilities(gs: GateSet, circuits: tuple[Circuit, ...]) -> tuple[n
             depth += 1
         del path[depth:]
         for label in labels[depth:]:
-            if label not in gs.gates:
-                break
             np.matmul(gs.gates[label], states[len(path)], out=states[len(path) + 1])
             path.append(label)
-        else:
-            probs[idx] = effects @ states[len(path)]
-            filled[idx] = True
-    return probs, filled
+        probs[idx] = effects @ states[len(path)]
+    return probs
 
 
 def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
@@ -178,15 +177,17 @@ def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
     Probabilities come from one walk per distinct label prefix over the
     circuits in sorted label order, each circuit resuming from its longest
     common prefix with the one before, and equal those of
-    :func:`~gstdesign.model.circuit_probabilities` bit for bit.  Validation
-    and the draws run in circuit order, so the first invalid circuit is the
-    one an error names.
+    :func:`~gstdesign.model.circuit_probabilities` bit for bit.  Labels are
+    checked before any probability, so a circuit with an unknown label
+    raises :class:`GateSetError` before an earlier circuit's probabilities
+    are checked.  Validation and the draws then run in circuit order, so
+    the first invalid circuit is the one an error names.
     """
     circuits = tuple(circuits)
     counts = np.zeros((len(circuits), gs.num_effects), dtype=np.int64)
-    probs, filled = _walked_probabilities(gs, circuits)
+    probs = _walked_probabilities(gs, circuits)
     for idx, c in enumerate(circuits):
-        p = _validated_probabilities(probs[idx] if filled[idx] else circuit_probabilities(gs, c), c)
+        p = _validated_probabilities(probs[idx], c)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
         counts[idx] = rng.multinomial(shots, p)
     return Dataset(circuits=circuits, counts=counts, shots=shots)
@@ -194,11 +195,12 @@ def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
 
 def log_likelihood(gs: GateSet, dataset: Dataset) -> float:
     """Multinomial log likelihood of the dataset under the gate set, its
-    probabilities from the same prefix walk as :func:`simulate_dataset`."""
+    probabilities from the same prefix walk as :func:`simulate_dataset`;
+    the first circuit with an unknown label raises :class:`GateSetError`."""
     total = 0.0
     shots = dataset.shots
-    probs, filled = _walked_probabilities(gs, dataset.circuits)
-    for idx, (c, n) in enumerate(zip(dataset.circuits, dataset.counts)):
-        p = np.clip(probs[idx] if filled[idx] else circuit_probabilities(gs, c), PROB_CLIP_FLOOR, 1.0)
+    probs = _walked_probabilities(gs, dataset.circuits)
+    for p, n in zip(probs, dataset.counts):
+        p = np.clip(p, PROB_CLIP_FLOOR, 1.0)
         total += math.lgamma(shots + 1) - sum(math.lgamma(k + 1) for k in n.tolist()) + float(n @ np.log(p))
     return float(total)

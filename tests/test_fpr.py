@@ -79,6 +79,43 @@ def test_kite_jacobian_matches_finite_differences(xyi, xyi_fiducials):
                 assert abs(fd - jac[r * m + t, col]) < 1e-6
 
 
+def per_element_kite_jacobian(gs, pairs, preps, meass, kite):
+    """Reference: one scalar product per entry, each fiducial's matvec
+    taken per row."""
+    m = gs.num_effects
+    states = effective_fiducial_states(gs, list(preps))
+    effects = effective_fiducial_effects(gs, list(meass))
+    us, vs = (idx.tolist() for idx in kite.coords)
+    jac = np.empty((len(pairs) * m, len(us)), dtype=complex)
+    for r, (j, i) in enumerate(pairs):
+        right = kite.basis_inv @ states[j]
+        for t in range(m):
+            left = effects[i * m + t] @ kite.basis
+            jac[r * m + t] = [left[u] * right[v] for u, v in zip(us, vs)]
+    return jac
+
+
+def test_kite_jacobian_equals_per_element_loop_in_bytes(xyi, xyi_fiducials):
+    gs2 = make_xycphase_gateset()
+    preps2, meass2 = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
+    cases = [(xyi, xyi_fiducials, xyi_fiducials, germ) for germ in G.germ_candidate_pool(xyi.labels, 4)]
+    cases += [
+        (gs2, preps2, meass2, Circuit(tuple(germ.split())))
+        for germ in ("Gxi", "Gcphase", "Gxi Gyi", "Gcphase Gxi Giy")
+    ]
+    kinds = set()
+    for gs, preps, meass, germ in cases:
+        kite = G.kite_structure(circuit_ptm(gs, germ))
+        kinds.add(kite.basis.dtype.kind)
+        full = [(j, i) for j in range(len(preps)) for i in range(len(meass))]
+        for pairs in (full, full[::-3]):  # the grid, and pairs out of grid order
+            jac = FP.kite_param_jacobian(gs, pairs, preps, meass, kite)
+            ref = per_element_kite_jacobian(gs, pairs, preps, meass, kite)
+            assert jac.dtype == ref.dtype and jac.strides == ref.strides
+            assert jac.tobytes() == ref.tobytes()
+    assert kinds == {"f", "c"}  # real and complex kites both
+
+
 def test_per_germ_fpr_meets_threshold(xyi, xyi_fiducials):
     eps = 1.0 / 30.0
     result = FP.per_germ_fpr(xyi, xyi_fiducials, xyi_fiducials, GERMS, eps_lambda=eps, search_seed=5)
@@ -216,6 +253,19 @@ def test_screened_search_equals_exhaustive_2q():
     gs = make_xycphase_gateset()
     preps, meass = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
     assert_matches_exhaustive(gs, preps, meass, [Circuit(("Gcphase", "Gxi", "Giy"))], 0.1, 11)
+
+
+@pytest.mark.parametrize("eps, seed", [(0.1, 3), (0.5, 3), (0.0333, 0), (0.5, 7)])
+@pytest.mark.parametrize("germ, n_prep, n_meas", [("Gi", 3, 3), ("Gi Gx", 6, 2)])
+def test_screened_search_equals_exhaustive_below_kite_width(xyi, xyi_fiducials, germ, n_prep, n_meas, eps, seed):
+    # the smallest candidates hold fewer rows than kite coordinates, so
+    # their Grams are rank deficient
+    germs = [Circuit(tuple(germ.split()))]
+    preps, meass = xyi_fiducials[:n_prep], xyi_fiducials[:n_meas]
+    result = assert_matches_exhaustive(xyi, preps, meass, germs, eps, seed)
+    m = xyi.num_effects
+    first_size = math.ceil(result.baseline_rank[0] / m)
+    assert first_size * m < G.kite_structure(circuit_ptm(xyi, germs[0])).num_params
 
 
 def count_svds(monkeypatch) -> list:

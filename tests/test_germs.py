@@ -4,7 +4,7 @@ import pytest
 from gstdesign import germs as G
 from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.model import Circuit, circuit_ptm, matrix_rank_rel, n_params, non_gauge_count, param_blocks, to_vector, from_vector
-from gstdesign.noise import perturbed_models
+from gstdesign.noise import NoiseSpec, perturbed_models, sample_noisy_gateset
 
 
 def finite_power_twirl(tau, deriv, power):
@@ -96,8 +96,8 @@ def test_cluster_eigenvalues_matches_set_loop(rng):
     spectra += [np.linalg.eigvals(g) for g in make_xycphase_gateset().gates.values()]
     for evals in spectra:
         for t in (tol, 1e-9, 0.5):
-            assert G._cluster_eigenvalues(evals, t) == set_loop_clusters(evals, t)
-    assert G._cluster_eigenvalues(spectra[0], tol) == [[0, 1, 2], [3]]
+            assert G._clusters(G._cluster_labels(evals[None], t)[0]) == set_loop_clusters(evals, t)
+    assert G._clusters(G._cluster_labels(spectra[0][None], tol)[0]) == [[0, 1, 2], [3]]
 
 
 def test_twirl_idempotent(xyi, rng):
@@ -244,6 +244,23 @@ def test_amplifiable_count_xycphase():
     assert non_gauge_count(gs) == 1023
     assert amp == 1023 - spam_non_gauge
     assert 0 < spam_non_gauge < 63  # fewer than the raw SPAM parameter count
+    # perturbed gates stay unital: the target does not move
+    assert G.amplifiable_count(perturbed_models(gs, 1, 1e-3, seed=5)[0]) == amp == 961
+
+
+def test_amplifiable_count_drops_only_at_a_non_unital_gate(xyi):
+    # diag(0, 1, 1, 1) commutes with every gate mapping the identity to
+    # itself, so it moves no gate until one gate stops doing so
+    unital = [
+        xyi,
+        *perturbed_models(xyi, 3, 1e-3, seed=5),
+        sample_noisy_gateset(xyi, NoiseSpec("coherent-depol", 0.02, 0.01, 3)),
+    ]
+    assert [G.amplifiable_count(m) for m in unital] == [25] * 5
+    gx = xyi.gates["Gx"].copy()
+    gx[3, 0] = 0.01  # still trace preserving, no longer unital
+    damped = type(xyi)(gates={**xyi.gates, "Gx": gx}, prep=xyi.prep, effects=xyi.effects)
+    assert G.amplifiable_count(damped) == 24
 
 
 def test_bare_germ_rank_below_target_at_perturbed_model(xyi):
@@ -316,7 +333,7 @@ def unpruned_select_germs(models, pool):
                 continue
             test = [grams[mi] + jacs[ci][mi].T @ jacs[ci][mi] for mi in range(len(models))]
             scored = [
-                G._gram_rank_and_score(np.linalg.eigvalsh(t), target, "sum")
+                tuple(x.item() for x in G._gram_ranks_and_scores(np.linalg.eigvalsh(t)[None], target, "sum"))
                 for t, target in zip(test, targets)
             ]
             worst = max((max(t - r, 0), s) for t, (r, s) in zip(targets, scored))
@@ -434,7 +451,7 @@ def test_kite_basis_is_a_lone_eig_in_kite_order(xyi, rng):
     gx_gy = circuit_ptm(xyi, Circuit(("Gx", "Gy")))
     for op in (xyi.gates["Gx"], xyi.gates["Gi"], gx_gy, rng.standard_normal((4, 4))):
         evals, evecs = np.linalg.eig(op)
-        clusters = G._cluster_eigenvalues(evals, G.IDEAL_DEGENERACY_TOL)
+        clusters = G._clusters(G._cluster_labels(evals[None], G.IDEAL_DEGENERACY_TOL)[0])
         order = [i for group in clusters for i in group]
         ref = evecs[:, order]
         kite = G.kite_structure(op)
