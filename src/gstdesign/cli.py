@@ -90,12 +90,17 @@ def _read_json(path: str):
 
 
 def _load_circuit_list(path: str, what: str, gs: GateSet) -> list[Circuit]:
-    """Read a JSON list of label arrays and check every label belongs to ``gs``."""
+    """Read a non-empty JSON list of label arrays and check every label
+    belongs to ``gs``.  A germ must hold a label; a fiducial may be empty."""
     doc = _read_input(what, path, _read_json)
     if isinstance(doc, dict):
         doc = doc.get("circuits", doc.get("germs", doc.get("fiducials")))
     if not isinstance(doc, list) or not all(isinstance(c, list) and all(isinstance(x, str) for x in c) for c in doc):
         raise CliError(f"invalid {what} file {path}: expected a list of label arrays")
+    if not doc:
+        raise CliError(f"invalid {what} file {path}: the list is empty")
+    if what == "germ" and not all(doc):
+        raise CliError(f"invalid germ file {path}: a germ is empty")
     _check_labels(what, path, doc, gs)
     return [Circuit(tuple(labels)) for labels in doc]
 
@@ -216,10 +221,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_wallclock(args) -> int:
     devices = list(bi.BUILTIN_DEVICES) if args.device == "all" else [args.device]
-    gs = _load_gateset(args.gateset) if args.gateset and args.design else None
-    two_q = gs.two_qubit_labels if gs else None
-    columns = [(path, _load_design(path, gs)) for path in args.design or []]
-    columns += [(f"{count} circuits", count) for count in args.circuits or []]
+    given = _load_gateset(args.gateset) if args.gateset and args.design else None
+    columns = []
+    for path in args.design or []:
+        design = _load_design(path, given)
+        gs = given
+        if gs is None and design.gateset_ref:
+            # without --gateset, the two-qubit labels come from the gate set the design names
+            gs = _load_gateset(design.gateset_ref)
+        columns.append((path, design, gs.two_qubit_labels if gs else None))
+    columns += [(f"{count} circuits", count, None) for count in args.circuits or []]
     if not columns:
         raise CliError("need at least one --design or --circuits")
 
@@ -232,7 +243,7 @@ def cmd_wallclock(args) -> int:
                 payload, args.shots, dev, two_qubit_labels=two_q,
                 mean_depth=args.mean_depth, two_qubit_fraction=args.two_qubit_fraction,
             )
-            for _, payload in columns
+            for _, payload, two_q in columns
         ]
 
     def fmt(seconds: float) -> str:
@@ -243,7 +254,7 @@ def cmd_wallclock(args) -> int:
         return f"{seconds / 3600:.2g} hr"
 
     header = ["device"]
-    for label, _ in columns:
+    for label, _, _ in columns:
         header += [f"{label} time", "speedup"]
     print("  ".join(header))
     for dev_name, row in reports.items():
@@ -405,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("wallclock", help="estimate run time on a device")
-    p.add_argument("--gateset", help="used to mark two-qubit labels of designs")
+    p.add_argument("--gateset", help="marks two-qubit labels of designs (default: the gate set each design names)")
     p.add_argument("--device", required=True, help="builtin name, JSON path, or 'all'")
     p.add_argument("--design", action="append", help="design file (repeatable)")
     p.add_argument("--circuits", action="append", type=_positive_int, help="bare circuit count (repeatable)")

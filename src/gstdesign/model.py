@@ -25,14 +25,13 @@ O(n^2) for the Hessian.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
 __all__ = [
     "GateSetError",
@@ -576,15 +575,31 @@ class GaugeTangent:
     ``rank`` is the :func:`numerical_rank` of ``|diag R|``; the trailing
     ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the non-gauge
     coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
-    ``dormqr``; it is only formed by :meth:`nongauge_basis`.
+    ``dormqr``; it is only formed by :meth:`nongauge_basis`.  The QR, and
+    the SciPy import it needs, is taken on first use of the rank or of the
+    frame (``rank``, ``dim``, :meth:`rows`, :meth:`nongauge_basis`);
+    ``basis`` and ``n_params`` need none.
     """
 
     def __init__(self, basis: np.ndarray):
         self.basis = np.asarray(basis, dtype=float)
-        (self._reflectors, self._tau), r, _ = scipy.linalg.qr(self.basis, mode="raw", pivoting=True)
-        self.rank = numerical_rank(np.abs(np.diag(r)))
         self.n_params = self.basis.shape[0]
-        self.dim = self.n_params - self.rank
+
+    @functools.cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Reflectors, their scales and the numerical rank."""
+        import scipy.linalg
+
+        (reflectors, tau), r, _ = scipy.linalg.qr(self.basis, mode="raw", pivoting=True)
+        return reflectors, tau, numerical_rank(np.abs(np.diag(r)))
+
+    @property
+    def rank(self) -> int:
+        return self._qr[2]
+
+    @property
+    def dim(self) -> int:
+        return self.n_params - self.rank
 
     def rows(self, w: np.ndarray) -> np.ndarray:
         """``w Q2``: each row of ``w`` (a row over the parameters) in the
@@ -602,7 +617,10 @@ class GaugeTangent:
         """``Q`` times ``c`` from ``side`` ("L" or "R")."""
         if c.size == 0:
             return np.array(c, dtype=float)
-        args = (side, "N", self._reflectors, self._tau, c)
+        from scipy.linalg import lapack
+
+        reflectors, tau, _ = self._qr
+        args = (side, "N", reflectors, tau, c)
         lwork = int(lapack.dormqr(*args, -1)[1][0])
         out, _, info = lapack.dormqr(*args, lwork)
         if info != 0:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import Circuit, GateSet, GateSetError, depolarizing_ptm, hamiltonian_generator_ptms
 
@@ -69,6 +68,8 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
     """
     if spec.sigma == 0.0 and (spec.kind == "coherent-only" or spec.eta == 0.0):
         return target
+    import scipy.linalg  # deferred: noiseless commands start without SciPy
+
     gens = hamiltonian_generator_ptms(target.num_qubits)
     depol = depolarizing_ptm(target.dim, spec.eta) if spec.kind == "coherent-depol" else None
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), 0x6E6F6973]))

@@ -400,6 +400,42 @@ def test_malformed_input_file_exits_3(tmp_path, monkeypatch, capsys, case):
     assert not (tmp_path / "o.json").exists()
 
 
+# (option, file content, base argv): empty lists and empty germs, which
+# used to end in a traceback or, for fpr, in a pair set for an empty germ
+EMPTY_LISTS = {
+    "design-prep-fiducials-empty": ("--prep-fiducials", "[]", DESIGN_ARGV),
+    "design-meas-fiducials-empty": ("--meas-fiducials", "[]", DESIGN_ARGV),
+    "design-germ-file-empty-germ": ("--germ-file", "[[]]", DESIGN_ARGV),
+    "design-germ-file-empty": ("--germ-file", "[]", DESIGN_ARGV),
+    "design-per-germ-germ-file-empty": ("--germ-file", "[]", [*DESIGN_ARGV, "--fpr", "per-germ"]),
+    "fpr-per-germ-germ-file-empty": ("--germ-file", "[]", [*FPR_ARGV, "--mode", "per-germ"]),
+    "fpr-prep-fiducials-empty": ("--prep-fiducials", "[]", [*FPR_ARGV, "--germ-file", "g.json"]),
+    "fpr-meas-fiducials-empty": ("--meas-fiducials", "[]", [*FPR_ARGV, "--germ-file", "g.json"]),
+    "fpr-germ-file-empty-germ": ("--germ-file", '[["Gx"], []]', FPR_ARGV),
+    "fpr-random-germ-file-empty-germ": ("--germ-file", "[[]]", [*FPR_ARGV, "--mode", "random"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_LISTS))
+def test_empty_circuit_list_exits_3(tmp_path, monkeypatch, capsys, case):
+    option, content, argv = EMPTY_LISTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('[["Gx"]]')
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run([*argv, option, str(path)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ") and str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_empty_circuit_stays_a_valid_fiducial(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text('[[], ["Gx"], ["Gy"]]')
+    assert run([*DESIGN_ARGV, "--prep-fiducials", "f.json"]) == 0
+    assert ExperimentDesign.load(tmp_path / "o.json").prep_fiducials[0].labels == ()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -626,3 +662,62 @@ def test_import_leaves_scipy_special_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+SCIPY_FREE_COMMANDS = {
+    "help": ["--help"],
+    "wallclock": ["wallclock", "--device", "all", "--design", "DESIGN", "--circuits", "100"],
+    "fpr-per-germ": ["fpr", "--gateset", "xyi", "--mode", "per-germ", "--germ-file", "GERMS",
+                     "--seed", "1", "--out", "OUT"],
+    "fiducials": ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "OUT"],
+    "germs-standard": ["germs", "--gateset", "xyi", "--germs", "standard", "--seed", "1", "--out", "OUT"],
+}
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def _fresh_python(code, *argv):
+    """The last stdout line of ``code`` run in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env)
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_leaves_every_scipy_module_unloaded():
+    assert _fresh_python(f"import sys, gstdesign.cli; print({LOADED_SCIPY})") == "[]"
+
+
+@pytest.mark.parametrize("case", sorted(SCIPY_FREE_COMMANDS))
+def test_command_runs_without_loading_scipy(small_design, tmp_path, case):
+    germs = tmp_path / "germs.json"
+    germs.write_text('[["Gx"], ["Gx", "Gy"]]')
+    paths = {"DESIGN": str(small_design), "GERMS": str(germs), "OUT": str(tmp_path / "out.json")}
+    argv = [paths.get(a, a) for a in SCIPY_FREE_COMMANDS[case]]
+    code = (
+        "import json, sys\n"
+        "from gstdesign import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:  # --help\n"
+        "    code = exc.code\n"
+        f"print(json.dumps([code, {LOADED_SCIPY}]))\n"
+    )
+    assert json.loads(_fresh_python(code, *argv)) == [0, []]
+
+
+def test_wallclock_without_gateset_reads_the_design_gateset(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text('[["Gxi"], ["Gcphase", "Gxi", "Giy"]]')
+    assert run(["design", "--gateset", "xycphase", "--germ-file", "g.json", "--Lmax", "4",
+                "--seed", "1", "--out", "d.json"]) == 0
+    base = ["wallclock", "--device", "all", "--design", "d.json"]
+    assert run([*base, "--gateset", "xycphase", "--report", "given.json"]) == 0
+    assert run([*base, "--report", "named.json"]) == 0
+    assert Path("named.json").read_bytes() == Path("given.json").read_bytes()
+    # a design naming no gate set is charged one-qubit time for every label, as before
+    doc = json.loads(Path("d.json").read_text())
+    Path("unnamed.json").write_text(json.dumps({**doc, "gateset_ref": ""}))
+    assert run(["wallclock", "--device", "all", "--design", "unnamed.json", "--report", "plain.json"]) == 0
+    given, plain = json.loads(Path("given.json").read_text()), json.loads(Path("plain.json").read_text())
+    assert all(p[0]["total"] < g[0]["total"] for p, g in zip(plain.values(), given.values()))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gstdesign import germs as G
 from gstdesign.builtins import make_xycphase_gateset
@@ -261,6 +262,17 @@ def test_amplifiable_count_drops_only_at_a_non_unital_gate(xyi):
     gx[3, 0] = 0.01  # still trace preserving, no longer unital
     damped = type(xyi)(gates={**xyi.gates, "Gx": gx}, prep=xyi.prep, effects=xyi.effects)
     assert G.amplifiable_count(damped) == 24
+
+
+def test_amplifiable_count_and_standard_selection_run_no_qr(xyi, monkeypatch):
+    # both read only the gauge tangent's basis, never its rank or frame
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "qr", lambda *a, **k: calls.append(1))
+    assert G.amplifiable_count(xyi) == 25
+    assert G.amplifiable_count(make_xycphase_gateset()) == 961
+    result = G.select_germs([xyi], G.germ_candidate_pool(xyi.labels, 6))
+    assert result.targets == [25]
+    assert calls == []
 
 
 def test_bare_germ_rank_below_target_at_perturbed_model(xyi):

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from conftest import random_circuit
 from gstdesign import model as M
-from gstdesign.builtins import make_xycphase_gateset
+from gstdesign.builtins import builtin_gateset, make_xycphase_gateset, make_xyi_gateset
 from gstdesign.noise import NoiseSpec, sample_noisy_gateset
 
 LABELS = ("Gi", "Gx", "Gy")
@@ -185,6 +185,65 @@ def test_gauge_tangent_matches_per_generator_reference(xyi, rng, name):
     # the pivoted-QR rank agrees with the singular-value rank
     assert tangent.rank == M.matrix_rank_rel(tangent.basis)
     assert tangent.dim == M.n_params(gs) - tangent.rank == M.non_gauge_count(gs)
+
+
+def direct_gauge_frame(basis, w):
+    """Rank, ``w Q2`` and dense ``Q2`` from one direct pivoted QR and ``dormqr``."""
+    (reflectors, tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
+    rank = M.numerical_rank(np.abs(np.diag(r)))
+    n = basis.shape[0]
+
+    def apply(side, c):
+        args = (side, "N", reflectors, tau, c)
+        lwork = int(scipy.linalg.lapack.dormqr(*args, -1)[1][0])
+        out, _, info = scipy.linalg.lapack.dormqr(*args, lwork)
+        assert info == 0
+        return out
+
+    trailing = np.zeros((n, n - rank), order="F")
+    trailing[rank:] = np.eye(n - rank)
+    return rank, apply("R", w)[:, rank:], apply("L", trailing)
+
+
+@pytest.mark.parametrize("name", ["xyi", "xycphase"])
+def test_gauge_tangent_equals_direct_qr_in_bits(name, rng):
+    gs = builtin_gateset(name)
+    tangent = M.gauge_tangent(gs)
+    w = rng.standard_normal((7, tangent.n_params))
+    rank, rows, q2 = direct_gauge_frame(tangent.basis, w)
+    assert (tangent.rank, tangent.dim) == (rank, tangent.n_params - rank)
+    got_rows, got_q2 = tangent.rows(w), tangent.nongauge_basis()
+    assert got_rows.tobytes() == rows.tobytes() and got_rows.shape == rows.shape
+    assert got_q2.tobytes() == q2.tobytes() and got_q2.shape == q2.shape
+
+
+def test_gauge_tangent_takes_its_qr_once_on_first_use(xyi, monkeypatch):
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    tangent = M.gauge_tangent(xyi)
+    assert (tangent.n_params, tangent.basis.shape) == (43, (43, 12))
+    assert calls == []
+    assert (tangent.rank, tangent.dim) == (12, 31)
+    tangent.rows(np.ones((2, 43)))
+    tangent.nongauge_basis()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name, make", [("xyi", make_xyi_gateset), ("xycphase", make_xycphase_gateset)])
+def test_made_gatesets_equal_bundled_json_in_bits(name, make):
+    made, bundled = make(), builtin_gateset(name)
+    assert sorted(made.gates) == sorted(bundled.gates)  # the JSON sorts its keys
+    for label in made.gates:
+        assert made.gates[label].tobytes() == bundled.gates[label].tobytes()
+    assert made.prep.tobytes() == bundled.prep.tobytes()
+    assert [e.tobytes() for e in made.effects] == [e.tobytes() for e in bundled.effects]
+    assert made.two_qubit_labels == bundled.two_qubit_labels
 
 
 def test_gauge_direction_keeps_probabilities_first_order(xyi, rng):
