@@ -15,14 +15,15 @@ Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
-A matrix ``F^T F`` is held by its smaller side (:class:`HeldFim`).  While
-it has fewer stacked rows ``m`` than columns, its rank is at most ``m`` and
-it is kept as the rows ``F`` themselves: a reduced design keeps few
-circuits, so a two-qubit bucket of a few hundred rows is never squared
-into a 1023-wide matrix of rounding noise.  Once ``m`` reaches the width it
-is kept as the Gram ``F^T F``, summed per block as above.  The spectrum of
-a row-held matrix is ``eigvalsh(F F^T)``, ``m`` values, followed by one
-exact ``0.0`` for each of the other ``width - m`` directions.
+A matrix ``F^T F`` is held by its smaller side
+(:class:`~gstdesign.held.HeldFim`).  While it has fewer stacked rows ``m``
+than columns, its rank is at most ``m`` and it is kept as the rows ``F``
+themselves: a reduced design keeps few circuits, so a two-qubit bucket of a
+few hundred rows is never squared into a 1023-wide matrix of rounding
+noise.  Once ``m`` reaches the width it is kept as the Gram ``F^T F``,
+summed per block as above.  The spectrum of a row-held matrix is
+``eigvalsh(F F^T)``, ``m`` values, followed by one exact ``0.0`` for each
+of the other ``width - m`` directions.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
 evaluated at (:class:`NongaugeFrame`).  Its coordinates are that model's
@@ -66,6 +67,7 @@ import numpy as np
 
 from .design import ExperimentDesign
 from .germs import amplifiable_count
+from .held import HeldFim
 from .model import (
     Circuit,
     GateSet,
@@ -135,56 +137,6 @@ def circuit_fim_hessian_form(
     hess = probability_hessian(gs, circuit)
     p = np.clip(circuit_probabilities(gs, circuit), clip_floor, 1.0)
     return shots * (jac.T @ (jac / p[:, None]) - hess.sum(axis=0))
-
-
-@dataclass(frozen=True, eq=False)
-class HeldFim:
-    """A Fisher matrix ``F^T F`` held by its smaller side: ``rows`` is ``F``
-    itself (``m x width``, ``m < width``), or ``gram`` is ``F^T F``.
-    Exactly one of the two is set."""
-
-    rows: np.ndarray | None = None
-    gram: np.ndarray | None = None
-
-    @property
-    def width(self) -> int:
-        return (self.gram if self.rows is None else self.rows).shape[1]
-
-    def matrix(self) -> np.ndarray:
-        """The dense ``width x width`` matrix ``F^T F``."""
-        return self.gram if self.rows is None else self.rows.T @ self.rows
-
-    def eigvalsh(self) -> np.ndarray:
-        """Descending eigenvalues, ``width`` of them: of the Gram, or
-        ``eigvalsh(F F^T)`` followed by one exact ``0.0`` per missing row."""
-        if self.rows is None:
-            return np.linalg.eigvalsh(self.gram)[::-1]
-        small = np.linalg.eigvalsh(self.rows @ self.rows.T)[::-1]
-        return np.concatenate([small, np.zeros(self.width - len(small))])
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors spanning the matrix's row
-        space: ``eigh`` of the Gram (``width`` pairs), or the squared
-        singular values and right singular vectors of a thin SVD of ``F``
-        (``m`` pairs).  The other directions hold exactly zero information."""
-        if self.rows is None:
-            return np.linalg.eigh(self.gram)
-        _, s, vt = np.linalg.svd(self.rows, full_matrices=False)
-        return s[::-1] ** 2, vt[::-1].T
-
-    def block(self, cols: slice) -> HeldFim:
-        """The matrix restricted to ``cols`` (rows and columns), held by its
-        smaller side."""
-        if self.rows is None:
-            return HeldFim(gram=self.gram[cols, cols].copy())
-        rows = self.rows[:, cols]
-        return HeldFim(rows=rows) if len(rows) < rows.shape[1] else HeldFim(gram=rows.T @ rows)
-
-    def __add__(self, other: HeldFim) -> HeldFim:
-        """The sum, held as the stacked rows while they are fewer than the width."""
-        if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < self.width:
-            return HeldFim(rows=np.concatenate([self.rows, other.rows]))
-        return HeldFim(gram=self.matrix() + other.matrix())
 
 
 def circuits_fim(
@@ -475,9 +427,14 @@ def certify_design(
     least-squares log-log slope over the trailing ``FIT_FRACTION`` of the
     schedule reaches ``SLOPE_THRESHOLD``, so at least two max depths are
     needed (see :func:`require_certifiable`).  The SPAM budget (expected
-    plateau count) is the target's non-gauge minus amplifiable parameter
-    count; the design is well constructed when no more than that many
-    directions plateau.
+    plateau count) is the frame's non-gauge dimension minus the target's
+    amplifiable parameter count; the design is well constructed when no
+    more than that many directions plateau.  The frame's dimension is the
+    target's whenever both gauge tangents have full rank ``D^2 - D``: a
+    tangent loses rank only where a nonzero TP generator fixes every gate,
+    the prep and the effects.  The bundled targets and their default
+    evaluation models have full rank (31 non-gauge parameters on XYI, 1023
+    on XYCPHASE), so the frame's pivoted QR is the only one taken.
 
     Insensitive directions are flagged from the deepest incremental
     matrix: eigenvalues below ``INSENSITIVE_REL`` times its median mark
@@ -508,8 +465,7 @@ def certify_design(
     unseen = np.zeros(frame.dim - len(evals))
     slopes, total_information = np.concatenate([unseen, fitted]), np.concatenate([unseen, evals])
 
-    tangent = gauge_tangent(target)
-    spam_budget = tangent.dim - amplifiable_count(target, tangent)
+    spam_budget = frame.dim - amplifiable_count(target)
 
     # information delivered by the deepest layer alone
     inc_evals = np.clip(frame.spectrum(False, -1), 0.0, None)

@@ -16,18 +16,26 @@ of the target (which break accidental spectral degeneracies, most notably
 the idle gate's) yields the "robust" set; the "bare" set is just the gates
 themselves and is deliberately not AC.
 
-Work is done in stacks, and only work that can change the chosen set is
-done.  A germ's twirled Jacobian is one matrix product per gate label,
-because the kite projector factors through the commutant basis, and all
-germs of one length are built together: stacked prefix and suffix
-products, one stacked eigendecomposition, condition number and inverse
-per spectrum type, and one contraction per label (see
+Work is done in stacks, on held rows, and only work that can change the
+chosen set is done.  A germ's twirled Jacobian is one matrix product per
+gate label, because the kite projector factors through the commutant
+basis, and all germs of one length are built together: stacked prefix and
+suffix products, one stacked eigendecomposition, condition number and
+inverse per spectrum type, and one contraction per label (see
 :func:`germ_twirled_jacobians`).  Each member comes out bit for bit as its
 batch of one, which is what :func:`kite_structure` and
-:func:`germ_twirled_jacobian` are.  A greedy step scores its first model
-for every candidate with stacked eigensolves, then completes candidates in
-order of that lower bound and stops at the first one that already loses
-to the step's best, which leaves the chosen germs exactly as scoring every
+:func:`germ_twirled_jacobian` are.  Selection holds each candidate's
+Jacobian, and each model's chosen set, only as compressed rows
+(:mod:`gstdesign.held`): ``r_c`` rows for a candidate, ``rank_S`` for the
+set.  A test set's spectrum is then ``eigvalsh(R R^T)`` for the stacked
+rows ``R``, ``rank_S + r`` wide with ``r`` the widest ``r_c`` of the pool,
+not the ``n_params``-wide test Gram: at most 37 of 43 on XYI, and 126 to
+1085 of 1263 in the XYCPHASE standard selection.  A greedy step scores its
+first model for every candidate with stacked eigensolves, then completes
+candidates in order of that lower bound, in batches that double in size,
+dropping each one whose bound lies past the tie window of the least
+complete key.  Ties within that window go to the (length, labels) that
+sorts first, which leaves the chosen germs exactly as scoring every
 candidate on every model would (see :func:`select_germs`).  Stacks hold at
 most :data:`GERM_STACK_BYTES` of working arrays.
 """
@@ -39,16 +47,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .held import HeldFim, compressed_rows
 from .model import (
     RANK_RTOL,
     Circuit,
     GateSet,
     GateSetError,
-    GaugeTangent,
     gauge_tangent,
     matrix_rank_rel,
     n_params,
-    numerical_rank,
     param_blocks,
 )
 
@@ -70,6 +77,7 @@ __all__ = [
     "PERTURBED_DEGENERACY_TOL",
     "GRAM_RANK_RTOL",
     "GERM_STACK_BYTES",
+    "SCORE_TIE_RTOL",
 ]
 
 IDEAL_DEGENERACY_TOL = 1e-7
@@ -78,11 +86,17 @@ PERTURBED_DEGENERACY_TOL = 1e-10
 # floored at the symmetric eigensolver's noise scale (~1e-12 of the top
 # eigenvalue), below which Gram eigenvalues are indistinguishable from zero
 GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
-# Working-array budget of one stack: Jacobians built together, or test Grams
-# eigensolved together in a greedy step.  It bounds the memory stacking adds:
-# a 1Q Gram is 15 KB, so 35 share a stack, while a 2Q Gram (12.7 MB) and a
-# 2Q germ's build are each a stack of one.
+# Working-array budget of one stack: Jacobians built together, or test
+# matrices eigensolved together in a greedy step.  It bounds the memory
+# stacking adds: a 1Q test matrix is at most 37 wide (11 KB), so 47 share a
+# stack, while a 2Q test matrix (126 to 1087 wide, up to 9.5 MB) and a 2Q
+# germ's build are each a stack of one.
 GERM_STACK_BYTES = 1 << 19
+# Relative width of the window in which test-set scores tie: among the
+# candidates of least shortfall scoring within it of the least score, the
+# one whose (length, labels) sorts first is chosen, so rounding never
+# decides between exactly tied germs
+SCORE_TIE_RTOL = 1e-9
 
 
 class GermSelectionError(ValueError):
@@ -293,6 +307,16 @@ def germ_twirled_jacobians(
     eigenvalues are projected symmetrically.
     """
     germs = list(germs)
+    jac = np.zeros((len(germs), model.dim**2, n_params(model)))
+    for idx, block in _twirled_jacobian_stacks(model, germs, degeneracy_tol):
+        jac[idx] = block
+    return jac
+
+
+def _twirled_jacobian_stacks(model: GateSet, germs: list[Circuit], tol: float):
+    """Yield (indices into ``germs``, their twirled Jacobians) stack by
+    stack, as :func:`germ_twirled_jacobians` builds them.  The empty germ,
+    whose Jacobian is zero, is in no stack."""
     dim = model.dim
     labels = list(model.gates)
     gates = np.stack([model.gates[lab] for lab in labels])
@@ -307,16 +331,16 @@ def germ_twirled_jacobians(
 
     blocks = param_blocks(model)
     columns = [blocks[lab] for lab in labels]
-    jac = np.zeros((len(germs), dim * dim, n_params(model)))
     # image, coefficients and product: at most three complex (D^2, D^2) arrays a member
     chunk = max(1, GERM_STACK_BYTES // (3 * 16 * dim**4))
     for members in by_length.values():
         for lo in range(0, len(members), chunk):
             idx = np.array(members[lo : lo + chunk])
             seq = np.array([[position[lab] for lab in germs[gi].labels] for gi in idx])
-            for rows, cols, block in _twirled_jacobian_stack(gates, seq, columns, degeneracy_tol):
-                jac[idx[rows], :, cols] = block
-    return jac
+            jac = np.zeros((len(idx), dim * dim, n_params(model)))
+            for rows, cols, block in _twirled_jacobian_stack(gates, seq, columns, tol):
+                jac[rows, :, cols] = block
+            yield idx, jac
 
 
 def _twirled_jacobian_stack(gates, seq, columns, tol):
@@ -391,7 +415,7 @@ def germset_jacobian(models: list[GateSet], germs) -> list[np.ndarray]:
     ]
 
 
-def amplifiable_count(model: GateSet, tangent: GaugeTangent | None = None) -> int:
+def amplifiable_count(model: GateSet) -> int:
     """Gate parameters minus the gauge tangent's rank within gate coordinates.
 
     The gauge direction ``diag(0, 1, ..., 1)``, which rescales all
@@ -400,12 +424,12 @@ def amplifiable_count(model: GateSet, tangent: GaugeTangent | None = None) -> in
     every gate is unital it moves no gate, drops out of the projected rank
     and is excluded from the count automatically; ideal targets, coherent
     perturbations and depolarization all keep gates unital.  A non-unital
-    gate brings it back and the target drops by one.  ``tangent`` is
-    ``gauge_tangent(model)`` when the caller already has it.
+    gate brings it back and the target drops by one.  Only the tangent's
+    basis is read, so no pivoted QR is taken.
     """
     blocks = param_blocks(model)
     n_gate = sum(blocks[l].stop - blocks[l].start for l in model.gates)
-    basis = (tangent or gauge_tangent(model)).basis
+    basis = gauge_tangent(model).basis
     gate_rows = np.vstack([basis[blocks[l], :] for l in model.gates])
     return n_gate - matrix_rank_rel(gate_rows)
 
@@ -445,12 +469,13 @@ def _gram_ranks_and_scores(
     number of eigenvalues are summed together along the last axis, so each
     score is summed in the order of its spectrum alone.
     """
-    evals = np.clip(np.sort(gram_evals, axis=-1)[:, ::-1], 0.0, None)
-    ranks = np.array([numerical_rank(row, GRAM_RANK_RTOL) for row in evals], dtype=int)
-    counted = np.minimum(ranks, target)
-    scores = np.full(len(evals), np.inf)
     if score_fn not in ("sum", "min"):
         raise ValueError(f"unknown score_fn {score_fn!r}")
+    evals = np.clip(np.sort(gram_evals, axis=-1)[:, ::-1], 0.0, None)
+    # numerical_rank of each row at GRAM_RANK_RTOL
+    ranks = np.sum(evals > GRAM_RANK_RTOL * evals[:, :1], axis=1)
+    counted = np.minimum(ranks, target)
+    scores = np.full(len(evals), np.inf)
     for length in np.unique(counted[counted > 0]).tolist():
         rows = np.flatnonzero(counted == length)
         if score_fn == "sum":
@@ -458,6 +483,82 @@ def _gram_ranks_and_scores(
         else:
             scores[rows] = 1.0 / evals[rows, length - 1]
     return ranks, scores
+
+
+@dataclass(frozen=True)
+class _HeldCandidates:
+    """Every candidate's weighted twirled Jacobian at one model, held as
+    compressed rows (:func:`~gstdesign.held.compressed_rows`): ``rows``
+    ``(N, r, n_params)`` are candidate ``c``'s ``ranks[c]`` rows followed by
+    zero rows up to the widest rank ``r`` of the pool, and ``grams`` their
+    ``(N, r, r)`` row Grams."""
+
+    rows: np.ndarray
+    ranks: np.ndarray
+    grams: np.ndarray
+
+
+def _held_candidates(model: GateSet, pool: list[Circuit], tol: float) -> _HeldCandidates:
+    """Each candidate's twirled Jacobian divided by its length, compressed
+    stack by stack as it is built, so no more than one stack of Jacobians
+    is held at a time."""
+    parts = []
+    for idx, jac in _twirled_jacobian_stacks(model, pool, tol):
+        jac *= np.array([1.0 / len(pool[gi].labels) for gi in idx])[:, None, None]
+        parts.append((idx, *compressed_rows(jac)))
+    rows = np.zeros((len(pool), max(kept.shape[1] for _, kept, _ in parts), n_params(model)))
+    ranks = np.zeros(len(pool), dtype=int)
+    for idx, kept, rank in parts:
+        rows[idx, : kept.shape[1]] = kept
+        ranks[idx] = rank
+    return _HeldCandidates(rows, ranks, rows @ rows.transpose(0, 2, 1))
+
+
+def _test_ranks_and_scores(
+    chosen: HeldFim, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ranks and scores of the chosen set joined with each candidate of
+    ``idx``, and the width of their test matrices.
+
+    Candidate ``c``'s test matrix is ``R R^T`` for the stacked rows
+    ``R = [C; K_c]``, ``C`` the chosen set's compressed rows and ``K_c``
+    the candidate's padded rows: its nonzero spectrum is that of the test
+    Gram ``C^T C + K_c^T K_c``, and the exact zeros past its width score
+    nothing.  ``C C^T`` and ``K_c K_c^T`` are shared and precomputed, so a
+    test costs the cross block ``K_c C^T`` and one ``eigvalsh``.  Every
+    test matrix of one chosen set and model has the same width, so a
+    stacked ``eigvalsh`` of at most :data:`GERM_STACK_BYTES` of them gives
+    each member the bits of its own call.
+    """
+    c = chosen.rows
+    split = len(c)
+    width = split + cands.rows.shape[1]
+    top = c @ c.T
+    chunk = max(1, GERM_STACK_BYTES // (8 * width * width))
+    spectra = []
+    for lo in range(0, len(idx), chunk):
+        sub = idx[lo : lo + chunk]
+        cross = cands.rows[sub] @ c.T
+        test = np.empty((len(sub), width, width))
+        test[:, :split, :split] = top
+        test[:, split:, :split] = cross
+        test[:, :split, split:] = cross.transpose(0, 2, 1)
+        test[:, split:, split:] = cands.grams[sub]
+        spectra.append(np.linalg.eigvalsh(test))
+    ranks, scores = _gram_ranks_and_scores(np.concatenate(spectra), target, score_fn)
+    return ranks, scores, width
+
+
+def _joined(chosen: HeldFim, cands: _HeldCandidates, ci: int) -> HeldFim:
+    """The chosen set's compressed rows after candidate ``ci`` joins it."""
+    return (chosen + HeldFim(rows=cands.rows[ci, : cands.ranks[ci]])).compress()
+
+
+def _past_window(key: tuple[int, float], least: tuple[int, float]) -> bool:
+    """Whether a (shortfall, score) ``key`` lies past the tie window of the
+    least key: a larger shortfall, or a score more than
+    :data:`SCORE_TIE_RTOL` above the least's."""
+    return key[0] > least[0] or (key[0] == least[0] and key[1] > least[1] * (1.0 + SCORE_TIE_RTOL))
 
 
 @dataclass
@@ -477,35 +578,47 @@ def select_germs(
     """Greedy worst-case-over-models germ selection.
 
     Each iteration tests the current set joined with every unused
-    candidate, takes each test set's worst (rank, score) over the models
-    and keeps the best test set; scores are sums (or the largest) of
-    inverse Gram eigenvalues counted up to each model's amplifiable target,
-    so a rank-deficient set scores infinitely badly.  ``models[0]`` is the
-    ideal target and the rest are perturbed copies; the kite degeneracy
-    tolerance follows from that position.
+    candidate, takes each test set's worst (shortfall, score) over the
+    models and keeps the best test set; scores are sums (or the largest)
+    of inverse Gram eigenvalues counted up to each model's amplifiable
+    target, so a rank-deficient set scores infinitely badly.  ``models[0]``
+    is the ideal target and the rest are perturbed copies; the kite
+    degeneracy tolerance follows from that position.
 
     Each germ's Jacobian is scored divided by its length: a germ of length
     q only reaches power L/q at max depth L, so per-depth amplification is
     what the experiment actually buys.  Every candidate's Jacobian is built
-    up front by :func:`germ_twirled_jacobians`, one stacked build per model
-    and germ length.  A pool whose full Gram falls short of a model's
-    target raises :class:`GermSelectionError` before any step; so does an
-    empty pool, and an empty model list raises ``ValueError``.
+    up front, one stacked build per model and germ length, and held only
+    as its compressed rows, ``r_c`` of them (see :mod:`gstdesign.held`);
+    each model's chosen set is held the same way, ``rank_S`` rows.  A test
+    set's spectrum comes from :func:`_test_ranks_and_scores`, whose test
+    matrices are ``rank_S + r`` wide, ``r`` the widest ``r_c`` of the pool
+    at that model, so no test solves the ``n_params``-wide Gram.
+    Compression drops directions below
+    :data:`~gstdesign.held.COMPRESS_RTOL` of a matrix's top eigenvalue, so
+    each test eigenvalue lies within that of the dense test Gram's (Weyl's
+    inequality): a rank can differ from the dense one only through an
+    eigenvalue within 1% of the :data:`GRAM_RANK_RTOL` cutoff.  A pool
+    whose full Gram falls short of a model's target raises
+    :class:`GermSelectionError` before any step; so does an empty pool,
+    and an empty model list raises ``ValueError``.
 
-    A candidate's key is (worst shortfall, worst score rounded to 9
-    decimals, length and labels), the worst being over models, so no two
-    keys tie.  Models are scored worst first, ordered by the current set's
-    shortfall and then its score.  A step scores the first model for every
-    unused candidate at once: the test Grams are stacked, at most
-    :data:`GERM_STACK_BYTES` of them at a time, and eigensolved by one
-    stacked ``eigvalsh``, which gives each member the bits of its own call.
-    That partial key is a lower bound on the candidate's key, so candidates
-    are completed on the remaining models, each model's test Gram a stack
-    of one, in ascending partial-key order,
-    each dropped as soon as its partial key exceeds the best complete key,
-    and the step ends at the first partial key above it.  The chosen germs
-    are exactly those of scoring every candidate on every model.  Each
-    trajectory entry records the step's ``eigensolves``.
+    The chosen test set is settled by a tie window, not by the last bits
+    of a score: take the least (shortfall, score) over all candidates,
+    then, among the candidates with that shortfall and a score within
+    :data:`SCORE_TIE_RTOL` (relative) of the least, the one whose (length,
+    labels) sorts first.  Models are scored worst first, ordered by the
+    current set's shortfall and then its score.  A step scores the first
+    model for every unused candidate in stacks; a partial worst over the
+    models scored so far is a lower bound on a candidate's final one.
+    Candidates are completed in ascending order of that bound, in batches
+    of 1, 2, 4, ... candidates, each batch model by model in one stack per
+    model.  Before each stack, and after each batch, every candidate whose
+    bound lies past the window of the least complete key is dropped.  Such
+    a candidate can neither be the least nor fall inside the final window,
+    so the chosen germs are exactly those of scoring every candidate on
+    every model.  Each trajectory entry records the step's
+    ``eigensolves`` and its ``width``, the widest test matrix it solved.
     """
     if not models:
         raise ValueError("germ selection needs at least one model")
@@ -513,104 +626,84 @@ def select_germs(
     if not pool:
         raise GermSelectionError("candidate pool is empty")
     targets = [amplifiable_count(m) for m in models]
-
-    # per-model (candidate, D^2, n_params) Jacobians; their Grams J^T J add
-    # over a germ set because stacking only appends rows
-    weights = np.array([1.0 / len(germ.labels) for germ in pool])[:, None, None]
-    jacobians = []
-    for model, tol in zip(models, _degeneracy_tols(len(models))):
-        jac = germ_twirled_jacobians(model, pool, tol)
-        jac *= weights
-        jacobians.append(jac)
-
-    def shortfall(mi: int, rank: int) -> int:
-        return max(targets[mi] - rank, 0)
-
-    def key_of(ci: int, worst: tuple[int, float]) -> tuple:
-        """Key of the current set joined with ``ci`` from its worst
-        (shortfall, score) over the models scored so far."""
-        return (worst[0], float(np.round(worst[1], 9)), (len(pool[ci].labels), pool[ci].labels))
+    held = [_held_candidates(m, pool, tol) for m, tol in zip(models, _degeneracy_tols(len(models)))]
 
     deficits = []
-    for mi, jac in enumerate(jacobians):
-        rows = jac.reshape(-1, jac.shape[-1])
-        (rank,), _ = _gram_ranks_and_scores(np.linalg.eigvalsh(rows.T @ rows)[None], targets[mi], score_fn)
+    for mi, cands in enumerate(held):
+        live = cands.rows[np.arange(cands.rows.shape[1]) < cands.ranks[:, None]]
+        (rank,), _ = _gram_ranks_and_scores(HeldFim.from_rows(live).eigvalsh()[None], targets[mi], score_fn)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))
     if deficits:
         msg = "; ".join(f"model {mi}: rank {r} of {t}" for mi, r, t in deficits)
         raise GermSelectionError(f"candidate pool is not amplificationally complete: {msg}")
 
+    def shortfall(mi: int, rank: int) -> int:
+        return max(targets[mi] - rank, 0)
+
     chosen_idx: list[int] = []
-    chosen_grams = [np.zeros((n_params(m), n_params(m))) for m in models]
-    # the empty set's Grams are zero: rank 0 and an infinite score everywhere
+    # the empty set: no rows, rank 0 and an infinite score everywhere
+    chosen = [HeldFim(rows=np.zeros((0, n_params(m)))) for m in models]
     ranks = [0] * len(models)
     scores = [float("inf")] * len(models)
     trajectory: list[dict] = []
-    # one stack of test Grams, reused by every step (the models share one
-    # parameterization)
-    chunk = min(len(pool), max(1, GERM_STACK_BYTES // chosen_grams[0].nbytes))
-    stack = np.empty((chunk, *chosen_grams[0].shape))
-
-    def stacked_scores(cands: list[int], mi: int) -> list[tuple[int, float]]:
-        """(rank, score) of the current set joined with each candidate."""
-        out = []
-        for lo in range(0, len(cands), chunk):
-            j = jacobians[mi][cands[lo : lo + chunk]]
-            test = np.matmul(j.transpose(0, 2, 1), j, out=stack[: len(j)])
-            test += chosen_grams[mi]
-            cand_ranks, cand_scores = _gram_ranks_and_scores(np.linalg.eigvalsh(test), targets[mi], score_fn)
-            out += zip(cand_ranks.tolist(), cand_scores.tolist())
-        return out
-
     while True:
         order = sorted(
             range(len(models)), key=lambda mi: (shortfall(mi, ranks[mi]), scores[mi]), reverse=True
         )
-        first = order[0]
-        cands = [ci for ci in range(len(pool)) if ci not in chosen_idx]
-        first_scores = dict(zip(cands, stacked_scores(cands, first)))
-        partial = {ci: key_of(ci, (shortfall(first, r), s)) for ci, (r, s) in first_scores.items()}
-        eigensolves = len(cands)
+        # per candidate: (rank, score) at each model tested so far, and the
+        # worst (shortfall, score) over them, a lower bound on its key
+        tested: dict[int, dict[int, tuple[int, float]]] = {
+            ci: {} for ci in range(len(pool)) if ci not in chosen_idx
+        }
+        if not tested:
+            raise GermSelectionError("candidate pool exhausted before reaching the amplifiable target")
+        worst: dict[int, tuple[int, float]] = {}
+        widths = []
 
-        best = None
-        for ci in sorted(cands, key=partial.__getitem__):
-            key = partial[ci]
-            if best is not None and key > best[0]:
-                break  # every later partial key, a lower bound, loses too
-            test_ranks = [0] * len(models)
-            test_scores = [0.0] * len(models)
-            test_ranks[first], test_scores[first] = first_scores[ci]
-            worst = (shortfall(first, test_ranks[first]), test_scores[first])
-            for mi in order[1:]:
-                [(test_ranks[mi], test_scores[mi])] = stacked_scores([ci], mi)
-                eigensolves += 1
-                worst = max(worst, (shortfall(mi, test_ranks[mi]), test_scores[mi]))
-                key = key_of(ci, worst)
-                if best is not None and key > best[0]:
-                    break  # a lower bound on the final key already loses
-            else:
-                if best is None or key < best[0]:
-                    best = (key, ci, test_ranks, test_scores, worst)
-        if best is None:
-            raise GermSelectionError(
-                "candidate pool exhausted before reaching the amplifiable target"
+        def test(mi: int, cands: list[int]) -> None:
+            cand_ranks, cand_scores, width = _test_ranks_and_scores(
+                chosen[mi], held[mi], cands, targets[mi], score_fn
             )
-        _, ci, ranks, scores, (worst_shortfall, worst_score) = best
+            widths.append(width)
+            for ci, rank, score in zip(cands, cand_ranks.tolist(), cand_scores.tolist()):
+                tested[ci][mi] = (rank, score)
+                worst[ci] = max(worst.get(ci, (-1, 0.0)), (shortfall(mi, rank), score))
+
+        test(order[0], list(tested))
+        pending = sorted(tested, key=worst.__getitem__)
+        least = None
+        size = 1
+        while pending:
+            batch, pending = pending[:size], pending[size:]
+            for mi in order[1:]:
+                batch = [ci for ci in batch if least is None or not _past_window(worst[ci], least)]
+                if not batch:
+                    break
+                test(mi, batch)
+            for ci in batch:  # complete: tested on every model
+                least = worst[ci] if least is None else min(least, worst[ci])
+            pending = [ci for ci in pending if not _past_window(worst[ci], least)]
+            size *= 2
+        # least is now the least key of all: every other one is past its window
+        window = [ci for ci in tested if len(tested[ci]) == len(models) and not _past_window(worst[ci], least)]
+        ci = min(window, key=lambda ci: (len(pool[ci].labels), pool[ci].labels))
+
         chosen_idx.append(ci)
-        for mi, gram in enumerate(chosen_grams):
-            j = jacobians[mi][ci]
-            gram += np.matmul(j.T, j, out=stack[0])
+        chosen = [_joined(c, cands, ci) for c, cands in zip(chosen, held)]
+        ranks = [tested[ci][mi][0] for mi in range(len(models))]
+        scores = [tested[ci][mi][1] for mi in range(len(models))]
         trajectory.append(
             {
                 "added": str(pool[ci]),
                 "ranks": list(ranks),
-                "worst_score": worst_score,
-                "shortfall": worst_shortfall,
-                "eigensolves": eigensolves,
+                "worst_score": worst[ci][1],
+                "shortfall": worst[ci][0],
+                "eigensolves": sum(len(t) for t in tested.values()),
+                "width": max(widths),
             }
         )
-        if worst_shortfall <= 0:
+        if worst[ci][0] <= 0:
             break
 
     return GermSelectionResult(

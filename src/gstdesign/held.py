@@ -1,0 +1,114 @@
+"""Gram matrices ``F^T F`` held by their smaller side.
+
+A matrix summed from ``m`` stacked rows ``F`` has rank at most ``m``.
+While ``m`` is below its width it is kept as ``F`` itself, and its
+spectrum is ``eigvalsh(F F^T)``, ``m`` values, followed by exact zeros;
+from ``m`` rows on it is kept as the Gram ``F^T F`` (:class:`HeldFim`).
+Fisher matrices (:mod:`gstdesign.fisher`) and germ-selection Grams
+(:mod:`gstdesign.germs`) are both held this way.
+
+Rows can also be compressed (:func:`compressed_rows`,
+:meth:`HeldFim.compress`): with ``F F^T = U Lambda U^T``, the rows
+``U_r^T F`` of the ``r`` eigenvalues above :data:`COMPRESS_RTOL` of the
+largest keep the matrix's Gram less the dropped eigen-directions.  Those
+are orthogonal, so the two differ in norm by at most ``COMPRESS_RTOL``
+of the top eigenvalue: two decades below germ selection's rank cutoff
+:data:`~gstdesign.germs.GRAM_RANK_RTOL`, and about ten times the level at
+which a dense symmetric eigensolve places exact zeros.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["HeldFim", "compressed_rows", "COMPRESS_RTOL"]
+
+# Relative cutoff on row-Gram eigenvalues kept by compression.  Exact zeros
+# come out of eigh within 1e-15 of the largest eigenvalue (at most 4.7e-16 on
+# the XYI germ candidates, 1.0e-15 on XYCPHASE ones) and the smallest kept
+# eigenvalues there are above 0.05, so the cutoff sits in that gap.
+COMPRESS_RTOL = 1e-14
+
+
+def compressed_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compress each member of a stack of row matrices ``(N, m, n)``.
+
+    Returns the ``(N, r, n)`` rows ``U^T F`` and the ``(N,)`` ranks:
+    member ``k`` keeps its rank-``r_k`` rows, largest eigenvalue first,
+    followed by zero rows up to the widest rank ``r`` of the stack.  A
+    member's kept rows are those of its batch of one, bit for bit.
+    """
+    evals, vecs = np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
+    ranks = np.sum(evals > COMPRESS_RTOL * evals[:, -1:], axis=1)
+    width = int(ranks.max(initial=0))
+    # every member's product is m rows deep, whatever the stack's width
+    rotated = vecs.transpose(0, 2, 1) @ rows
+    kept = np.ascontiguousarray(rotated[:, ::-1][:, :width])
+    kept[np.arange(width) >= ranks[:, None]] = 0.0
+    return kept, ranks
+
+
+@dataclass(frozen=True, eq=False)
+class HeldFim:
+    """A matrix ``F^T F`` held by its smaller side: ``rows`` is ``F``
+    itself (``m x width``, ``m < width``), or ``gram`` is ``F^T F``.
+    Exactly one of the two is set."""
+
+    rows: np.ndarray | None = None
+    gram: np.ndarray | None = None
+
+    @staticmethod
+    def from_rows(rows: np.ndarray) -> HeldFim:
+        """``rows^T rows``, held by its smaller side."""
+        return HeldFim(rows=rows) if len(rows) < rows.shape[1] else HeldFim(gram=rows.T @ rows)
+
+    @property
+    def width(self) -> int:
+        return (self.gram if self.rows is None else self.rows).shape[1]
+
+    def matrix(self) -> np.ndarray:
+        """The dense ``width x width`` matrix ``F^T F``."""
+        return self.gram if self.rows is None else self.rows.T @ self.rows
+
+    def eigvalsh(self) -> np.ndarray:
+        """Descending eigenvalues, ``width`` of them: of the Gram, or
+        ``eigvalsh(F F^T)`` followed by one exact ``0.0`` per missing row."""
+        if self.rows is None:
+            return np.linalg.eigvalsh(self.gram)[::-1]
+        small = np.linalg.eigvalsh(self.rows @ self.rows.T)[::-1]
+        return np.concatenate([small, np.zeros(self.width - len(small))])
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors spanning the matrix's row
+        space: ``eigh`` of the Gram (``width`` pairs), or the squared
+        singular values and right singular vectors of a thin SVD of ``F``
+        (``m`` pairs).  The other directions hold exactly zero information."""
+        if self.rows is None:
+            return np.linalg.eigh(self.gram)
+        _, s, vt = np.linalg.svd(self.rows, full_matrices=False)
+        return s[::-1] ** 2, vt[::-1].T
+
+    def compress(self) -> HeldFim:
+        """The matrix held as its compressed rows (see the module
+        docstring); a Gram-held matrix is first factored as
+        ``Lambda^1/2 V^T`` by ``eigh``."""
+        rows = self.rows
+        if rows is None:
+            evals, vecs = np.linalg.eigh(self.gram)
+            rows = np.sqrt(np.clip(evals, 0.0, None))[:, None] * vecs.T
+        return HeldFim(rows=compressed_rows(rows[None])[0][0])
+
+    def block(self, cols: slice) -> HeldFim:
+        """The matrix restricted to ``cols`` (rows and columns), held by its
+        smaller side."""
+        if self.rows is None:
+            return HeldFim(gram=self.gram[cols, cols].copy())
+        return HeldFim.from_rows(self.rows[:, cols])
+
+    def __add__(self, other: HeldFim) -> HeldFim:
+        """The sum, held as the stacked rows while they are fewer than the width."""
+        if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < self.width:
+            return HeldFim(rows=np.concatenate([self.rows, other.rows]))
+        return HeldFim(gram=self.matrix() + other.matrix())

@@ -1,6 +1,7 @@
 """Extended two-qubit checks (hours-scale); enable with GSTDESIGN_RUN_2Q=1.
 
-Asserts only the qualitative contracts: the median cumulative
+Pins the 13 standard germs that greedy selection picks, in order, and
+otherwise asserts only the qualitative contracts: the median cumulative
 Fisher-information eigenvalue grows with max depth for the full, per-germ
 and 12.5% random designs at L <= 64, and the wall-clock totals of this
 package's own L=1024 designs land within +/-25% of the published
@@ -40,6 +41,15 @@ def fids2q():
     return builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
 
 
+# the standard 2Q germs, in the order greedy selection picks them
+STANDARD_GERMS_2Q = [
+    "Gcphase", "Gix Gix Giy", "Gxi Gxi Gyi", "Giy Giy Gyi Gyi", "Gix Gix Gxi Gxi",
+    "Gcphase Gix Gcphase Giy", "Gcphase Giy Gcphase Gyi", "Gix Giy Gxi Gyi",
+    "Gcphase Gix Gcphase Gxi", "Gcphase Gyi Giy Giy", "Gix Gxi Gyi Giy",
+    "Gcphase Gix Giy Gxi", "Gcphase Gxi Gyi Gix",
+]
+
+
 @pytest.fixture(scope="module")
 def standard_germs_2q(xycphase):
     pool = G.germ_candidate_pool(xycphase.labels, 4)
@@ -47,7 +57,9 @@ def standard_germs_2q(xycphase):
     result = G.select_germs([xycphase], pool)
     print(f"\n2Q standard germ selection: {len(result.germs)} germs in {time.time() - t0:.0f}s")
     print("germs:", [str(g) for g in result.germs])
+    print("test widths:", [step["width"] for step in result.trajectory])
     assert result.ranks[0] >= result.targets[0] == 961
+    assert [str(g) for g in result.germs] == STANDARD_GERMS_2Q
     return result.germs
 
 

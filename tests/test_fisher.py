@@ -353,6 +353,30 @@ def test_certify_eigensolves_no_wider_than_the_rows(tmp_path, monkeypatch, kind)
     assert widths and all(shape[-1] <= sum(rows) for shape in widths)
 
 
+def test_frame_dim_is_the_targets(xyi):
+    # certify takes the SPAM budget's non-gauge count from the frame, at the
+    # evaluation model: both gauge tangents have full rank D^2 - D
+    for gs, dim in ((xyi, 31), (make_xycphase_gateset(), 1023)):
+        target, at_eval = gauge_tangent(gs), gauge_tangent(FI.default_eval_model(gs))
+        assert target.dim == at_eval.dim == dim
+        assert target.rank == at_eval.rank == gs.dim**2 - gs.dim
+
+
+def test_certify_takes_one_pivoted_qr(xyi, xyi_fiducials, monkeypatch):
+    eval_model = FI.default_eval_model(xyi)
+    design = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(8), gateset_labels=xyi.labels)
+    qr, calls = scipy.linalg.qr, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    report = FI.certify_design(eval_model, design, target=xyi)
+    assert calls == [(43, 12)]  # the frame's, of the evaluation model's gauge tangent
+    assert report.spam_budget == 31 - 25
+
+
 def test_certify_needs_two_depths(eval_model, xyi_fiducials):
     des = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, (1,), gateset_labels=eval_model.labels)
     with pytest.raises(FI.CertificationError, match="at least two"):

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from gstdesign import germs as G
+from gstdesign.held import HeldFim
 from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.model import Circuit, circuit_ptm, matrix_rank_rel, n_params, non_gauge_count, param_blocks, to_vector, from_vector
 from gstdesign.noise import NoiseSpec, perturbed_models, sample_noisy_gateset
@@ -329,37 +330,83 @@ def test_pruning_skips_most_eigensolves(robust_depth6):
     assert made < unpruned / 2
 
 
-def unpruned_select_germs(models, pool):
-    """Reference greedy loop: every candidate scored on every model."""
+def tie_rule_choice(keys, pool):
+    """The candidate the tie rule picks from complete (shortfall, score) keys."""
+    least = min(keys.values())
+    window = [ci for ci, k in keys.items() if k[0] == least[0] and k[1] <= least[1] * (1 + G.SCORE_TIE_RTOL)]
+    return min(window, key=lambda ci: (len(pool[ci].labels), pool[ci].labels))
+
+
+def model_tols(models):
+    return [G.IDEAL_DEGENERACY_TOL] + [G.PERTURBED_DEGENERACY_TOL] * (len(models) - 1)
+
+
+def greedy_reference(models, pool, states, score_tests, join):
+    """Greedy loop scoring every candidate on every model from each model's
+    empty-set state: ``score_tests(mi, state, unused)`` gives each unused
+    candidate's (rank, score) at model ``mi`` and ``join(mi, state, ci)``
+    the model's state after ``ci`` joins."""
     targets = [G.amplifiable_count(m) for m in models]
-    tols = [G.IDEAL_DEGENERACY_TOL] + [G.PERTURBED_DEGENERACY_TOL] * (len(models) - 1)
-    jacs = [
-        [(1.0 / len(g.labels)) * G.germ_twirled_jacobian(m, g, tol) for m, tol in zip(models, tols)]
-        for g in pool
-    ]
-    chosen, grams, trajectory = [], [np.zeros((n_params(m), n_params(m))) for m in models], []
+    chosen, trajectory = [], []
     while True:
-        best = None
-        for ci, germ in enumerate(pool):
-            if ci in chosen:
-                continue
-            test = [grams[mi] + jacs[ci][mi].T @ jacs[ci][mi] for mi in range(len(models))]
-            scored = [
-                tuple(x.item() for x in G._gram_ranks_and_scores(np.linalg.eigvalsh(t)[None], target, "sum"))
-                for t, target in zip(test, targets)
-            ]
-            worst = max((max(t - r, 0), s) for t, (r, s) in zip(targets, scored))
-            key = (worst[0], float(np.round(worst[1], 9)), (len(germ.labels), germ.labels))
-            if best is None or key < best[0]:
-                best = (key, ci, test, scored, worst)
-        _, ci, grams, scored, worst = best
+        unused = [ci for ci in range(len(pool)) if ci not in chosen]
+        per_model = [score_tests(mi, states[mi], unused) for mi in range(len(models))]
+        scored = {ci: [pm[k] for pm in per_model] for k, ci in enumerate(unused)}
+        keys = {ci: max((max(t - r, 0), s) for t, (r, s) in zip(targets, sc)) for ci, sc in scored.items()}
+        ci = tie_rule_choice(keys, pool)
         chosen.append(ci)
-        ranks = [r for r, _ in scored]
+        states = [join(mi, states[mi], ci) for mi in range(len(models))]
+        ranks = [r for r, _ in scored[ci]]
         trajectory.append(
-            {"added": str(pool[ci]), "ranks": ranks, "worst_score": worst[1], "shortfall": worst[0]}
+            {"added": str(pool[ci]), "ranks": ranks, "worst_score": keys[ci][1], "shortfall": keys[ci][0]}
         )
-        if worst[0] <= 0:
-            return [pool[ci] for ci in chosen], ranks, [s for _, s in scored], trajectory
+        if keys[ci][0] <= 0:
+            return [pool[ci] for ci in chosen], ranks, [s for _, s in scored[ci]], trajectory
+
+
+def unpruned_select_germs(models, pool):
+    """Every candidate scored on every model, one test matrix per call,
+    through the held-row scorer."""
+    targets = [G.amplifiable_count(m) for m in models]
+    held = [G._held_candidates(m, pool, tol) for m, tol in zip(models, model_tols(models))]
+
+    def score_tests(mi, chosen, unused):
+        out = []
+        for ci in unused:
+            ranks, scores, _ = G._test_ranks_and_scores(chosen, held[mi], [ci], targets[mi], "sum")
+            out.append((ranks.item(), scores.item()))
+        return out
+
+    def join(mi, chosen, ci):
+        return G._joined(chosen, held[mi], ci)
+
+    empty = [HeldFim(rows=np.zeros((0, n_params(m)))) for m in models]
+    return greedy_reference(models, pool, empty, score_tests, join)
+
+
+def dense_select_germs(models, pool):
+    """The dense-Gram oracle: each test Gram ``G_S + J_c^T J_c`` is formed
+    ``n_params`` wide and eigensolved."""
+    targets = [G.amplifiable_count(m) for m in models]
+    weights = np.array([1.0 / len(g.labels) for g in pool])[:, None, None]
+    grams = []  # per model, each candidate's J_c^T J_c
+    for m, tol in zip(models, model_tols(models)):
+        jac = G.germ_twirled_jacobians(m, pool, tol) * weights
+        grams.append(jac.transpose(0, 2, 1) @ jac)
+
+    def score_tests(mi, gram, unused):
+        ranks, scores = G._gram_ranks_and_scores(np.linalg.eigvalsh(gram + grams[mi][unused]), targets[mi], "sum")
+        return list(zip(ranks.tolist(), scores.tolist()))
+
+    def join(mi, gram, ci):
+        return gram + grams[mi][ci]
+
+    empty = [np.zeros((n_params(m), n_params(m))) for m in models]
+    return greedy_reference(models, pool, empty, score_tests, join)
+
+
+def drop_work_counts(trajectory):
+    return [{k: v for k, v in step.items() if k not in ("eigensolves", "width")} for step in trajectory]
 
 
 @pytest.mark.parametrize("perturbed", [0, 2], ids=["standard", "robust"])
@@ -371,7 +418,104 @@ def test_pruned_selection_equals_unpruned(xyi, perturbed):
     assert result.germs == germs
     assert result.ranks == ranks
     assert result.scores == scores
-    assert [{k: v for k, v in step.items() if k != "eigensolves"} for step in result.trajectory] == trajectory
+    assert drop_work_counts(result.trajectory) == trajectory
+
+
+# Relative tolerance of held-row scores against the dense-Gram oracle.  A
+# score sums inverse eigenvalues, so its rounding grows with the ratio of the
+# largest to the smallest counted one: scores near 1e7 (smallest counted
+# eigenvalue about 1e-8 of the largest) differ by up to 1.1e-8 on XYI.
+HELD_SCORE_RTOL = 1e-7
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 7], ids=["standard", "seed1", "seed2", "seed3", "seed7"])
+def test_held_scores_match_dense_oracle(xyi, seed, depth):
+    # robust models drawn as `germs --seed` draws them
+    models = [xyi] + ([] if seed is None else perturbed_models(xyi, 5, 1e-3, seed + 7919))
+    pool = G.germ_candidate_pool(xyi.labels, depth)
+    result = G.select_germs(models, pool)
+    germs, ranks, scores, trajectory = dense_select_germs(models, pool)
+    assert result.germs == germs
+    assert result.ranks == ranks
+    np.testing.assert_allclose(result.scores, scores, rtol=HELD_SCORE_RTOL)
+    held = drop_work_counts(result.trajectory)
+    assert [{**step, "worst_score": 0.0} for step in held] == [{**step, "worst_score": 0.0} for step in trajectory]
+    np.testing.assert_allclose(
+        [step["worst_score"] for step in held], [step["worst_score"] for step in trajectory], rtol=HELD_SCORE_RTOL
+    )
+
+
+def test_tie_window():
+    least = (0, 6735.308581028959)
+    assert not G._past_window((0, 6735.308581030599), least)  # tied up to rounding
+    assert G._past_window((0, least[1] * (1 + 2 * G.SCORE_TIE_RTOL)), least)
+    assert G._past_window((1, 1.0), least)
+    assert not G._past_window((0, float("inf")), (0, float("inf")))
+
+
+def test_exact_tie_settled_by_labels(xyi, monkeypatch):
+    # after Gi, Gx Gx Gy and Gx Gy Gy tie: the X/Y mirror of each other
+    pool = G.germ_candidate_pool(xyi.labels, 4)
+    names = [str(g) for g in pool]
+    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    chosen = G._joined(HeldFim(rows=np.zeros((0, n_params(xyi)))), held, names.index("Gi"))
+    pair = [names.index("Gx Gx Gy"), names.index("Gx Gy Gy")]
+    ranks, scores, _ = G._test_ranks_and_scores(chosen, held, pair, 25, "sum")
+    assert ranks[0] == ranks[1] and not G._past_window((0, scores[1]), (0, scores[0]))
+    assert not G._past_window((0, scores[0]), (0, scores[1]))
+
+    expected = G.select_germs([xyi], pool).germs
+    assert [str(g) for g in expected[:2]] == ["Gi", "Gx Gx Gy"]
+    for budget in (G.GERM_STACK_BYTES, 1):
+        monkeypatch.setattr(G, "GERM_STACK_BYTES", budget)
+        for order in (pool[::-1], pool[5:] + pool[:5], sorted(pool, key=lambda g: g.labels[::-1])):
+            assert G.select_germs([xyi], order).germs == expected
+
+
+def test_trajectory_records_test_width(xyi):
+    # every test matrix of a model and step is rank_S + r wide: the chosen
+    # set's compressed rows and the widest candidate's
+    pool = G.germ_candidate_pool(xyi.labels, 4)
+    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    names = [str(g) for g in pool]
+    result = G.select_germs([xyi], pool)
+    chosen = HeldFim(rows=np.zeros((0, n_params(xyi))))
+    for step in result.trajectory:
+        ci = names.index(step["added"])
+        assert step["width"] == len(chosen.rows) + held.rows.shape[1]
+        assert step["width"] >= len(chosen.rows) + held.ranks[ci]
+        chosen = G._joined(chosen, held, ci)
+        assert len(chosen.rows) == step["ranks"][0]
+    assert held.rows.shape[1] == 12 and sorted(set(held.ranks.tolist())) == [4, 6, 12]
+    assert [step["width"] for step in result.trajectory] == [12, 24, 30, 34]
+
+
+def test_held_test_spectra_match_dense_2q():
+    gs = make_xycphase_gateset()
+    chosen_germs = ["Gcphase", "Gix Gix Giy"]
+    cand_germs = ["Gxi Gxi Gyi", "Gcphase Gix Gcphase Giy", "Gix Gxi Gyi Giy"]
+    pool = [Circuit(tuple(g.split())) for g in chosen_germs + cand_germs]
+    held = G._held_candidates(gs, pool, G.IDEAL_DEGENERACY_TOL)
+    chosen = HeldFim(rows=np.zeros((0, n_params(gs))))
+    for ci in range(len(chosen_germs)):
+        chosen = G._joined(chosen, held, ci)
+    cands = list(range(len(chosen_germs), len(pool)))
+    ranks, scores, width = G._test_ranks_and_scores(chosen, held, cands, 961, "sum")
+    assert width == len(chosen.rows) + held.rows.shape[1] < n_params(gs)
+
+    jacs = G.germ_twirled_jacobians(gs, pool) / np.array([len(g.labels) for g in pool])[:, None, None]
+    gram = sum(j.T @ j for j in jacs[: len(chosen_germs)])
+    for k, ci in enumerate(cands):
+        dense = np.linalg.eigvalsh(gram + jacs[ci].T @ jacs[ci])[::-1]
+        (dense_rank,), (dense_score,) = G._gram_ranks_and_scores(dense[None], 961, "sum")
+        assert ranks[k] == dense_rank
+        assert scores[k] == pytest.approx(dense_score, rel=HELD_SCORE_RTOL)
+        # the held-row spectrum: the test matrix's eigenvalues, then exact zeros
+        c = chosen.rows
+        r = np.concatenate([c, held.rows[ci]])
+        thin = np.linalg.eigvalsh(r @ r.T)[::-1]
+        np.testing.assert_allclose(thin[:dense_rank], dense[:dense_rank], rtol=0, atol=1e-12 * dense[0])
 
 
 def test_greedy_rank_monotone(xyi):
