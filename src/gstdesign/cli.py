@@ -221,7 +221,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_wallclock(args) -> int:
     devices = list(bi.BUILTIN_DEVICES) if args.device == "all" else [args.device]
-    given = _load_gateset(args.gateset) if args.gateset and args.design else None
+    given = _load_gateset(args.gateset) if args.gateset else None
     columns = []
     for path in args.design or []:
         design = _load_design(path, given)

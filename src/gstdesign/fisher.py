@@ -4,33 +4,35 @@ Per circuit the Fisher information under multinomial sampling is
 ``N_c sum_i (1/p_i) (grad p_i)(grad p_i)^T`` (the Hessian terms cancel
 because outcome probabilities sum to one); information is additive over
 circuits, so a design's matrix is the sum over its circuit list.  It is
-accumulated as ``W^T W``: for each block of ``FIM_BLOCK`` circuits the
-weighted Jacobian rows ``sqrt(N_c / p_i) grad p_i`` are stacked into ``W``
-and ``W^T W`` is added to the running total, blocks in circuit order.  The
-block size bounds memory; the summation order is fixed, so the result
-depends on nothing but the circuit list and the BLAS build (BLAS threading
-may change the last bits of the products).
+summed in blocks of ``FIM_BLOCK`` circuits: a block's probabilities come
+from one prefix walk (:func:`~gstdesign.model.circuits_probabilities`),
+its weighted Jacobian rows ``sqrt(N_c / p_i) grad p_i`` are stacked into
+``W``, and the blocks are added in circuit order as :class:`HeldFim`
+sums.  The block size bounds memory; the summation order is fixed, so the
+result depends on nothing but the circuit list and the BLAS build (BLAS
+threading may change the last bits of the products).
 
 Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
-A matrix ``F^T F`` is held by its smaller side
-(:class:`~gstdesign.held.HeldFim`).  While it has fewer stacked rows ``m``
-than columns, its rank is at most ``m`` and it is kept as the rows ``F``
-themselves: a reduced design keeps few circuits, so a two-qubit bucket of a
-few hundred rows is never squared into a 1023-wide matrix of rounding
-noise.  Once ``m`` reaches the width it is kept as the Gram ``F^T F``,
-summed per block as above.  The spectrum of a row-held matrix is
-``eigvalsh(F F^T)``, ``m`` values, followed by one exact ``0.0`` for each
-of the other ``width - m`` directions.
+A matrix ``F^T F`` is held by its smaller side, and the sum of
+:class:`~gstdesign.held.HeldFim` is the one rule for which side: while
+there are fewer stacked rows ``m`` than columns, the rank is at most ``m``
+and the matrix is kept as the rows ``F`` themselves; once ``m`` reaches
+the width it is kept as the Gram ``F^T F``, each later block adding its
+``W^T W``.  A reduced design keeps few circuits, so a two-qubit bucket of
+a few hundred rows is never squared into a 1023-wide matrix of rounding
+noise.  The spectrum of a row-held matrix is ``eigvalsh(F F^T)``, ``m``
+values, followed by one exact ``0.0`` for each of the other ``width - m``
+directions.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
 evaluated at (:class:`NongaugeFrame`).  Its coordinates are that model's
 :class:`~gstdesign.model.GaugeTangent`, whose one pivoted Householder QR
 gives the gauge rank and the complement; they are applied to
 the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
-bucket matrix is held as ``W Q2`` or accumulated as ``(W Q2)^T (W Q2)``
+bucket matrix is held as ``W Q2`` or summed as ``(W Q2)^T (W Q2)``
 directly in the frame and no parameter-wide matrix or dense basis is
 formed.  Each matrix is eigensolved at most once.  The frame is the one
 source of every series: :func:`cumulative_series` and
@@ -72,6 +74,7 @@ from .model import (
     Circuit,
     GateSet,
     circuit_probabilities,
+    circuits_probabilities,
     gauge_tangent,
     n_params,
     probability_hessian,
@@ -104,7 +107,7 @@ __all__ = [
 ]
 
 DEFAULT_SHOTS = 1000
-# circuits per W^T W product; a two-qubit block of W is about 10 MB
+# circuits per probability walk and per added block of rows W; a two-qubit W is about 10 MB
 FIM_BLOCK = 256
 # certification: a direction grows when its log-log slope, fitted over the
 # trailing FIT_FRACTION of the schedule, reaches SLOPE_THRESHOLD; it is
@@ -145,38 +148,26 @@ def circuits_fim(
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
     coords=None,
-    rows_below: int | None = None,
 ) -> HeldFim:
-    """Summed Fisher matrix of ``circuits`` in its held form (see the module
-    docstring): the stacked weighted rows while there are fewer than
-    ``rows_below`` of them (default: the width), otherwise the Gram, one
-    ``W^T W`` product per block of ``FIM_BLOCK`` circuits added in order.
+    """Summed Fisher matrix of ``circuits``: the empty matrix plus, in
+    order, the weighted rows ``W`` of each block of ``FIM_BLOCK`` circuits,
+    so :class:`HeldFim`'s sum decides whether the result is held as its
+    rows or as its Gram (see the module docstring).
 
     ``coords``, when given, maps each block's ``W`` (one column per
-    parameter) to the columns the matrix is wanted in, before the product:
+    parameter) to the columns the matrix is wanted in, before it is added:
     :meth:`~gstdesign.model.GaugeTangent.rows` gives the non-gauge frame,
     so the result is ``Q2^T F Q2`` without ``F`` ever being formed.
     """
     circuits = list(circuits)
     coords = coords or (lambda w: w)
-    width = coords(np.zeros((0, n_params(gs)))).shape[1]  # the map's output width, from an empty block
-    rows_below = width if rows_below is None else rows_below
-    blocks: list[np.ndarray] = []  # row blocks not yet added to the Gram
-    total = None
+    total = HeldFim(rows=coords(np.zeros((0, n_params(gs)))))
     for lo in range(0, len(circuits), FIM_BLOCK):
-        rows = []
-        for c in circuits[lo : lo + FIM_BLOCK]:
-            p = np.clip(circuit_probabilities(gs, c), clip_floor, 1.0)
-            rows.append(probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None])
-        blocks.append(coords(np.concatenate(rows)))
-        if total is not None or sum(len(w) for w in blocks) >= rows_below:
-            total = np.zeros((width, width)) if total is None else total
-            for w in blocks:
-                total += w.T @ w
-            blocks = []
-    if total is not None:
-        return HeldFim(gram=total)
-    return HeldFim(rows=np.concatenate([np.zeros((0, width)), *blocks]))
+        block = circuits[lo : lo + FIM_BLOCK]
+        probs = np.clip(circuits_probabilities(gs, block), clip_floor, 1.0)
+        rows = [probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None] for c, p in zip(block, probs)]
+        total += HeldFim.from_rows(coords(np.concatenate(rows)))
+    return total
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -202,13 +193,13 @@ def bucket_fims(
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
     coords=None,
-    rows_below: int | None = None,
 ) -> tuple[HeldFim, ...]:
     """Incremental Fisher matrix of each max-depth bucket, in schedule order,
-    in the columns ``coords`` maps to and held as :func:`circuits_fim` holds
-    it: the one place a design's per-bucket matrices are built."""
+    in the columns ``coords`` maps to, each a :func:`circuits_fim` sum held
+    by :class:`HeldFim`'s rule: the one place a design's per-bucket
+    matrices are built."""
     buckets = ([c for c, b in zip(design.circuits, design.buckets) if b == depth] for depth in design.maxdepths)
-    return tuple(circuits_fim(gs, circuits, shots, clip_floor, coords, rows_below) for circuits in buckets)
+    return tuple(circuits_fim(gs, circuits, shots, clip_floor, coords) for circuits in buckets)
 
 
 class NongaugeFrame:
@@ -218,16 +209,16 @@ class NongaugeFrame:
     ``gs``, are taken once and applied to the weighted Jacobian rows of every
     block as :func:`bucket_fims` accumulates them, so each bucket matrix is
     built once, directly ``dim`` wide.  ``increments`` and their prefix sums
-    ``cumulative`` are :class:`HeldFim`: a matrix of ``m < dim`` rows is
-    held as its rows ``W Q2``, a cumulative one as its buckets' rows
-    stacked, and from ``m >= dim`` on as the Gram, the prefix sums adding
-    the bucket Grams in order.  With ``columns``, a slice of the parameter
-    vector (such as one operation's :func:`~gstdesign.model.param_blocks`
-    entry), the same walk over circuits also accumulates each bucket's
-    full-frame matrix restricted to those columns into
-    ``column_increments``, held the same way: each ``W`` is mapped to
-    ``[W Q2 | W[:, columns]]`` and the held rows or Gram are split by
-    column.  Probabilities are clipped at :func:`certification_clip_floor`
+    ``cumulative`` are :class:`HeldFim` sums, so :class:`HeldFim`'s rule
+    alone decides whether each is held as its rows ``W Q2`` (a cumulative
+    one as its buckets' rows stacked) or as its Gram.  With ``columns``, a
+    slice of the parameter vector (such as one operation's
+    :func:`~gstdesign.model.param_blocks` entry), the same walk over
+    circuits also accumulates each bucket's full-frame matrix restricted
+    to those columns into ``column_increments``: each ``W`` is mapped to
+    ``[W Q2 | W[:, columns]]``, the joint matrix is summed by the same
+    rule, and it is split by column with :meth:`HeldFim.block`, each part
+    held by its smaller side.  Probabilities are clipped at :func:`certification_clip_floor`
     of ``shots``.  Eigensolves are cached, so no matrix is solved twice:
     :meth:`deepest` solves the deepest cumulative matrix and also serves
     its spectrum.  A row-held spectrum is ``eigvalsh(F F^T)`` padded with
@@ -249,7 +240,7 @@ class NongaugeFrame:
             self.increments = bucket_fims(gs, design, shots, clip_floor, tangent.rows)
         else:
             joint = bucket_fims(
-                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]]), self.dim
+                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]])
             )
             self.increments = tuple(m.block(slice(None, self.dim)) for m in joint)
             self.column_increments = tuple(m.block(slice(self.dim, None)) for m in joint)

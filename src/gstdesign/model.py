@@ -46,6 +46,7 @@ __all__ = [
     "hamiltonian_generator_ptms",
     "circuit_ptm",
     "circuit_probabilities",
+    "circuits_probabilities",
     "effective_fiducial_states",
     "effective_fiducial_effects",
     "param_blocks",
@@ -333,6 +334,40 @@ def circuit_probabilities(gs: GateSet, circuit: Circuit) -> np.ndarray:
     for label in circuit.labels:
         v = _gate(gs, label) @ v
     return gs.effect_matrix() @ v
+
+
+def circuits_probabilities(gs: GateSet, circuits) -> np.ndarray:
+    """Outcome probabilities of a sequence of circuits, one row each in
+    circuit order, from one walk per distinct label prefix.
+
+    Every label is checked first, in circuit order, so the first circuit
+    holding a label the gate set lacks raises :class:`GateSetError`.
+    Circuits are then visited in sorted label order over a stack of states,
+    the state after each prefix of the previous circuit, and each circuit
+    starts from its longest common prefix with the previous one.  A circuit
+    therefore sees the same ``G @ v`` products as in
+    :func:`circuit_probabilities`, the one-circuit reference, and its
+    probabilities are equal bit for bit.
+    """
+    unknown = [label for c in circuits for label in c.labels if label not in gs.gates]
+    if unknown:
+        raise GateSetError(f"unknown gate label {unknown[0]!r}")
+    effects = gs.effect_matrix()
+    probs = np.zeros((len(circuits), gs.num_effects))
+    states = np.empty((max(map(len, circuits), default=0) + 1, gs.dim))
+    states[0] = gs.prep
+    path: list[str] = []  # labels walked so far; states[d] follows path[:d]
+    for idx in sorted(range(len(circuits)), key=lambda i: circuits[i].labels):
+        labels = circuits[idx].labels
+        depth = 0
+        while depth < min(len(labels), len(path)) and labels[depth] == path[depth]:
+            depth += 1
+        del path[depth:]
+        for label in labels[depth:]:
+            np.matmul(gs.gates[label], states[len(path)], out=states[len(path) + 1])
+            path.append(label)
+        probs[idx] = effects @ states[len(path)]
+    return probs
 
 
 def effective_fiducial_states(gs: GateSet, prep_fids: list[Circuit]) -> list[np.ndarray]:

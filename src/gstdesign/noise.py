@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Circuit, GateSet, GateSetError, depolarizing_ptm, hamiltonian_generator_ptms
+from .model import Circuit, GateSet, circuits_probabilities, depolarizing_ptm, hamiltonian_generator_ptms
 
 __all__ = [
     "NoiseSpec",
@@ -128,40 +128,6 @@ class Dataset:
             return Dataset.from_json_dict(json.load(f))
 
 
-def _walked_probabilities(gs: GateSet, circuits: tuple[Circuit, ...]) -> np.ndarray:
-    """Outcome probabilities of every circuit, one row each in circuit
-    order, from one walk per distinct label prefix.
-
-    Every label is checked first, in circuit order, so the first circuit
-    holding a label the gate set lacks raises :class:`GateSetError`.
-    Circuits are then visited in sorted label order over a stack of states,
-    the state after each prefix of the previous circuit, and each circuit
-    starts from its longest common prefix with the previous one.  A circuit
-    therefore sees the same ``G @ v`` products as in
-    :func:`~gstdesign.model.circuit_probabilities`, and its probabilities
-    are equal bit for bit.
-    """
-    unknown = [label for c in circuits for label in c.labels if label not in gs.gates]
-    if unknown:
-        raise GateSetError(f"unknown gate label {unknown[0]!r}")
-    effects = gs.effect_matrix()
-    probs = np.zeros((len(circuits), gs.num_effects))
-    states = np.empty((max(map(len, circuits), default=0) + 1, gs.dim))
-    states[0] = gs.prep
-    path: list[str] = []  # labels walked so far; states[d] follows path[:d]
-    for idx in sorted(range(len(circuits)), key=lambda i: circuits[i].labels):
-        labels = circuits[idx].labels
-        depth = 0
-        while depth < min(len(labels), len(path)) and labels[depth] == path[depth]:
-            depth += 1
-        del path[depth:]
-        for label in labels[depth:]:
-            np.matmul(gs.gates[label], states[len(path)], out=states[len(path) + 1])
-            path.append(label)
-        probs[idx] = effects @ states[len(path)]
-    return probs
-
-
 def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
     if np.min(p) < -1e-9:
         raise ValueError(f"model predicts negative probability {np.min(p):.3e} for {circuit}")
@@ -175,18 +141,16 @@ def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
 def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
     """Draw multinomial counts for every circuit, one RNG stream per circuit.
 
-    Probabilities come from one walk per distinct label prefix over the
-    circuits in sorted label order, each circuit resuming from its longest
-    common prefix with the one before, and equal those of
-    :func:`~gstdesign.model.circuit_probabilities` bit for bit.  Labels are
-    checked before any probability, so a circuit with an unknown label
-    raises :class:`GateSetError` before an earlier circuit's probabilities
-    are checked.  Validation and the draws then run in circuit order, so
-    the first invalid circuit is the one an error names.
+    Probabilities come from one prefix walk,
+    :func:`~gstdesign.model.circuits_probabilities`, which checks every
+    label first, so a circuit with an unknown label raises
+    :class:`~gstdesign.model.GateSetError` before an earlier circuit's
+    probabilities are checked.  Validation and the draws then run in
+    circuit order, so the first invalid circuit is the one an error names.
     """
     circuits = tuple(circuits)
     counts = np.zeros((len(circuits), gs.num_effects), dtype=np.int64)
-    probs = _walked_probabilities(gs, circuits)
+    probs = circuits_probabilities(gs, circuits)
     for idx, c in enumerate(circuits):
         p = _validated_probabilities(probs[idx], c)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
@@ -197,10 +161,11 @@ def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
 def log_likelihood(gs: GateSet, dataset: Dataset) -> float:
     """Multinomial log likelihood of the dataset under the gate set, its
     probabilities from the same prefix walk as :func:`simulate_dataset`;
-    the first circuit with an unknown label raises :class:`GateSetError`."""
+    the first circuit with an unknown label raises
+    :class:`~gstdesign.model.GateSetError`."""
     total = 0.0
     shots = dataset.shots
-    probs = _walked_probabilities(gs, dataset.circuits)
+    probs = circuits_probabilities(gs, dataset.circuits)
     for p, n in zip(probs, dataset.counts):
         p = np.clip(p, PROB_CLIP_FLOOR, 1.0)
         total += math.lgamma(shots + 1) - sum(math.lgamma(k + 1) for k in n.tolist()) + float(n @ np.log(p))

@@ -58,17 +58,6 @@ class DeviceParams:
             shots_per_circuit_per_batch=int(doc["shots_per_circuit_per_batch"]),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "t_1q": self.t_1q,
-            "t_2q": self.t_2q,
-            "t_measure_reset": self.t_measure_reset,
-            "t_latency": self.t_latency,
-            "circuits_per_batch": self.circuits_per_batch,
-            "shots_per_circuit_per_batch": self.shots_per_circuit_per_batch,
-        }
-
     @staticmethod
     def load(path) -> "DeviceParams":
         with open(path) as f:

@@ -254,6 +254,27 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
         assert any(forms) == row_held
 
 
+def test_certify_walks_probabilities_and_takes_one_jacobian_per_circuit(small_design, monkeypatch):
+    calls = {"circuit_probabilities": Counter(), "probability_jacobian": Counter()}
+    for name, seen in calls.items():
+        original = getattr(model, name)
+
+        def counting(gs, circuit, original=original, seen=seen):
+            seen[circuit.labels] += 1
+            return original(gs, circuit)
+
+        # every binding in the package, as the benchmark's tracer patches them
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "gstdesign" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == 0
+    design = ExperimentDesign.load(small_design)
+    # probabilities come from one prefix walk per block, never from the one-circuit reference
+    assert calls["circuit_probabilities"] == Counter()
+    assert calls["probability_jacobian"] == Counter(c.labels for c in design.circuits)
+    assert set(calls["probability_jacobian"].values()) == {1}
+
+
 def _bad_design(tmp_path, small_design, edit):
     doc = json.loads(small_design.read_text())
     edit(doc)
@@ -379,6 +400,8 @@ MALFORMED_INPUTS = {
     "meas-fiducials-not-utf8": ("--meas-fiducials", b"\xff\xfe[[", DESIGN_ARGV),
     "device-json-list": ("--device", "[1]", WALLCLOCK_ARGV),
     "device-t1q-list": ("--device", _device_doc(t_1q=[1]), WALLCLOCK_ARGV),
+    # wallclock reads --gateset with bare counts too
+    "wallclock-gateset-json-list": ("--gateset", "[1, 2]", [*WALLCLOCK_ARGV, "--device", "all"]),
 }
 
 

@@ -364,7 +364,7 @@ def greedy_reference(models, pool, states, score_tests, join):
             return [pool[ci] for ci in chosen], ranks, [s for _, s in scored[ci]], trajectory
 
 
-def unpruned_select_germs(models, pool):
+def unpruned_select_germs(models, pool, score_fn="sum"):
     """Every candidate scored on every model, one test matrix per call,
     through the held-row scorer."""
     targets = [G.amplifiable_count(m) for m in models]
@@ -373,7 +373,7 @@ def unpruned_select_germs(models, pool):
     def score_tests(mi, chosen, unused):
         out = []
         for ci in unused:
-            ranks, scores, _ = G._test_ranks_and_scores(chosen, held[mi], [ci], targets[mi], "sum")
+            ranks, scores, _ = G._test_ranks_and_scores(chosen, held[mi], [ci], targets[mi], score_fn)
             out.append((ranks.item(), scores.item()))
         return out
 
@@ -409,12 +409,16 @@ def drop_work_counts(trajectory):
     return [{k: v for k, v in step.items() if k not in ("eigensolves", "width")} for step in trajectory]
 
 
-@pytest.mark.parametrize("perturbed", [0, 2], ids=["standard", "robust"])
-def test_pruned_selection_equals_unpruned(xyi, perturbed):
+@pytest.mark.parametrize(
+    "perturbed, score_fn",
+    [(0, "sum"), (2, "sum"), (0, "min"), (2, "min")],
+    ids=["standard", "robust", "standard-min", "robust-min"],
+)
+def test_pruned_selection_equals_unpruned(xyi, perturbed, score_fn):
     models = [xyi] + perturbed_models(xyi, perturbed, 1e-3, seed=5)
     pool = G.germ_candidate_pool(xyi.labels, 4)
-    result = G.select_germs(models, pool)
-    germs, ranks, scores, trajectory = unpruned_select_germs(models, pool)
+    result = G.select_germs(models, pool, score_fn=score_fn)
+    germs, ranks, scores, trajectory = unpruned_select_germs(models, pool, score_fn)
     assert result.germs == germs
     assert result.ranks == ranks
     assert result.scores == scores

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from gstdesign import noise as N
-from gstdesign.model import Circuit, circuit_probabilities
+from gstdesign.model import Circuit, circuit_probabilities, circuits_probabilities
 
 
 def test_zero_noise_returns_target_exactly(xyi):
@@ -181,7 +181,7 @@ def test_prefix_walk_equals_circuit_probabilities_in_bits(xyi, xyi_fiducials):
     noisy = N.sample_noisy_gateset(xyi, N.NoiseSpec("coherent-depol", 0.02, 0.01, 3))
     circuits = shuffled_design_circuits(xyi, xyi_fiducials, seed=4)
     circuits += [Circuit(()), circuits[0], Circuit(circuits[1].labels[:1])]  # empty, repeated, a prefix
-    probs = N._walked_probabilities(noisy, tuple(circuits))
+    probs = circuits_probabilities(noisy, tuple(circuits))
     for c, p in zip(circuits, probs):
         assert p.tobytes() == circuit_probabilities(noisy, c).tobytes()
 
