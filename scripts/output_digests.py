@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Print one sha256 per output file and per stdout of the benchmark's CLI runs.
 
-Runs the four workloads of ``perfbench/workloads.py`` at one seed, with
+Runs the four workloads of ``perfbench/workloads.py`` at seed 1, with
 their own inputs and invocations, and ``certify --kind incremental`` and
-``--kind projected`` on the two certify designs, all in this process at
-one BLAS thread.  Running it on two checkouts and diffing the output shows
-whether a change keeps every output byte-identical:
+``--kind projected`` on the two certify designs and on the full fiducial
+grid of the 2Q one, all in this process at one BLAS thread.  That grid's
+L = 4 bucket holds 1024 rows, between the 1023 non-gauge and the 1263
+joint columns of ``--kind projected``.  Running the script on two
+checkouts and diffing the output shows whether a change keeps every
+output byte-identical:
 
-    PYTHONPATH=src python3 scripts/output_digests.py [--seed N] > digests.txt
+    PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
 The working directory's path is replaced by ``<dir>`` before a stdout is
 hashed, so the digests do not depend on where the run happens.
@@ -18,8 +21,8 @@ import os
 # before numpy loads: one BLAS thread, so the last bits of products are fixed
 os.environ.update({var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
 
-import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
@@ -39,9 +42,16 @@ def load_workloads():
     return workloads
 
 
+def all_workloads(workloads) -> dict:
+    """The benchmark's workloads and the full-grid 2Q certify design."""
+    wide = workloads.WORKLOADS["certify-2q-wide"]
+    grid = dataclasses.replace(wide, name="certify-2q-grid", n_prep=None, n_meas=None)
+    return {**workloads.WORKLOADS, grid.name: grid}
+
+
 def runs(workloads, indir: Path, outroot: Path):
     """(name, argv list, output directory) of every run of every workload."""
-    for name, workload in workloads.WORKLOADS.items():
+    for name, workload in all_workloads(workloads).items():
         outdir = outroot / name
         yield name, workload.invocations(indir / name, outdir), outdir
         if isinstance(workload, workloads.Certify):
@@ -52,18 +62,14 @@ def runs(workloads, indir: Path, outroot: Path):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=1, help="benchmark seed handed to every workload's make_inputs")
-    args = ap.parse_args()
-
     from gstdesign import cli
 
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, workload in workloads.WORKLOADS.items():
+        for name, workload in all_workloads(workloads).items():
             (root / "in" / name).mkdir(parents=True)
-            workload.make_inputs(root / "in" / name, args.seed)
+            workload.make_inputs(root / "in" / name, 1)
         for name, argvs, outdir in runs(workloads, root / "in", root / "out"):
             outdir.mkdir(parents=True)
             for k, argv in enumerate(argvs):

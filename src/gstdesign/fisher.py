@@ -218,7 +218,8 @@ class NongaugeFrame:
     to those columns into ``column_increments``: each ``W`` is mapped to
     ``[W Q2 | W[:, columns]]``, the joint matrix is summed by the same
     rule, and it is split by column with :meth:`HeldFim.block`, each part
-    held by its smaller side.  Probabilities are clipped at :func:`certification_clip_floor`
+    held by its smaller side; from ``dim`` rows on both parts are cut from
+    the joint Gram.  Probabilities are clipped at :func:`certification_clip_floor`
     of ``shots``.  Eigensolves are cached, so no matrix is solved twice:
     :meth:`deepest` solves the deepest cumulative matrix and also serves
     its spectrum.  A row-held spectrum is ``eigvalsh(F F^T)`` padded with

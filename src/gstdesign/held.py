@@ -102,10 +102,15 @@ class HeldFim:
 
     def block(self, cols: slice) -> HeldFim:
         """The matrix restricted to ``cols`` (rows and columns), held by its
-        smaller side."""
-        if self.rows is None:
-            return HeldFim(gram=self.gram[cols, cols].copy())
-        return HeldFim.from_rows(self.rows[:, cols])
+        smaller side.  Rows that reach both the width of ``cols`` and that
+        of the other columns hold every diagonal block as a Gram: the block
+        is then cut from the whole Gram, as from a Gram-held matrix, so the
+        blocks of one matrix come from one product."""
+        if self.rows is not None:
+            part = self.rows[:, cols]
+            if len(part) < max(part.shape[1], self.width - part.shape[1]):
+                return HeldFim.from_rows(part)
+        return HeldFim(gram=self.matrix()[cols, cols].copy())
 
     def __add__(self, other: HeldFim) -> HeldFim:
         """The sum, held as the stacked rows while they are fewer than the width."""

@@ -184,10 +184,13 @@ def test_nongauge_spectra_match_full_frame(eval_model, xyi_fiducials):
 
 
 def _frame_case(name, xyi, xyi_fiducials):
-    """Evaluation model and design: XYI germs at L <= 16, or the XYCPHASE
-    germ Gxi on 2 prep x 2 meas fiducials at L <= 2."""
+    """Evaluation model and design: XYI germs at L <= 16, the same germs on
+    3 prep x 2 meas fiducials at L <= 8, or the XYCPHASE germ Gxi on 2 prep
+    x 2 meas fiducials at L <= 2."""
     if name == "xyi":
         gs, preps, meass, germs, lmax = xyi, xyi_fiducials, xyi_fiducials, GERMS, 16
+    elif name == "xyi-sparse":
+        gs, preps, meass, germs, lmax = xyi, xyi_fiducials[:3], xyi_fiducials[:2], GERMS, 8
     else:
         gs = make_xycphase_gateset()
         preps, meass = builtin_fiducials("xycphase", "prep")[:2], builtin_fiducials("xycphase", "meas")[:2]
@@ -196,7 +199,7 @@ def _frame_case(name, xyi, xyi_fiducials):
     return FI.default_eval_model(gs, seed=41), des
 
 
-@pytest.mark.parametrize("name, op", [("xyi", "Gx"), ("xycphase", "Gxi")])
+@pytest.mark.parametrize("name, op", [("xyi", "Gx"), ("xyi-sparse", "Gx"), ("xycphase", "Gxi")])
 def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
@@ -205,12 +208,17 @@ def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, na
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
     joint = FI.NongaugeFrame(gs, des, columns=sl)
+    dim, rows = q.shape[1], [gs.num_effects * des.buckets.count(depth) for depth in des.maxdepths]
     # XYI buckets hold more rows than its 31 non-gauge columns, the 2Q ones
-    # fewer than 1023, so they are held as Grams and as rows respectively
-    row_held = name == "xycphase"
+    # fewer than 1023, so they are held as Grams and as rows respectively;
+    # three sparse XYI buckets hold 32 or 34, fewer than the 31 + 12 joint
+    # columns, and one holds 12, as many as the operation's columns
+    if name == "xyi-sparse":
+        assert rows == [34, 12, 32, 34] and sl.stop - sl.start == 12
     for held in (frame, joint):
-        assert [m.width for m in held.increments] == [q.shape[1]] * len(des.maxdepths)
-        assert all((m.rows is not None) == row_held for m in held.increments + held.cumulative)
+        assert [m.width for m in held.increments] == [dim] * len(des.maxdepths)
+        assert [m.rows is None for m in held.increments] == [r >= dim for r in rows]
+        assert [m.rows is None for m in held.cumulative] == [r >= dim for r in np.cumsum(rows)]
     for k, m in enumerate(full):
         want = q.T @ m @ q
         scale = np.max(np.abs(want))
