@@ -6,7 +6,10 @@ their own inputs and invocations, and ``certify --kind incremental`` and
 ``--kind projected`` on the two certify designs and on the full fiducial
 grid of the 2Q one, all in this process at one BLAS thread.  That grid's
 L = 4 bucket holds 1024 rows, between the 1023 non-gauge and the 1263
-joint columns of ``--kind projected``.  Running the script on two
+joint columns of ``--kind projected``.  ``simulate`` also runs on that 2Q
+grid design and on an XYI random-FPR design of the benchmark's robust 1Q
+germs up to L = 1024, so the datasets checked reach beyond design-1q's.
+Running the script on two
 checkouts and diffing the output shows whether a change keeps every
 output byte-identical:
 
@@ -25,6 +28,7 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -49,8 +53,33 @@ def all_workloads(workloads) -> dict:
     return {**workloads.WORKLOADS, grid.name: grid}
 
 
+def simulate_argv(gateset: str, design: Path, outdir: Path) -> list[str]:
+    return ["simulate", "--gateset", gateset, "--design", str(design), "--seed", "5",
+            "--out", str(outdir / "dataset.json")]
+
+
+def make_extra_inputs(workloads, indir: Path) -> None:
+    """The germ file of the XYI random-FPR design."""
+    (indir / "xyi-random").mkdir(parents=True)
+    germs = [g.split() for g in workloads.GERMS_1Q_ROBUST]
+    (indir / "xyi-random" / "germs.json").write_text(json.dumps(germs))
+
+
+def extra_runs(indir: Path, outroot: Path):
+    """``simulate`` on the 2Q grid design and on an XYI random-FPR design."""
+    outdir = outroot / "certify-2q-grid--simulate"
+    yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
+    outdir = outroot / "xyi-random--simulate"
+    design = [
+        "design", "--gateset", "xyi", "--germ-file", str(indir / "xyi-random" / "germs.json"),
+        "--fpr", "random", "--Lmax", "1024", "--seed", "3", "--out", str(outdir / "design.json"),
+    ]
+    yield outdir.name, [design, simulate_argv("xyi", outdir / "design.json", outdir)], outdir
+
+
 def runs(workloads, indir: Path, outroot: Path):
-    """(name, argv list, output directory) of every run of every workload."""
+    """(name, argv list, output directory) of every run of every workload,
+    then of :func:`extra_runs`."""
     for name, workload in all_workloads(workloads).items():
         outdir = outroot / name
         yield name, workload.invocations(indir / name, outdir), outdir
@@ -59,6 +88,7 @@ def runs(workloads, indir: Path, outroot: Path):
                 outdir = outroot / f"{name}--kind-{kind}"
                 extra = ["--kind", kind] + (["--op", PROJECTED_OP[workload.gateset]] if kind == "projected" else [])
                 yield outdir.name, [argv + extra for argv in workload.invocations(indir / name, outdir)], outdir
+    yield from extra_runs(indir, outroot)
 
 
 def main() -> None:
@@ -70,6 +100,7 @@ def main() -> None:
         for name, workload in all_workloads(workloads).items():
             (root / "in" / name).mkdir(parents=True)
             workload.make_inputs(root / "in" / name, 1)
+        make_extra_inputs(workloads, root / "in")
         for name, argvs, outdir in runs(workloads, root / "in", root / "out"):
             outdir.mkdir(parents=True)
             for k, argv in enumerate(argvs):

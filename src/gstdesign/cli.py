@@ -2,11 +2,12 @@
 
 Every randomized subcommand requires an explicit ``--seed`` and is
 deterministic end to end (rerunning writes byte-identical files).  Exit
-codes: 0 on success, 2 for usage errors (argparse, and a noise sigma so
-large that the sampled model is not finite), 3 for unreadable or
-invalid input files and for a design certify cannot classify (a single max
-depth), 4 when a fiducial pool is not informationally complete, 5 when a
-germ candidate pool is not amplificationally complete.
+codes: 0 on success, 2 for usage errors (argparse, including a negative
+seed, and a noise sigma so large that the sampled model is not finite), 3
+for unreadable or invalid input files, for an output file that cannot be
+written and for a design certify cannot classify (a single max depth), 4
+when a fiducial pool is not informationally complete, 5 when a germ
+candidate pool is not amplificationally complete.
 Fisher-information products run on the BLAS threads numpy is configured
 with (``OPENBLAS_NUM_THREADS`` and the like).
 """
@@ -14,6 +15,7 @@ with (``OPENBLAS_NUM_THREADS`` and the like).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -147,8 +149,18 @@ def _select_germs(args, gs: GateSet) -> gz.GermSelectionResult:
         raise CliError(str(exc), EXIT_POOL_NOT_AC) from None
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an output file that cannot be written as a :class:`CliError`
+    (exit 3) naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str, doc) -> None:
-    with open(path, "w") as f:
+    with _writing(path), open(path, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
 
@@ -170,9 +182,10 @@ def cmd_design(args) -> int:
     design = dz.build_design(
         preps, meass, germs, schedule, policy, gateset_labels=gs.labels, gateset_ref=args.gateset
     )
-    design.save(args.out)
+    with _writing(args.out):
+        design.save(args.out)
     if args.circuit_text:
-        with open(args.circuit_text, "w") as f:
+        with _writing(args.circuit_text), open(args.circuit_text, "w") as f:
             f.write(design.circuit_text())
     print(f"design written to {args.out}")
     print(f"germs ({len(germs)}): {[str(g) for g in germs]}")
@@ -200,9 +213,11 @@ def cmd_certify(args) -> int:
         series = {"cumulative": fz.cumulative_series, "incremental": fz.incremental_series,
                   "projected": fz.block_series}[args.kind](design, frame)
         classes = report.classifications() if args.kind == "cumulative" else None
-        fz.series_to_csv(series, args.csv, classes)
+        with _writing(args.csv):
+            fz.series_to_csv(series, args.csv, classes)
     if args.report:
-        fz.report_to_json(report, args.report)
+        with _writing(args.report):
+            fz.report_to_json(report, args.report)
     print(f"growing: {report.growing}  plateaued: {report.plateaued} (SPAM budget {report.spam_budget})")
     print(f"insensitive directions at deepest layer: {len(report.insensitive)}")
     print(f"verdict: {report.verdict}")
@@ -213,8 +228,9 @@ def cmd_simulate(args) -> int:
     gs = _load_gateset(args.gateset)
     design = _load_design(args.design, gs)
     noisy = nz.sample_noisy_gateset(gs, nz.NoiseSpec(args.noise, args.sigma, args.eta, args.seed))
-    dataset = nz.simulate_dataset(noisy, design.circuits, args.shots, args.seed)
-    dataset.save(args.out)
+    dataset = nz.simulate_dataset(noisy, design, args.shots, args.seed)
+    with _writing(args.out):
+        dataset.save(args.out)
     print(f"dataset with {len(dataset.circuits)} circuits x {args.shots} shots written to {args.out}")
     return EXIT_OK
 
@@ -350,6 +366,10 @@ def _checked(convert, ok, want: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "be a positive integer")
+_seed = _checked(int, lambda v: v >= 0, "be a non-negative integer")
+# simulate writes its counts as int64, so no count may exceed this
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_shot_count = _checked(int, lambda v: 1 <= v <= _INT64_MAX, f"be a positive integer no larger than {_INT64_MAX}")
 _fraction = _checked(float, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < float("inf"), "be a finite number >= 0")
 _unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
@@ -358,7 +378,7 @@ _depolarization = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
     p.add_argument("--gateset", required=True, help="builtin name (xyi, xycphase) or JSON path")
-    p.add_argument("--seed", type=int, required=seed_required, help="master RNG seed")
+    p.add_argument("--seed", type=_seed, required=seed_required, help="master RNG seed")
 
 
 def _add_germ_options(p: argparse.ArgumentParser) -> None:
@@ -397,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed_required=False)
     p.add_argument("--design", required=True)
     p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
-    p.add_argument("--perturb-seed", type=int, default=97)
+    p.add_argument("--perturb-seed", type=_seed, default=97)
     p.add_argument("--perturb-sigma", type=_nonnegative, default=1e-3)
     p.add_argument("--kind", choices=["cumulative", "incremental", "projected"], default="cumulative")
     p.add_argument("--op", help="operation label for --kind projected")
@@ -411,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["coherent-only", "coherent-depol"], default="coherent-depol")
     p.add_argument("--sigma", type=_nonnegative, default=0.01)
     p.add_argument("--eta", type=_depolarization, default=0.001)
-    p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_shot_count, default=fz.DEFAULT_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

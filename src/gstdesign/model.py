@@ -336,38 +336,96 @@ def circuit_probabilities(gs: GateSet, circuit: Circuit) -> np.ndarray:
     return gs.effect_matrix() @ v
 
 
+def _prefix_walk(gs: GateSet, start: np.ndarray, sequences):
+    """Yield ``(n, state)`` for every label sequence: ``start`` (a state,
+    or a ``D x k`` block of states) carried through the gates of
+    ``sequences[n]`` in time order.
+
+    Sequences are visited in sorted label order over a stack of states, the
+    state after each prefix of the previous sequence, and each sequence
+    starts from its longest common prefix with the previous one.  ``state``
+    is a view into that stack, valid until the next step.
+    """
+    states = np.empty((max(map(len, sequences), default=0) + 1, *start.shape))
+    states[0] = start
+    path: tuple[str, ...] = ()  # the previous sequence; states[d] follows path[:d]
+    for n in sorted(range(len(sequences)), key=sequences.__getitem__):
+        labels = sequences[n]
+        depth = min(len(labels), len(path))
+        if labels[:depth] != path[:depth]:
+            depth = next(d for d, (a, b) in enumerate(zip(labels, path)) if a != b)
+        for d in range(depth, len(labels)):
+            np.matmul(gs.gates[labels[d]], states[d], out=states[d + 1])
+        path = labels
+        yield n, states[len(labels)]
+
+
 def circuits_probabilities(gs: GateSet, circuits) -> np.ndarray:
-    """Outcome probabilities of a sequence of circuits, one row each in
-    circuit order, from one walk per distinct label prefix.
+    """Outcome probabilities of a sequence of circuits, or of the circuits
+    of an :class:`~gstdesign.design.ExperimentDesign`, one row each in
+    circuit order.
 
     Every label is checked first, in circuit order, so the first circuit
     holding a label the gate set lacks raises :class:`GateSetError`.
-    Circuits are then visited in sorted label order over a stack of states,
-    the state after each prefix of the previous circuit, and each circuit
-    starts from its longest common prefix with the previous one.  A circuit
-    therefore sees the same ``G @ v`` products as in
-    :func:`circuit_probabilities`, the one-circuit reference, and its
-    probabilities are equal bit for bit.
+
+    A plain sequence takes one walk per distinct label prefix: the prep
+    state alone is carried, so each circuit sees the same ``G @ v``
+    products as in :func:`circuit_probabilities`, the one-circuit
+    reference, and its probabilities are equal bit for bit.
+
+    A design is walked germ by germ instead.  Every plaquette circuit is
+    ``F_j g^p H_i``, so the ``D x n_prep`` block ``[F_1 rho ... F_k rho]``
+    is carried once through each germ's powers, label by label, and each
+    plaquette ends with one product of the ``(n_meas m) x D`` effective
+    effect rows ``E_l H_i`` with that block; its kept pairs are scattered
+    into circuit order.  These products group the same terms differently
+    from the one-circuit reference, so the probabilities agree with it to
+    rounding, not bit for bit (the tests bound the difference by ``4e-15``).
+    The base layer, any circuit outside every plaquette, and every circuit
+    of a design whose fiducials or germs use a label the gate set lacks
+    take the one-state walk above.
     """
-    unknown = [label for c in circuits for label in c.labels if label not in gs.gates]
-    if unknown:
-        raise GateSetError(f"unknown gate label {unknown[0]!r}")
-    effects = gs.effect_matrix()
+    from .design import ExperimentDesign
+
+    design = circuits if isinstance(circuits, ExperimentDesign) else None
+    if design is not None:
+        circuits = design.circuits
+    if not set().union(*(c.labels for c in circuits)) <= gs.gates.keys():
+        first = next(label for c in circuits for label in c.labels if label not in gs.gates)
+        raise GateSetError(f"unknown gate label {first!r}")
     probs = np.zeros((len(circuits), gs.num_effects))
-    states = np.empty((max(map(len, circuits), default=0) + 1, gs.dim))
-    states[0] = gs.prep
-    path: list[str] = []  # labels walked so far; states[d] follows path[:d]
-    for idx in sorted(range(len(circuits)), key=lambda i: circuits[i].labels):
-        labels = circuits[idx].labels
-        depth = 0
-        while depth < min(len(labels), len(path)) and labels[depth] == path[depth]:
-            depth += 1
-        del path[depth:]
-        for label in labels[depth:]:
-            np.matmul(gs.gates[label], states[len(path)], out=states[len(path) + 1])
-            path.append(label)
-        probs[idx] = effects @ states[len(path)]
+    rest = list(range(len(circuits)))
+    if design is not None:
+        structure = design.prep_fiducials + design.meas_fiducials + design.germs
+        if set().union(*(c.labels for c in structure)) <= gs.gates.keys():
+            rest = _plaquette_probabilities(gs, design, probs)
+    effects = gs.effect_matrix()
+    for n, state in _prefix_walk(gs, gs.prep, [circuits[idx].labels for idx in rest]):
+        probs[rest[n]] = effects @ state
     return probs
+
+
+def _plaquette_probabilities(gs: GateSet, design, probs: np.ndarray) -> list[int]:
+    """Fill the rows of ``probs`` that ``design``'s plaquettes reach, from one
+    block walk over every germ power; return the other circuits' indices."""
+    from .design import plaquette_circuits
+
+    preps, meass, m = design.prep_fiducials, design.meas_fiducials, gs.num_effects
+    block = np.column_stack(effective_fiducial_states(gs, preps))
+    effect_rows = np.vstack(effective_fiducial_effects(gs, meass))
+    index_of = {c.labels: idx for idx, c in enumerate(design.circuits)}
+    covered = np.zeros(len(design.circuits), dtype=bool)
+    bodies = [design.germs[p.germ_index].labels * p.power for p in design.plaquettes]
+    for n, states in _prefix_walk(gs, block, bodies):
+        plaquette = design.plaquettes[n]
+        outcomes = (effect_rows @ states).reshape(len(meass), m, len(preps))
+        circuits = plaquette_circuits(preps, meass, design.germs[plaquette.germ_index], plaquette)
+        for (j, i), circuit in zip(plaquette.pairs, circuits):
+            idx = index_of.get(circuit.labels)
+            if idx is not None:
+                probs[idx] = outcomes[i, :, j]
+                covered[idx] = True
+    return np.flatnonzero(~covered).tolist()
 
 
 def effective_fiducial_states(gs: GateSet, prep_fids: list[Circuit]) -> list[np.ndarray]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import ExperimentDesign
 from .model import Circuit, GateSet, circuits_probabilities, depolarizing_ptm, hamiltonian_generator_ptms
 
 __all__ = [
@@ -138,19 +139,28 @@ def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
     return p / total
 
 
-def simulate_dataset(gs: GateSet, circuits, shots: int, seed: int) -> Dataset:
-    """Draw multinomial counts for every circuit, one RNG stream per circuit.
+def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> Dataset:
+    """Draw multinomial counts for every circuit of a circuit sequence or of
+    an :class:`~gstdesign.design.ExperimentDesign`, one RNG stream per
+    circuit (``SeedSequence([seed, index])`` in circuit order).
 
-    Probabilities come from one prefix walk,
-    :func:`~gstdesign.model.circuits_probabilities`, which checks every
-    label first, so a circuit with an unknown label raises
+    Probabilities come from :func:`~gstdesign.model.circuits_probabilities`:
+    one prefix walk per label prefix for a sequence, bit for bit the
+    one-circuit reference; for a design, one walk per germ that carries
+    every prep fiducial's state through the germ's powers, equal to that
+    reference to rounding (the tests bound the difference by ``4e-15``).  It
+    checks every label first, so a circuit with an unknown label raises
     :class:`~gstdesign.model.GateSetError` before an earlier circuit's
     probabilities are checked.  Validation and the draws then run in
     circuit order, so the first invalid circuit is the one an error names.
     """
-    circuits = tuple(circuits)
+    if isinstance(circuits_or_design, ExperimentDesign):
+        circuits = circuits_or_design.circuits
+        probs = circuits_probabilities(gs, circuits_or_design)
+    else:
+        circuits = tuple(circuits_or_design)
+        probs = circuits_probabilities(gs, circuits)
     counts = np.zeros((len(circuits), gs.num_effects), dtype=np.int64)
-    probs = circuits_probabilities(gs, circuits)
     for idx, c in enumerate(circuits):
         p = _validated_probabilities(probs[idx], c)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))

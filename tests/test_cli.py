@@ -14,6 +14,9 @@ from gstdesign.builtins import builtin_fiducials
 from gstdesign.design import ExperimentDesign, FprPolicy, default_schedule, plaquettes
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -493,6 +496,16 @@ def test_empty_circuit_stays_a_valid_fiducial(tmp_path, monkeypatch):
         ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--rel-improvement", "nan"],
         ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--max-depth", "-2"],
         ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--max-depth", "0"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--out", "o.json", "--seed", "-1"],
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--perturb-seed", "-3"],
+        ["fpr", "--gateset", "xyi", "--germ-file", "g.json", "--mode", "random", "--out", "o.json", "--seed", "-1"],
+        ["design", "--gateset", "xyi", "--fpr", "random", "--Lmax", "4", "--out", "o.json", "--seed", "-1"],
+        ["germs", "--gateset", "xyi", "--germs", "robust", "--out", "g.json", "--seed", "-9000"],
+        # counts are written as int64
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json",
+         "--shots", "10000000000000000000000"],
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json",
+         "--shots", str(2**63)],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
 )
@@ -744,3 +757,41 @@ def test_wallclock_without_gateset_reads_the_design_gateset(tmp_path, monkeypatc
     assert run(["wallclock", "--device", "all", "--design", "unnamed.json", "--report", "plain.json"]) == 0
     given, plain = json.loads(Path("given.json").read_text()), json.loads(Path("plain.json").read_text())
     assert all(p[0]["total"] < g[0]["total"] for p, g in zip(plain.values(), given.values()))
+
+
+UNWRITABLE_OUTPUTS = {
+    "design": ["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "2", "--seed", "1", "--out", "OUT"],
+    "germs": ["germs", "--gateset", "xyi", "--germs", "bare", "--seed", "1", "--out", "OUT"],
+    "simulate": ["simulate", "--gateset", "xyi", "--design", "DESIGN", "--seed", "1", "--out", "OUT"],
+    "certify": ["certify", "--gateset", "xyi", "--design", "DESIGN", "--report", "OUT"],
+    "wallclock": ["wallclock", "--device", "all", "--circuits", "10", "--report", "OUT"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_3_naming_it(small_design, tmp_path, capsys, case):
+    out = tmp_path / "missing" / "out.json"
+    argv = [str(small_design) if a == "DESIGN" else str(out) if a == "OUT" else a for a in UNWRITABLE_OUTPUTS[case]]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {out}: ") and "Traceback" not in err
+
+
+def test_simulate_reproduces_the_benchmark_reference_dataset(tmp_path, monkeypatch):
+    """``simulate`` on the design-1q benchmark inputs writes the dataset the
+    committed reference records (read, never written, here)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    import workloads
+
+    workload = workloads.WORKLOADS["design-1q"]
+    indir, outdir = tmp_path / "in", tmp_path / "out"
+    indir.mkdir()
+    outdir.mkdir()
+    workload.make_inputs(indir, 1)
+    for argv in workload.invocations(indir, outdir):
+        assert run(argv) == 0
+    observed = workload.observe(outdir, [])["exact"]
+    reference = json.loads(workloads.reference_path("design-1q").read_text())["exact"]
+    assert observed["dataset_circuits"] == reference["dataset_circuits"]
+    assert observed["dataset_sha256"] == reference["dataset_sha256"]

@@ -211,3 +211,121 @@ def test_invalid_circuit_error_names_the_first_in_circuit_order(xyi):
     ds = N.Dataset(circuits=tuple(circuits), counts=np.zeros((3, 2), dtype=np.int64), shots=0)
     with pytest.raises(GateSetError, match="'Gq'"):
         N.log_likelihood(xyi, ds)
+
+
+# A design's probabilities take the per-germ block walk, whose products group
+# terms differently from the one-circuit reference; on the bundled gate sets the
+# two differ by at most 1.6e-15.
+DESIGN_WALK_ATOL = 4e-15
+
+XYI_GERMS = ("Gi", "Gx", "Gy", "Gx Gy", "Gx Gx Gy", "Gx Gy Gi")
+XYCPHASE_GERMS = ("Gxi", "Gcphase Gxi Giy", "Gix Gix Giy")
+
+
+def walk_design(name, mode, lmax):
+    from gstdesign import builtins as bi
+    from gstdesign import design as D
+
+    germs = [Circuit(tuple(g.split())) for g in (XYI_GERMS if name == "xyi" else XYCPHASE_GERMS)]
+    preps, meass = bi.builtin_fiducials(name, "prep"), bi.builtin_fiducials(name, "meas")
+    policy = {
+        "full": D.FprPolicy(),
+        "random": D.FprPolicy("random", gamma=0.2, seed=4),
+        "per-germ": D.FprPolicy("per-germ", pairs_by_germ={
+            k: ((k % len(preps), 0), (len(preps) - 1, len(meass) - 1), (1, k % len(meass))) for k in range(len(germs))
+        }),
+    }[mode]
+    gs = bi.builtin_gateset(name)
+    design = D.build_design(preps, meass, germs, D.default_schedule(lmax), policy, gateset_labels=gs.labels)
+    return N.sample_noisy_gateset(gs, N.NoiseSpec("coherent-depol", 0.01, 0.001, 5)), design
+
+
+def shuffled(design, seed, extra=()):
+    """``design`` with ``extra`` circuits appended and every circuit reordered."""
+    import dataclasses
+
+    circuits = design.circuits + tuple(extra)
+    buckets = design.buckets + (design.maxdepths[0],) * len(extra)
+    order = np.random.default_rng(seed).permutation(len(circuits))
+    return dataclasses.replace(
+        design, circuits=tuple(circuits[i] for i in order), buckets=tuple(buckets[i] for i in order)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, mode, lmax",
+    [
+        ("xyi", "full", 256), ("xyi", "per-germ", 1024), ("xyi", "random", 1024),
+        ("xycphase", "full", 16), ("xycphase", "per-germ", 64), ("xycphase", "random", 256),
+    ],
+)
+def test_design_walk_equals_circuit_probabilities(name, mode, lmax):
+    gs, design = walk_design(name, mode, lmax)
+    # a circuit outside every plaquette, and one deeper than any plaquette circuit
+    outside = [Circuit(design.germs[-1].labels * 3 + design.germs[0].labels), Circuit(design.germs[0].labels * 2000)]
+    design = shuffled(design, seed=lmax, extra=outside)
+    probs = circuits_probabilities(gs, design)
+    reference = np.array([circuit_probabilities(gs, c) for c in design.circuits])
+    assert np.max(np.abs(probs - reference)) <= DESIGN_WALK_ATOL
+    for c in outside:
+        idx = design.circuits.index(c)
+        assert probs[idx].tobytes() == reference[idx].tobytes()  # the one-state walk, bit for bit
+
+
+def test_design_walk_fills_a_circuit_two_plaquettes_reach(xyi, xyi_fiducials):
+    from gstdesign import design as D
+
+    # at L = 2, "Gx" to the power 2 and "Gx Gx" to the power 1 give the same circuits
+    design = D.build_design(
+        xyi_fiducials, xyi_fiducials, [Circuit(("Gx",)), Circuit(("Gx", "Gx"))], D.default_schedule(2),
+        gateset_labels=xyi.labels,
+    )
+    reached = [
+        {c.labels for c in D.plaquette_circuits(design.prep_fiducials, design.meas_fiducials, design.germs[p.germ_index], p)}
+        for p in design.plaquettes if p.max_depth == 2
+    ]
+    assert len(reached) == 2 and reached[0] == reached[1]
+    gs = N.sample_noisy_gateset(xyi, N.NoiseSpec("coherent-depol", 0.02, 0.01, 3))
+    probs = circuits_probabilities(gs, design)
+    reference = np.array([circuit_probabilities(gs, c) for c in design.circuits])
+    assert np.max(np.abs(probs - reference)) <= DESIGN_WALK_ATOL
+
+
+def test_design_walk_counts_equal_circuit_list_counts():
+    gs, design = walk_design("xyi", "random", 1024)
+    by_design = N.simulate_dataset(gs, design, shots=1000, seed=5)
+    by_list = N.simulate_dataset(gs, list(design.circuits), shots=1000, seed=5)
+    assert by_design.circuits == design.circuits
+    assert np.array_equal(by_design.counts, by_list.counts)
+
+
+def test_design_with_an_unknown_structure_label_takes_the_one_state_walk(xyi, xyi_fiducials):
+    import dataclasses
+
+    from gstdesign import design as D
+
+    design = D.build_design(xyi_fiducials[:2], xyi_fiducials, [Circuit(("Gx",))], D.default_schedule(4))
+    # a prep fiducial no circuit uses, with a label the gate set lacks
+    design = dataclasses.replace(design, prep_fiducials=design.prep_fiducials + (Circuit(("Gq",)),))
+    probs = circuits_probabilities(xyi, design)
+    assert probs.tobytes() == circuits_probabilities(xyi, design.circuits).tobytes()
+
+
+def test_design_walk_errors_name_the_first_circuit_in_circuit_order(xyi):
+    import re
+
+    from gstdesign.model import GateSet, GateSetError
+
+    _, design = walk_design("xyi", "full", 8)
+    design = shuffled(design, seed=2)
+    lacking = GateSet({k: g for k, g in xyi.gates.items() if k not in ("Gi", "Gy")}, xyi.prep, xyi.effects)
+    first = next(lab for c in design.circuits for lab in c.labels if lab in ("Gi", "Gy"))
+    with pytest.raises(GateSetError, match=f"'{first}'"):
+        N.simulate_dataset(lacking, design, shots=10, seed=1)
+    # Gx stretches the Bloch ball, so deep enough circuits predict negative probabilities
+    stretched = GateSet({**xyi.gates, "Gx": np.diag([1.0, 1.3, 1.3, 1.3]) @ xyi.gates["Gx"]}, xyi.prep, xyi.effects)
+    reference = [circuit_probabilities(stretched, c) for c in design.circuits]
+    bad = [c for c, p in zip(design.circuits, reference) if np.min(p) < -1e-9]
+    assert bad and bad[0] != min(bad, key=lambda c: c.labels)  # circuit order is not walk order
+    with pytest.raises(ValueError, match=f"negative probability .* for {re.escape(str(bad[0]))}$"):
+        N.simulate_dataset(stretched, design, shots=10, seed=1)
