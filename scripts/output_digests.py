@@ -15,6 +15,10 @@ output byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
+Each ``.json`` output also gets a layout-independent digest, on a line
+ending in ``(content)``: the sha256 of the parsed document re-encoded
+compactly with sorted keys.  Two runs whose JSON files differ only in
+layout (indentation, key order, a final newline) agree on these lines.
 The working directory's path is replaced by ``<dir>`` before a stdout is
 hashed, so the digests do not depend on where the run happens.
 """
@@ -91,6 +95,12 @@ def runs(workloads, indir: Path, outroot: Path):
     yield from extra_runs(indir, outroot)
 
 
+def content_digest(data: bytes) -> str:
+    """sha256 of a JSON document, independent of the file's layout."""
+    canonical = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def main() -> None:
     from gstdesign import cli
 
@@ -112,7 +122,10 @@ def main() -> None:
                 text = out.getvalue().replace(tmp, "<dir>")
                 print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/stdout.{k}")
             for path in sorted(outdir.iterdir()):
-                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+                data = path.read_bytes()
+                print(f"{hashlib.sha256(data).hexdigest()}  {name}/{path.name}")
+                if path.suffix == ".json":
+                    print(f"{content_digest(data)}  {name}/{path.name} (content)")
 
 
 if __name__ == "__main__":

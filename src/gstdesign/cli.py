@@ -5,9 +5,11 @@ deterministic end to end (rerunning writes byte-identical files).  Exit
 codes: 0 on success, 2 for usage errors (argparse, including a negative
 seed, and a noise sigma so large that the sampled model is not finite), 3
 for unreadable or invalid input files, for an output file that cannot be
-written and for a design certify cannot classify (a single max depth), 4
-when a fiducial pool is not informationally complete, 5 when a germ
-candidate pool is not amplificationally complete.
+written (every output path is checked before any work starts) and for a
+design certify cannot classify (a single max depth), 4 when a fiducial
+pool is not informationally complete, 5 when a germ candidate pool is not
+amplificationally complete.  JSON outputs are one compact line with sorted
+keys (``design --circuit-text`` writes a readable circuit list).
 Fisher-information products run on the BLAS threads numpy is configured
 with (``OPENBLAS_NUM_THREADS`` and the like).
 """
@@ -16,7 +18,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
+import itertools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -35,7 +41,7 @@ from .fiducials import (
     per_qubit_pattern_pool,
     select_fiducials,
 )
-from .model import Circuit, GateSet, param_blocks
+from .model import Circuit, GateSet, param_blocks, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,7 +69,7 @@ def _read_input(what: str, path: str, load):
 
 def _check_labels(what: str, path: str, label_lists, gs: GateSet) -> None:
     """Exit 3 when a file's label sequences use a label ``gs`` lacks."""
-    unknown = {lab for labels in label_lists for lab in labels} - set(gs.labels)
+    unknown = set(itertools.chain.from_iterable(label_lists)) - set(gs.labels)
     if unknown:
         raise CliError(f"{what} file {path} uses labels not in the gate set: {sorted(unknown)}")
 
@@ -108,11 +114,12 @@ def _load_circuit_list(path: str, what: str, gs: GateSet) -> list[Circuit]:
 
 
 def _load_design(path: str, gs: GateSet | None) -> dz.ExperimentDesign:
-    """Load a design file; with ``gs``, also check every circuit label
-    belongs to that gate set."""
+    """Load a design file; with ``gs``, also check that every label of its
+    circuits, fiducials and germs belongs to that gate set."""
     design = _read_input("design", path, dz.ExperimentDesign.load)
     if gs is not None:
-        _check_labels("design", path, (c.labels for c in design.circuits), gs)
+        parts = (design.circuits, design.prep_fiducials, design.meas_fiducials, design.germs)
+        _check_labels("design", path, (c.labels for c in itertools.chain(*parts)), gs)
     return design
 
 
@@ -159,10 +166,27 @@ def _writing(path: str):
         raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from None
 
 
+def _check_writable(path: str) -> None:
+    """Exit 3 naming ``path`` unless a file can be written there: its parent
+    is an existing, writable directory and it is no directory itself.
+    Nothing is created, so :func:`main` runs this before any work."""
+
+    def fail(code: int):
+        raise OSError(code, os.strerror(code))
+
+    parent = os.path.dirname(os.path.abspath(path))
+    with _writing(path):
+        if os.path.isdir(path):
+            fail(errno.EISDIR)
+        if not stat.S_ISDIR(os.stat(parent).st_mode):  # a missing parent raises here
+            fail(errno.ENOTDIR)
+        if not os.access(parent, os.W_OK | os.X_OK):
+            fail(errno.EACCES)
+
+
 def _write_json(path: str, doc) -> None:
-    with _writing(path), open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    with _writing(path):
+        write_json(path, doc)
 
 
 def cmd_design(args) -> int:
@@ -411,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lmax", dest="lmax", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--circuit-text", help="also write newline-delimited circuit list")
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(func=cmd_design, outputs=("out", "circuit_text"))
 
     p = sub.add_parser("certify", help="Fisher-information certification of a design")
     _add_common(p, seed_required=False)
@@ -423,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", help="operation label for --kind projected")
     p.add_argument("--csv", help="write spectra CSV here")
     p.add_argument("--report", help="write JSON report here")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, outputs=("csv", "report"))
 
     p = sub.add_parser("simulate", help="sample a noisy model and a multinomial dataset")
     _add_common(p)
@@ -433,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_depolarization, default=0.001)
     p.add_argument("--shots", type=_shot_count, default=fz.DEFAULT_SHOTS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, outputs=("out",))
 
     p = sub.add_parser("wallclock", help="estimate run time on a device")
     p.add_argument("--gateset", help="marks two-qubit labels of designs (default: the gate set each design names)")
@@ -444,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-depth", type=_nonnegative, default=0.0, help="approximate-mode depth assumption")
     p.add_argument("--two-qubit-fraction", type=_unit_interval, default=0.0)
     p.add_argument("--report", help="write JSON report here")
-    p.set_defaults(func=cmd_wallclock)
+    p.set_defaults(func=cmd_wallclock, outputs=("report",))
 
     p = sub.add_parser("fiducials", help="greedy informationally-complete fiducial selection")
     _add_common(p, seed_required=False)
@@ -453,13 +477,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", choices=["sequences", "per-qubit"], default="sequences")
     p.add_argument("--rel-improvement", type=_nonnegative, default=1e-9)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fiducials)
+    p.set_defaults(func=cmd_fiducials, outputs=("out",))
 
     p = sub.add_parser("germs", help="greedy amplificationally-complete germ selection")
     _add_common(p)
     _add_germ_options(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_germs)
+    p.set_defaults(func=cmd_germs, outputs=("out",))
 
     p = sub.add_parser("fpr", help="fiducial pair reduction for an existing germ list")
     _add_common(p)
@@ -468,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["per-germ", "random"], default="per-germ")
     p.add_argument("--Lmax", dest="lmax", type=_positive_int, default=1024)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fpr)
+    p.set_defaults(func=cmd_fpr, outputs=("out",))
 
     return ap
 
@@ -481,6 +505,8 @@ def main(argv=None) -> int:
     if args.command == "certify" and args.kind != "projected" and args.op:
         build_parser().error(f"argument --op: only valid with --kind projected, not --kind {args.kind}")
     try:
+        for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
+            _check_writable(path)
         with np.errstate(over="raise"):
             return args.func(args)
     except CliError as exc:

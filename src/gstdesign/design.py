@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Circuit
+from .model import Circuit, write_json
 
 __all__ = [
     "DesignError",
@@ -216,8 +216,7 @@ class ExperimentDesign:
         return design
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "ExperimentDesign":

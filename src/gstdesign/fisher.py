@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +78,7 @@ from .model import (
     n_params,
     probability_hessian,
     probability_jacobian,
+    write_json,
 )
 from .noise import PROB_CLIP_FLOOR, NoiseSpec, sample_noisy_gateset
 
@@ -485,5 +485,4 @@ def series_to_csv(series: FisherSeries, path, classifications=None) -> None:
 
 
 def report_to_json(report: CertificationReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_json_dict(), f, indent=1, sort_keys=True)
+    write_json(path, report.to_json_dict())

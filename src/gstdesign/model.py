@@ -63,6 +63,7 @@ __all__ = [
     "numerical_rank",
     "RANK_RTOL",
     "TP_TOL",
+    "write_json",
 ]
 
 # Relative cutoff of :func:`numerical_rank`, used everywhere a numerical rank is taken.
@@ -80,6 +81,18 @@ _PAULI_1Q = {
 
 class GateSetError(ValueError):
     """Invalid gate set content or an unresolvable circuit label."""
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as one line of compact JSON with sorted keys
+    and a final newline.  Every JSON file the package writes goes through
+    here: ``json.dumps`` without ``indent`` runs CPython's C encoder, and
+    floats are written by ``float.__repr__``, so they read back exactly.
+    The text is encoded before the file is opened, so a document that does
+    not encode leaves no file behind."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with open(path, "w") as f:
+        f.write(text + "\n")
 
 
 def numerical_rank(values, rtol: float = RANK_RTOL) -> int:
@@ -304,8 +317,7 @@ class GateSet:
         return gs
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "GateSet":

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import ExperimentDesign
-from .model import Circuit, GateSet, circuits_probabilities, depolarizing_ptm, hamiltonian_generator_ptms
+from .model import (
+    Circuit,
+    GateSet,
+    circuits_probabilities,
+    depolarizing_ptm,
+    hamiltonian_generator_ptms,
+    write_json,
+)
 
 __all__ = [
     "NoiseSpec",
@@ -120,8 +127,7 @@ class Dataset:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=1, sort_keys=True)
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "Dataset":
@@ -129,14 +135,21 @@ class Dataset:
             return Dataset.from_json_dict(json.load(f))
 
 
-def _validated_probabilities(p: np.ndarray, circuit: Circuit) -> np.ndarray:
-    if np.min(p) < -1e-9:
-        raise ValueError(f"model predicts negative probability {np.min(p):.3e} for {circuit}")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"model probabilities sum to {total:.6f} for {circuit}")
-    return p / total
+def _validated_probabilities(probs: np.ndarray, circuits) -> np.ndarray:
+    """Every row of ``probs`` clipped at 0 and divided by its sum, all rows
+    at once (each keeps the bits of ``p / p.sum()``).  The first circuit in
+    circuit order with a probability below ``-1e-9``, or with clipped
+    probabilities summing to more than ``1e-6`` off 1, raises ValueError."""
+    clipped = np.clip(probs, 0.0, None)
+    totals = clipped.sum(axis=1)
+    negative = probs.min(axis=1) < -1e-9
+    invalid = negative | (np.abs(totals - 1.0) > 1e-6)
+    if invalid.any():
+        idx = int(np.argmax(invalid))
+        if negative[idx]:
+            raise ValueError(f"model predicts negative probability {probs[idx].min():.3e} for {circuits[idx]}")
+        raise ValueError(f"model probabilities sum to {totals[idx]:.6f} for {circuits[idx]}")
+    return clipped / totals[:, None]
 
 
 def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> Dataset:
@@ -151,8 +164,9 @@ def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> 
     reference to rounding (the tests bound the difference by ``4e-15``).  It
     checks every label first, so a circuit with an unknown label raises
     :class:`~gstdesign.model.GateSetError` before an earlier circuit's
-    probabilities are checked.  Validation and the draws then run in
-    circuit order, so the first invalid circuit is the one an error names.
+    probabilities are checked.  All rows are then validated in one pass
+    before any draw, and an error names the first invalid circuit in
+    circuit order.
     """
     if isinstance(circuits_or_design, ExperimentDesign):
         circuits = circuits_or_design.circuits
@@ -160,9 +174,9 @@ def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> 
     else:
         circuits = tuple(circuits_or_design)
         probs = circuits_probabilities(gs, circuits)
+    probs = _validated_probabilities(probs, circuits)
     counts = np.zeros((len(circuits), gs.num_effects), dtype=np.int64)
-    for idx, c in enumerate(circuits):
-        p = _validated_probabilities(probs[idx], c)
+    for idx, p in enumerate(probs):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), idx]))
         counts[idx] = rng.multinomial(shots, p)
     return Dataset(circuits=circuits, counts=counts, shots=shots)

@@ -10,6 +10,7 @@ Upload time charges the interbatch latency once per (batch of circuits) x
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -65,12 +66,18 @@ class DeviceParams:
 
 
 def circuit_exec_time(circuits, n_shots: int, dev: DeviceParams, two_qubit_labels=frozenset()) -> float:
-    """Total execution seconds for explicit circuits (exact layer accounting)."""
-    total = 0.0
-    for c in circuits:
-        layer_time = sum(dev.t_2q if lab in two_qubit_labels else dev.t_1q for lab in c.labels)
-        total += n_shots * (dev.t_measure_reset + layer_time)
-    return total
+    """Total execution seconds for explicit circuits (exact layer accounting).
+
+    Computed from label totals, ``n_shots * (N t_measure_reset + n_1q t_1q +
+    n_2q t_2q)`` over ``N`` circuits holding ``n_1q`` one-qubit and ``n_2q``
+    two-qubit labels; both counts run in C (``len`` and ``tuple.count``).
+    """
+    sequences = [c.labels for c in circuits]
+    n_labels = sum(map(len, sequences))
+    n_2q = sum(sum(map(tuple.count, sequences, itertools.repeat(lab))) for lab in frozenset(two_qubit_labels))
+    return n_shots * (
+        len(sequences) * dev.t_measure_reset + (n_labels - n_2q) * dev.t_1q + n_2q * dev.t_2q
+    )
 
 
 def upload_time(n_circuits: int, n_shots: int, dev: DeviceParams) -> float:

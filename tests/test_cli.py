@@ -795,3 +795,80 @@ def test_simulate_reproduces_the_benchmark_reference_dataset(tmp_path, monkeypat
     reference = json.loads(workloads.reference_path("design-1q").read_text())["exact"]
     assert observed["dataset_circuits"] == reference["dataset_circuits"]
     assert observed["dataset_sha256"] == reference["dataset_sha256"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+@pytest.mark.parametrize("kind", ["prep", "meas"])
+def test_design_fiducial_label_outside_gateset_exits_3(tmp_path, capsys, command, kind):
+    """A fiducial no kept pair uses still has its labels checked."""
+    from gstdesign.design import build_design
+
+    fids = builtin_fiducials("xyi", "prep")
+    policy = FprPolicy(mode="per-germ", pairs_by_germ={0: ((0, 0), (1, 2), (3, 4), (5, 5))})
+    design = build_design(fids, fids, [model.Circuit(("Gx",))], default_schedule(4), policy,
+                          gateset_labels=("Gi", "Gx", "Gy"), gateset_ref="xyi")
+    doc = design.to_json_dict()
+    doc["fiducials"][kind].append(["Gq"])
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    assert ExperimentDesign.load(path).germs == design.germs  # the file itself is a valid design
+    argv = [command, "--gateset", "xyi", "--design", str(path)]
+    if command == "simulate":
+        argv += ["--seed", "1", "--out", str(tmp_path / "ds.json")]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: design file {path} uses labels not in the gate set: ['Gq']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["design.json"]
+
+
+def test_design_output_in_missing_directory_exits_3_before_germ_selection(tmp_path, monkeypatch, capsys):
+    def select_germs(*args, **kwargs):
+        raise AssertionError("germ selection ran before the output path was checked")
+
+    monkeypatch.setattr(germs, "select_germs", select_germs)
+    monkeypatch.chdir(tmp_path)
+    argv = ["design", "--gateset", "xyi", "--germs", "robust", "--fpr", "per-germ", "--Lmax", "8",
+            "--seed", "1", "--out", "missing/d.json"]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: cannot write output file missing/d.json: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+EARLY_OUTPUT_CHECKS = {
+    "design --out": ["design", "--gateset", "xyi", "--Lmax", "2", "--seed", "1", "--out", "BAD",
+                     "--circuit-text", "c.txt"],
+    "design --circuit-text": ["design", "--gateset", "xyi", "--Lmax", "2", "--seed", "1", "--out", "d.json",
+                              "--circuit-text", "BAD"],
+    "certify --csv": ["certify", "--gateset", "xyi", "--design", "d.json", "--csv", "BAD", "--report", "r.json"],
+    "certify --report": ["certify", "--gateset", "xyi", "--design", "d.json", "--csv", "s.csv", "--report", "BAD"],
+    "simulate --out": ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "BAD"],
+    "wallclock --report": ["wallclock", "--device", "all", "--circuits", "10", "--report", "BAD"],
+    "fiducials --out": ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "BAD"],
+    "germs --out": ["germs", "--gateset", "xyi", "--seed", "1", "--out", "BAD"],
+    "fpr --out": ["fpr", "--gateset", "xyi", "--germ-file", "g.json", "--seed", "1", "--out", "BAD"],
+}
+UNWRITABLE_PATHS = {
+    "missing-directory": ("missing/out", "No such file or directory"),
+    "parent-is-a-file": ("afile/out", "Not a directory"),
+    "path-is-a-directory": ("adir", "Is a directory"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, path", [(case, "missing-directory") for case in sorted(EARLY_OUTPUT_CHECKS)]
+    + [("design --out", "parent-is-a-file"), ("certify --report", "path-is-a-directory")],
+)
+def test_every_output_path_is_checked_before_the_command_runs(tmp_path, monkeypatch, capsys, case, path):
+    command = EARLY_OUTPUT_CHECKS[case][0]
+
+    def refuse(args):
+        raise AssertionError(f"{command} ran before its output paths were checked")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    Path("adir").mkdir()
+    bad, reason = UNWRITABLE_PATHS[path]
+    assert run([bad if a == "BAD" else a for a in EARLY_OUTPUT_CHECKS[case]]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: cannot write output file {bad}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list(Path("adir").iterdir()) == []

@@ -329,3 +329,30 @@ def test_design_walk_errors_name_the_first_circuit_in_circuit_order(xyi):
     assert bad and bad[0] != min(bad, key=lambda c: c.labels)  # circuit order is not walk order
     with pytest.raises(ValueError, match=f"negative probability .* for {re.escape(str(bad[0]))}$"):
         N.simulate_dataset(stretched, design, shots=10, seed=1)
+
+
+@pytest.mark.parametrize("n_effects", [2, 4])
+def test_validation_of_all_rows_keeps_each_rows_bits(rng, n_effects):
+    probs = rng.random((500, n_effects)) * rng.choice([1e-6, 1.0, 1e3], size=(500, n_effects))
+    probs[::7, 0] = 0.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[::7, 0] = -1e-12  # clipped to 0 again
+    circuits = [Circuit(("Gx",) * k) for k in range(len(probs))]
+    want = [np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum() for p in probs]
+    assert np.array_equal(N._validated_probabilities(probs, circuits), np.array(want))
+
+
+def test_validation_of_all_rows_names_the_first_invalid_circuit():
+    import re
+
+    circuits = [Circuit(("Gx",) * k) for k in range(6)]
+
+    def check(rows, message, idx):
+        with pytest.raises(ValueError, match=f"{message} for {re.escape(str(circuits[idx]))}$"):
+            N._validated_probabilities(np.array(rows), circuits)
+
+    ok = [0.25, 0.75]
+    check([ok, ok, [0.5, 0.6], ok, [-0.1, 1.1], ok], "probabilities sum to 1.100000", 2)
+    check([ok, [-0.1, 1.1], ok, [0.5, 0.6], ok, ok], r"negative probability -1\.000e-01", 1)
+    # a row both negative and off 1 reports the negative entry, as one circuit at a time did
+    check([ok, ok, ok, [-0.2, 0.6], ok, [-0.1, 1.1]], r"negative probability -2\.000e-01", 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gstdesign import wallclock as W
-from gstdesign.builtins import builtin_device_doc
+from gstdesign.builtins import BUILTIN_DEVICES, builtin_device_doc, builtin_gateset
 from gstdesign.model import Circuit
 
 
@@ -33,6 +33,29 @@ def test_two_qubit_layers_use_t2q():
     dev = device("transmons")
     t = W.circuit_exec_time([c], 1, dev, two_qubit_labels={"Gcphase"})
     assert t == pytest.approx(dev.t_measure_reset + dev.t_1q + dev.t_2q, rel=1e-12)
+
+
+def per_label_exec_time(circuits, n_shots, dev, two_qubit_labels=frozenset()):
+    """Oracle: each circuit's layers summed label by label, circuit by circuit."""
+    total = 0.0
+    for c in circuits:
+        layer_time = sum(dev.t_2q if lab in two_qubit_labels else dev.t_1q for lab in c.labels)
+        total += n_shots * (dev.t_measure_reset + layer_time)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_DEVICES))
+def test_exec_time_from_label_totals_matches_the_per_label_sum(name, rng):
+    dev = device(name)
+    labels = sorted(builtin_gateset("xycphase").labels)
+    circuits = [Circuit(tuple(rng.choice(labels, size=rng.integers(0, 40)))) for _ in range(300)]
+    for two_q in (frozenset(), builtin_gateset("xycphase").two_qubit_labels, frozenset({"Gcphase", "Gxi"})):
+        assert two_q <= set(labels)
+        for shots in (1, 100, 4096):
+            want = per_label_exec_time(circuits, shots, dev, two_q)
+            assert W.circuit_exec_time(circuits, shots, dev, two_q) == pytest.approx(want, rel=1e-12)
+    # any iterable of circuits, read once
+    assert W.circuit_exec_time(iter(circuits), 7, dev) == pytest.approx(per_label_exec_time(circuits, 7, dev), rel=1e-12)
 
 
 def test_upload_time_table_values():
