@@ -7,8 +7,12 @@ their own inputs and invocations, and ``certify --kind incremental`` and
 grid of the 2Q one, all in this process at one BLAS thread.  That grid's
 L = 4 bucket holds 1024 rows, between the 1023 non-gauge and the 1263
 joint columns of ``--kind projected``.  ``simulate`` also runs on that 2Q
-grid design and on an XYI random-FPR design of the benchmark's robust 1Q
-germs up to L = 1024, so the datasets checked reach beyond design-1q's.
+grid design, on an XYI random-FPR design of the benchmark's robust 1Q
+germs up to L = 1024 and on the XYI standard-germ (``Gi``, ``Gx Gx Gy``,
+``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``) full design up to L = 1024, so the
+datasets checked reach beyond design-1q's.  Several plaquettes of the
+last design reach some of its circuits, so its dataset also pins which
+plaquette's probabilities such a circuit keeps.
 Running the script on two
 checkouts and diffing the output shows whether a change keeps every
 output byte-identical:
@@ -70,13 +74,21 @@ def make_extra_inputs(workloads, indir: Path) -> None:
 
 
 def extra_runs(indir: Path, outroot: Path):
-    """``simulate`` on the 2Q grid design and on an XYI random-FPR design."""
+    """``simulate`` on the 2Q grid design, on an XYI random-FPR design and
+    on the XYI standard-germ full design."""
     outdir = outroot / "certify-2q-grid--simulate"
     yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
     outdir = outroot / "xyi-random--simulate"
     design = [
         "design", "--gateset", "xyi", "--germ-file", str(indir / "xyi-random" / "germs.json"),
         "--fpr", "random", "--Lmax", "1024", "--seed", "3", "--out", str(outdir / "design.json"),
+    ]
+    yield outdir.name, [design, simulate_argv("xyi", outdir / "design.json", outdir)], outdir
+    # several plaquettes reach some of its circuits, with different bits from each
+    outdir = outroot / "xyi-standard-full--simulate"
+    design = [
+        "design", "--gateset", "xyi", "--germs", "standard", "--fpr", "full", "--Lmax", "1024",
+        "--seed", "1", "--out", str(outdir / "design.json"),
     ]
     yield outdir.name, [design, simulate_argv("xyi", outdir / "design.json", outdir)], outdir
 

@@ -5,11 +5,12 @@ bare gate) plus one plaquette per (germ, max depth) holding the retained
 fiducial pairs; every plaquette circuit is ``F_j g_k^p H_i`` with the germ
 power ``p`` the largest repetition count that fits inside the depth limit.
 :func:`plaquettes` is the one place that decides which plaquettes exist and
-which pairs they keep, and :func:`plaquette_circuits` the one place that
-expands a plaquette into circuits.  Circuits are deduplicated on their
-exact label sequence and each unique circuit is bucketed at the smallest
-max depth at which it appears, which is what the Fisher-information series
-consume.
+which pairs they keep, :func:`plaquette_circuits` the one place that
+expands a plaquette into circuits, and :attr:`ExperimentDesign.pair_index`
+the one map from plaquette pairs to circuits.  Circuits are deduplicated
+on their exact label sequence and each unique circuit is bucketed at the
+smallest max depth at which it appears, which is what the
+Fisher-information series consume.
 
 Loading a design checks it against its plaquettes: the stored (germ, L,
 power) list must be the one :func:`plaquettes` gives for the stored germs,
@@ -18,18 +19,27 @@ fiducial grid and equal to the policy's pairs (for a random policy, only
 their count is checked, since numpy does not promise the same random
 stream across versions); no circuit may be listed twice; and every
 plaquette circuit must be present with a bucket no deeper than its
-plaquette's ``L``.  Circuit order is free.
+plaquette's ``L``.  Circuit order is free.  A plaquette whose germ power is
+longer than every listed circuit is reported missing without expanding it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Circuit, write_json
+from .model import (
+    Circuit,
+    GateSet,
+    circuits_probabilities,
+    fiducial_outcomes,
+    require_labels,
+    write_json,
+)
 
 __all__ = [
     "DesignError",
@@ -42,6 +52,7 @@ __all__ = [
     "plaquettes",
     "plaquette_circuits",
     "build_design",
+    "design_probabilities",
     "circuit_count",
     "count_by_depth",
 ]
@@ -229,6 +240,25 @@ class ExperimentDesign:
                 raise DesignError(f"not a JSON document ({exc})") from None
         return ExperimentDesign.from_json_dict(doc)
 
+    @functools.cached_property
+    def pair_index(self) -> tuple[tuple[int, ...], ...]:
+        """For each plaquette, the index in ``circuits`` of each kept pair's
+        circuit ``F_j g^p H_i``, or -1 where the design lacks that circuit:
+        the one map from plaquette pairs to circuits.  A plaquette whose
+        germ power alone is longer than the longest listed circuit lacks
+        every circuit, and none of its circuits is built."""
+        index_of = {c.labels: n for n, c in enumerate(self.circuits)}
+        longest = max(map(len, self.circuits), default=0)
+
+        def indices(p: Plaquette) -> tuple[int, ...]:
+            germ = self.germs[p.germ_index]
+            if len(germ) * p.power > longest:
+                return (-1,) * len(p.pairs)
+            circuits = plaquette_circuits(self.prep_fiducials, self.meas_fiducials, germ, p)
+            return tuple(index_of.get(c.labels, -1) for c in circuits)
+
+        return tuple(map(indices, self.plaquettes))
+
     def circuit_text(self) -> str:
         """Newline-delimited export, one space-separated label sequence per line."""
         return "\n".join(str(c) for c in self.circuits) + "\n"
@@ -282,8 +312,7 @@ def _check_plaquettes(design: ExperimentDesign) -> None:
             raise DesignError(
                 f"plaquette {n} is (germ, L, power) {h}, but the germs, maxdepths and fpr_policy give {w}"
             )
-    bucket_of = {c.labels: b for c, b in zip(design.circuits, design.buckets)}
-    if len(bucket_of) != len(design.circuits):
+    if len({c.labels for c in design.circuits}) != len(design.circuits):
         raise DesignError("a circuit is listed more than once")
     for p, e in zip(design.plaquettes, expected):
         where = f"plaquette (germ {p.germ_index}, L={p.max_depth})"
@@ -294,11 +323,13 @@ def _check_plaquettes(design: ExperimentDesign) -> None:
         same = len(p.pairs) == len(e.pairs) if policy.mode == "random" else p.pairs == e.pairs
         if not same:
             raise DesignError(f"{where} does not keep the pairs of its {policy.mode!r} fpr_policy")
-        for c in plaquette_circuits(preps, meass, design.germs[p.germ_index], p):
-            bucket = bucket_of.get(c.labels)
-            if bucket is None or bucket > p.max_depth:
-                state = "missing" if bucket is None else f"bucketed at L={bucket}"
-                raise DesignError(f"{where}: circuit {c} is {state}")
+    for p, indices in zip(design.plaquettes, design.pair_index):
+        where = f"plaquette (germ {p.germ_index}, L={p.max_depth})"
+        for (j, i), idx in zip(p.pairs, indices):
+            if idx < 0 or design.buckets[idx] > p.max_depth:
+                state = "missing" if idx < 0 else f"bucketed at L={design.buckets[idx]}"
+                length = len(preps[j]) + len(design.germs[p.germ_index]) * p.power + len(meass[i])
+                raise DesignError(f"{where}: the circuit of pair {(j, i)}, {length} labels long, is {state}")
 
 
 def build_design(
@@ -359,6 +390,31 @@ def build_design(
         buckets=tuple(buckets),
         gateset_ref=gateset_ref,
     )
+
+
+def design_probabilities(gs: GateSet, design: ExperimentDesign) -> np.ndarray:
+    """Outcome probabilities of the circuits of ``design``, in circuit
+    order.  Labels are checked first: the circuits' in circuit order, then
+    the fiducials' and germs'.  Plaquette circuits take one block walk over
+    the germ powers (:func:`~gstdesign.model.fiducial_outcomes`), scattered
+    through :attr:`ExperimentDesign.pair_index` in walk order, so a circuit
+    two plaquettes reach keeps the later one's outcome; they equal the
+    one-circuit reference to rounding (the tests bound it by ``4e-15``).
+    Other circuits take :func:`~gstdesign.model.circuits_probabilities`."""
+    circuits = design.circuits
+    structure = design.prep_fiducials + design.meas_fiducials + design.germs
+    require_labels(gs, [c.labels for c in circuits + structure])
+    probs = np.zeros((len(circuits), gs.num_effects))
+    covered = np.zeros(len(circuits), dtype=bool)
+    bodies = [design.germs[p.germ_index].labels * p.power for p in design.plaquettes]
+    for n, outcomes in fiducial_outcomes(gs, design.prep_fiducials, design.meas_fiducials, bodies):
+        for (j, i), idx in zip(design.plaquettes[n].pairs, design.pair_index[n]):
+            if idx >= 0:
+                probs[idx] = outcomes[i, :, j]
+                covered[idx] = True
+    rest = np.flatnonzero(~covered)
+    probs[rest] = circuits_probabilities(gs, [circuits[k] for k in rest])
+    return probs
 
 
 def circuit_count(design: ExperimentDesign) -> int:

@@ -26,7 +26,6 @@ from .model import (
 __all__ = [
     "PoolNotInformationallyComplete",
     "FiducialScore",
-    "gram_matrix",
     "fiducial_score",
     "fiducial_candidate_pool",
     "per_qubit_pattern_pool",
@@ -45,18 +44,6 @@ class PoolNotInformationallyComplete(ValueError):
             f"{kind} candidate pool is not informationally complete: "
             f"Gram rank {rank} of {required}"
         )
-
-
-def gram_matrix(vectors) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix <<a_i | a_j>> of states or effects."""
-    vecs = [np.asarray(v, float) for v in vectors]
-    if not vecs:
-        raise ValueError("gram_matrix needs at least one vector")
-    dim = vecs[0].shape[0]
-    if any(v.shape != (dim,) for v in vecs):
-        raise ValueError("gram_matrix vectors must share one dimension")
-    stack = np.vstack(vecs)
-    return stack @ stack.T
 
 
 @dataclass(frozen=True)

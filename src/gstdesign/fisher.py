@@ -3,59 +3,39 @@
 Per circuit the Fisher information under multinomial sampling is
 ``N_c sum_i (1/p_i) (grad p_i)(grad p_i)^T`` (the Hessian terms cancel
 because outcome probabilities sum to one); information is additive over
-circuits, so a design's matrix is the sum over its circuit list.  It is
-summed in blocks of ``FIM_BLOCK`` circuits: a block's probabilities come
-from one prefix walk (:func:`~gstdesign.model.circuits_probabilities`),
-its weighted Jacobian rows ``sqrt(N_c / p_i) grad p_i`` are stacked into
-``W``, and the blocks are added in circuit order as :class:`HeldFim`
-sums.  The block size bounds memory; the summation order is fixed, so the
-result depends on nothing but the circuit list and the BLAS build (BLAS
-threading may change the last bits of the products).
+circuits, so a design's matrix is the sum over its circuit list.  Each
+circuit is walked once, by :func:`~gstdesign.model.probability_jacobian`:
+row 0 of its Jacobian, in the columns of effect 0, is the output state
+``v``, so its probabilities are ``p = E v`` with no second walk.  The
+weighted rows ``sqrt(N_c / p_i) grad p_i`` of ``FIM_BLOCK`` circuits are
+stacked into ``W``, and the blocks are added in circuit order as
+:class:`HeldFim` sums.  The block size bounds the memory of ``W``; the
+summation order is fixed, so the result depends on nothing but the
+circuit list and the BLAS build (BLAS threading may change the last bits
+of the products).
 
 Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
 matrix of each bucket once; cumulative matrices are their prefix sums.
 
-A matrix ``F^T F`` is held by its smaller side, and the sum of
-:class:`~gstdesign.held.HeldFim` is the one rule for which side: while
-there are fewer stacked rows ``m`` than columns, the rank is at most ``m``
-and the matrix is kept as the rows ``F`` themselves; once ``m`` reaches
-the width it is kept as the Gram ``F^T F``, each later block adding its
-``W^T W``.  A reduced design keeps few circuits, so a two-qubit bucket of
-a few hundred rows is never squared into a 1023-wide matrix of rounding
-noise.  The spectrum of a row-held matrix is ``eigvalsh(F F^T)``, ``m``
-values, followed by one exact ``0.0`` for each of the other ``width - m``
-directions.
+Each sum is held by its smaller side (:class:`~gstdesign.held.HeldFim`):
+as its rows ``F`` while they are fewer than its width, so a two-qubit
+bucket of a few hundred rows is never squared into a 1023-wide matrix of
+rounding noise, and as its Gram ``F^T F`` from then on.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
-evaluated at (:class:`NongaugeFrame`).  Its coordinates are that model's
-:class:`~gstdesign.model.GaugeTangent`, whose one pivoted Householder QR
-gives the gauge rank and the complement; they are applied to
-the stacked rows ``W`` of each block inside :func:`circuits_fim`, so a
-bucket matrix is held as ``W Q2`` or summed as ``(W Q2)^T (W Q2)``
-directly in the frame and no parameter-wide matrix or dense basis is
-formed.  Each matrix is eigensolved at most once.  The frame is the one
-source of every series: :func:`cumulative_series` and
-:func:`incremental_series` read its spectra, and :func:`block_series` the
-operation block it accumulates alongside when built with ``columns``.
-At that model the gauge directions carry no information, so a series
-lists the non-gauge eigenvalues in descending order followed by one
-``0.0`` per gauge direction, which is the full-frame spectrum in exact
-arithmetic.
+evaluated at (:class:`NongaugeFrame`), applied to each block's ``W``
+inside :func:`circuits_fim`, so no parameter-wide matrix is formed.  The
+frame is the one source of every series; a series lists the non-gauge
+eigenvalues in descending order followed by one ``0.0`` per gauge
+direction, which is the full-frame spectrum in exact arithmetic.
 
-Certification evaluates the cumulative series at a point unitarily
-perturbed off the target (degenerate spectra at the exact target hide the
-standard germ set's deficiencies), works in the non-gauge frame of that
-point, and classifies each eigen-direction of the deepest cumulative
-matrix as growing or plateaued from the log-log slope of its Rayleigh
-quotient across depths.  When the deepest cumulative matrix is row-held,
-its directions come from a thin SVD of its rows; the directions outside
-their span carry exactly ``0.0`` information and get slope ``0.0``
-(plateaued).  A well-constructed design plateaus only in
-SPAM-dominated directions, which no germ repetition can amplify.  The
-rule's three constants are ``SLOPE_THRESHOLD``, ``FIT_FRACTION`` and
-``INSENSITIVE_REL``; :class:`CertificationReport` derives the counts, the
-verdict and the cumulative CSV's classification column from its slopes.
+Certification (:func:`certify_design`) classifies each eigen-direction
+of the deepest cumulative matrix, at a point unitarily perturbed off the
+target (degenerate spectra at the exact target hide the standard germ
+set's deficiencies), as growing or plateaued from the log-log slope of its Rayleigh
+quotient across depths.  A well-constructed design plateaus only in
+SPAM-dominated directions, which no germ repetition can amplify.
 """
 
 from __future__ import annotations
@@ -73,9 +53,9 @@ from .model import (
     Circuit,
     GateSet,
     circuit_probabilities,
-    circuits_probabilities,
     gauge_tangent,
     n_params,
+    param_blocks,
     probability_hessian,
     probability_jacobian,
     write_json,
@@ -107,7 +87,7 @@ __all__ = [
 ]
 
 DEFAULT_SHOTS = 1000
-# circuits per probability walk and per added block of rows W; a two-qubit W is about 10 MB
+# circuits per added block of rows W, which bounds its memory; a two-qubit W is about 10 MB
 FIM_BLOCK = 256
 # certification: a direction grows when its log-log slope, fitted over the
 # trailing FIT_FRACTION of the schedule, reaches SLOPE_THRESHOLD; it is
@@ -161,11 +141,16 @@ def circuits_fim(
     """
     circuits = list(circuits)
     coords = coords or (lambda w: w)
+    effects = gs.effect_matrix()
+    # row 0 of a Jacobian, in effect 0's columns, is the circuit's output state v
+    meas = param_blocks(gs)["meas"].start
     total = HeldFim(rows=coords(np.zeros((0, n_params(gs)))))
     for lo in range(0, len(circuits), FIM_BLOCK):
-        block = circuits[lo : lo + FIM_BLOCK]
-        probs = np.clip(circuits_probabilities(gs, block), clip_floor, 1.0)
-        rows = [probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None] for c, p in zip(block, probs)]
+        rows = []
+        for c in circuits[lo : lo + FIM_BLOCK]:
+            jac = probability_jacobian(gs, c)
+            p = np.clip(effects @ jac[0, meas : meas + gs.dim], clip_floor, 1.0)
+            rows.append(jac * np.sqrt(shots / p)[:, None])
         total += HeldFim.from_rows(coords(np.concatenate(rows)))
     return total
 

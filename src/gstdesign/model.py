@@ -21,6 +21,12 @@ Derivatives of circuit probabilities are computed analytically from cached
 prefix/suffix operator products, never by automatic differentiation, so a
 depth-n circuit costs O(n) small matrix products for the Jacobian and
 O(n^2) for the Hessian.
+
+Each probability comes from one walk: :func:`circuits_probabilities`
+carries the prep state through circuits sharing label prefixes,
+:func:`fiducial_outcomes` the prep-fiducial states through label bodies,
+and :func:`probability_jacobian`'s row 0, over effect 0's columns, is the
+output state ``v``.  Designs are :mod:`gstdesign.design`'s concern.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ __all__ = [
     "circuit_ptm",
     "circuit_probabilities",
     "circuits_probabilities",
+    "fiducial_outcomes",
+    "require_labels",
     "effective_fiducial_states",
     "effective_fiducial_effects",
     "param_blocks",
@@ -264,11 +272,12 @@ class GateSet:
         return np.vstack(self.effects)
 
     def validate(self) -> None:
-        """Check shape/finite/TP invariants; raises :class:`GateSetError`."""
+        """Check a ``4**n`` dimension and the shape/finite/TP invariants;
+        raises :class:`GateSetError`."""
         dim = self.dim
-        d = math.isqrt(dim)
-        if d * d != dim:
-            raise GateSetError(f"dimension {dim} is not a perfect square")
+        d = 2 ** _num_qubits_from_dim(dim)
+        if not (np.all(np.isfinite(self.prep)) and all(np.all(np.isfinite(e)) for e in self.effects)):
+            raise GateSetError("prep or effects have non-finite entries")
         if self.num_effects < 2:
             raise GateSetError("a measurement needs at least two effects")
         for label, g in self.gates.items():
@@ -276,16 +285,12 @@ class GateSet:
                 raise GateSetError(f"gate {label!r} has shape {g.shape}, wanted {(dim, dim)}")
             if not np.all(np.isfinite(g)):
                 raise GateSetError(f"gate {label!r} has non-finite entries")
-            first_row = np.zeros(dim)
-            first_row[0] = 1.0
-            if np.max(np.abs(g[0] - first_row)) > TP_TOL:
+            if np.max(np.abs(g[0] - np.eye(dim)[0])) > TP_TOL:
                 raise GateSetError(f"gate {label!r} is not trace preserving")
         if abs(self.prep[0] - 1.0 / math.sqrt(d)) > TP_TOL:
             raise GateSetError("prep first entry must be 1/sqrt(d)")
-        trace_covec = np.zeros(dim)
-        trace_covec[0] = math.sqrt(d)
         total = np.sum(self.effect_matrix(), axis=0)
-        if np.max(np.abs(total - trace_covec)) > 1e-10:
+        if np.max(np.abs(total - math.sqrt(d) * np.eye(dim)[0])) > 1e-10:
             raise GateSetError("effects do not sum to the trace covector")
 
     # -- JSON interface ----------------------------------------------------
@@ -372,72 +377,42 @@ def _prefix_walk(gs: GateSet, start: np.ndarray, sequences):
         yield n, states[len(labels)]
 
 
-def circuits_probabilities(gs: GateSet, circuits) -> np.ndarray:
-    """Outcome probabilities of a sequence of circuits, or of the circuits
-    of an :class:`~gstdesign.design.ExperimentDesign`, one row each in
-    circuit order.
-
-    Every label is checked first, in circuit order, so the first circuit
-    holding a label the gate set lacks raises :class:`GateSetError`.
-
-    A plain sequence takes one walk per distinct label prefix: the prep
-    state alone is carried, so each circuit sees the same ``G @ v``
-    products as in :func:`circuit_probabilities`, the one-circuit
-    reference, and its probabilities are equal bit for bit.
-
-    A design is walked germ by germ instead.  Every plaquette circuit is
-    ``F_j g^p H_i``, so the ``D x n_prep`` block ``[F_1 rho ... F_k rho]``
-    is carried once through each germ's powers, label by label, and each
-    plaquette ends with one product of the ``(n_meas m) x D`` effective
-    effect rows ``E_l H_i`` with that block; its kept pairs are scattered
-    into circuit order.  These products group the same terms differently
-    from the one-circuit reference, so the probabilities agree with it to
-    rounding, not bit for bit (the tests bound the difference by ``4e-15``).
-    The base layer, any circuit outside every plaquette, and every circuit
-    of a design whose fiducials or germs use a label the gate set lacks
-    take the one-state walk above.
-    """
-    from .design import ExperimentDesign
-
-    design = circuits if isinstance(circuits, ExperimentDesign) else None
-    if design is not None:
-        circuits = design.circuits
-    if not set().union(*(c.labels for c in circuits)) <= gs.gates.keys():
-        first = next(label for c in circuits for label in c.labels if label not in gs.gates)
+def require_labels(gs: GateSet, sequences) -> None:
+    """Raise :class:`GateSetError` naming the first label of the label
+    sequences ``sequences``, in order, that ``gs`` lacks."""
+    if not set().union(*sequences) <= gs.gates.keys():
+        first = next(label for labels in sequences for label in labels if label not in gs.gates)
         raise GateSetError(f"unknown gate label {first!r}")
-    probs = np.zeros((len(circuits), gs.num_effects))
-    rest = list(range(len(circuits)))
-    if design is not None:
-        structure = design.prep_fiducials + design.meas_fiducials + design.germs
-        if set().union(*(c.labels for c in structure)) <= gs.gates.keys():
-            rest = _plaquette_probabilities(gs, design, probs)
+
+
+def circuits_probabilities(gs: GateSet, circuits) -> np.ndarray:
+    """Outcome probabilities of a sequence of circuits, one row each in
+    circuit order, from one walk per distinct label prefix.  Labels are
+    checked first (:func:`require_labels`).  Each circuit sees the same
+    ``G @ v`` and ``E @ v`` products as in :func:`circuit_probabilities`,
+    the one-circuit reference, so its probabilities equal it bit for bit."""
+    sequences = [c.labels for c in circuits]
+    require_labels(gs, sequences)
+    probs = np.zeros((len(sequences), gs.num_effects))
     effects = gs.effect_matrix()
-    for n, state in _prefix_walk(gs, gs.prep, [circuits[idx].labels for idx in rest]):
-        probs[rest[n]] = effects @ state
+    for n, state in _prefix_walk(gs, gs.prep, sequences):
+        probs[n] = effects @ state
     return probs
 
 
-def _plaquette_probabilities(gs: GateSet, design, probs: np.ndarray) -> list[int]:
-    """Fill the rows of ``probs`` that ``design``'s plaquettes reach, from one
-    block walk over every germ power; return the other circuits' indices."""
-    from .design import plaquette_circuits
-
-    preps, meass, m = design.prep_fiducials, design.meas_fiducials, gs.num_effects
-    block = np.column_stack(effective_fiducial_states(gs, preps))
-    effect_rows = np.vstack(effective_fiducial_effects(gs, meass))
-    index_of = {c.labels: idx for idx, c in enumerate(design.circuits)}
-    covered = np.zeros(len(design.circuits), dtype=bool)
-    bodies = [design.germs[p.germ_index].labels * p.power for p in design.plaquettes]
+def fiducial_outcomes(gs: GateSet, prep_fiducials, meas_fiducials, bodies):
+    """Yield ``(n, outcomes)`` for each label sequence ``bodies[n]`` in
+    walk order, ``outcomes[i, l, j]`` the probability of outcome ``l`` of
+    ``F_j bodies[n] H_i``.  The block ``[F_1 rho ... F_k rho]`` is carried
+    through the bodies, and each ends with one product of the effect rows
+    ``E_l H_i`` with it: equal to :func:`circuit_probabilities` to
+    rounding, not bit for bit.  Unknown labels raise :class:`GateSetError`.
+    """
+    require_labels(gs, [c.labels for c in (*prep_fiducials, *meas_fiducials)] + list(bodies))
+    block = np.column_stack(effective_fiducial_states(gs, prep_fiducials))
+    effect_rows = np.vstack(effective_fiducial_effects(gs, meas_fiducials))
     for n, states in _prefix_walk(gs, block, bodies):
-        plaquette = design.plaquettes[n]
-        outcomes = (effect_rows @ states).reshape(len(meass), m, len(preps))
-        circuits = plaquette_circuits(preps, meass, design.germs[plaquette.germ_index], plaquette)
-        for (j, i), circuit in zip(plaquette.pairs, circuits):
-            idx = index_of.get(circuit.labels)
-            if idx is not None:
-                probs[idx] = outcomes[i, :, j]
-                covered[idx] = True
-    return np.flatnonzero(~covered).tolist()
+        yield n, (effect_rows @ states).reshape(len(meas_fiducials), gs.num_effects, len(prep_fiducials))
 
 
 def effective_fiducial_states(gs: GateSet, prep_fids: list[Circuit]) -> list[np.ndarray]:

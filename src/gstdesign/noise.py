@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ExperimentDesign
+from .design import ExperimentDesign, design_probabilities
 from .model import (
     Circuit,
     GateSet,
@@ -157,20 +157,16 @@ def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> 
     an :class:`~gstdesign.design.ExperimentDesign`, one RNG stream per
     circuit (``SeedSequence([seed, index])`` in circuit order).
 
-    Probabilities come from :func:`~gstdesign.model.circuits_probabilities`:
-    one prefix walk per label prefix for a sequence, bit for bit the
-    one-circuit reference; for a design, one walk per germ that carries
-    every prep fiducial's state through the germ's powers, equal to that
-    reference to rounding (the tests bound the difference by ``4e-15``).  It
-    checks every label first, so a circuit with an unknown label raises
-    :class:`~gstdesign.model.GateSetError` before an earlier circuit's
-    probabilities are checked.  All rows are then validated in one pass
-    before any draw, and an error names the first invalid circuit in
-    circuit order.
+    This is the one place that tells a design from a circuit list: a
+    design's probabilities come from
+    :func:`~gstdesign.design.design_probabilities`, a sequence's from
+    :func:`~gstdesign.model.circuits_probabilities`.  Both check every
+    label first; all rows are then validated in one pass before any draw,
+    and an error names the first invalid circuit in circuit order.
     """
     if isinstance(circuits_or_design, ExperimentDesign):
         circuits = circuits_or_design.circuits
-        probs = circuits_probabilities(gs, circuits_or_design)
+        probs = design_probabilities(gs, circuits_or_design)
     else:
         circuits = tuple(circuits_or_design)
         probs = circuits_probabilities(gs, circuits)

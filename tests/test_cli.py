@@ -258,13 +258,13 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
 
 
 def test_certify_walks_probabilities_and_takes_one_jacobian_per_circuit(small_design, monkeypatch):
-    calls = {"circuit_probabilities": Counter(), "probability_jacobian": Counter()}
+    calls = {name: Counter() for name in ("circuit_probabilities", "circuits_probabilities", "probability_jacobian")}
     for name, seen in calls.items():
         original = getattr(model, name)
 
-        def counting(gs, circuit, original=original, seen=seen):
-            seen[circuit.labels] += 1
-            return original(gs, circuit)
+        def counting(gs, circuits, original=original, seen=seen):
+            seen.update([circuits.labels] if isinstance(circuits, model.Circuit) else [c.labels for c in circuits])
+            return original(gs, circuits)
 
         # every binding in the package, as the benchmark's tracer patches them
         for module_name, module in list(sys.modules.items()):
@@ -272,8 +272,8 @@ def test_certify_walks_probabilities_and_takes_one_jacobian_per_circuit(small_de
                 monkeypatch.setattr(module, name, counting)
     assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == 0
     design = ExperimentDesign.load(small_design)
-    # probabilities come from one prefix walk per block, never from the one-circuit reference
-    assert calls["circuit_probabilities"] == Counter()
+    # each circuit's one walk is its Jacobian's, which also gives its probabilities
+    assert calls["circuit_probabilities"] == calls["circuits_probabilities"] == Counter()
     assert calls["probability_jacobian"] == Counter(c.labels for c in design.circuits)
     assert set(calls["probability_jacobian"].values()) == {1}
 
@@ -344,6 +344,58 @@ def test_bad_design_exits_3(small_design, tmp_path, capsys, command, case, gates
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify"])
+def test_design_claiming_an_absurd_depth_exits_3_without_expanding_it(tmp_path, monkeypatch, capsys, command):
+    import dataclasses
+
+    from gstdesign import design as dz
+
+    huge = 2**40
+    fids = [model.Circuit(()), model.Circuit(("Gx",))]
+    built = dz.build_design(fids, fids, [model.Circuit(("Gx",))], (1,), gateset_labels=("Gx",))
+    # the schedule claims L = 2^40, but only the L = 1 circuits are listed
+    claimed = dataclasses.replace(
+        built, maxdepths=(1, huge), plaquettes=plaquettes(built.germs, (1, huge), FprPolicy(), 2, 2)
+    )
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(claimed.to_json_dict()))
+    expand = dz.plaquette_circuits
+
+    def refusing(preps, meass, germ, plaquette):
+        assert plaquette.power < huge, "the claimed plaquette was expanded"
+        return expand(preps, meass, germ, plaquette)
+
+    monkeypatch.setattr(dz, "plaquette_circuits", refusing)
+    argv = [command, "--gateset", "xyi", "--design", str(path)]
+    if command == "simulate":
+        argv += ["--seed", "1", "--out", str(tmp_path / "ds.json")]
+    assert run(argv) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert err.endswith(f"plaquette (germ 0, L={huge}): the circuit of pair (0, 0), {huge} labels long, is missing\n")
+
+
+def test_simulate_expands_each_plaquette_of_a_loaded_design_at_most_once(small_design, tmp_path, monkeypatch):
+    from gstdesign import design as dz
+
+    expanded = Counter()
+    expand = dz.plaquette_circuits
+
+    def counting(preps, meass, germ, plaquette):
+        expanded[germ.labels, plaquette.max_depth] += 1
+        return expand(preps, meass, germ, plaquette)
+
+    monkeypatch.setattr(dz, "plaquette_circuits", counting)
+    argv = ["simulate", "--gateset", "xyi", "--design", str(small_design), "--seed", "1",
+            "--out", str(tmp_path / "ds.json")]
+    assert run(argv) == 0
+    by_run = dict(expanded)
+    design = ExperimentDesign.load(small_design)
+    assert len(by_run) == len(design.plaquettes) and set(by_run.values()) == {1}
+    expanded.clear()
+    assert design.pair_index and not expanded  # the load's check already built it
+
+
 def test_wallclock_design_labels_checked_against_gateset(small_design, capsys):
     code = run(["wallclock", "--device", "all", "--gateset", "xycphase", "--design", str(small_design)])
     assert code == cli.EXIT_BAD_INPUT
@@ -385,7 +437,35 @@ def _device_doc(**changes):
     return json.dumps({**builtin_device_doc("transmons"), **changes})
 
 
+def _dim9_gateset_doc():
+    """A qutrit-sized gate set, trace preserving with square dimension 9,
+    but no number of qubits."""
+    eye = np.eye(9).tolist()
+    effect = [np.sqrt(3) / 2] + [0.0] * 8
+    return json.dumps({"dim": 9, "gates": {"Gi": eye, "Gx": eye}, "prep": [1 / np.sqrt(3)] + [0.0] * 8,
+                       "effects": [effect, effect]})
+
+
+def _nan_gateset_doc(part):
+    doc = json.loads(_gateset_doc())
+    (doc["prep"] if part == "prep" else doc["effects"][0])[2] = float("nan")
+    return json.dumps(doc)
+
+
+def _gi_gx_design_doc():
+    """A two-depth design on the labels Gi and Gx, valid for every gate set above."""
+    from gstdesign.design import build_design
+
+    fids = [model.Circuit(()), model.Circuit(("Gx",))]
+    design = build_design(fids, fids, [model.Circuit(("Gx",))], default_schedule(2), gateset_labels=("Gi", "Gx"))
+    return json.dumps(design.to_json_dict())
+
+
 DESIGN_ARGV = ["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "4", "--seed", "1", "--out", "o.json"]
+SIMULATE_ARGV = ["simulate", "--design", "d.json", "--seed", "1", "--out", "o.json"]
+CERTIFY_ARGV = ["certify", "--design", "d.json", "--report", "o.json"]
+ROBUST_GERMS_ARGV = ["germs", "--germs", "robust", "--seed", "1", "--out", "o.json"]
+FIDUCIALS_ARGV = ["fiducials", "--kind", "prep", "--out", "o.json"]
 FPR_ARGV = ["fpr", "--gateset", "xyi", "--seed", "1", "--out", "o.json"]
 WALLCLOCK_ARGV = ["wallclock", "--circuits", "10"]
 
@@ -405,6 +485,21 @@ MALFORMED_INPUTS = {
     "device-t1q-list": ("--device", _device_doc(t_1q=[1]), WALLCLOCK_ARGV),
     # wallclock reads --gateset with bare counts too
     "wallclock-gateset-json-list": ("--gateset", "[1, 2]", [*WALLCLOCK_ARGV, "--device", "all"]),
+    # gate sets that passed validation and then crashed the command
+    **{
+        f"{command}-gateset-{case}": ("--gateset", content, argv)
+        for case, content in (
+            ("dim-9", _dim9_gateset_doc()),
+            ("nan-prep", _nan_gateset_doc("prep")),
+            ("nan-effect", _nan_gateset_doc("effect")),
+        )
+        for command, argv in (
+            ("simulate", SIMULATE_ARGV),
+            ("certify", CERTIFY_ARGV),
+            ("germs", ROBUST_GERMS_ARGV),
+            ("fiducials", FIDUCIALS_ARGV),
+        )
+    },
 }
 
 
@@ -412,6 +507,7 @@ MALFORMED_INPUTS = {
 def test_malformed_input_file_exits_3(tmp_path, monkeypatch, capsys, case):
     option, content, argv = MALFORMED_INPUTS[case]
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.json").write_text(_gi_gx_design_doc())
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
@@ -423,6 +519,7 @@ def test_malformed_input_file_exits_3(tmp_path, monkeypatch, capsys, case):
     assert run([*argv, option, str(path)]) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err
     assert not (tmp_path / "o.json").exists()
 
 

@@ -223,6 +223,26 @@ def test_circuit_order_is_free_on_load(xyi, xyi_fiducials):
     assert dict(zip(loaded.circuits, loaded.buckets)) == dict(zip(des.circuits, des.buckets))
 
 
+def test_pair_index_points_each_pair_at_its_circuit(xyi, xyi_fiducials):
+    import dataclasses
+
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16),
+        D.FprPolicy(mode="random", gamma=0.25, seed=2), gateset_labels=xyi.labels,
+    )
+    assert len(des.pair_index) == len(des.plaquettes)
+    for p, indices in zip(des.plaquettes, des.pair_index):
+        circuits = D.plaquette_circuits(xyi_fiducials, xyi_fiducials, GERMS[p.germ_index], p)
+        assert [des.circuits[idx] for idx in indices] == circuits
+    # a design without the last circuit lacks it, and the pair that names it reads -1
+    dropped = dataclasses.replace(des, circuits=des.circuits[:-1], buckets=des.buckets[:-1])
+    last = len(des.circuits) - 1
+    assert any(last in row for row in des.pair_index)
+    assert [[-1 if idx == last else idx for idx in row] for row in des.pair_index] == [
+        list(row) for row in dropped.pair_index
+    ]
+
+
 FIDUCIALS = standard_xyi_fiducials()
 LABELS = ("Gi", "Gx", "Gy")
 germ_lists = st.lists(

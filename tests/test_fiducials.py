@@ -6,24 +6,6 @@ from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.model import Circuit
 
 
-def test_gram_of_orthonormal_vectors_is_identity():
-    vecs = list(np.eye(4))
-    assert np.allclose(F.gram_matrix(vecs), np.eye(4), atol=1e-15)
-
-
-def test_gram_duplicate_vector_rank_deficit(rng):
-    v = rng.standard_normal(4)
-    w = rng.standard_normal(4)
-    gram = F.gram_matrix([v, w, v])
-    evals = np.linalg.eigvalsh(gram)
-    assert np.sum(evals > 1e-12 * evals[-1]) == 2  # rank deficit 1
-
-
-def test_gram_dimension_mismatch():
-    with pytest.raises(ValueError):
-        F.gram_matrix([np.zeros(4), np.zeros(3)])
-
-
 def test_standard_prep_fiducials_rank_and_spectrum(xyi, xyi_fiducials):
     # oracle: build the six effective states explicitly and eigendecompose
     # the 4x4 frame operator; the octahedral set gives {3, 1, 1, 1}
@@ -37,13 +19,6 @@ def test_standard_prep_fiducials_rank_and_spectrum(xyi, xyi_fiducials):
     assert score.rank == 4
     assert score.score > 0
     assert np.isclose(score.score, frame_evals[3], atol=1e-12)
-
-
-def test_gram_psd(xyi, xyi_fiducials):
-    gram = F.gram_matrix(
-        [np.asarray(v) for v in np.vstack([xyi.prep, xyi.prep * 0.3, -xyi.prep])]
-    )
-    assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
 
 def test_rank_deficient_set_scores_minus_inf(xyi):

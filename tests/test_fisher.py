@@ -12,10 +12,13 @@ from gstdesign.model import (
     GaugeTangent,
     apply_gauge_transform,
     circuit_probabilities,
+    circuits_probabilities,
     from_vector,
     gauge_tangent,
     matrix_rank_rel,
+    n_params,
     param_blocks,
+    probability_jacobian,
     to_vector,
 )
 from gstdesign.noise import perturbed_models
@@ -118,6 +121,58 @@ def test_blocked_accumulation_matches_reference(eval_model, xyi_fiducials):
     summed = sum(FI.circuit_fim(eval_model, c) for c in des.circuits)
     assert np.max(np.abs(total - summed)) <= 1e-12 * np.max(np.abs(summed))
     assert np.array_equal(total, FI.circuits_fim(eval_model, des.circuits).gram)
+
+
+@pytest.fixture(scope="module")
+def walk_cases(xyi, xyi_fiducials):
+    """(evaluation model, circuits) of an XYI design (two FIM_BLOCK blocks)
+    and of a 4x3 XYCPHASE design at L <= 4, each with an empty circuit, a
+    repeated circuit and a prefix of a circuit appended."""
+    cases = {}
+    for name, gs, preps, meass, germs, lmax in (
+        ("xyi", xyi, xyi_fiducials, xyi_fiducials, GERMS, 16),
+        ("xycphase", make_xycphase_gateset(), builtin_fiducials("xycphase", "prep")[:4],
+         builtin_fiducials("xycphase", "meas")[:3], [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))], 4),
+    ):
+        des = D.build_design(preps, meass, germs, D.default_schedule(lmax), gateset_labels=gs.labels)
+        extra = [Circuit(()), des.circuits[5], Circuit(des.circuits[-1].labels[:2])]
+        cases[name] = (FI.default_eval_model(gs), list(des.circuits) + extra)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["xyi", "xycphase"])
+def test_probabilities_read_from_each_jacobian_equal_the_reference_in_bits(walk_cases, name):
+    gs, circuits = walk_cases[name]
+    start = param_blocks(gs)["meas"].start
+    for c in circuits:
+        # row 0 of the Jacobian, over effect 0's columns, is the output state v
+        read = gs.effect_matrix() @ probability_jacobian(gs, c)[0, start : start + gs.dim]
+        assert read.tobytes() == circuit_probabilities(gs, c).tobytes()
+
+
+def per_block_walk_fim(gs, circuits, shots, clip_floor, coords):
+    """circuits_fim with each block's probabilities from one prefix walk."""
+    coords = coords or (lambda w: w)
+    total = FI.HeldFim(rows=coords(np.zeros((0, n_params(gs)))))
+    for lo in range(0, len(circuits), FI.FIM_BLOCK):
+        block = circuits[lo : lo + FI.FIM_BLOCK]
+        probs = np.clip(circuits_probabilities(gs, block), clip_floor, 1.0)
+        rows = [probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None] for c, p in zip(block, probs)]
+        total += FI.HeldFim.from_rows(coords(np.concatenate(rows)))
+    return total
+
+
+@pytest.mark.parametrize("in_frame", [False, True])
+@pytest.mark.parametrize("name", ["xyi", "xycphase"])
+def test_circuits_fim_equals_the_per_block_walk_in_bits(walk_cases, name, in_frame):
+    gs, circuits = walk_cases[name]
+    coords = gauge_tangent(gs).rows if in_frame else None
+    clip_floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    got = FI.circuits_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor, coords)
+    want = per_block_walk_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor, coords)
+    assert (got.rows is None) == (want.rows is None) == (name == "xyi")  # Gram-held on XYI, row-held on 2Q
+    held = (got.gram, want.gram) if got.rows is None else (got.rows, want.rows)
+    assert held[0].tobytes() == held[1].tobytes()
 
 
 def test_gauge_annihilation(eval_model, xyi_fiducials):

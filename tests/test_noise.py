@@ -260,11 +260,13 @@ def shuffled(design, seed, extra=()):
     ],
 )
 def test_design_walk_equals_circuit_probabilities(name, mode, lmax):
+    from gstdesign import design as D
+
     gs, design = walk_design(name, mode, lmax)
     # a circuit outside every plaquette, and one deeper than any plaquette circuit
     outside = [Circuit(design.germs[-1].labels * 3 + design.germs[0].labels), Circuit(design.germs[0].labels * 2000)]
     design = shuffled(design, seed=lmax, extra=outside)
-    probs = circuits_probabilities(gs, design)
+    probs = D.design_probabilities(gs, design)
     reference = np.array([circuit_probabilities(gs, c) for c in design.circuits])
     assert np.max(np.abs(probs - reference)) <= DESIGN_WALK_ATOL
     for c in outside:
@@ -286,7 +288,7 @@ def test_design_walk_fills_a_circuit_two_plaquettes_reach(xyi, xyi_fiducials):
     ]
     assert len(reached) == 2 and reached[0] == reached[1]
     gs = N.sample_noisy_gateset(xyi, N.NoiseSpec("coherent-depol", 0.02, 0.01, 3))
-    probs = circuits_probabilities(gs, design)
+    probs = D.design_probabilities(gs, design)
     reference = np.array([circuit_probabilities(gs, c) for c in design.circuits])
     assert np.max(np.abs(probs - reference)) <= DESIGN_WALK_ATOL
 
@@ -299,16 +301,20 @@ def test_design_walk_counts_equal_circuit_list_counts():
     assert np.array_equal(by_design.counts, by_list.counts)
 
 
-def test_design_with_an_unknown_structure_label_takes_the_one_state_walk(xyi, xyi_fiducials):
+def test_design_with_an_unknown_fiducial_or_germ_label_raises(xyi, xyi_fiducials):
     import dataclasses
 
     from gstdesign import design as D
+    from gstdesign.model import GateSetError
 
     design = D.build_design(xyi_fiducials[:2], xyi_fiducials, [Circuit(("Gx",))], D.default_schedule(4))
-    # a prep fiducial no circuit uses, with a label the gate set lacks
-    design = dataclasses.replace(design, prep_fiducials=design.prep_fiducials + (Circuit(("Gq",)),))
-    probs = circuits_probabilities(xyi, design)
-    assert probs.tobytes() == circuits_probabilities(xyi, design.circuits).tobytes()
+    for part in ("prep_fiducials", "meas_fiducials", "germs"):
+        # a fiducial or germ no circuit uses, with a label the gate set lacks
+        lacking = dataclasses.replace(design, **{part: getattr(design, part) + (Circuit(("Gq",)),)})
+        with pytest.raises(GateSetError, match="'Gq'"):
+            D.design_probabilities(xyi, lacking)
+        with pytest.raises(GateSetError, match="'Gq'"):
+            N.simulate_dataset(xyi, lacking, shots=10, seed=1)
 
 
 def test_design_walk_errors_name_the_first_circuit_in_circuit_order(xyi):
