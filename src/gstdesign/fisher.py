@@ -43,12 +43,13 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .design import ExperimentDesign
 from .germs import amplifiable_count
-from .held import HeldFim
+from .held import HeldFim, above_noise
 from .model import (
     Circuit,
     GateSet,
@@ -205,10 +206,25 @@ class NongaugeFrame:
     rule, and it is split by column with :meth:`HeldFim.block`, each part
     held by its smaller side; from ``dim`` rows on both parts are cut from
     the joint Gram.  Probabilities are clipped at :func:`certification_clip_floor`
-    of ``shots``.  Eigensolves are cached, so no matrix is solved twice:
-    :meth:`deepest` solves the deepest cumulative matrix and also serves
-    its spectrum.  A row-held spectrum is ``eigvalsh(F F^T)`` padded with
-    exact zeros, so no eigensolve is wider than the rows it comes from.
+    of ``shots``.
+
+    Eigensolves are cached, so no matrix is solved twice.  A Gram-held
+    deepest cumulative matrix is solved by one ``eigh``, which also serves
+    its spectrum, and each row-held matrix's spectrum is ``eigvalsh(F F^T)``
+    padded with exact zeros.  When the deepest cumulative matrix is
+    row-held, so is every other one, and cumulative matrix ``k`` is the
+    first ``m_k`` of its ``m`` rows ``F`` (sums stack rows in order).  The
+    frame then forms the ``m x m`` row Gram ``G = F F^T`` once and takes one
+    ``eigh`` of it: its eigenvalues are the deepest spectrum, those above
+    :data:`~gstdesign.held.COMPRESS_RTOL` of the largest are the tracked
+    directions' information (:meth:`deepest`), and its eigenvectors give
+    their trajectories as prefix sums (:meth:`trajectories`).  The spectrum
+    of any other cumulative or bucket matrix is ``eigvalsh`` of the
+    diagonal block of ``G`` at its rows.  In each of these spectra the
+    eigenvalues at or below ``COMPRESS_RTOL`` of the largest are rounding
+    noise, whose sign follows the circuit order, and read exact zeros.
+    Either way no eigensolve is wider than the rows it comes from, and no
+    thin SVD of ``F`` is taken.
     """
 
     def __init__(
@@ -231,35 +247,76 @@ class NongaugeFrame:
             self.increments = tuple(m.block(slice(None, self.dim)) for m in joint)
             self.column_increments = tuple(m.block(slice(self.dim, None)) for m in joint)
         self.cumulative = tuple(itertools.accumulate(self.increments))
-        self._spectra: dict[tuple[bool, int], np.ndarray] = {}
-        self._deepest: tuple[np.ndarray, np.ndarray] | None = None
+        # each cumulative matrix's row count when the deepest one is row-held
+        self._ends = None if self.cumulative[-1].rows is None else [len(m.rows) for m in self.cumulative]
+        self._spectra: dict[tuple, np.ndarray] = {}
 
-    def deepest(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors of the deepest cumulative
-        matrix on its row space (:meth:`HeldFim.eigh`): ``dim`` pairs, or
-        one per row when it is row-held."""
-        if self._deepest is None:
-            self._deepest = self.cumulative[-1].eigh()
-        return self._deepest
+    @cached_property
+    def _row_gram(self) -> np.ndarray:
+        """``F F^T`` of a row-held deepest cumulative matrix's rows ``F``."""
+        rows = self.cumulative[-1].rows
+        return rows @ rows.T
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending ``eigh`` of the deepest cumulative matrix's Gram, or of
+        its row Gram when it is row-held."""
+        return np.linalg.eigh(self.cumulative[-1].gram if self._ends is None else self._row_gram)
+
+    @cached_property
+    def _resolved(self) -> np.ndarray:
+        """Which of :attr:`_eigh`'s pairs :meth:`deepest` keeps."""
+        evals = self._eigh[0]
+        return np.ones(len(evals), bool) if self._ends is None else above_noise(evals)
+
+    def deepest(self) -> np.ndarray:
+        """Ascending information of the directions certification tracks:
+        the ``dim`` eigenvalues of a Gram-held deepest cumulative matrix or,
+        when it is row-held, the eigenvalues of its row Gram above
+        :data:`~gstdesign.held.COMPRESS_RTOL` of the largest.  The row
+        Gram's others are rounding noise; like the ``dim - m`` directions
+        outside the rows' span, they are left out."""
+        return self._eigh[0][self._resolved]
 
     def spectrum(self, cumulative: bool, index: int) -> np.ndarray:
         """Non-gauge eigenvalues, descending, of bucket matrix ``index`` or,
         when ``cumulative``, of its prefix sum; a row-held matrix's end in
-        one exact ``0.0`` per missing row."""
+        one exact ``0.0`` per missing row and, when the deepest matrix is
+        row-held, per rounding-noise eigenvalue of its row Gram."""
         index = range(len(self.increments))[index]  # -1 and the last index share a cache entry
-        if cumulative and index == len(self.cumulative) - 1:
-            evals = self.deepest()[0]
-            return np.concatenate([evals[::-1], np.zeros(self.dim - len(evals))])
-        if (cumulative, index) not in self._spectra:
-            mats = self.cumulative if cumulative else self.increments
-            self._spectra[cumulative, index] = mats[index].eigvalsh()
-        return self._spectra[cumulative, index]
+        if self._ends is None:
+            key, whole = (cumulative, index), cumulative and index == len(self.cumulative) - 1
+        else:
+            # the matrix's rows lo:hi among the deepest one's; a first bucket
+            # shares its entry with the first cumulative matrix
+            key = (0 if cumulative or index == 0 else self._ends[index - 1], self._ends[index])
+            whole = key == (0, self._ends[-1])
+        if key not in self._spectra:
+            if self._ends is None:
+                mats = self.cumulative if cumulative else self.increments
+                evals = self._eigh[0][::-1] if whole else mats[index].eigvalsh()
+            else:
+                rows = slice(*key)
+                evals = self._eigh[0] if whole else np.linalg.eigvalsh(self._row_gram[rows, rows])
+                evals = np.where(above_noise(evals), evals, 0.0)[::-1]
+            self._spectra[key] = np.concatenate([evals, np.zeros(self.dim - len(evals))])
+        return self._spectra[key]
 
-    def rayleigh(self, indices, vecs: np.ndarray) -> np.ndarray:
-        """``v^T M v`` for each column ``v`` of ``vecs`` (one column per
-        output column) and each cumulative matrix ``M`` in ``indices`` (one
-        output row each, ascending indices): ``||F v||^2`` of a row-held
-        matrix, one batched contraction of the Gram-held ones."""
+    def trajectories(self, indices) -> np.ndarray:
+        """``v^T M v`` for each direction ``v`` :meth:`deepest` lists (one
+        output column each) and each cumulative matrix ``M`` in ``indices``
+        (one output row each, ascending indices).  For a Gram-held deepest
+        matrix ``v`` is its eigenvector: ``||F v||^2`` of a row-held ``M``,
+        one batched contraction of the Gram-held ones.  For a row-held one,
+        row Gram eigenpair ``(lambda, u)`` has direction
+        ``v = F^T u / sqrt(lambda)``, and ``M``'s rows are the first ``m_k``
+        of ``F``, so ``||F_k v||^2 = lambda sum_{i < m_k} u_i^2``: a prefix
+        sum of ``u^2``, with ``v`` never formed."""
+        evals, vecs = self._eigh
+        if self._ends is not None:
+            keep = self._resolved
+            sums = np.cumsum(np.vstack([np.zeros(keep.sum()), vecs[:, keep] ** 2]), axis=0)
+            return evals[keep] * sums[[self._ends[i] for i in indices]]
         mats = [self.cumulative[i] for i in indices]
         # cumulative row counts only grow, so the row-held matrices come first
         out = [np.sum((m.rows @ vecs) ** 2, axis=0) for m in mats if m.rows is not None]
@@ -394,13 +451,16 @@ def certify_design(
     exactly.  The classified directions are the eigenvectors of the deepest
     cumulative matrix, in ascending order of its eigenvalues, which are
     the report's ``total_information``.  When that matrix is held as its
-    ``m < dim`` rows, they are the right singular vectors of the rows, and
-    the ``dim - m`` directions outside their span come first with exactly
-    ``0.0`` information and slope ``0.0`` (plateaued).  Each other
-    direction's trajectory is its Rayleigh quotient at the fitted
+    ``m < dim`` rows ``F``, they come from one ``eigh`` of the row Gram
+    ``F F^T``: its eigenvalues above :data:`~gstdesign.held.COMPRESS_RTOL`
+    of the largest are their information, and the directions outside the
+    rows' span, with the rounding-noise rest of the row Gram's, come first
+    with exactly ``0.0`` information and slope ``0.0`` (plateaued).  Each
+    other direction's trajectory is its Rayleigh quotient at the fitted
     shallower depths (tracking fixed directions avoids the relabeling
     artifacts that sorted-eigenvalue trajectories suffer when curves
-    cross).  A direction grows if the
+    cross); for row-held matrices it is a prefix sum over the row Gram's
+    eigenvectors (:meth:`NongaugeFrame.trajectories`).  A direction grows if the
     least-squares log-log slope over the trailing ``FIT_FRACTION`` of the
     schedule reaches ``SLOPE_THRESHOLD``, so at least two max depths are
     needed (see :func:`require_certifiable`).  The SPAM budget (expected
@@ -433,12 +493,13 @@ def certify_design(
     depths = np.asarray(design.maxdepths, float)
     n_fit = max(2, int(np.ceil(len(depths) * FIT_FRACTION)))
 
-    evals, evecs = frame.deepest()
+    evals = frame.deepest()
     # traj[depth, k] over the fitted depths: the Rayleigh quotient of direction
     # k at each shallower depth, its eigenvalue at the deepest
-    traj = np.vstack([frame.rayleigh(range(len(depths) - n_fit, len(depths) - 1), evecs), evals])
+    traj = np.vstack([frame.trajectories(range(len(depths) - n_fit, len(depths) - 1)), evals])
     fitted = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
-    # directions outside a row-held deepest matrix's rows carry no information
+    # directions outside a row-held deepest matrix's rows, or at its rounding
+    # noise, carry no information
     unseen = np.zeros(frame.dim - len(evals))
     slopes, total_information = np.concatenate([unseen, fitted]), np.concatenate([unseen, evals])
 

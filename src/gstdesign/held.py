@@ -5,7 +5,13 @@ While ``m`` is below its width it is kept as ``F`` itself, and its
 spectrum is ``eigvalsh(F F^T)``, ``m`` values, followed by exact zeros;
 from ``m`` rows on it is kept as the Gram ``F^T F`` (:class:`HeldFim`).
 Fisher matrices (:mod:`gstdesign.fisher`) and germ-selection Grams
-(:mod:`gstdesign.germs`) are both held this way.
+(:mod:`gstdesign.germs`) are both held this way.  A row-held matrix is
+never solved ``width`` wide: certification takes one ``eigh`` of the row
+Gram ``F F^T`` of the deepest Fisher matrix, whose eigenvectors ``U`` give
+the matrix's eigen-directions ``F^T U``, and it takes the row Gram's
+eigenvalues at or below :data:`COMPRESS_RTOL` of the largest as rounding
+noise (:func:`above_noise`), the ones compression drops (see
+:class:`~gstdesign.fisher.NongaugeFrame`).
 
 Rows can also be compressed (:func:`compressed_rows`,
 :meth:`HeldFim.compress`): with ``F F^T = U Lambda U^T``, the rows
@@ -23,13 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HeldFim", "compressed_rows", "COMPRESS_RTOL"]
+__all__ = ["HeldFim", "above_noise", "compressed_rows", "COMPRESS_RTOL"]
 
 # Relative cutoff on row-Gram eigenvalues kept by compression.  Exact zeros
 # come out of eigh within 1e-15 of the largest eigenvalue (at most 4.7e-16 on
 # the XYI germ candidates, 1.0e-15 on XYCPHASE ones) and the smallest kept
-# eigenvalues there are above 0.05, so the cutoff sits in that gap.
+# eigenvalues there are above 0.05, so the cutoff sits in that gap.  Fisher
+# row Grams are certified with the same cutoff: on XYCPHASE germs Gxi and
+# Gcphase Gxi Giy, 4 x 3 fiducials, L <= 4 (404 rows), every row Gram block
+# has its noise at most 3.0e-16 and its kept eigenvalues from 2.9e-12 up.
 COMPRESS_RTOL = 1e-14
+
+
+def above_noise(evals: np.ndarray) -> np.ndarray:
+    """Mask of the row-Gram eigenvalues, ascending along the last axis,
+    above :data:`COMPRESS_RTOL` of the largest; the others are rounding
+    noise."""
+    return evals > COMPRESS_RTOL * evals[..., -1:]
 
 
 def compressed_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +57,7 @@ def compressed_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member's kept rows are those of its batch of one, bit for bit.
     """
     evals, vecs = np.linalg.eigh(rows @ rows.transpose(0, 2, 1))
-    ranks = np.sum(evals > COMPRESS_RTOL * evals[:, -1:], axis=1)
+    ranks = np.sum(above_noise(evals), axis=1)
     width = int(ranks.max(initial=0))
     # every member's product is m rows deep, whatever the stack's width
     rotated = vecs.transpose(0, 2, 1) @ rows
@@ -79,16 +95,6 @@ class HeldFim:
             return np.linalg.eigvalsh(self.gram)[::-1]
         small = np.linalg.eigvalsh(self.rows @ self.rows.T)[::-1]
         return np.concatenate([small, np.zeros(self.width - len(small))])
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and eigenvectors spanning the matrix's row
-        space: ``eigh`` of the Gram (``width`` pairs), or the squared
-        singular values and right singular vectors of a thin SVD of ``F``
-        (``m`` pairs).  The other directions hold exactly zero information."""
-        if self.rows is None:
-            return np.linalg.eigh(self.gram)
-        _, s, vt = np.linalg.svd(self.rows, full_matrices=False)
-        return s[::-1] ** 2, vt[::-1].T
 
     def compress(self) -> HeldFim:
         """The matrix held as its compressed rows (see the module

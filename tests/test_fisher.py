@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ import scipy.linalg
 from gstdesign import cli
 from gstdesign import design as D
 from gstdesign import fisher as FI
-from gstdesign.builtins import builtin_fiducials, make_xycphase_gateset
+from gstdesign.builtins import builtin_fiducials, builtin_gateset, make_xycphase_gateset
 from gstdesign.germs import bare_germs
 from gstdesign.model import (
     Circuit,
@@ -197,7 +199,8 @@ def test_single_circuit_series_coincide(eval_model, xyi_fiducials):
     assert frame.cumulative[0] is frame.increments[0]
     cum = np.array(FI.cumulative_series(des, frame).spectra)
     inc = np.array(FI.incremental_series(des, frame).spectra)
-    # the SVD of the rows and eigvalsh of their Gram may differ in the last bits
+    # one row-held matrix: both series read the eigh of its row Gram (a Gram-held
+    # one's eigh and eigvalsh may differ in the last bits)
     assert np.max(np.abs(cum - inc)) <= 1e-12 * np.max(cum)
 
 
@@ -291,7 +294,8 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
     """A 2Q frame whose buckets hold fewer rows than its 1023 columns:
     every spectrum matches the dense projected reference and ends in one
     exact zero per missing row, and the directions certification tracks
-    have the Rayleigh quotients of the dense cumulative matrices."""
+    have the Rayleigh quotients, in the dense cumulative matrices, of the
+    right singular vectors of the deepest rows."""
     gs, des = _frame_case("xycphase", xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     q = gauge_tangent(gs).nongauge_basis()
@@ -310,21 +314,55 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
             assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
             assert list(got[n_rows:]) == [0.0] * (dim - n_rows)
 
-    evals, evecs = frame.deepest()
-    n_rows = len(frame.cumulative[-1].rows)
-    assert evecs.shape == (dim, n_rows)
-    dense = np.cumsum(inc, axis=0)
-    traj = frame.rayleigh(range(len(des.maxdepths)), evecs)
-    want = np.einsum("ik,lij,jk->lk", evecs, dense, evecs)
-    assert np.max(np.abs(traj - want)) <= 1e-12 * evals[-1]
-    assert np.max(np.abs(traj[-1] - evals)) <= 1e-12 * evals[-1]
+    rows = frame.cumulative[-1].rows
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    svd_evals, svd_vecs = s[::-1] ** 2, vt[::-1].T
+    evals = frame.deepest()
+    # directions above 1e-8 of the largest information, ascending; the frame
+    # keeps more, down to its rounding-noise cutoff
+    n = int(np.sum(svd_evals > 1e-8 * svd_evals[-1]))
+    assert 0 < n <= len(evals) < len(rows)
+    assert np.max(np.abs(evals[-n:] - svd_evals[-n:])) <= 1e-12 * svd_evals[-1]
+    dense = np.einsum("ik,lij,jk->lk", svd_vecs[:, -n:], np.cumsum(inc, axis=0), svd_vecs[:, -n:])
+    traj = frame.trajectories(range(len(des.maxdepths)))[:, -n:]
+    # each trajectory point within 1e-9 of its own size (1e-12 seen)
+    assert np.all(np.abs(traj - dense) <= 1e-9 * np.abs(dense))
+    assert np.max(np.abs(traj[-1] - evals[-n:])) <= 1e-12 * evals[-1]
 
     report = FI.certify_design(gs, des, frame=frame)
-    unseen = dim - n_rows
+    unseen = dim - len(evals)
     assert len(report.slopes) == len(report.total_information) == dim
     assert report.total_information == [0.0] * unseen + evals.tolist()
+    assert min(report.total_information) == 0.0
     assert report.slopes[:unseen] == [0.0] * unseen
-    assert report.classifications()[n_rows:dim] == ["plateaued"] * unseen
+    assert report.classifications()[dim - unseen : dim] == ["plateaued"] * unseen
+
+
+def test_row_held_2q_counts_do_not_depend_on_circuit_order():
+    """The benchmark's wide 2Q design (germs Gxi and Gcphase Gxi Giy on 4
+    prep x 3 meas fiducials, L <= 4) holds 404 rows against 1023 non-gauge
+    columns, and about a quarter of its row Gram's eigenvalues are rounding
+    noise whose sign follows the circuit order.  Counted as no information,
+    they leave every count the same in each order the benchmark draws."""
+    gs = builtin_gateset("xycphase")
+    des = D.build_design(
+        builtin_fiducials("xycphase", "prep")[:4],
+        builtin_fiducials("xycphase", "meas")[:3],
+        [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))],
+        D.default_schedule(4),
+        gateset_labels=gs.labels,
+    )
+    gs_eval = FI.default_eval_model(gs, seed=97)
+    counts = set()
+    for seed in range(5):
+        order = np.random.default_rng(seed).permutation(len(des.circuits))
+        shuffled = dataclasses.replace(
+            des, circuits=tuple(des.circuits[i] for i in order), buckets=tuple(des.buckets[i] for i in order)
+        )
+        report = FI.certify_design(gs_eval, shuffled, target=gs)
+        assert min(report.total_information) >= 0.0
+        counts.add((report.growing, report.plateaued, tuple(report.insensitive)))
+    assert len(counts) == 1
 
 
 def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
@@ -414,6 +452,42 @@ def test_certify_eigensolves_no_wider_than_the_rows(tmp_path, monkeypatch, kind)
     # are the deepest cumulative matrix, still fewer rows than 1023 columns
     assert len(rows) == 3 and sum(rows) < 1023
     assert widths and all(shape[-1] <= sum(rows) for shape in widths)
+
+
+@pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
+def test_row_held_certify_takes_one_eigh_and_no_wide_svd(tmp_path, monkeypatch, kind):
+    gs = make_xycphase_gateset()
+    preps, meass = builtin_fiducials("xycphase", "prep")[:2], builtin_fiducials("xycphase", "meas")[:2]
+    design = tmp_path / "design.json"
+    des = D.build_design(
+        preps, meass, [Circuit(("Gxi",))], D.default_schedule(4), gateset_labels=gs.labels, gateset_ref="xycphase"
+    )
+    des.save(design)
+    shapes = {"eigh": [], "svd": []}
+
+    def recorded(name, solve):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    code = cli.main(
+        [
+            "certify", "--gateset", "xycphase", "--design", str(design), "--kind", kind,
+            *(["--op", "Gxi"] if kind == "projected" else []),
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0
+    # the deepest cumulative matrix: one row per circuit and outcome, 1023 wide
+    m = gs.num_effects * D.circuit_count(des)
+    # one eigh, of its rows' m x m Gram, and no SVD of 1023-wide rows
+    # (amplifiable_count's SVD of the gauge tangent's gate rows is narrower)
+    assert shapes["eigh"] == [(m, m)] and m < 1023
+    assert all(shape[-1] != 1023 for shape in shapes["svd"])
 
 
 def test_frame_dim_is_the_targets(xyi):
