@@ -3,21 +3,27 @@
 
 Runs the four workloads of ``perfbench/workloads.py`` at seed 1, with
 their own inputs and invocations, and ``certify --kind incremental`` and
-``--kind projected`` on the two certify designs and on the full fiducial
-grid of the 2Q one, all in this process at one BLAS thread.  That grid's
-L = 4 bucket holds 1024 rows, between the 1023 non-gauge and the 1263
-joint columns of ``--kind projected``.  ``simulate`` also runs on that 2Q
-grid design, on an XYI random-FPR design of the benchmark's robust 1Q
-germs up to L = 1024 and on the XYI standard-germ (``Gi``, ``Gx Gx Gy``,
-``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``) full design up to L = 1024, so the
-datasets checked reach beyond design-1q's.  Several plaquettes of the
-last design reach some of its circuits, so its dataset also pins which
-plaquette's probabilities such a circuit keeps.
-Running the script on two
-checkouts and diffing the output shows whether a change keeps every
-output byte-identical:
+``--kind projected`` on the two certify designs, on the full fiducial
+grid of the 2Q one and on two XYI designs at L <= 4, all in this process
+at one BLAS thread.  The certify designs cover both ways a frame holds
+its rows: the benchmark's reduced 2Q design and ``certify-1q-rows`` (30
+rows against XYI's 31 non-gauge columns) have fewer rows than non-gauge
+columns and keep them unmapped; ``certify-1q-grams`` (32 rows) and the 2Q
+grid, whose L = 4 bucket holds 1024 rows against 1023 columns, map them.
+``simulate`` also runs on that 2Q grid design, on an XYI random-FPR
+design of the benchmark's robust 1Q germs up to L = 1024 and on the XYI
+standard-germ (``Gi``, ``Gx Gx Gy``, ``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``)
+full design up to L = 1024, so the datasets checked reach beyond
+design-1q's.  Several plaquettes of the last design reach some of its
+circuits, so its dataset also pins which plaquette's probabilities such
+a circuit keeps.  Running the script on two checkouts and diffing the
+output shows whether a change keeps every output byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
+
+With a directory argument (which must not exist yet) the inputs, the
+outputs and each stdout (under ``stdout/``) are kept there, so the
+outputs of two checkouts can also be compared by value.
 
 Each ``.json`` output also gets a layout-independent digest, on a line
 ending in ``(content)``: the sha256 of the parsed document re-encoded
@@ -55,10 +61,17 @@ def load_workloads():
 
 
 def all_workloads(workloads) -> dict:
-    """The benchmark's workloads and the full-grid 2Q certify design."""
+    """The benchmark's workloads, the full-grid 2Q certify design and two
+    XYI certify designs at L <= 4: 15 circuits (30 rows, held as rows
+    against the 31 non-gauge columns) and 16 circuits (32 rows, held as
+    Grams from the deepest bucket on)."""
     wide = workloads.WORKLOADS["certify-2q-wide"]
     grid = dataclasses.replace(wide, name="certify-2q-grid", n_prep=None, n_meas=None)
-    return {**workloads.WORKLOADS, grid.name: grid}
+    below = dataclasses.replace(
+        wide, name="certify-1q-rows", gateset="xyi", germs=("Gx",), lmax=4, n_prep=1, n_meas=3
+    )
+    above = dataclasses.replace(below, name="certify-1q-grams", germs=("Gx", "Gy", "Gx Gx Gy"), n_meas=2)
+    return {**workloads.WORKLOADS, **{w.name: w for w in (grid, below, above)}}
 
 
 def simulate_argv(gateset: str, design: Path, outdir: Path) -> list[str]:
@@ -117,7 +130,8 @@ def main() -> None:
     from gstdesign import cli
 
     workloads = load_workloads()
-    with tempfile.TemporaryDirectory() as tmp:
+    keep = sys.argv[1] if len(sys.argv) > 1 else None
+    with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, workload in all_workloads(workloads).items():
             (root / "in" / name).mkdir(parents=True)
@@ -132,6 +146,9 @@ def main() -> None:
                 if code != 0:
                     raise SystemExit(f"{name}: {argv[0]} exited {code}")
                 text = out.getvalue().replace(tmp, "<dir>")
+                if keep:
+                    (root / "stdout").mkdir(exist_ok=True)
+                    (root / "stdout" / f"{name}.{k}.txt").write_text(text)
                 print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/stdout.{k}")
             for path in sorted(outdir.iterdir()):
                 data = path.read_bytes()

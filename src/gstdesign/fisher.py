@@ -24,11 +24,16 @@ bucket of a few hundred rows is never squared into a 1023-wide matrix of
 rounding noise, and as its Gram ``F^T F`` from then on.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
-evaluated at (:class:`NongaugeFrame`), applied to each block's ``W``
-inside :func:`circuits_fim`, so no parameter-wide matrix is formed.  The
-frame is the one source of every series; a series lists the non-gauge
-eigenvalues in descending order followed by one ``0.0`` per gauge
-direction, which is the full-frame spectrum in exact arithmetic.
+evaluated at (:class:`NongaugeFrame`), so no parameter-wide Gram is
+formed.  A design with at least as many rows as the frame's dimension
+has each block's ``W`` mapped into the frame inside :func:`circuits_fim`.
+A design with fewer rows keeps them unmapped, as one stack, and is read
+only through its row Gram ``W W^T``: outcome probabilities are gauge
+invariant at the frame's model, so ``W Q1 = 0`` for its gauge directions
+``Q1`` and ``W W^T`` is the mapped rows' row Gram.  The frame is the one
+source of every series; a series lists the non-gauge eigenvalues in
+descending order followed by one ``0.0`` per gauge direction, which is
+the full-frame spectrum in exact arithmetic.
 
 Certification (:func:`certify_design`) classifies each eigen-direction
 of the deepest cumulative matrix, at a point unitarily perturbed off the
@@ -40,7 +45,6 @@ SPAM-dominated directions, which no germ repetition can amplify.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,7 +142,9 @@ def circuits_fim(
     ``coords``, when given, maps each block's ``W`` (one column per
     parameter) to the columns the matrix is wanted in, before it is added:
     :meth:`~gstdesign.model.GaugeTangent.rows` gives the non-gauge frame,
-    so the result is ``Q2^T F Q2`` without ``F`` ever being formed.
+    so the result is ``Q2^T F Q2`` without ``F`` ever being formed.  A
+    :class:`NongaugeFrame` passes it only for designs of at least as many
+    rows as the frame's dimension; fewer rows are kept unmapped.
     """
     circuits = list(circuits)
     coords = coords or (lambda w: w)
@@ -154,6 +160,21 @@ def circuits_fim(
             rows.append(jac * np.sqrt(shots / p)[:, None])
         total += HeldFim.from_rows(coords(np.concatenate(rows)))
     return total
+
+
+class _ColumnSum:
+    """A ``coords`` map for :func:`circuits_fim` that passes each block
+    ``W`` through ``coords`` (unmapped when ``None``) and also adds
+    ``W[:, columns]`` to its own sum, ``total``, by the same rule."""
+
+    def __init__(self, coords, columns: slice):
+        self.coords, self.columns = coords or (lambda w: w), columns
+        self.total: HeldFim | None = None
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        part = HeldFim.from_rows(w[:, self.columns])
+        self.total = part if self.total is None else self.total + part
+        return self.coords(w)
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -173,6 +194,11 @@ class FisherSeries:
     spectra: tuple[tuple[float, ...], ...]  # per depth, one value per parameter, largest first
 
 
+def _bucket_circuits(design: ExperimentDesign) -> list[list[Circuit]]:
+    """Each max-depth bucket's circuits, in schedule order."""
+    return [[c for c, b in zip(design.circuits, design.buckets) if b == depth] for depth in design.maxdepths]
+
+
 def bucket_fims(
     gs: GateSet,
     design: ExperimentDesign,
@@ -184,38 +210,46 @@ def bucket_fims(
     in the columns ``coords`` maps to, each a :func:`circuits_fim` sum held
     by :class:`HeldFim`'s rule: the one place a design's per-bucket
     matrices are built."""
-    buckets = ([c for c, b in zip(design.circuits, design.buckets) if b == depth] for depth in design.maxdepths)
-    return tuple(circuits_fim(gs, circuits, shots, clip_floor, coords) for circuits in buckets)
+    return tuple(circuits_fim(gs, circuits, shots, clip_floor, coords) for circuits in _bucket_circuits(design))
 
 
 class NongaugeFrame:
     """A design's bucket matrices in the non-gauge frame of one model.
 
     The frame's coordinates, the :func:`~gstdesign.model.gauge_tangent` of
-    ``gs``, are taken once and applied to the weighted Jacobian rows of every
-    block as :func:`bucket_fims` accumulates them, so each bucket matrix is
-    built once, directly ``dim`` wide.  ``increments`` and their prefix sums
-    ``cumulative`` are :class:`HeldFim` sums, so :class:`HeldFim`'s rule
-    alone decides whether each is held as its rows ``W Q2`` (a cumulative
-    one as its buckets' rows stacked) or as its Gram.  With ``columns``, a
-    slice of the parameter vector (such as one operation's
-    :func:`~gstdesign.model.param_blocks` entry), the same walk over
-    circuits also accumulates each bucket's full-frame matrix restricted
-    to those columns into ``column_increments``: each ``W`` is mapped to
-    ``[W Q2 | W[:, columns]]``, the joint matrix is summed by the same
-    rule, and it is split by column with :meth:`HeldFim.block`, each part
-    held by its smaller side; from ``dim`` rows on both parts are cut from
-    the joint Gram.  Probabilities are clipped at :func:`certification_clip_floor`
-    of ``shots``.
+    ``gs``, are taken once; its pivoted QR gives the non-gauge dimension
+    ``dim``.  ``increments`` (one :func:`circuits_fim` sum per bucket,
+    each built once) and their prefix sums ``cumulative`` are
+    :class:`HeldFim` sums, and the design's row count decides once how
+    they are held:
+
+    * A design with fewer rows than ``dim`` keeps its weighted rows ``W``
+      unmapped (``n_params`` wide), concatenated once into one stack:
+      bucket matrix ``k`` is a view of its rows of the stack, cumulative
+      matrix ``k`` a view of the first ``m_k`` rows.  These matrices are
+      only read through row Grams ``W W^T``, which equal those of the
+      mapped rows ``W Q2``: outcome probabilities are gauge invariant at
+      the frame's model, so ``W Q1 = 0`` for the gauge directions ``Q1``.
+    * Any other design has each block's ``W`` mapped to ``W Q2`` as it is
+      accumulated, so each bucket matrix is built directly ``dim`` wide
+      and held by :class:`HeldFim`'s rule (as rows or as its Gram).
+
+    With ``columns``, a slice of the parameter vector (such as one
+    operation's :func:`~gstdesign.model.param_blocks` entry), the same
+    walk over circuits also sums each block's ``W[:, columns]`` on its own
+    into ``column_increments``, the bucket's full-frame matrix restricted
+    to those columns.  The ``increments`` are built exactly as without
+    ``columns``, so the report does not depend on them.  Probabilities
+    are clipped at :func:`certification_clip_floor` of ``shots``.
 
     Eigensolves are cached, so no matrix is solved twice.  A Gram-held
     deepest cumulative matrix is solved by one ``eigh``, which also serves
     its spectrum, and each row-held matrix's spectrum is ``eigvalsh(F F^T)``
     padded with exact zeros.  When the deepest cumulative matrix is
     row-held, so is every other one, and cumulative matrix ``k`` is the
-    first ``m_k`` of its ``m`` rows ``F`` (sums stack rows in order).  The
-    frame then forms the ``m x m`` row Gram ``G = F F^T`` once and takes one
-    ``eigh`` of it: its eigenvalues are the deepest spectrum, those above
+    first ``m_k`` of its ``m`` rows ``F``.  The frame then forms the
+    ``m x m`` row Gram ``G = F F^T`` once and takes one ``eigh`` of it:
+    its eigenvalues are the deepest spectrum, those above
     :data:`~gstdesign.held.COMPRESS_RTOL` of the largest are the tracked
     directions' information (:meth:`deepest`), and its eigenvectors give
     their trajectories as prefix sums (:meth:`trajectories`).  The spectrum
@@ -238,17 +272,30 @@ class NongaugeFrame:
         tangent = gauge_tangent(gs)
         self.n_params, self.dim = tangent.n_params, tangent.dim
         self.column_increments: tuple[HeldFim, ...] = ()
+        # a design with fewer rows than the frame's dimension keeps them unmapped
+        row_held = len(design.circuits) * gs.num_effects < self.dim
+        coords = None if row_held else tangent.rows
         if columns is None:
-            self.increments = bucket_fims(gs, design, shots, clip_floor, tangent.rows)
+            self.increments = bucket_fims(gs, design, shots, clip_floor, coords)
         else:
-            joint = bucket_fims(
-                gs, design, shots, clip_floor, lambda w: np.hstack([tangent.rows(w), w[:, columns]])
+            sums = [_ColumnSum(coords, columns) for _ in design.maxdepths]
+            self.increments = tuple(
+                circuits_fim(gs, circuits, shots, clip_floor, walk)
+                for circuits, walk in zip(_bucket_circuits(design), sums)
             )
-            self.increments = tuple(m.block(slice(None, self.dim)) for m in joint)
-            self.column_increments = tuple(m.block(slice(self.dim, None)) for m in joint)
-        self.cumulative = tuple(itertools.accumulate(self.increments))
+            self.column_increments = tuple(walk.total for walk in sums)
         # each cumulative matrix's row count when the deepest one is row-held
-        self._ends = None if self.cumulative[-1].rows is None else [len(m.rows) for m in self.cumulative]
+        self._ends = None
+        if row_held:
+            # one stack of the rows, of which every matrix is a view
+            self._ends = np.cumsum([len(m.rows) for m in self.increments]).tolist()
+            stack = np.concatenate([m.rows for m in self.increments])
+            self.cumulative = tuple(HeldFim(rows=stack[:hi]) for hi in self._ends)
+            self.increments = self.cumulative[:1] + tuple(
+                HeldFim(rows=stack[lo:hi]) for lo, hi in zip(self._ends, self._ends[1:])
+            )
+        else:
+            self.cumulative = tuple(itertools.accumulate(self.increments))
         self._spectra: dict[tuple, np.ndarray] = {}
 
     @cached_property
@@ -309,7 +356,8 @@ class NongaugeFrame:
         matrix ``v`` is its eigenvector: ``||F v||^2`` of a row-held ``M``,
         one batched contraction of the Gram-held ones.  For a row-held one,
         row Gram eigenpair ``(lambda, u)`` has direction
-        ``v = F^T u / sqrt(lambda)``, and ``M``'s rows are the first ``m_k``
+        ``v = F^T u / sqrt(lambda)`` (over the parameters, with no gauge
+        component, as ``F`` has none), and ``M``'s rows are the first ``m_k``
         of ``F``, so ``||F_k v||^2 = lambda sum_{i < m_k} u_i^2``: a prefix
         sum of ``u^2``, with ``v`` never formed."""
         evals, vecs = self._eigh
@@ -451,11 +499,12 @@ def certify_design(
     exactly.  The classified directions are the eigenvectors of the deepest
     cumulative matrix, in ascending order of its eigenvalues, which are
     the report's ``total_information``.  When that matrix is held as its
-    ``m < dim`` rows ``F``, they come from one ``eigh`` of the row Gram
-    ``F F^T``: its eigenvalues above :data:`~gstdesign.held.COMPRESS_RTOL`
-    of the largest are their information, and the directions outside the
-    rows' span, with the rounding-noise rest of the row Gram's, come first
-    with exactly ``0.0`` information and slope ``0.0`` (plateaued).  Each
+    ``m < dim`` unmapped rows ``F``, they come from one ``eigh`` of the row
+    Gram ``F F^T``, which is that of the rows in the frame: its eigenvalues
+    above :data:`~gstdesign.held.COMPRESS_RTOL` of the largest are their
+    information, and the directions outside the rows' span, with the
+    rounding-noise rest of the row Gram's, come first with exactly ``0.0``
+    information and slope ``0.0`` (plateaued).  Each
     other direction's trajectory is its Rayleigh quotient at the fitted
     shallower depths (tracking fixed directions avoids the relabeling
     artifacts that sorted-eigenvalue trajectories suffer when curves
@@ -520,14 +569,16 @@ def certify_design(
 
 
 def series_to_csv(series: FisherSeries, path, classifications=None) -> None:
-    """Columns: L, eigenvalue index, value, classification."""
+    """Columns: L, eigenvalue index, value, classification; written as
+    ``csv.writer`` would (CRLF line ends, no quoting: no cell holds a
+    comma or a quote), from one joined string."""
+    classes = list(classifications or ())
+    lines = ["L,eigenvalue_index,value,classification"]
+    for depth, spec in zip(series.maxdepths, series.spectra):
+        labels = classes[: len(spec)] + [""] * (len(spec) - len(classes))
+        lines.extend(f"{depth},{k},{float(val)!r},{cls}" for k, (val, cls) in enumerate(zip(spec, labels)))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["L", "eigenvalue_index", "value", "classification"])
-        for depth, spec in zip(series.maxdepths, series.spectra):
-            for k, val in enumerate(spec):
-                cls = "" if classifications is None or k >= len(classifications) else classifications[k]
-                w.writerow([depth, k, repr(float(val)), cls])
+        f.write("\r\n".join(lines) + "\r\n")
 
 
 def report_to_json(report: CertificationReport, path) -> None:

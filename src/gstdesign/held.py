@@ -106,18 +106,6 @@ class HeldFim:
             rows = np.sqrt(np.clip(evals, 0.0, None))[:, None] * vecs.T
         return HeldFim(rows=compressed_rows(rows[None])[0][0])
 
-    def block(self, cols: slice) -> HeldFim:
-        """The matrix restricted to ``cols`` (rows and columns), held by its
-        smaller side.  Rows that reach both the width of ``cols`` and that
-        of the other columns hold every diagonal block as a Gram: the block
-        is then cut from the whole Gram, as from a Gram-held matrix, so the
-        blocks of one matrix come from one product."""
-        if self.rows is not None:
-            part = self.rows[:, cols]
-            if len(part) < max(part.shape[1], self.width - part.shape[1]):
-                return HeldFim.from_rows(part)
-        return HeldFim(gram=self.matrix()[cols, cols].copy())
-
     def __add__(self, other: HeldFim) -> HeldFim:
         """The sum, held as the stacked rows while they are fewer than the width."""
         if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < self.width:

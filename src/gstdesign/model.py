@@ -171,7 +171,8 @@ def depolarizing_ptm(dim: int, eta: float) -> np.ndarray:
     return m
 
 
-def hamiltonian_generator_ptms(num_qubits: int) -> list[np.ndarray]:
+@functools.cache
+def hamiltonian_generator_ptms(num_qubits: int) -> tuple[np.ndarray, ...]:
     """PTM adjoint representations of ``rho -> -i [P_a, rho]``.
 
     One generator per non-identity (unnormalized) Pauli string ``P_a``; the
@@ -179,11 +180,14 @@ def hamiltonian_generator_ptms(num_qubits: int) -> list[np.ndarray]:
     is orthogonal and TP.  Entry ``(j, k)`` of generator ``a`` is
     ``Re tr(P_j^dag (-i [P_a, P_k]))`` in the normalized basis, formed for
     every ``(a, j, k)`` by one broadcast commutator and one contraction.
+    Built once per qubit count; the cached matrices are read-only.
     """
     paulis_norm = np.array(pauli_matrices(num_qubits))
     paulis_raw = np.array(pauli_matrices(num_qubits, normalized=False))[1:, None]
     comm = -1j * (paulis_raw @ paulis_norm - paulis_norm @ paulis_raw)  # (a, k, d, d)
-    return list(np.einsum("jyx,akyx->ajk", paulis_norm.conj(), comm).real)
+    gens = np.einsum("jyx,akyx->ajk", paulis_norm.conj(), comm).real.copy()
+    gens.flags.writeable = False
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

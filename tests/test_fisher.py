@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,27 +264,46 @@ def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, na
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     q = gauge_tangent(gs).nongauge_basis()
-    full = [m.matrix() for m in FI.bucket_fims(gs, des, clip_floor=floor)]
+    unmapped = FI.bucket_fims(gs, des, clip_floor=floor)
+    full = [m.matrix() for m in unmapped]
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
     joint = FI.NongaugeFrame(gs, des, columns=sl)
     dim, rows = q.shape[1], [gs.num_effects * des.buckets.count(depth) for depth in des.maxdepths]
-    # XYI buckets hold more rows than its 31 non-gauge columns, the 2Q ones
-    # fewer than 1023, so they are held as Grams and as rows respectively;
-    # three sparse XYI buckets hold 32 or 34, fewer than the 31 + 12 joint
-    # columns, and one holds 12, as many as the operation's columns
+    # XYI designs hold more rows than its 31 non-gauge columns, so their
+    # frames map each block into those columns and hold a bucket as its Gram
+    # from 31 rows on; the 2Q design holds fewer rows than 1023 in all, so
+    # its frame keeps every bucket as its unmapped rows, 1263 wide.  Three
+    # sparse XYI buckets hold 32 or 34 rows and one holds 12, as many as the
+    # operation's columns
+    row_held = sum(rows) < dim
+    assert row_held == (name == "xycphase")
     if name == "xyi-sparse":
         assert rows == [34, 12, 32, 34] and sl.stop - sl.start == 12
+    width = frame.n_params if row_held else dim
     for held in (frame, joint):
-        assert [m.width for m in held.increments] == [dim] * len(des.maxdepths)
-        assert [m.rows is None for m in held.increments] == [r >= dim for r in rows]
-        assert [m.rows is None for m in held.cumulative] == [r >= dim for r in np.cumsum(rows)]
+        assert [m.width for m in held.increments] == [width] * len(des.maxdepths)
+        assert [m.rows is None for m in held.increments] == [r >= width for r in rows]
+        assert [m.rows is None for m in held.cumulative] == [r >= width for r in np.cumsum(rows)]
     for k, m in enumerate(full):
         want = q.T @ m @ q
         scale = np.max(np.abs(want))
         assert scale > 0
-        assert np.max(np.abs(frame.increments[k].matrix() - want)) <= 1e-12 * scale
-        assert np.max(np.abs(joint.increments[k].matrix() - want)) <= 1e-12 * scale
+        if row_held:
+            # the rows, mapped here, give the projected matrix, and their row
+            # Gram is the mapped rows' one: outcome probabilities are gauge
+            # invariant, so the rows have no gauge component
+            got = frame.increments[k].rows
+            assert got.tobytes() == unmapped[k].rows.tobytes()
+            mapped = got @ q
+            assert np.max(np.abs(mapped.T @ mapped - want)) <= 1e-12 * scale
+            assert np.max(np.abs(got @ got.T - mapped @ mapped.T)) <= 1e-12 * scale
+        else:
+            assert np.max(np.abs(frame.increments[k].matrix() - want)) <= 1e-12 * scale
+        # a projected frame's increments are a cumulative frame's, bit for bit
+        same = joint.increments[k]
+        assert (same.rows is None) == (frame.increments[k].rows is None)
+        assert (same.matrix()).tobytes() == frame.increments[k].matrix().tobytes()
         column = joint.column_increments[k].matrix()
         assert np.max(np.abs(column - m[sl, sl])) <= 1e-12 * np.max(np.abs(m))
     sums = np.cumsum([m.matrix() for m in frame.increments], axis=0)
@@ -314,7 +335,9 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
             assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
             assert list(got[n_rows:]) == [0.0] * (dim - n_rows)
 
-    rows = frame.cumulative[-1].rows
+    # the frame holds the unmapped rows; mapped here, their right singular
+    # vectors are the tracked directions in the non-gauge frame
+    rows = frame.cumulative[-1].rows @ q
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     svd_evals, svd_vecs = s[::-1] ** 2, vt[::-1].T
     evals = frame.deepest()
@@ -363,6 +386,128 @@ def test_row_held_2q_counts_do_not_depend_on_circuit_order():
         assert min(report.total_information) >= 0.0
         counts.add((report.growing, report.plateaued, tuple(report.insensitive)))
     assert len(counts) == 1
+
+
+def _boundary_design(xyi, xyi_fiducials, n_circuits):
+    """An XYI design of 15 circuits (30 rows, one below the 31 non-gauge
+    columns) or of 16 circuits (32 rows), three max depths each."""
+    meass, germs = (xyi_fiducials[:3], GERMS[:1]) if n_circuits == 15 else (xyi_fiducials[:2], GERMS)
+    des = D.build_design(xyi_fiducials[:1], meass, germs, D.default_schedule(4), gateset_labels=xyi.labels)
+    assert len(des.circuits) == n_circuits
+    return des
+
+
+@pytest.mark.parametrize("n_circuits", [15, 16])
+def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(xyi, xyi_fiducials, n_circuits):
+    des = _boundary_design(xyi, xyi_fiducials, n_circuits)
+    gs = FI.default_eval_model(xyi, seed=41)
+    floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    q = gauge_tangent(gs).nongauge_basis()
+    inc = np.stack([q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)])
+    cum = np.cumsum(inc, axis=0)
+    frame = FI.NongaugeFrame(gs, des)
+    # 30 rows are held unmapped, n_params wide; 32 are mapped and squared
+    assert (frame.cumulative[-1].rows is not None) == (n_circuits == 15)
+    assert frame.cumulative[-1].width == (43 if n_circuits == 15 else 31)
+    evals, vecs = np.linalg.eigh(cum[-1])
+    top = evals[-1]
+    for series, matrices in ((FI.cumulative_series(des, frame), cum), (FI.incremental_series(des, frame), inc)):
+        for spectrum, matrix in zip(series.spectra, matrices):
+            assert list(spectrum[31:]) == [0.0] * 12
+            assert np.max(np.abs(np.array(spectrum[:31]) - np.linalg.eigvalsh(matrix)[::-1])) <= 1e-12 * top
+
+    # the resolved directions' Rayleigh quotients in the dense matrices
+    n = int(np.sum(evals > 1e-8 * top))
+    assert n >= 10
+    dense = np.einsum("ik,lij,jk->lk", vecs[:, -n:], cum, vecs[:, -n:])
+    traj = frame.trajectories(range(len(des.maxdepths)))[:, -n:]
+    assert np.max(np.abs(traj - dense)) <= 1e-12 * top
+
+    report = FI.certify_design(gs, des, target=xyi, frame=frame)
+    assert np.max(np.abs(np.array(report.total_information) - evals)) <= 1e-12 * top
+    n_fit = max(2, int(np.ceil(len(des.maxdepths) * FI.FIT_FRACTION)))
+    slopes = np.polyfit(np.log(des.maxdepths[-n_fit:]), np.log(dense[-n_fit:]), 1)[0]
+    assert np.max(np.abs(np.array(report.slopes[-n:]) - slopes)) <= 1e-9
+    assert np.all(np.abs(slopes - FI.SLOPE_THRESHOLD) > 1e-6)
+    assert report.classifications()[:n] == ["growing" if s >= FI.SLOPE_THRESHOLD else "plateaued" for s in slopes[::-1]]
+
+
+@pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
+@pytest.mark.parametrize("case", ["xyi-15", "xyi-16", "xycphase"])
+def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch, xyi, xyi_fiducials, case, kind):
+    if case == "xycphase":
+        gateset, op = "xycphase", "Gxi"
+        des = _frame_case(case, xyi, xyi_fiducials)[1]
+    else:
+        gateset, op = "xyi", "Gx"
+        des = _boundary_design(xyi, xyi_fiducials, int(case[-2:]))
+    row_held = case != "xyi-16"
+    design = tmp_path / "design.json"
+    dataclasses.replace(des, gateset_ref=gateset).save(design)
+    calls, frames = Counter(), []
+    rows, dormqr, frame_type = GaugeTangent.rows, scipy.linalg.lapack.dormqr, FI.NongaugeFrame
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    def recorded(*args, **kwargs):
+        frames.append(frame_type(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(GaugeTangent, "rows", counted("rows", rows))
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", counted("dormqr", dormqr))
+    monkeypatch.setattr(FI, "NongaugeFrame", recorded)
+    code = cli.main(
+        [
+            "certify", "--gateset", gateset, "--design", str(design), "--kind", kind,
+            *(["--op", op] if kind == "projected" else []),
+            "--csv", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json"),
+        ]
+    )
+    assert code == 0 and len(frames) == 1
+    frame = frames[0]
+    if not row_held:
+        # a Gram-held frame maps every block, the empty first one included
+        assert calls["rows"] == len(des.maxdepths) * 2 and calls["dormqr"] > 0
+        return
+    assert calls == Counter()
+    # every matrix is a view of one stack of all rows, one column per parameter
+    stack = frame.cumulative[-1].rows.base
+    n_rows = len(des.circuits) * (4 if gateset == "xycphase" else 2)
+    assert stack.shape == (n_rows, frame.n_params)
+    for m in frame.cumulative + frame.increments:
+        assert m.rows.base is stack and np.shares_memory(m.rows, stack)
+    assert sum(len(m.rows) for m in frame.increments) == n_rows
+
+
+@pytest.mark.parametrize("n_prep, n_meas", [(4, 3), (None, None)], ids=["wide-rows", "grid-grams"])
+def test_projected_report_is_the_cumulative_report_in_bytes(tmp_path, n_prep, n_meas):
+    """The 2Q design of germs Gxi and Gcphase Gxi Giy at L <= 4 on 4 prep x
+    3 meas fiducials (404 rows, held unmapped) and on the full fiducial
+    grid (4040 rows, mapped and held as Grams)."""
+    gs = builtin_gateset("xycphase")
+    des = D.build_design(
+        builtin_fiducials("xycphase", "prep")[:n_prep], builtin_fiducials("xycphase", "meas")[:n_meas],
+        [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))], D.default_schedule(4),
+        gateset_labels=gs.labels, gateset_ref="xycphase",
+    )
+    assert (4 * len(des.circuits) < 1023) == (n_prep is not None)
+    des.save(tmp_path / "design.json")
+    reports = []
+    for kind in ("cumulative", "projected"):
+        reports.append(tmp_path / f"{kind}.json")
+        code = cli.main(
+            [
+                "certify", "--gateset", "xycphase", "--design", str(tmp_path / "design.json"), "--kind", kind,
+                *(["--op", "Gcphase"] if kind == "projected" else []), "--report", str(reports[-1]),
+            ]
+        )
+        assert code == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
@@ -635,6 +780,37 @@ def test_certification_csv_and_report(tmp_path, xyi, xyi_fiducials):
     assert len(lines) == 1 + len(des.maxdepths) * 43
     FI.report_to_json(report, tmp_path / "report.json")
     assert (tmp_path / "report.json").read_text().startswith("{")
+
+
+def csv_writer_reference(series, path, classifications=None):
+    """The spectra CSV written one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["L", "eigenvalue_index", "value", "classification"])
+        for depth, spec in zip(series.maxdepths, series.spectra):
+            for k, val in enumerate(spec):
+                cls = "" if classifications is None or k >= len(classifications) else classifications[k]
+                w.writerow([depth, k, repr(float(val)), cls])
+
+
+def test_series_csv_bytes_equal_the_csv_writer_reference(tmp_path, xyi, xyi_fiducials):
+    eval_gs = FI.default_eval_model(xyi, seed=41)
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials[:3], GERMS, D.default_schedule(16), gateset_labels=xyi.labels
+    )
+    frame = FI.NongaugeFrame(eval_gs, des, columns=param_blocks(eval_gs)["Gx"])
+    labels = FI.certify_design(eval_gs, des, target=xyi, frame=frame).classifications()
+    assert labels.count("gauge") == 12 and len(labels) == 43
+    for name, series, classes in (
+        ("cumulative", FI.cumulative_series(des, frame), labels),
+        ("incremental", FI.incremental_series(des, frame), None),
+        ("projected", FI.block_series(des, frame), None),
+    ):
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        FI.series_to_csv(series, got, classes)
+        csv_writer_reference(series, want, classes)
+        assert got.read_bytes() == want.read_bytes(), name
+        assert got.read_bytes().count(b"\r\n") == 1 + len(des.maxdepths) * 43
 
 
 def test_cramer_rao_on_one_parameter_family(xyi, rng):

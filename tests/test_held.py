@@ -47,15 +47,3 @@ def test_compress_of_no_rows():
     kept = HeldFim(rows=np.zeros((0, 7))).compress().rows
     assert kept.shape == (0, 7)
 
-
-def test_block_is_cut_from_the_whole_gram_once_rows_reach_both_widths(rng):
-    rows = rng.standard_normal((9, 12))
-    # 9 rows reach both the 8 and the 4 columns: each block is a slice of one Gram
-    whole = HeldFim(rows=rows)
-    for cols in (slice(None, 8), slice(8, None)):
-        assert np.array_equal(whole.block(cols).gram, (rows.T @ rows)[cols, cols])
-    # 6 rows: the 8-wide block stays rows, the 4-wide one squares its own rows
-    few = HeldFim(rows=rows[:6])
-    assert np.array_equal(few.block(slice(None, 8)).rows, rows[:6, :8])
-    part = rows[:6, 8:]
-    assert np.array_equal(few.block(slice(8, None)).gram, part.T @ part)

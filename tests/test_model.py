@@ -334,3 +334,17 @@ def test_hamiltonian_generators_match_trace_reference(num_qubits):
         # bit for bit, down to the sign of every zero
         assert np.array_equal(h, r) and np.array_equal(np.signbit(h), np.signbit(r))
         assert np.array_equal(h, -h.T)
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_hamiltonian_generators_are_cached_read_only_and_equal_a_fresh_build(num_qubits):
+    cached = M.hamiltonian_generator_ptms(num_qubits)
+    assert M.hamiltonian_generator_ptms(num_qubits) is cached
+    fresh = M.hamiltonian_generator_ptms.__wrapped__(num_qubits)
+    assert fresh is not cached and len(fresh) == len(cached) == 4**num_qubits - 1
+    for h, f in zip(cached, fresh):
+        assert h.tobytes() == f.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            h[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            h.flags.writeable = True

@@ -362,3 +362,27 @@ def test_validation_of_all_rows_names_the_first_invalid_circuit():
     check([ok, [-0.1, 1.1], ok, [0.5, 0.6], ok, ok], r"negative probability -1\.000e-01", 1)
     # a row both negative and off 1 reports the negative entry, as one circuit at a time did
     check([ok, ok, ok, [-0.2, 0.6], ok, [-0.1, 1.1]], r"negative probability -2\.000e-01", 3)
+
+
+def test_cached_generators_keep_every_sampled_model_and_dataset_in_bits(xyi, xyi_fiducials, monkeypatch):
+    from gstdesign import design as D
+    from gstdesign import model as M
+
+    des = D.build_design(
+        xyi_fiducials, xyi_fiducials, [Circuit(("Gx",)), Circuit(("Gx", "Gy"))], D.default_schedule(8),
+        gateset_labels=xyi.labels,
+    )
+    spec = N.NoiseSpec("coherent-depol", 0.01, 0.001, 17)
+
+    def sample():
+        noisy = N.sample_noisy_gateset(xyi, spec)
+        models = N.perturbed_models(xyi, 3, 1e-3, seed=5)
+        return noisy, models, N.simulate_dataset(noisy, des, 1000, seed=9)
+
+    cached = sample()
+    # a fresh build of the generators at every call, as before they were cached
+    monkeypatch.setattr(N, "hamiltonian_generator_ptms", M.hamiltonian_generator_ptms.__wrapped__)
+    fresh = sample()
+    for got, want in zip([cached[0], *cached[1]], [fresh[0], *fresh[1]]):
+        assert all(got.gates[k].tobytes() == want.gates[k].tobytes() for k in xyi.gates)
+    assert cached[2].counts.tobytes() == fresh[2].counts.tobytes()
