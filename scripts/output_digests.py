@@ -16,8 +16,13 @@ standard-germ (``Gi``, ``Gx Gx Gy``, ``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``)
 full design up to L = 1024, so the datasets checked reach beyond
 design-1q's.  Several plaquettes of the last design reach some of its
 circuits, so its dataset also pins which plaquette's probabilities such
-a circuit keeps.  Running the script on two checkouts and diffing the
-output shows whether a change keeps every output byte-identical:
+a circuit keeps.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
+certified with their circuits in a second order (the workload's inputs
+at seed 2), and only those stdouts are hashed, on lines named
+``<workload>--order-2``: each must equal its first order's, so a diff
+also shows whether a Gram-held verdict depends on the circuit order.  Running
+the script on two checkouts and diffing the output shows whether a
+change keeps every output byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
@@ -50,6 +55,9 @@ from pathlib import Path  # noqa: E402
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the operation --kind projected restricts to, per gate set
 PROJECTED_OP = {"xyi": "Gx", "xycphase": "Gcphase"}
+# Gram-held certify workloads also run with their circuits in this seed's order
+REORDERED = ("certify-1q-grams", "certify-2q-grid")
+SECOND_ORDER_SEED = 2
 
 
 def load_workloads():
@@ -120,6 +128,18 @@ def runs(workloads, indir: Path, outroot: Path):
     yield from extra_runs(indir, outroot)
 
 
+def reordered_name(name: str) -> str:
+    return f"{name}--order-{SECOND_ORDER_SEED}"
+
+
+def reordered_runs(workloads_by_name: dict, indir: Path, outroot: Path):
+    """(name, argv list, output directory) of each :data:`REORDERED`
+    workload on the inputs of its second order."""
+    for name in REORDERED:
+        second = reordered_name(name)
+        yield second, workloads_by_name[name].invocations(indir / second, outroot / second), outroot / second
+
+
 def content_digest(data: bytes) -> str:
     """sha256 of a JSON document, independent of the file's layout."""
     canonical = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":"))
@@ -130,14 +150,12 @@ def main() -> None:
     from gstdesign import cli
 
     workloads = load_workloads()
+    by_name = all_workloads(workloads)
     keep = sys.argv[1] if len(sys.argv) > 1 else None
     with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for name, workload in all_workloads(workloads).items():
-            (root / "in" / name).mkdir(parents=True)
-            workload.make_inputs(root / "in" / name, 1)
-        make_extra_inputs(workloads, root / "in")
-        for name, argvs, outdir in runs(workloads, root / "in", root / "out"):
+
+        def print_stdout_digests(name: str, argvs: list[list[str]], outdir: Path) -> None:
             outdir.mkdir(parents=True)
             for k, argv in enumerate(argvs):
                 out = io.StringIO()
@@ -150,11 +168,24 @@ def main() -> None:
                     (root / "stdout").mkdir(exist_ok=True)
                     (root / "stdout" / f"{name}.{k}.txt").write_text(text)
                 print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/stdout.{k}")
+
+        for name, workload in by_name.items():
+            (root / "in" / name).mkdir(parents=True)
+            workload.make_inputs(root / "in" / name, 1)
+        for name in REORDERED:
+            (root / "in" / reordered_name(name)).mkdir(parents=True)
+            by_name[name].make_inputs(root / "in" / reordered_name(name), SECOND_ORDER_SEED)
+        make_extra_inputs(workloads, root / "in")
+        for name, argvs, outdir in runs(workloads, root / "in", root / "out"):
+            print_stdout_digests(name, argvs, outdir)
             for path in sorted(outdir.iterdir()):
                 data = path.read_bytes()
                 print(f"{hashlib.sha256(data).hexdigest()}  {name}/{path.name}")
                 if path.suffix == ".json":
                     print(f"{content_digest(data)}  {name}/{path.name} (content)")
+        # a second circuit order: its stdout alone, which must equal the first order's
+        for name, argvs, outdir in reordered_runs(by_name, root / "in", root / "out"):
+            print_stdout_digests(name, argvs, outdir)
 
 
 if __name__ == "__main__":

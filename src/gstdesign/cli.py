@@ -498,12 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "certify" and args.kind == "projected" and not args.op:
-        print("error: --kind projected requires --op", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "certify" and args.kind != "projected" and args.op:
-        build_parser().error(f"argument --op: only valid with --kind projected, not --kind {args.kind}")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "certify" and (args.kind == "projected") != bool(args.op):
+        parser.error(
+            "argument --op: required with --kind projected"
+            if args.kind == "projected"
+            else f"argument --op: only valid with --kind projected, not --kind {args.kind}"
+        )
     try:
         for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
             _check_writable(path)

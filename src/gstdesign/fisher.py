@@ -21,7 +21,9 @@ matrix of each bucket once; cumulative matrices are their prefix sums.
 Each sum is held by its smaller side (:class:`~gstdesign.held.HeldFim`):
 as its rows ``F`` while they are fewer than its width, so a two-qubit
 bucket of a few hundred rows is never squared into a 1023-wide matrix of
-rounding noise, and as its Gram ``F^T F`` from then on.
+rounding noise, and as its Gram ``F^T F`` from then on.  Both forms are
+read by :mod:`gstdesign.held`'s two rules: rounding-noise eigenvalues
+read ``0.0``, and Rayleigh quotients come from the rows or the Gram.
 
 Spectra are taken in the non-gauge frame of the model the matrices were
 evaluated at (:class:`NongaugeFrame`), so no parameter-wide Gram is
@@ -38,9 +40,9 @@ the full-frame spectrum in exact arithmetic.
 Certification (:func:`certify_design`) classifies each eigen-direction
 of the deepest cumulative matrix, at a point unitarily perturbed off the
 target (degenerate spectra at the exact target hide the standard germ
-set's deficiencies), as growing or plateaued from the log-log slope of its Rayleigh
-quotient across depths.  A well-constructed design plateaus only in
-SPAM-dominated directions, which no germ repetition can amplify.
+set's deficiencies), as growing or plateaued from the log-log slope of
+its Rayleigh quotient across depths.  A well-constructed design plateaus
+only in SPAM-dominated directions, which no germ repetition can amplify.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .design import ExperimentDesign
 from .germs import amplifiable_count
-from .held import HeldFim, above_noise
+from .held import HeldFim, above_noise, padded_spectrum
 from .model import (
     Circuit,
     GateSet,
@@ -242,23 +244,16 @@ class NongaugeFrame:
     ``columns``, so the report does not depend on them.  Probabilities
     are clipped at :func:`certification_clip_floor` of ``shots``.
 
-    Eigensolves are cached, so no matrix is solved twice.  A Gram-held
-    deepest cumulative matrix is solved by one ``eigh``, which also serves
-    its spectrum, and each row-held matrix's spectrum is ``eigvalsh(F F^T)``
-    padded with exact zeros.  When the deepest cumulative matrix is
-    row-held, so is every other one, and cumulative matrix ``k`` is the
-    first ``m_k`` of its ``m`` rows ``F``.  The frame then forms the
-    ``m x m`` row Gram ``G = F F^T`` once and takes one ``eigh`` of it:
-    its eigenvalues are the deepest spectrum, those above
-    :data:`~gstdesign.held.COMPRESS_RTOL` of the largest are the tracked
-    directions' information (:meth:`deepest`), and its eigenvectors give
-    their trajectories as prefix sums (:meth:`trajectories`).  The spectrum
-    of any other cumulative or bucket matrix is ``eigvalsh`` of the
-    diagonal block of ``G`` at its rows.  In each of these spectra the
-    eigenvalues at or below ``COMPRESS_RTOL`` of the largest are rounding
-    noise, whose sign follows the circuit order, and read exact zeros.
-    Either way no eigensolve is wider than the rows it comes from, and no
-    thin SVD of ``F`` is taken.
+    Eigensolves are cached, so no matrix is solved twice.  The deepest
+    cumulative matrix is solved by one ``eigh`` of its Gram or, when it
+    is row-held, of its ``m x m`` row Gram ``G = F F^T``; the eigenpairs
+    above rounding noise are the tracked directions (:meth:`deepest`).
+    Every spectrum follows :func:`~gstdesign.held.padded_spectrum`'s
+    rule.  When the deepest matrix is row-held, so is every other one:
+    cumulative matrix ``k`` is the first ``m_k`` of its rows, its
+    trajectories are prefix sums (:meth:`trajectories`), and any other
+    spectrum is ``eigvalsh`` of a diagonal block of ``G``.  No eigensolve
+    is wider than the rows it comes from.
     """
 
     def __init__(
@@ -273,8 +268,8 @@ class NongaugeFrame:
         self.n_params, self.dim = tangent.n_params, tangent.dim
         self.column_increments: tuple[HeldFim, ...] = ()
         # a design with fewer rows than the frame's dimension keeps them unmapped
-        row_held = len(design.circuits) * gs.num_effects < self.dim
-        coords = None if row_held else tangent.rows
+        self._row_held = len(design.circuits) * gs.num_effects < self.dim
+        coords = None if self._row_held else tangent.rows
         if columns is None:
             self.increments = bucket_fims(gs, design, shots, clip_floor, coords)
         else:
@@ -284,9 +279,9 @@ class NongaugeFrame:
                 for circuits, walk in zip(_bucket_circuits(design), sums)
             )
             self.column_increments = tuple(walk.total for walk in sums)
-        # each cumulative matrix's row count when the deepest one is row-held
-        self._ends = None
-        if row_held:
+        # where each cumulative matrix ends: its row count when row-held, else
+        # its bucket count
+        if self._row_held:
             # one stack of the rows, of which every matrix is a view
             self._ends = np.cumsum([len(m.rows) for m in self.increments]).tolist()
             stack = np.concatenate([m.rows for m in self.increments])
@@ -295,8 +290,9 @@ class NongaugeFrame:
                 HeldFim(rows=stack[lo:hi]) for lo, hi in zip(self._ends, self._ends[1:])
             )
         else:
+            self._ends = list(range(1, len(self.increments) + 1))
             self.cumulative = tuple(itertools.accumulate(self.increments))
-        self._spectra: dict[tuple, np.ndarray] = {}
+        self._spectra: dict[tuple[int, int], np.ndarray] = {}
 
     @cached_property
     def _row_gram(self) -> np.ndarray:
@@ -306,72 +302,50 @@ class NongaugeFrame:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending ``eigh`` of the deepest cumulative matrix's Gram, or of
-        its row Gram when it is row-held."""
-        return np.linalg.eigh(self.cumulative[-1].gram if self._ends is None else self._row_gram)
-
-    @cached_property
-    def _resolved(self) -> np.ndarray:
-        """Which of :attr:`_eigh`'s pairs :meth:`deepest` keeps."""
-        evals = self._eigh[0]
-        return np.ones(len(evals), bool) if self._ends is None else above_noise(evals)
+        """Ascending eigenpairs above rounding noise of the deepest
+        cumulative matrix's Gram, or of its row Gram when it is row-held."""
+        evals, vecs = np.linalg.eigh(self._row_gram if self._row_held else self.cumulative[-1].gram)
+        noise = len(evals) - np.count_nonzero(above_noise(evals))
+        return evals[noise:], vecs[:, noise:]
 
     def deepest(self) -> np.ndarray:
         """Ascending information of the directions certification tracks:
-        the ``dim`` eigenvalues of a Gram-held deepest cumulative matrix or,
-        when it is row-held, the eigenvalues of its row Gram above
-        :data:`~gstdesign.held.COMPRESS_RTOL` of the largest.  The row
-        Gram's others are rounding noise; like the ``dim - m`` directions
-        outside the rows' span, they are left out."""
-        return self._eigh[0][self._resolved]
+        the deepest cumulative matrix's eigenvalues above rounding noise."""
+        return self._eigh[0]
 
     def spectrum(self, cumulative: bool, index: int) -> np.ndarray:
         """Non-gauge eigenvalues, descending, of bucket matrix ``index`` or,
-        when ``cumulative``, of its prefix sum; a row-held matrix's end in
-        one exact ``0.0`` per missing row and, when the deepest matrix is
-        row-held, per rounding-noise eigenvalue of its row Gram."""
+        when ``cumulative``, of its prefix sum, by
+        :func:`~gstdesign.held.padded_spectrum`'s rule."""
         index = range(len(self.increments))[index]  # -1 and the last index share a cache entry
-        if self._ends is None:
-            key, whole = (cumulative, index), cumulative and index == len(self.cumulative) - 1
-        else:
-            # the matrix's rows lo:hi among the deepest one's; a first bucket
-            # shares its entry with the first cumulative matrix
-            key = (0 if cumulative or index == 0 else self._ends[index - 1], self._ends[index])
-            whole = key == (0, self._ends[-1])
+        # the matrix's span lo:hi of the deepest one's rows, or of the buckets;
+        # a first bucket shares its entry with the first cumulative matrix
+        key = (0 if cumulative or index == 0 else self._ends[index - 1], self._ends[index])
         if key not in self._spectra:
-            if self._ends is None:
-                mats = self.cumulative if cumulative else self.increments
-                evals = self._eigh[0][::-1] if whole else mats[index].eigvalsh()
-            else:
+            if key == (0, self._ends[-1]):
+                spectrum = padded_spectrum(self._eigh[0], self.dim)
+            elif self._row_held:
                 rows = slice(*key)
-                evals = self._eigh[0] if whole else np.linalg.eigvalsh(self._row_gram[rows, rows])
-                evals = np.where(above_noise(evals), evals, 0.0)[::-1]
-            self._spectra[key] = np.concatenate([evals, np.zeros(self.dim - len(evals))])
+                spectrum = padded_spectrum(np.linalg.eigvalsh(self._row_gram[rows, rows]), self.dim)
+            else:
+                spectrum = (self.cumulative if key[0] == 0 else self.increments)[index].eigvalsh()
+            self._spectra[key] = spectrum
         return self._spectra[key]
 
     def trajectories(self, indices) -> np.ndarray:
         """``v^T M v`` for each direction ``v`` :meth:`deepest` lists (one
         output column each) and each cumulative matrix ``M`` in ``indices``
-        (one output row each, ascending indices).  For a Gram-held deepest
-        matrix ``v`` is its eigenvector: ``||F v||^2`` of a row-held ``M``,
-        one batched contraction of the Gram-held ones.  For a row-held one,
-        row Gram eigenpair ``(lambda, u)`` has direction
-        ``v = F^T u / sqrt(lambda)`` (over the parameters, with no gauge
-        component, as ``F`` has none), and ``M``'s rows are the first ``m_k``
+        (one output row each).  For a Gram-held deepest matrix ``v`` is its
+        eigenvector and each ``M`` gives :meth:`HeldFim.rayleigh`.  For a
+        row-held one, row Gram eigenpair ``(lambda, u)`` has direction
+        ``v = F^T u / sqrt(lambda)``, and ``M``'s rows are the first ``m_k``
         of ``F``, so ``||F_k v||^2 = lambda sum_{i < m_k} u_i^2``: a prefix
         sum of ``u^2``, with ``v`` never formed."""
         evals, vecs = self._eigh
-        if self._ends is not None:
-            keep = self._resolved
-            sums = np.cumsum(np.vstack([np.zeros(keep.sum()), vecs[:, keep] ** 2]), axis=0)
-            return evals[keep] * sums[[self._ends[i] for i in indices]]
-        mats = [self.cumulative[i] for i in indices]
-        # cumulative row counts only grow, so the row-held matrices come first
-        out = [np.sum((m.rows @ vecs) ** 2, axis=0) for m in mats if m.rows is not None]
-        grams = [m.gram for m in mats if m.rows is None]
-        if grams:
-            out.extend(np.einsum("ik,lij,jk->lk", vecs, np.stack(grams), vecs, optimize=True))
-        return np.array(out)
+        if self._row_held:
+            sums = np.cumsum(np.vstack([np.zeros(len(evals)), vecs**2]), axis=0)
+            return evals * sums[[self._ends[i] for i in indices]]
+        return np.array([self.cumulative[i].rayleigh(vecs) for i in indices])
 
 
 def _frame_series(design: ExperimentDesign, frame: NongaugeFrame, cumulative: bool) -> FisherSeries:
@@ -402,8 +376,7 @@ def _padded_spectrum(block: HeldFim, n_params: int) -> tuple[float, ...]:
     """Descending spectrum of the ``n_params``-wide matrix that is ``block``
     on one diagonal block and zero elsewhere: the block's eigenvalues and
     one ``0.0`` per other parameter."""
-    evals = np.concatenate([block.eigvalsh(), np.zeros(n_params - block.width)])
-    return tuple(np.sort(evals)[::-1].tolist())
+    return tuple(np.concatenate([block.eigvalsh(), np.zeros(n_params - block.width)]).tolist())
 
 
 def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
@@ -496,24 +469,20 @@ def certify_design(
 
     All linear algebra runs in the non-gauge frame of the evaluation point
     (see :class:`NongaugeFrame`), which removes the gauge directions
-    exactly.  The classified directions are the eigenvectors of the deepest
-    cumulative matrix, in ascending order of its eigenvalues, which are
-    the report's ``total_information``.  When that matrix is held as its
-    ``m < dim`` unmapped rows ``F``, they come from one ``eigh`` of the row
-    Gram ``F F^T``, which is that of the rows in the frame: its eigenvalues
-    above :data:`~gstdesign.held.COMPRESS_RTOL` of the largest are their
-    information, and the directions outside the rows' span, with the
-    rounding-noise rest of the row Gram's, come first with exactly ``0.0``
-    information and slope ``0.0`` (plateaued).  Each
-    other direction's trajectory is its Rayleigh quotient at the fitted
-    shallower depths (tracking fixed directions avoids the relabeling
-    artifacts that sorted-eigenvalue trajectories suffer when curves
-    cross); for row-held matrices it is a prefix sum over the row Gram's
-    eigenvectors (:meth:`NongaugeFrame.trajectories`).  A direction grows if the
-    least-squares log-log slope over the trailing ``FIT_FRACTION`` of the
-    schedule reaches ``SLOPE_THRESHOLD``, so at least two max depths are
-    needed (see :func:`require_certifiable`).  The SPAM budget (expected
-    plateau count) is the frame's non-gauge dimension minus the target's
+    exactly.  The classified directions are the deepest cumulative
+    matrix's eigen-directions above rounding noise, in ascending order of
+    its eigenvalues, which are the report's ``total_information``; the
+    noise directions and those outside a row-held matrix's span come
+    first with exactly ``0.0`` information and slope ``0.0``
+    (plateaued).  Each tracked direction's trajectory is its Rayleigh
+    quotient at the fitted shallower depths (tracking fixed directions
+    avoids the relabeling artifacts that sorted-eigenvalue trajectories
+    suffer when curves cross; see :meth:`NongaugeFrame.trajectories`).
+    A direction grows if the least-squares log-log slope over the
+    trailing ``FIT_FRACTION`` of the schedule reaches ``SLOPE_THRESHOLD``,
+    so at least two max depths are needed (see
+    :func:`require_certifiable`).  The SPAM budget (expected plateau
+    count) is the frame's non-gauge dimension minus the target's
     amplifiable parameter count; the design is well constructed when no
     more than that many directions plateau.  The frame's dimension is the
     target's whenever both gauge tangents have full rank ``D^2 - D``: a
@@ -527,7 +496,7 @@ def certify_design(
     parameter directions about which the deepest circuit layer teaches
     essentially nothing (sparse fiducial-pair sampling produces exact
     rank deficits there); they are indices into its descending spectrum,
-    whose exact zeros past a row-held matrix's rows are always among them.
+    whose exact zeros are always among them.
 
     Certification clips probabilities at the shot-resolution scale (see
     :func:`certification_clip_floor`) rather than the hard floor.
@@ -547,7 +516,7 @@ def certify_design(
     # k at each shallower depth, its eigenvalue at the deepest
     traj = np.vstack([frame.trajectories(range(len(depths) - n_fit, len(depths) - 1)), evals])
     fitted = np.polyfit(np.log(depths[-n_fit:]), np.log(np.maximum(traj, 1e-300)), 1)[0]
-    # directions outside a row-held deepest matrix's rows, or at its rounding
+    # directions outside a row-held deepest matrix's rows, or at rounding
     # noise, carry no information
     unseen = np.zeros(frame.dim - len(evals))
     slopes, total_information = np.concatenate([unseen, fitted]), np.concatenate([unseen, evals])
@@ -555,7 +524,7 @@ def certify_design(
     spam_budget = frame.dim - amplifiable_count(target)
 
     # information delivered by the deepest layer alone
-    inc_evals = np.clip(frame.spectrum(False, -1), 0.0, None)
+    inc_evals = frame.spectrum(False, -1)
     insensitive = np.flatnonzero(inc_evals <= INSENSITIVE_REL * np.median(inc_evals))
 
     return CertificationReport(

@@ -515,7 +515,7 @@ def _held_candidates(model: GateSet, pool: list[Circuit], tol: float) -> _HeldCa
 
 
 def _test_ranks_and_scores(
-    chosen: HeldFim, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
+    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Ranks and scores of the chosen set joined with each candidate of
     ``idx``, and the width of their test matrices.
@@ -530,15 +530,14 @@ def _test_ranks_and_scores(
     stacked ``eigvalsh`` of at most :data:`GERM_STACK_BYTES` of them gives
     each member the bits of its own call.
     """
-    c = chosen.rows
-    split = len(c)
+    split = len(chosen)
     width = split + cands.rows.shape[1]
-    top = c @ c.T
+    top = chosen @ chosen.T
     chunk = max(1, GERM_STACK_BYTES // (8 * width * width))
     spectra = []
     for lo in range(0, len(idx), chunk):
         sub = idx[lo : lo + chunk]
-        cross = cands.rows[sub] @ c.T
+        cross = cands.rows[sub] @ chosen.T
         test = np.empty((len(sub), width, width))
         test[:, :split, :split] = top
         test[:, split:, :split] = cross
@@ -549,9 +548,9 @@ def _test_ranks_and_scores(
     return ranks, scores, width
 
 
-def _joined(chosen: HeldFim, cands: _HeldCandidates, ci: int) -> HeldFim:
+def _joined(chosen: np.ndarray, cands: _HeldCandidates, ci: int) -> np.ndarray:
     """The chosen set's compressed rows after candidate ``ci`` joins it."""
-    return (chosen + HeldFim(rows=cands.rows[ci, : cands.ranks[ci]])).compress()
+    return compressed_rows(np.concatenate([chosen, cands.rows[ci, : cands.ranks[ci]]])[None])[0][0]
 
 
 def _past_window(key: tuple[int, float], least: tuple[int, float]) -> bool:
@@ -643,7 +642,7 @@ def select_germs(
 
     chosen_idx: list[int] = []
     # the empty set: no rows, rank 0 and an infinite score everywhere
-    chosen = [HeldFim(rows=np.zeros((0, n_params(m)))) for m in models]
+    chosen = [np.zeros((0, n_params(m))) for m in models]
     ranks = [0] * len(models)
     scores = [float("inf")] * len(models)
     trajectory: list[dict] = []

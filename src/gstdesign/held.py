@@ -1,26 +1,27 @@
 """Gram matrices ``F^T F`` held by their smaller side.
 
 A matrix summed from ``m`` stacked rows ``F`` has rank at most ``m``.
-While ``m`` is below its width it is kept as ``F`` itself, and its
-spectrum is ``eigvalsh(F F^T)``, ``m`` values, followed by exact zeros;
-from ``m`` rows on it is kept as the Gram ``F^T F`` (:class:`HeldFim`).
-Fisher matrices (:mod:`gstdesign.fisher`) and germ-selection Grams
-(:mod:`gstdesign.germs`) are both held this way.  A row-held matrix is
-never solved ``width`` wide: certification takes one ``eigh`` of the row
-Gram ``F F^T`` of the deepest Fisher matrix, whose eigenvectors ``U`` give
-the matrix's eigen-directions ``F^T U``, and it takes the row Gram's
-eigenvalues at or below :data:`COMPRESS_RTOL` of the largest as rounding
-noise (:func:`above_noise`), the ones compression drops (see
-:class:`~gstdesign.fisher.NongaugeFrame`).
+While ``m`` is below its width it is kept as ``F`` itself, and from ``m``
+rows on as the Gram ``F^T F`` (:class:`HeldFim`).  Fisher matrices
+(:mod:`gstdesign.fisher`) and germ-selection Grams (:mod:`gstdesign.germs`)
+are both held this way.  Either form is read through its small-side Gram,
+``F F^T`` or ``F^T F``, by two rules that do not depend on the form:
 
-Rows can also be compressed (:func:`compressed_rows`,
-:meth:`HeldFim.compress`): with ``F F^T = U Lambda U^T``, the rows
-``U_r^T F`` of the ``r`` eigenvalues above :data:`COMPRESS_RTOL` of the
-largest keep the matrix's Gram less the dropped eigen-directions.  Those
-are orthogonal, so the two differ in norm by at most ``COMPRESS_RTOL``
-of the top eigenvalue: two decades below germ selection's rank cutoff
-:data:`~gstdesign.germs.GRAM_RANK_RTOL`, and about ten times the level at
-which a dense symmetric eigensolve places exact zeros.
+* *Noise:* a spectrum is that Gram's eigenvalues, descending, padded
+  with exact zeros to the width (:func:`padded_spectrum`), and its
+  eigenvalues at or below :data:`COMPRESS_RTOL` of the largest are
+  rounding noise and read ``0.0``.
+* *Rayleigh quotients:* ``v^T M v`` of a block of directions comes from
+  the rows as ``||F v||^2`` or from the Gram (:meth:`HeldFim.rayleigh`).
+
+Rows can also be compressed (:func:`compressed_rows`): with
+``F F^T = U Lambda U^T``, the rows ``U_r^T F`` of the ``r`` eigenvalues
+above noise keep the matrix's Gram less the dropped eigen-directions.
+Those are orthogonal, so the two differ in norm by at most
+``COMPRESS_RTOL`` of the top eigenvalue: two decades below germ
+selection's rank cutoff :data:`~gstdesign.germs.GRAM_RANK_RTOL`, and
+about ten times the level at which a dense symmetric eigensolve places
+exact zeros.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HeldFim", "above_noise", "compressed_rows", "COMPRESS_RTOL"]
+__all__ = ["HeldFim", "above_noise", "compressed_rows", "padded_spectrum", "COMPRESS_RTOL"]
 
-# Relative cutoff on row-Gram eigenvalues kept by compression.  Exact zeros
+# Relative cutoff at or below which a small-side Gram's eigenvalues are
+# rounding noise, read as 0.0 and dropped by compression.  Exact zeros
 # come out of eigh within 1e-15 of the largest eigenvalue (at most 4.7e-16 on
 # the XYI germ candidates, 1.0e-15 on XYCPHASE ones) and the smallest kept
 # eigenvalues there are above 0.05, so the cutoff sits in that gap.  Fisher
@@ -42,10 +44,19 @@ COMPRESS_RTOL = 1e-14
 
 
 def above_noise(evals: np.ndarray) -> np.ndarray:
-    """Mask of the row-Gram eigenvalues, ascending along the last axis,
-    above :data:`COMPRESS_RTOL` of the largest; the others are rounding
-    noise."""
+    """Mask of a small-side Gram's eigenvalues, ascending along the last
+    axis, above :data:`COMPRESS_RTOL` of the largest; the others are
+    rounding noise."""
     return evals > COMPRESS_RTOL * evals[..., -1:]
+
+
+def padded_spectrum(evals: np.ndarray, width: int) -> np.ndarray:
+    """A ``width``-wide matrix's descending spectrum from the ascending
+    eigenvalues ``evals`` of its small-side Gram: rounding noise (see
+    :func:`above_noise`) reads exact ``0.0``, and one ``0.0`` follows per
+    missing eigenvalue, so no entry is negative."""
+    kept = np.where(above_noise(evals), evals, 0.0)[::-1]
+    return np.concatenate([kept, np.zeros(width - len(kept))])
 
 
 def compressed_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,22 +100,19 @@ class HeldFim:
         return self.gram if self.rows is None else self.rows.T @ self.rows
 
     def eigvalsh(self) -> np.ndarray:
-        """Descending eigenvalues, ``width`` of them: of the Gram, or
-        ``eigvalsh(F F^T)`` followed by one exact ``0.0`` per missing row."""
-        if self.rows is None:
-            return np.linalg.eigvalsh(self.gram)[::-1]
-        small = np.linalg.eigvalsh(self.rows @ self.rows.T)[::-1]
-        return np.concatenate([small, np.zeros(self.width - len(small))])
+        """Descending eigenvalues, ``width`` of them, from the small-side
+        Gram by :func:`padded_spectrum`'s rule."""
+        small = self.gram if self.rows is None else self.rows @ self.rows.T
+        return padded_spectrum(np.linalg.eigvalsh(small), self.width)
 
-    def compress(self) -> HeldFim:
-        """The matrix held as its compressed rows (see the module
-        docstring); a Gram-held matrix is first factored as
-        ``Lambda^1/2 V^T`` by ``eigh``."""
-        rows = self.rows
-        if rows is None:
-            evals, vecs = np.linalg.eigh(self.gram)
-            rows = np.sqrt(np.clip(evals, 0.0, None))[:, None] * vecs.T
-        return HeldFim(rows=compressed_rows(rows[None])[0][0])
+    def rayleigh(self, vecs: np.ndarray) -> np.ndarray:
+        """``v^T M v`` for each column ``v`` of ``vecs``: ``||F v||^2`` from
+        the rows, or the quadratic form of the Gram."""
+        if self.rows is None:
+            # gram.T is gram, but BLAS rounds the transposed product
+            # differently, and certify's Gram-held outputs keep this form's bits
+            return np.sum(vecs * (self.gram.T @ vecs), axis=0)
+        return np.sum((self.rows @ vecs) ** 2, axis=0)
 
     def __add__(self, other: HeldFim) -> HeldFim:
         """The sum, held as the stacked rows while they are fewer than the width."""

@@ -100,10 +100,12 @@ def test_certify_writes_spectra_csv(small_design, tmp_path):
     assert len(lines) > 43
 
 
-def test_certify_projected_requires_op(small_design):
-    assert run(
-        ["certify", "--gateset", "xyi", "--design", str(small_design), "--kind", "projected"]
-    ) == 2
+def test_certify_projected_requires_op(small_design, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "--gateset", "xyi", "--design", str(small_design), "--kind", "projected"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "error: argument --op: required with --kind projected" in err
 
 
 def test_certify_projected_spectra(small_design, tmp_path):

@@ -361,31 +361,64 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
     assert report.classifications()[dim - unseen : dim] == ["plateaued"] * unseen
 
 
-def test_row_held_2q_counts_do_not_depend_on_circuit_order():
-    """The benchmark's wide 2Q design (germs Gxi and Gcphase Gxi Giy on 4
-    prep x 3 meas fiducials, L <= 4) holds 404 rows against 1023 non-gauge
-    columns, and about a quarter of its row Gram's eigenvalues are rounding
-    noise whose sign follows the circuit order.  Counted as no information,
-    they leave every count the same in each order the benchmark draws."""
-    gs = builtin_gateset("xycphase")
-    des = D.build_design(
-        builtin_fiducials("xycphase", "prep")[:4],
-        builtin_fiducials("xycphase", "meas")[:3],
-        [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))],
-        D.default_schedule(4),
-        gateset_labels=gs.labels,
-    )
-    gs_eval = FI.default_eval_model(gs, seed=97)
-    counts = set()
-    for seed in range(5):
-        order = np.random.default_rng(seed).permutation(len(des.circuits))
-        shuffled = dataclasses.replace(
-            des, circuits=tuple(des.circuits[i] for i in order), buckets=tuple(des.buckets[i] for i in order)
-        )
-        report = FI.certify_design(gs_eval, shuffled, target=gs)
-        assert min(report.total_information) >= 0.0
-        counts.add((report.growing, report.plateaued, tuple(report.insensitive)))
-    assert len(counts) == 1
+# the 13 germs that standard 2Q germ selection picks (see tests/test_acceptance_2q.py)
+STANDARD_GERMS_2Q = [
+    "Gcphase", "Gix Gix Giy", "Gxi Gxi Gyi", "Giy Giy Gyi Gyi", "Gix Gix Gxi Gxi",
+    "Gcphase Gix Gcphase Giy", "Gcphase Giy Gcphase Gyi", "Gix Giy Gxi Gyi",
+    "Gcphase Gix Gcphase Gxi", "Gcphase Gyi Giy Giy", "Gix Gxi Gyi Giy",
+    "Gcphase Gix Giy Gxi", "Gcphase Gxi Gyi Gix",
+]
+
+
+def test_counts_do_not_depend_on_circuit_order(xyi, xyi_fiducials):
+    """Rounding noise, whose sign follows the circuit order, reads as no
+    information in either held form, so every count is the same in each
+    order.  The designs: the benchmark's wide 2Q design (germs Gxi and
+    Gcphase Gxi Giy on 4 prep x 3 meas fiducials, L <= 4), 404 rows held
+    as rows against 1023 non-gauge columns, about a quarter of its row
+    Gram's eigenvalues noise; the 16-circuit XYI design (32 rows, held as
+    Grams from L = 4 on); and a 2Q random-FPR design of the standard germs
+    (gamma 0.03, seed 1, L <= 16, 833 circuits), held as Grams."""
+    xycphase = builtin_gateset("xycphase")
+    cases = [
+        (
+            xycphase,
+            D.build_design(
+                builtin_fiducials("xycphase", "prep")[:4],
+                builtin_fiducials("xycphase", "meas")[:3],
+                [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))],
+                D.default_schedule(4),
+                gateset_labels=xycphase.labels,
+            ),
+            5,
+        ),
+        (xyi, _boundary_design(xyi, xyi_fiducials, 16), 5),
+        (
+            xycphase,
+            D.build_design(
+                builtin_fiducials("xycphase", "prep"),
+                builtin_fiducials("xycphase", "meas"),
+                [Circuit(tuple(g.split())) for g in STANDARD_GERMS_2Q],
+                D.default_schedule(16),
+                D.FprPolicy(mode="random", gamma=0.03, seed=1),
+                gateset_labels=xycphase.labels,
+            ),
+            3,
+        ),
+    ]
+    assert [len(des.circuits) for _, des, _ in cases] == [101, 16, 833]
+    for gs, des, n_orders in cases:
+        gs_eval = FI.default_eval_model(gs, seed=41 if gs is xyi else 97)
+        counts = set()
+        for seed in range(n_orders):
+            order = np.random.default_rng(seed).permutation(len(des.circuits))
+            shuffled = dataclasses.replace(
+                des, circuits=tuple(des.circuits[i] for i in order), buckets=tuple(des.buckets[i] for i in order)
+            )
+            report = FI.certify_design(gs_eval, shuffled, target=gs)
+            assert min(report.total_information) >= 0.0
+            counts.add((report.growing, report.plateaued, tuple(report.insensitive)))
+        assert len(counts) == 1, len(des.circuits)
 
 
 def _boundary_design(xyi, xyi_fiducials, n_circuits):
@@ -691,7 +724,9 @@ def test_certification_gauge_invariant(xyi, xyi_fiducials, eval_model):
     eigenvalues and slopes move, and a direction whose slope sits near the
     threshold or inside a near-degenerate eigenspace can change class: on
     ``germs-32`` about one transform in 20 moves one direction.  Without
-    the gauge projection, the first transform of ``bare-16`` moves two."""
+    the gauge projection, the first transform of ``bare-16`` moves two.
+    The rank-deficient 16-circuit design keeps exact counts at the point
+    and under six transforms."""
     rng = np.random.default_rng(5)
     designs = _property_designs(xyi, xyi_fiducials)
     for name, des in designs.items():
@@ -706,6 +741,15 @@ def test_certification_gauge_invariant(xyi, xyi_fiducials, eval_model):
             assert abs(report.growing - base.growing) <= 1, name
             assert report.well_constructed == base.well_constructed, name
             assert report.insensitive == base.insensitive, name
+    # rank deficient and held as Grams: every count is exact, as rounding
+    # noise reads as no information
+    des = _boundary_design(xyi, xyi_fiducials, 16)
+    for k in range(7):
+        kmat = np.zeros((4, 4))
+        if k:
+            kmat[1:, :] = 0.05 * rng.standard_normal((3, 4))
+        report = FI.certify_design(apply_gauge_transform(eval_model, scipy.linalg.expm(kmat)), des, target=xyi)
+        assert (report.growing, report.plateaued, len(report.insensitive)) == (7, 24, 25), k
 
 
 def test_fisher_and_report_bit_identical_across_calls(xyi, xyi_fiducials, eval_model):

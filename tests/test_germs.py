@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from gstdesign import germs as G
-from gstdesign.held import HeldFim
 from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.model import Circuit, circuit_ptm, matrix_rank_rel, n_params, non_gauge_count, param_blocks, to_vector, from_vector
 from gstdesign.noise import NoiseSpec, perturbed_models, sample_noisy_gateset
@@ -380,7 +379,7 @@ def unpruned_select_germs(models, pool, score_fn="sum"):
     def join(mi, chosen, ci):
         return G._joined(chosen, held[mi], ci)
 
-    empty = [HeldFim(rows=np.zeros((0, n_params(m)))) for m in models]
+    empty = [np.zeros((0, n_params(m))) for m in models]
     return greedy_reference(models, pool, empty, score_tests, join)
 
 
@@ -463,7 +462,7 @@ def test_exact_tie_settled_by_labels(xyi, monkeypatch):
     pool = G.germ_candidate_pool(xyi.labels, 4)
     names = [str(g) for g in pool]
     held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
-    chosen = G._joined(HeldFim(rows=np.zeros((0, n_params(xyi)))), held, names.index("Gi"))
+    chosen = G._joined(np.zeros((0, n_params(xyi))), held, names.index("Gi"))
     pair = [names.index("Gx Gx Gy"), names.index("Gx Gy Gy")]
     ranks, scores, _ = G._test_ranks_and_scores(chosen, held, pair, 25, "sum")
     assert ranks[0] == ranks[1] and not G._past_window((0, scores[1]), (0, scores[0]))
@@ -484,13 +483,13 @@ def test_trajectory_records_test_width(xyi):
     held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
     names = [str(g) for g in pool]
     result = G.select_germs([xyi], pool)
-    chosen = HeldFim(rows=np.zeros((0, n_params(xyi))))
+    chosen = np.zeros((0, n_params(xyi)))
     for step in result.trajectory:
         ci = names.index(step["added"])
-        assert step["width"] == len(chosen.rows) + held.rows.shape[1]
-        assert step["width"] >= len(chosen.rows) + held.ranks[ci]
+        assert step["width"] == len(chosen) + held.rows.shape[1]
+        assert step["width"] >= len(chosen) + held.ranks[ci]
         chosen = G._joined(chosen, held, ci)
-        assert len(chosen.rows) == step["ranks"][0]
+        assert len(chosen) == step["ranks"][0]
     assert held.rows.shape[1] == 12 and sorted(set(held.ranks.tolist())) == [4, 6, 12]
     assert [step["width"] for step in result.trajectory] == [12, 24, 30, 34]
 
@@ -501,12 +500,12 @@ def test_held_test_spectra_match_dense_2q():
     cand_germs = ["Gxi Gxi Gyi", "Gcphase Gix Gcphase Giy", "Gix Gxi Gyi Giy"]
     pool = [Circuit(tuple(g.split())) for g in chosen_germs + cand_germs]
     held = G._held_candidates(gs, pool, G.IDEAL_DEGENERACY_TOL)
-    chosen = HeldFim(rows=np.zeros((0, n_params(gs))))
+    chosen = np.zeros((0, n_params(gs)))
     for ci in range(len(chosen_germs)):
         chosen = G._joined(chosen, held, ci)
     cands = list(range(len(chosen_germs), len(pool)))
     ranks, scores, width = G._test_ranks_and_scores(chosen, held, cands, 961, "sum")
-    assert width == len(chosen.rows) + held.rows.shape[1] < n_params(gs)
+    assert width == len(chosen) + held.rows.shape[1] < n_params(gs)
 
     jacs = G.germ_twirled_jacobians(gs, pool) / np.array([len(g.labels) for g in pool])[:, None, None]
     gram = sum(j.T @ j for j in jacs[: len(chosen_germs)])
@@ -516,8 +515,7 @@ def test_held_test_spectra_match_dense_2q():
         assert ranks[k] == dense_rank
         assert scores[k] == pytest.approx(dense_score, rel=HELD_SCORE_RTOL)
         # the held-row spectrum: the test matrix's eigenvalues, then exact zeros
-        c = chosen.rows
-        r = np.concatenate([c, held.rows[ci]])
+        r = np.concatenate([chosen, held.rows[ci]])
         thin = np.linalg.eigvalsh(r @ r.T)[::-1]
         np.testing.assert_allclose(thin[:dense_rank], dense[:dense_rank], rtol=0, atol=1e-12 * dense[0])
 

@@ -10,10 +10,12 @@ def low_rank_rows(rng, m, n, rank):
 
 @pytest.mark.parametrize("held_as", ["rows", "gram"])
 def test_compress_keeps_the_matrix_in_rank_rows(rng, held_as):
-    rows = low_rank_rows(rng, 9, 14, 4)
-    fim = HeldFim(rows=rows) if held_as == "rows" else HeldFim(gram=rows.T @ rows)
-    kept = fim.compress().rows
-    assert kept.shape == (4, 14)
+    """Compressed rows are right either side of the width: 9 rows of a
+    14-wide matrix, held as rows, or 20, so many that it is held as its Gram."""
+    rows = low_rank_rows(rng, 9 if held_as == "rows" else 20, 14, 4)
+    assert (HeldFim.from_rows(rows).rows is None) == (held_as == "gram")
+    (kept,), (rank,) = compressed_rows(rows[None])
+    assert kept.shape == (4, 14) and rank == 4
     gram = rows.T @ rows
     top = np.linalg.eigvalsh(gram)[-1]
     assert np.abs(kept.T @ kept - gram).max() <= 1e-12 * top
@@ -27,7 +29,7 @@ def test_compress_drops_only_directions_below_the_cutoff(rng):
     q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
     scales = np.array([1.0, 0.5, 1e-6, 1e-8, 1e-9])  # squared: 1, 0.25, 1e-12, 1e-16, 1e-18
     rows = scales[:, None] * q[:5]
-    kept = HeldFim(rows=rows).compress().rows
+    (kept,), _ = compressed_rows(rows[None])
     assert len(kept) == 3 == np.sum(scales**2 > COMPRESS_RTOL)
 
 
@@ -44,6 +46,24 @@ def test_stacked_compression_is_each_batch_of_one(rng):
 
 
 def test_compress_of_no_rows():
-    kept = HeldFim(rows=np.zeros((0, 7))).compress().rows
-    assert kept.shape == (0, 7)
+    (kept,), (rank,) = compressed_rows(np.zeros((1, 0, 7)))
+    assert kept.shape == (0, 7) and rank == 0
 
+
+def test_rank_deficient_matrix_reads_alike_from_rows_and_gram(rng):
+    """Both rules on a rank-4 matrix held either way: the spectrum is the
+    dense one with exact zeros past the rank, and ``v^T M v`` agrees."""
+    rows = low_rank_rows(rng, 9, 14, 4)
+    dense = np.linalg.eigvalsh(rows.T @ rows)[::-1]
+    top = dense[0]
+    vecs = rng.standard_normal((14, 6))
+    quotients = []
+    for fim in (HeldFim(rows=rows), HeldFim(gram=rows.T @ rows)):
+        spectrum = fim.eigvalsh()
+        assert spectrum.shape == (14,)
+        assert np.all(spectrum[:4] > 0.0) and list(spectrum[4:]) == [0.0] * 10
+        assert np.max(np.abs(spectrum[:4] - dense[:4])) <= 1e-12 * top
+        quotients.append(fim.rayleigh(vecs))
+    reference = np.einsum("ik,ij,jk->k", vecs, rows.T @ rows, vecs)
+    for got in quotients:
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(reference)
