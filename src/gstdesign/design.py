@@ -53,6 +53,7 @@ __all__ = [
     "plaquette_circuits",
     "build_design",
     "design_probabilities",
+    "design_bodies",
     "circuit_count",
     "count_by_depth",
 ]
@@ -241,13 +242,18 @@ class ExperimentDesign:
         return ExperimentDesign.from_json_dict(doc)
 
     @functools.cached_property
+    def _index_of(self) -> dict[tuple[str, ...], int]:
+        """The index in ``circuits`` of each circuit's label sequence."""
+        return {c.labels: n for n, c in enumerate(self.circuits)}
+
+    @functools.cached_property
     def pair_index(self) -> tuple[tuple[int, ...], ...]:
         """For each plaquette, the index in ``circuits`` of each kept pair's
         circuit ``F_j g^p H_i``, or -1 where the design lacks that circuit:
         the one map from plaquette pairs to circuits.  A plaquette whose
         germ power alone is longer than the longest listed circuit lacks
         every circuit, and none of its circuits is built."""
-        index_of = {c.labels: n for n, c in enumerate(self.circuits)}
+        index_of = self._index_of
         longest = max(map(len, self.circuits), default=0)
 
         def indices(p: Plaquette) -> tuple[int, ...]:
@@ -415,6 +421,41 @@ def design_probabilities(gs: GateSet, design: ExperimentDesign) -> np.ndarray:
     rest = np.flatnonzero(~covered)
     probs[rest] = circuits_probabilities(gs, [circuits[k] for k in rest])
     return probs
+
+
+def design_bodies(design: ExperimentDesign, labels) -> tuple[list, list[int]]:
+    """The bodies of ``design`` in walk order, each as ``(body, owned)``,
+    and the indices of the circuits no body reaches.
+
+    A body is a label sequence that circuits ``F_j body H_i`` share.  Walk
+    order is the base layer's bodies, the empty one and then each of the
+    gate ``labels``, over the whole fiducial grid, followed by each
+    plaquette's germ power over its pairs (through
+    :attr:`ExperimentDesign.pair_index`).  ``owned`` lists ``(j, i, n)``
+    for each pair ``(j, i)`` whose circuit ``F_j body H_i`` is
+    ``circuits[n]``, in walk order.  A circuit two bodies reach is owned by
+    the first one in walk order, a body met twice is one body, and a body
+    that owns no circuit is left out; none of this depends on the order of
+    ``circuits``.
+    """
+    preps, meass = design.prep_fiducials, design.meas_fiducials
+    grid = [(j, i) for j in range(len(preps)) for i in range(len(meass))]
+    walk = [
+        (mid, grid, [design._index_of.get(preps[j].labels + mid + meass[i].labels, -1) for j, i in grid])
+        for mid in [()] + [(label,) for label in labels]
+    ]
+    walk += [
+        (design.germs[p.germ_index].labels * p.power, p.pairs, indices)
+        for p, indices in zip(design.plaquettes, design.pair_index)
+    ]
+    reached = np.zeros(len(design.circuits), dtype=bool)
+    bodies: dict[tuple[str, ...], list[tuple[int, int, int]]] = {}
+    for body, pairs, indices in walk:
+        for (j, i), n in zip(pairs, indices):
+            if n >= 0 and not reached[n]:
+                reached[n] = True
+                bodies.setdefault(body, []).append((j, i, n))
+    return list(bodies.items()), np.flatnonzero(~reached).tolist()
 
 
 def circuit_count(design: ExperimentDesign) -> int:

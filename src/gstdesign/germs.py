@@ -427,11 +427,9 @@ def amplifiable_count(model: GateSet) -> int:
     gate brings it back and the target drops by one.  Only the tangent's
     basis is read, so no pivoted QR is taken.
     """
-    blocks = param_blocks(model)
-    n_gate = sum(blocks[l].stop - blocks[l].start for l in model.gates)
-    basis = gauge_tangent(model).basis
-    gate_rows = np.vstack([basis[blocks[l], :] for l in model.gates])
-    return n_gate - matrix_rank_rel(gate_rows)
+    # gates lead the parameter order, so their rows are the basis's first
+    n_gate = param_blocks(model)["rho"].start
+    return n_gate - matrix_rank_rel(gauge_tangent(model).basis[:n_gate])
 
 
 def bare_germs(model: GateSet) -> list[Circuit]:

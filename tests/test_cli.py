@@ -259,25 +259,85 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
         assert any(forms) == row_held
 
 
-def test_certify_walks_probabilities_and_takes_one_jacobian_per_circuit(small_design, monkeypatch):
-    calls = {name: Counter() for name in ("circuit_probabilities", "circuits_probabilities", "probability_jacobian")}
+def _with_unreached_circuit(small_design, tmp_path):
+    """small_design plus one circuit at L = 16 that no body reaches: no
+    fiducial split of ``Gi Gi Gi Gy Gy Gx`` leaves an empty, one-gate or
+    germ-power body."""
+    doc = json.loads(small_design.read_text())
+    doc["circuits"].append({"labels": ["Gi", "Gi", "Gi", "Gy", "Gy", "Gx"], "L": 16})
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_certify_takes_each_circuits_rows_from_one_source(small_design, tmp_path, monkeypatch):
+    names = ("circuit_probabilities", "circuits_probabilities", "probability_jacobian", "fiducial_jacobians")
+    calls = {name: Counter() for name in names}
+
+    def circuits_of(name, args):
+        if name == "fiducial_jacobians":
+            gs, preps, meass, body, pairs, _ = args
+            return [preps[j].labels + body + meass[i].labels for j, i in pairs]
+        circuits = args[1]
+        return [circuits.labels] if isinstance(circuits, model.Circuit) else [c.labels for c in circuits]
+
     for name, seen in calls.items():
         original = getattr(model, name)
 
-        def counting(gs, circuits, original=original, seen=seen):
-            seen.update([circuits.labels] if isinstance(circuits, model.Circuit) else [c.labels for c in circuits])
-            return original(gs, circuits)
+        def counting(*args, name=name, original=original, seen=seen):
+            seen.update(circuits_of(name, args))
+            return original(*args)
 
         # every binding in the package, as the benchmark's tracer patches them
         for module_name, module in list(sys.modules.items()):
             if module_name.split(".")[0] == "gstdesign" and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
-    assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == 0
-    design = ExperimentDesign.load(small_design)
-    # each circuit's one walk is its Jacobian's, which also gives its probabilities
-    assert calls["circuit_probabilities"] == calls["circuits_probabilities"] == Counter()
-    assert calls["probability_jacobian"] == Counter(c.labels for c in design.circuits)
-    assert set(calls["probability_jacobian"].values()) == {1}
+    edited = _with_unreached_circuit(small_design, tmp_path)
+    for path, fallback in ((small_design, Counter()), (edited, Counter([("Gi", "Gi", "Gi", "Gy", "Gy", "Gx")]))):
+        for seen in calls.values():
+            seen.clear()
+        assert run(["certify", "--gateset", "xyi", "--design", str(path)]) == 0
+        design = ExperimentDesign.load(path)
+        # no probability walk: each circuit's probabilities are read from its rows
+        assert calls["circuit_probabilities"] == calls["circuits_probabilities"] == Counter()
+        # every circuit's rows come from exactly one source, the body walk
+        # unless no body reaches the circuit
+        assert calls["probability_jacobian"] == fallback
+        assert calls["fiducial_jacobians"] + fallback == Counter(c.labels for c in design.circuits)
+        assert set((calls["fiducial_jacobians"] + fallback).values()) == {1}
+
+
+def _shuffled_design(path, tmp_path, seed):
+    doc = json.loads(path.read_text())
+    order = np.random.default_rng(seed).permutation(len(doc["circuits"]))
+    doc["circuits"] = [doc["circuits"][k] for k in order]
+    out = tmp_path / f"shuffled-{seed}.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("case", ["xyi-grams", "xycphase-rows"])
+def test_certify_outputs_do_not_depend_on_circuit_order(small_design, tmp_path, case):
+    if case == "xyi-grams":
+        gateset, path = "xyi", small_design
+    else:
+        # the benchmark's 2Q design: 101 circuits, 404 rows against 1023 columns
+        gateset, path = "xycphase", tmp_path / "wide.json"
+        from gstdesign import builtins, design
+
+        gs = builtins.builtin_gateset("xycphase")
+        design.build_design(
+            builtin_fiducials("xycphase", "prep")[:4], builtin_fiducials("xycphase", "meas")[:3],
+            [model.Circuit(("Gxi",)), model.Circuit(("Gcphase", "Gxi", "Giy"))], default_schedule(4),
+            gateset_labels=gs.labels, gateset_ref="xycphase",
+        ).save(path)
+    outputs = []
+    for k, source in enumerate([path, _shuffled_design(path, tmp_path, 1), _shuffled_design(path, tmp_path, 2)]):
+        csv_out, report = tmp_path / f"s{k}.csv", tmp_path / f"r{k}.json"
+        argv = ["certify", "--gateset", gateset, "--design", str(source), "--csv", str(csv_out), "--report", str(report)]
+        assert run(argv) == 0
+        outputs.append((csv_out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _bad_design(tmp_path, small_design, edit):

@@ -179,6 +179,91 @@ def test_circuits_fim_equals_the_per_block_walk_in_bits(walk_cases, name, in_fra
     assert held[0].tobytes() == held[1].tobytes()
 
 
+# the body walk's Jacobians equal probability_jacobian's to rounding: within
+# WALK_RTOL of each circuit's largest entry (at most 3.8e-15 measured on XYI
+# designs to L = 1024, 8.9e-16 on XYCPHASE designs to L = 16)
+WALK_RTOL = 1e-14
+# a circuit of L = 16 that no body of the XYI designs below reaches: no split
+# into standard fiducials leaves an empty, one-gate or germ-power body
+UNREACHED = ("Gi", "Gi", "Gi", "Gy", "Gy", "Gx")
+
+
+@pytest.fixture(scope="module")
+def body_walk_designs(xyi, xyi_fiducials):
+    """(evaluation model, design) pairs covering each FPR mode, a 2Q design,
+    a design file with a circuit added by hand and an all-empty fiducial list."""
+    xyc = make_xycphase_gateset()
+    schedule = D.default_schedule(16)
+    per_germ = D.FprPolicy("per-germ", pairs_by_germ={0: ((0, 0), (1, 2), (3, 1)), 1: ((5, 0), (2, 2)), 2: ((0, 5), (4, 4))})
+    designs = {
+        "xyi-full": D.build_design(xyi_fiducials, xyi_fiducials, GERMS, schedule, gateset_labels=xyi.labels),
+        "xyi-per-germ": D.build_design(xyi_fiducials, xyi_fiducials, GERMS, schedule, per_germ, gateset_labels=xyi.labels),
+        "xyi-random": D.build_design(
+            xyi_fiducials, xyi_fiducials, GERMS, schedule, D.FprPolicy("random", gamma=0.2, seed=3), gateset_labels=xyi.labels
+        ),
+        "xycphase-wide": D.build_design(
+            builtin_fiducials("xycphase", "prep")[:4], builtin_fiducials("xycphase", "meas")[:3],
+            [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))], D.default_schedule(4), gateset_labels=xyc.labels,
+        ),
+        "empty-fiducials": D.build_design([Circuit(())], [Circuit(()), Circuit(("Gy",))], GERMS, schedule),
+    }
+    doc = designs["xyi-full"].to_json_dict()
+    doc["circuits"].append({"labels": list(UNREACHED), "L": 16})
+    designs["hand-edited"] = D.ExperimentDesign.from_json_dict(doc)
+    return {name: (FI.default_eval_model(xyc if name.startswith("xycphase") else xyi), des) for name, des in designs.items()}
+
+
+@pytest.mark.parametrize(
+    "name", ["xyi-full", "xyi-per-germ", "xyi-random", "xycphase-wide", "hand-edited", "empty-fiducials"]
+)
+def test_body_walk_matches_the_per_circuit_jacobians(body_walk_designs, name):
+    gs, des = body_walk_designs[name]
+    start, floor = param_blocks(gs)["meas"].start, FI.certification_clip_floor(FI.DEFAULT_SHOTS)
+    bodies, rest = D.design_bodies(des, gs.labels)
+    assert [des.circuits[n].labels for n in rest] == ([UNREACHED] if name == "hand-edited" else [])
+    for depth, (circuits, jacobians) in zip(des.maxdepths, FI.bucket_jacobians(gs, des)):
+        # each of the bucket's circuits once, the unreached one last
+        assert sorted(c.labels for c in circuits) == sorted(c.labels for c, b in zip(des.circuits, des.buckets) if b == depth)
+        if name == "hand-edited" and depth == 16:
+            assert circuits[-1].labels == UNREACHED
+        rows = list(jacobians)
+        assert len(rows) == len(circuits)
+        for c, jac in zip(circuits, rows):
+            ref = probability_jacobian(gs, c)
+            assert np.max(np.abs(jac - ref)) <= WALK_RTOL * np.max(np.abs(ref))
+            # one circuit's Fisher matrix at the certification floor, probabilities
+            # read from row 0 as circuits_fim reads them
+            p = np.clip(gs.effect_matrix() @ jac[0, start : start + gs.dim], floor, 1.0)
+            want = FI.circuit_fim(gs, c, clip_floor=floor)
+            assert np.max(np.abs(FI.DEFAULT_SHOTS * jac.T @ (jac / p[:, None]) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_bodies_own_each_reached_circuit_once_in_walk_order(body_walk_designs):
+    gs, des = body_walk_designs["xyi-full"]
+    bodies, rest = D.design_bodies(des, gs.labels)
+    owners = Counter(n for _, owned in bodies for *_, n in owned)
+    assert not rest and sorted(owners) == list(range(len(des.circuits))) and set(owners.values()) == {1}
+    # the base layer walks first: "Gx" alone is F_j = Gx around the empty
+    # body, or the Gx body between empty fiducials, and the empty body owns it
+    assert [body for body, _ in bodies[:4]] == [(), ("Gi",), ("Gx",), ("Gy",)]
+    assert any(des.circuits[n].labels == ("Gx",) for *_, n in bodies[0][1])
+    # each body's pairs spell their circuits
+    for body, owned in bodies:
+        for j, i, n in owned:
+            assert des.circuits[n].labels == des.prep_fiducials[j].labels + body + des.meas_fiducials[i].labels
+
+
+def test_bucket_rows_do_not_depend_on_circuit_order(body_walk_designs):
+    gs, des = body_walk_designs["hand-edited"]
+    doc = des.to_json_dict()
+    doc["circuits"] = [doc["circuits"][k] for k in np.random.default_rng(5).permutation(len(doc["circuits"]))]
+    shuffled = D.ExperimentDesign.from_json_dict(doc)
+    assert shuffled.circuits != des.circuits
+    for (circuits, rows), (again, rows_again) in zip(FI.bucket_jacobians(gs, des), FI.bucket_jacobians(gs, shuffled)):
+        assert circuits == again
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, rows_again))
+
+
 def test_gauge_annihilation(eval_model, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
@@ -211,9 +296,12 @@ def test_cumulative_equals_sum_of_incrementals(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(32), gateset_labels=eval_model.labels
     )
     cum = np.cumsum([m.matrix() for m in FI.bucket_fims(eval_model, des)], axis=0)
-    for k, depth in enumerate(des.maxdepths):
-        # the whole design truncated at this depth, summed in one pass
-        prefix = FI.circuits_fim(eval_model, [c for c, b in zip(des.circuits, des.buckets) if b <= depth]).matrix()
+    buckets = [(circuits, list(rows)) for circuits, rows in FI.bucket_jacobians(eval_model, des)]
+    for k in range(len(des.maxdepths)):
+        # the whole design truncated at this depth, the same rows summed in one pass
+        circuits = [c for bucket, _ in buckets[: k + 1] for c in bucket]
+        rows = [jac for _, jacs in buckets[: k + 1] for jac in jacs]
+        prefix = FI.circuits_fim(eval_model, circuits, jacobians=rows).matrix()
         assert np.max(np.abs(cum[k] - prefix)) <= 1e-12 * np.max(np.abs(prefix))
     # cumulative spectra are monotone nondecreasing eigenvalue by eigenvalue
     # (Loewner order; tolerance relative to the spectral scale because the

@@ -187,6 +187,29 @@ def test_gauge_tangent_matches_per_generator_reference(xyi, rng, name):
     assert tangent.dim == M.n_params(gs) - tangent.rank == M.non_gauge_count(gs)
 
 
+def kron_gauge_tangent_basis(gs):
+    """The Kronecker-product formula: ``kron(I', G^T) - kron(G', I)`` per
+    gate, ``kron(I', rho^T)`` for the prep, ``-kron(E[1:], I)`` per free
+    effect, stacked and made free of negative zeros by adding ``0.0``."""
+    eye = np.eye(gs.dim)
+    blocks = [np.kron(eye[1:, 1:], g.T) - np.kron(g[1:, 1:], eye) for g in gs.gates.values()]
+    blocks.append(np.kron(eye[1:, 1:], gs.prep))
+    blocks.extend(-np.kron(e[1:], eye) for e in gs.effects[:-1])
+    return np.vstack(blocks) + 0.0
+
+
+@pytest.mark.parametrize("name", ["xyi", "xycphase", "xycphase-perturbed"])
+def test_gauge_tangent_basis_equals_the_kron_formula(name):
+    gs = builtin_gateset(name.split("-")[0])
+    if name.endswith("perturbed"):
+        gs = sample_noisy_gateset(gs, NoiseSpec("coherent-depol", 1e-2, 1e-3, 7))
+    basis = M.gauge_tangent(gs).basis
+    want = kron_gauge_tangent_basis(gs)
+    assert np.array_equal(basis, want)
+    # equal signs of zeros too, so the pivoted QR sees the same entries
+    assert np.array_equal(np.signbit(basis), np.signbit(want))
+
+
 def direct_gauge_frame(basis, w):
     """Rank, ``w Q2`` and dense ``Q2`` from one direct pivoted QR and ``dormqr``."""
     (reflectors, tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
