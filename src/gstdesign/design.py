@@ -6,8 +6,12 @@ fiducial pairs; every plaquette circuit is ``F_j g_k^p H_i`` with the germ
 power ``p`` the largest repetition count that fits inside the depth limit.
 :func:`plaquettes` is the one place that decides which plaquettes exist and
 which pairs they keep, :func:`plaquette_circuits` the one place that
-expands a plaquette into circuits, and :attr:`ExperimentDesign.pair_index`
-the one map from plaquette pairs to circuits.  Circuits are deduplicated
+expands a plaquette into circuits, :attr:`ExperimentDesign.pair_index`
+the one map from plaquette pairs to circuits, and :func:`design_bodies`
+the one walk over them: simulation (:func:`design_probabilities`) and
+certification (:func:`gstdesign.fisher.bucket_jacobians`) walk its
+bodies, give each circuit to the first body that reaches it, and walk
+the circuits no body reaches one at a time.  Circuits are deduplicated
 on their exact label sequence and each unique circuit is bucketed at the
 smallest max depth at which it appears, which is what the
 Fisher-information series consume.
@@ -401,24 +405,19 @@ def build_design(
 def design_probabilities(gs: GateSet, design: ExperimentDesign) -> np.ndarray:
     """Outcome probabilities of the circuits of ``design``, in circuit
     order.  Labels are checked first: the circuits' in circuit order, then
-    the fiducials' and germs'.  Plaquette circuits take one block walk over
-    the germ powers (:func:`~gstdesign.model.fiducial_outcomes`), scattered
-    through :attr:`ExperimentDesign.pair_index` in walk order, so a circuit
-    two plaquettes reach keeps the later one's outcome; they equal the
-    one-circuit reference to rounding (the tests bound it by ``4e-15``).
-    Other circuits take :func:`~gstdesign.model.circuits_probabilities`."""
+    the fiducials' and germs'.  The bodies of :func:`design_bodies` take
+    one block walk (:func:`~gstdesign.model.fiducial_outcomes`), and each
+    body's outcomes go to the circuits it owns; they equal the one-circuit
+    reference to rounding (the tests bound it by ``4e-15``).  The circuits
+    no body reaches take :func:`~gstdesign.model.circuits_probabilities`."""
     circuits = design.circuits
     structure = design.prep_fiducials + design.meas_fiducials + design.germs
     require_labels(gs, [c.labels for c in circuits + structure])
     probs = np.zeros((len(circuits), gs.num_effects))
-    covered = np.zeros(len(circuits), dtype=bool)
-    bodies = [design.germs[p.germ_index].labels * p.power for p in design.plaquettes]
-    for n, outcomes in fiducial_outcomes(gs, design.prep_fiducials, design.meas_fiducials, bodies):
-        for (j, i), idx in zip(design.plaquettes[n].pairs, design.pair_index[n]):
-            if idx >= 0:
-                probs[idx] = outcomes[i, :, j]
-                covered[idx] = True
-    rest = np.flatnonzero(~covered)
+    bodies, rest = design_bodies(design, gs.labels)
+    for n, outcomes in fiducial_outcomes(gs, design.prep_fiducials, design.meas_fiducials, [b for b, _ in bodies]):
+        for j, i, idx in bodies[n][1]:
+            probs[idx] = outcomes[i, :, j]
     probs[rest] = circuits_probabilities(gs, [circuits[k] for k in rest])
     return probs
 

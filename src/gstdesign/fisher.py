@@ -430,20 +430,17 @@ def incremental_series(design: ExperimentDesign, frame: NongaugeFrame) -> Fisher
     return _frame_series(design, frame, False)
 
 
-def _padded_spectrum(block: HeldFim, n_params: int) -> tuple[float, ...]:
-    """Descending spectrum of the ``n_params``-wide matrix that is ``block``
-    on one diagonal block and zero elsewhere: the block's eigenvalues and
-    one ``0.0`` per other parameter."""
-    return tuple(np.concatenate([block.eigvalsh(), np.zeros(n_params - block.width)]).tolist())
-
-
 def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
     """Series of each bucket matrix restricted to one operation's parameter
     block and zero elsewhere, from the ``column_increments`` of a frame
-    built with that operation's ``columns``."""
+    built with that operation's ``columns``: each block's eigenvalues
+    and one ``0.0`` per other parameter."""
     return FisherSeries(
         maxdepths=design.maxdepths,
-        spectra=tuple(_padded_spectrum(m, frame.n_params) for m in frame.column_increments),
+        spectra=tuple(
+            tuple(np.concatenate([m.eigvalsh(), np.zeros(frame.n_params - m.width)]).tolist())
+            for m in frame.column_increments
+        ),
     )
 
 

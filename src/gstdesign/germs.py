@@ -52,11 +52,11 @@ from .model import (
     RANK_RTOL,
     Circuit,
     GateSet,
-    GateSetError,
     gauge_tangent,
     matrix_rank_rel,
     n_params,
     param_blocks,
+    require_labels,
 )
 
 __all__ = [
@@ -321,11 +321,9 @@ def _twirled_jacobian_stacks(model: GateSet, germs: list[Circuit], tol: float):
     labels = list(model.gates)
     gates = np.stack([model.gates[lab] for lab in labels])
     position = {lab: i for i, lab in enumerate(labels)}
+    require_labels(model, [germ.labels for germ in germs])
     by_length: dict[int, list[int]] = {}
     for gi, germ in enumerate(germs):
-        unknown = [lab for lab in germ.labels if lab not in position]
-        if unknown:
-            raise GateSetError(f"unknown gate label {unknown[0]!r}")
         if germ.labels:  # the empty germ has no gate columns
             by_length.setdefault(len(germ.labels), []).append(gi)
 

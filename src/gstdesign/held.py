@@ -115,7 +115,12 @@ class HeldFim:
         return np.sum((self.rows @ vecs) ** 2, axis=0)
 
     def __add__(self, other: HeldFim) -> HeldFim:
-        """The sum, held as the stacked rows while they are fewer than the width."""
+        """The sum, held as the stacked rows while they are fewer than the
+        width.  A sum with no rows is the other operand itself, not a copy."""
+        if self.rows is not None and not len(self.rows):
+            return other
+        if other.rows is not None and not len(other.rows):
+            return self
         if self.rows is not None and other.rows is not None and len(self.rows) + len(other.rows) < self.width:
             return HeldFim(rows=np.concatenate([self.rows, other.rows]))
         return HeldFim(gram=self.matrix() + other.matrix())

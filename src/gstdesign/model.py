@@ -17,15 +17,19 @@ Conventions used throughout the package:
   this flat parameter vector; ``param_blocks`` names the per-operation
   blocks ("rho" and "meas" for the SPAM blocks).
 
-Derivatives of circuit probabilities are computed analytically from cached
-prefix/suffix operator products, never by automatic differentiation, so a
-depth-n circuit costs O(n) small matrix products for the Jacobian and
-O(n^2) for the Hessian.
+Derivatives of circuit probabilities are computed analytically, never by
+automatic differentiation, from two stack walks that raise
+:class:`GateSetError` on an unknown label: ``_forward`` carries a state, a
+block of states or a matrix through a label sequence, ``_backward``
+carries rows back from its end, and each keeps the product at every
+position.  A depth-n circuit costs O(n) small matrix products for the
+Jacobian and O(n^2) for the Hessian.
 
 Each probability comes from one walk: :func:`circuits_probabilities`
 carries the prep state through circuits sharing label prefixes,
 :func:`fiducial_outcomes` the prep-fiducial states through label bodies,
-and :func:`probability_jacobian`'s row 0, over effect 0's columns, is the
+from the fiducial vectors :func:`fiducial_jacobians` uses, and
+:func:`probability_jacobian`'s row 0, over effect 0's columns, is the
 output state ``v``.  Designs are :mod:`gstdesign.design`'s concern.
 
 Jacobians come one circuit at a time from :func:`probability_jacobian`,
@@ -34,13 +38,14 @@ for circuits ``F_j body H_i`` that share a label sequence ``body``, the
 prep-fiducial states are carried forward and the effect rows backward
 through the body once, and each gate label's columns for a grid of
 fiducial pairs are one product over its positions.  The caller
-(:func:`gstdesign.fisher.bucket_jacobians`) walks a design's bodies in
-an order fixed by the design's structure, not by its circuit list, and
-falls back to :func:`probability_jacobian` for a circuit no body
-reaches.  The two agree to rounding: within 4e-15 of each circuit's
-largest Jacobian entry on XYI designs to L = 1024 and XYCPHASE designs
-to L = 16, which keeps one circuit's :func:`gstdesign.fisher.circuit_fim`
-within 1e-12 of its largest entry at the certification clip floor.
+(:func:`gstdesign.fisher.bucket_jacobians`) walks the bodies of
+:func:`gstdesign.design.design_bodies`, in an order fixed by the design's
+structure, not by its circuit list, and falls back to
+:func:`probability_jacobian` for a circuit no body reaches.  The two
+agree to rounding: within 4e-15 of each circuit's largest Jacobian entry
+on XYI designs to L = 1024 and XYCPHASE designs to L = 16, which keeps
+one circuit's :func:`gstdesign.fisher.circuit_fim` within 1e-12 of its
+largest entry at the certification clip floor.
 """
 
 from __future__ import annotations
@@ -424,12 +429,13 @@ def fiducial_outcomes(gs: GateSet, prep_fiducials, meas_fiducials, bodies):
     walk order, ``outcomes[i, l, j]`` the probability of outcome ``l`` of
     ``F_j bodies[n] H_i``.  The block ``[F_1 rho ... F_k rho]`` is carried
     through the bodies, and each ends with one product of the effect rows
-    ``E_l H_i`` with it: equal to :func:`circuit_probabilities` to
+    ``E_l H_i`` with it, both walked through the fiducials as in
+    :func:`fiducial_jacobians`: equal to :func:`circuit_probabilities` to
     rounding, not bit for bit.  Unknown labels raise :class:`GateSetError`.
     """
     require_labels(gs, [c.labels for c in (*prep_fiducials, *meas_fiducials)] + list(bodies))
-    block = np.column_stack(effective_fiducial_states(gs, prep_fiducials))
-    effect_rows = np.vstack(effective_fiducial_effects(gs, meas_fiducials))
+    block = np.column_stack([_forward(gs, gs.prep, f.labels)[-1] for f in prep_fiducials])
+    effect_rows = np.vstack([_backward(gs, gs.effect_matrix(), f.labels)[0] for f in meas_fiducials])
     for n, states in _prefix_walk(gs, block, bodies):
         yield n, (effect_rows @ states).reshape(len(meas_fiducials), gs.num_effects, len(prep_fiducials))
 
@@ -543,21 +549,25 @@ def from_vector(template: GateSet, theta: np.ndarray) -> GateSet:
 # Analytic derivatives
 
 
-def _prefix_states(gs: GateSet, labels: tuple[str, ...]) -> list[np.ndarray]:
-    states = [gs.prep]
-    for label in labels:
-        states.append(_gate(gs, label) @ states[-1])
-    return states
+def _forward(gs: GateSet, start: np.ndarray, labels) -> np.ndarray:
+    """The stack of ``start`` (a state, a ``D x k`` block of states or a
+    matrix) carried forward through ``labels``: entry ``t`` is
+    ``G_t ... G_1 start``, for ``t = 0..n``."""
+    stack = np.empty((len(labels) + 1, *start.shape))
+    stack[0] = state = start
+    for t, label in enumerate(labels, start=1):
+        state = np.matmul(_gate(gs, label), state, out=stack[t])
+    return stack
 
 
-def _suffix_effect_rows(gs: GateSet, labels: tuple[str, ...]) -> list[np.ndarray]:
-    """``rows[i] = E_mat @ G_n ... G_{i+1}`` for i = 0..n (rows[n] = E_mat)."""
-    emat = gs.effect_matrix()
-    rows = [emat]
-    for label in reversed(labels):
-        rows.append(rows[-1] @ _gate(gs, label))
-    rows.reverse()
-    return rows
+def _backward(gs: GateSet, end: np.ndarray, labels) -> np.ndarray:
+    """The stack of the rows ``end`` carried backward through ``labels``:
+    entry ``t`` is ``end G_n ... G_{t+1}``, for ``t = 0..n``."""
+    stack = np.empty((len(labels) + 1, *end.shape))
+    stack[-1] = rows = end
+    for t in range(len(labels), 0, -1):
+        rows = np.matmul(rows, _gate(gs, labels[t - 1]), out=stack[t - 1])
+    return stack
 
 
 def _effect_sign_matrix(m: int) -> np.ndarray:
@@ -581,8 +591,8 @@ def probability_jacobian(gs: GateSet, circuit: Circuit) -> np.ndarray:
     blocks = param_blocks(gs)
     jac = np.zeros((m, n_params(gs)))
 
-    states = _prefix_states(gs, labels)
-    rows = _suffix_effect_rows(gs, labels)
+    states = _forward(gs, gs.prep, labels)
+    rows = _backward(gs, gs.effect_matrix(), labels)
 
     for i, label in enumerate(labels, start=1):
         contrib = np.einsum("ja,b->jab", rows[i][:, 1:], states[i - 1])
@@ -601,7 +611,7 @@ def probability_jacobian(gs: GateSet, circuit: Circuit) -> np.ndarray:
 def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs, budget: int) -> np.ndarray:
     """Probability Jacobians of the circuits ``F_j body H_i``, one for
     each ``(j, i)`` of ``pairs``, shape ``(len(pairs), num_effects,
-    n_params)``; labels are not checked.
+    n_params)``; an unknown label raises :class:`GateSetError`.
 
     The block of prep-fiducial states ``[F_j rho]`` is carried forward
     through the label sequence ``body`` once, and the block of effect rows
@@ -619,40 +629,33 @@ def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs,
     meass = sorted({i for _, i in pairs})
     col_of = [preps.index(j) for j, _ in pairs]
     row_of = [meass.index(i) for _, i in pairs]
-    prep_states = [_prefix_states(gs, prep_fiducials[j].labels) for j in preps]
-    meas_rows = [_suffix_effect_rows(gs, meas_fiducials[i].labels) for i in meass]
+    prep_states = [_forward(gs, gs.prep, prep_fiducials[j].labels) for j in preps]
+    meas_rows = [_backward(gs, gs.effect_matrix(), meas_fiducials[i].labels) for i in meass]
 
     # states[t] is the state block after t body labels, effects[t] the effect
     # rows that reach it from the body's end
-    states = np.empty((len(body) + 1, dim, len(preps)))
-    states[0] = np.column_stack([s[-1] for s in prep_states])
-    for t, label in enumerate(body):
-        np.matmul(gs.gates[label], states[t], out=states[t + 1])
-    effects = np.empty((len(body) + 1, len(meass) * m, dim))
-    effects[-1] = np.vstack([r[0] for r in meas_rows])
-    for t in range(len(body), 0, -1):
-        np.matmul(effects[t], gs.gates[body[t - 1]], out=effects[t - 1])
-    effects = effects.reshape(len(body) + 1, len(meass), m, dim)
+    states = _forward(gs, np.column_stack([s[-1] for s in prep_states]), body)
+    effects = _backward(gs, np.vstack([r[0] for r in meas_rows]), body).reshape(len(body) + 1, len(meass), m, dim)
 
     jac = np.zeros((len(pairs), m, n_params(gs)))
     _add_body_columns(jac, gs, body, states, effects, col_of, row_of, budget)
 
     for c, before in enumerate(prep_states):
         n = [k for k, cc in enumerate(col_of) if cc == c]
-        labels, after = prep_fiducials[preps[c]].labels, effects[0, [row_of[k] for k in n]]
+        labels = prep_fiducials[preps[c]].labels
+        after = _backward(gs, effects[0, [row_of[k] for k in n]], labels)
         for s in range(len(labels), 0, -1):
-            jac[n, :, blocks[labels[s - 1]]] += (after[..., 1:, None] * before[s - 1]).reshape(len(n), m, -1)
-            after = after @ gs.gates[labels[s - 1]]
-        jac[n, :, blocks["rho"]] = after[..., 1:]
+            jac[n, :, blocks[labels[s - 1]]] += (after[s][..., 1:, None] * before[s - 1]).reshape(len(n), m, -1)
+        jac[n, :, blocks["rho"]] = after[0][..., 1:]
 
     final = np.empty((len(pairs), dim))
     for r, rows in enumerate(meas_rows):
         n = [k for k, rr in enumerate(row_of) if rr == r]
-        labels, state = meas_fiducials[meass[r]].labels, states[-1][:, np.array(col_of)[n]]
+        labels = meas_fiducials[meass[r]].labels
+        state = _forward(gs, states[-1][:, np.array(col_of)[n]], labels)
         for s, label in enumerate(labels, start=1):
-            jac[n, :, blocks[label]] += (rows[s][:, 1:, None] * state.T[:, None, None, :]).reshape(-1, m, (dim - 1) * dim)
-            state = gs.gates[label] @ state
-        final[n] = state.T
+            jac[n, :, blocks[label]] += (rows[s][:, 1:, None] * state[s - 1].T[:, None, None]).reshape(len(n), m, -1)
+        final[n] = state[-1].T
 
     sgn = _effect_sign_matrix(m)
     jac[:, :, blocks["meas"]] = (sgn[:, :, None] * final[:, None, None, :]).reshape(len(pairs), m, -1)
@@ -709,15 +712,10 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
     blocks = param_blocks(gs)
     hess = np.zeros((m, npar, npar))
 
-    states = _prefix_states(gs, labels)
-    rows = _suffix_effect_rows(gs, labels)
-    prefix_mats = [np.eye(dim)]
-    for label in labels:
-        prefix_mats.append(_gate(gs, label) @ prefix_mats[-1])
-    suffix_mats = [np.eye(dim)]
-    for label in reversed(labels):
-        suffix_mats.append(suffix_mats[-1] @ _gate(gs, label))
-    suffix_mats.reverse()  # suffix_mats[i] = G_n ... G_{i+1}
+    states = _forward(gs, gs.prep, labels)
+    rows = _backward(gs, gs.effect_matrix(), labels)
+    prefix_mats = _forward(gs, np.eye(dim), labels)  # prefix_mats[i] = G_i ... G_1
+    suffix_mats = _backward(gs, np.eye(dim), labels)  # suffix_mats[i] = G_n ... G_{i+1}
 
     sgn = _effect_sign_matrix(m)
     meas = blocks["meas"]
@@ -730,16 +728,12 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
     for i in range(1, n + 1):
         k_i = labels[i - 1]
         s_prev = states[i - 1]
-        # gate(i) x gate(i2) for i2 > i
-        mid = np.eye(dim)
-        for i2 in range(i + 1, n + 1):
-            k_i2 = labels[i2 - 1]
+        # gate(i) x gate(i2) for i2 > i, mid the product of the gates between them
+        for i2, mid in zip(range(i + 1, n + 1), _forward(gs, np.eye(dim), labels[i : n - 1])):
             # [j, (a,b), (c,d)] = rows[i2][j,c] * mid[d,a] * s_prev[b]
             blk = np.einsum("jc,da,b->jabcd", rows[i2][:, 1:], mid[:, 1:], s_prev)
             blk = blk.reshape(m, (dim - 1) * dim, (dim - 1) * dim)
-            add_sym(blocks[k_i], blocks[k_i2], blk)
-            if i2 < n:
-                mid = _gate(gs, labels[i2 - 1]) @ mid
+            add_sym(blocks[k_i], blocks[labels[i2 - 1]], blk)
         # gate(i) x rho
         blk = np.einsum("ja,bc->jabc", rows[i][:, 1:], prefix_mats[i - 1][:, 1:])
         add_sym(blocks[k_i], rho, blk.reshape(m, (dim - 1) * dim, dim - 1))

@@ -180,9 +180,10 @@ def simulate_dataset(gs: GateSet, circuits_or_design, shots: int, seed: int) -> 
 
 def log_likelihood(gs: GateSet, dataset: Dataset) -> float:
     """Multinomial log likelihood of the dataset under the gate set, its
-    probabilities from the same prefix walk as :func:`simulate_dataset`;
-    the first circuit with an unknown label raises
-    :class:`~gstdesign.model.GateSetError`."""
+    probabilities from :func:`~gstdesign.model.circuits_probabilities`,
+    the walk :func:`simulate_dataset` takes for a circuit list (a design's
+    body walk agrees with it to rounding); the first circuit with an
+    unknown label raises :class:`~gstdesign.model.GateSetError`."""
     total = 0.0
     shots = dataset.shots
     probs = circuits_probabilities(gs, dataset.circuits)

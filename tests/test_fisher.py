@@ -17,6 +17,7 @@ from gstdesign.model import (
     apply_gauge_transform,
     circuit_probabilities,
     circuits_probabilities,
+    fiducial_outcomes,
     from_vector,
     gauge_tangent,
     matrix_rank_rel,
@@ -251,6 +252,60 @@ def test_bodies_own_each_reached_circuit_once_in_walk_order(body_walk_designs):
     for body, owned in bodies:
         for j, i, n in owned:
             assert des.circuits[n].labels == des.prep_fiducials[j].labels + body + des.meas_fiducials[i].labels
+
+
+# the XYI standard germs; their full design up to L = 1024 has circuits that two
+# plaquettes reach
+STANDARD_XYI_GERMS = ("Gi", "Gx Gx Gy", "Gx Gx Gx Gy Gy", "Gx Gy Gy")
+
+
+def spy_on_the_walk(monkeypatch):
+    """Record the bodies ``design_probabilities`` walks and the circuits it
+    leaves to ``circuits_probabilities``."""
+    seen = {"bodies": [], "rest": []}
+
+    def walking(gs, preps, meass, bodies):
+        seen["bodies"].append(list(bodies))
+        return fiducial_outcomes(gs, preps, meass, bodies)
+
+    def falling_back(gs, circuits):
+        seen["rest"].append(list(circuits))
+        return circuits_probabilities(gs, circuits)
+
+    monkeypatch.setattr(D, "fiducial_outcomes", walking)
+    monkeypatch.setattr(D, "circuits_probabilities", falling_back)
+    return seen
+
+
+def test_simulate_and_certify_walk_the_same_bodies(monkeypatch, xyi, xyi_fiducials, body_walk_designs):
+    gs = FI.default_eval_model(xyi)
+    germs = [Circuit(tuple(g.split())) for g in STANDARD_XYI_GERMS]
+    des = D.build_design(xyi_fiducials, xyi_fiducials, germs, D.default_schedule(1024), gateset_labels=xyi.labels)
+    reached = Counter(n for indices in des.pair_index for n in indices if n >= 0)
+    twice = [n for n, count in reached.items() if count > 1]
+    assert len(twice) == 14
+    bodies, rest = D.design_bodies(des, gs.labels)
+    seen = spy_on_the_walk(monkeypatch)
+    probs = D.design_probabilities(gs, des)
+    assert seen["bodies"] == [[body for body, _ in bodies]] and seen["rest"] == [[]] and not rest
+    # a circuit two plaquettes reach takes its owner's outcome, bit for bit
+    owner = {n: (body, j, i) for body, owned in bodies for j, i, n in owned}
+    for n in twice:
+        body, j, i = owner[n]
+        ((_, outcomes),) = fiducial_outcomes(gs, des.prep_fiducials, des.meas_fiducials, [body])
+        assert probs[n].tobytes() == outcomes[i, :, j].tobytes()
+    # only the circuit no body reaches falls back to the circuit walk
+    gs, des = body_walk_designs["hand-edited"]
+    seen = spy_on_the_walk(monkeypatch)
+    D.design_probabilities(gs, des)
+    assert seen["bodies"] == [[body for body, _ in D.design_bodies(des, gs.labels)[0]]]
+    assert seen["rest"] == [[Circuit(UNREACHED)]]
+
+
+def test_circuits_fim_of_no_circuits_is_an_empty_sum(eval_model):
+    tangent = gauge_tangent(eval_model)
+    assert FI.circuits_fim(eval_model, []).rows.shape == (0, n_params(eval_model))
+    assert FI.circuits_fim(eval_model, [], coords=tangent.rows).rows.shape == (0, tangent.dim)
 
 
 def test_bucket_rows_do_not_depend_on_circuit_order(body_walk_designs):

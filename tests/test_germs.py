@@ -225,6 +225,13 @@ def test_twirled_jacobian_zero_columns_for_absent_gates(xyi):
     assert np.count_nonzero(jac[:, blocks["meas"]]) == 0
 
 
+def test_twirled_jacobians_name_an_unknown_label(xyi):
+    from gstdesign.model import GateSetError
+
+    with pytest.raises(GateSetError, match="'Gz'"):
+        G.germ_twirled_jacobians(xyi, [Circuit(("Gx",)), Circuit(("Gz",))])
+
+
 def test_amplifiable_count_xyi(xyi):
     # consistency identity: non-gauge minus SPAM-dominated plateau count
     assert G.amplifiable_count(xyi) == 25 == 31 - 6

@@ -67,3 +67,12 @@ def test_rank_deficient_matrix_reads_alike_from_rows_and_gram(rng):
     reference = np.einsum("ik,ij,jk->k", vecs, rows.T @ rows, vecs)
     for got in quotients:
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(reference)
+
+
+@pytest.mark.parametrize("held_as", ["rows", "gram"])
+def test_a_sum_with_no_rows_is_the_other_operand(rng, held_as):
+    block = HeldFim.from_rows(rng.standard_normal((3 if held_as == "rows" else 9, 7)))
+    assert (block.rows is None) == (held_as == "gram")
+    empty = HeldFim(rows=np.zeros((0, 7)))
+    assert empty + block is block
+    assert block + empty is block
