@@ -6,10 +6,11 @@ their own inputs and invocations, and ``certify --kind incremental`` and
 ``--kind projected`` on the two certify designs, on the full fiducial
 grid of the 2Q one and on two XYI designs at L <= 4, all in this process
 at one BLAS thread.  The certify designs cover both ways a frame holds
-its rows: the benchmark's reduced 2Q design and ``certify-1q-rows`` (30
-rows against XYI's 31 non-gauge columns) have fewer rows than non-gauge
-columns and keep them unmapped; ``certify-1q-grams`` (32 rows) and the 2Q
-grid, whose L = 4 bucket holds 1024 rows against 1023 columns, map them.
+its matrices, one column per parameter: the benchmark's reduced 2Q design
+(404 rows against XYCPHASE's 1263 parameters) and ``certify-1q-rows``
+(30 rows against XYI's 43) have fewer rows than parameters and are held
+as their rows; ``certify-1q-grams`` (44 rows) and the 2Q grid (4040 rows)
+are held as Grams from their deepest bucket on.
 ``simulate`` also runs on that 2Q grid design, on an XYI random-FPR
 design of the benchmark's robust 1Q germs up to L = 1024 and on the XYI
 standard-germ (``Gi``, ``Gx Gx Gy``, ``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``)
@@ -19,10 +20,11 @@ circuits, so its dataset also pins which plaquette's probabilities such
 a circuit keeps.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
 certified with their circuits in a second order (the workload's inputs
 at seed 2), and only those stdouts are hashed, on lines named
-``<workload>--order-2``: each must equal its first order's, so a diff
-also shows whether a Gram-held verdict depends on the circuit order.  Running
-the script on two checkouts and diffing the output shows whether a
-change keeps every output byte-identical:
+``<workload>--order-2``.  Each must equal its first order's: the script
+exits non-zero, after printing every line, when one does not, so a
+Gram-held verdict that depends on the circuit order fails the run.
+Running the script on two checkouts and diffing the output shows whether
+a change keeps every output byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 
@@ -71,14 +73,14 @@ def load_workloads():
 def all_workloads(workloads) -> dict:
     """The benchmark's workloads, the full-grid 2Q certify design and two
     XYI certify designs at L <= 4: 15 circuits (30 rows, held as rows
-    against the 31 non-gauge columns) and 16 circuits (32 rows, held as
-    Grams from the deepest bucket on)."""
+    against the 43 parameters) and 22 circuits (44 rows, held as Grams
+    from the deepest bucket on)."""
     wide = workloads.WORKLOADS["certify-2q-wide"]
     grid = dataclasses.replace(wide, name="certify-2q-grid", n_prep=None, n_meas=None)
     below = dataclasses.replace(
         wide, name="certify-1q-rows", gateset="xyi", germs=("Gx",), lmax=4, n_prep=1, n_meas=3
     )
-    above = dataclasses.replace(below, name="certify-1q-grams", germs=("Gx", "Gy", "Gx Gx Gy"), n_meas=2)
+    above = dataclasses.replace(below, name="certify-1q-grams", germs=("Gx", "Gy", "Gx Gx Gy"))
     return {**workloads.WORKLOADS, **{w.name: w for w in (grid, below, above)}}
 
 
@@ -155,8 +157,10 @@ def main() -> None:
     with contextlib.nullcontext(keep) if keep else tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
-        def print_stdout_digests(name: str, argvs: list[list[str]], outdir: Path) -> None:
+        def print_stdout_digests(name: str, argvs: list[list[str]], outdir: Path) -> list[str]:
+            """Run ``argvs`` in order, print each stdout's digest and return them."""
             outdir.mkdir(parents=True)
+            digests = []
             for k, argv in enumerate(argvs):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
@@ -167,7 +171,9 @@ def main() -> None:
                 if keep:
                     (root / "stdout").mkdir(exist_ok=True)
                     (root / "stdout" / f"{name}.{k}.txt").write_text(text)
-                print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}/stdout.{k}")
+                digests.append(hashlib.sha256(text.encode()).hexdigest())
+                print(f"{digests[-1]}  {name}/stdout.{k}")
+            return digests
 
         for name, workload in by_name.items():
             (root / "in" / name).mkdir(parents=True)
@@ -176,16 +182,22 @@ def main() -> None:
             (root / "in" / reordered_name(name)).mkdir(parents=True)
             by_name[name].make_inputs(root / "in" / reordered_name(name), SECOND_ORDER_SEED)
         make_extra_inputs(workloads, root / "in")
+        stdouts = {}
         for name, argvs, outdir in runs(workloads, root / "in", root / "out"):
-            print_stdout_digests(name, argvs, outdir)
+            stdouts[name] = print_stdout_digests(name, argvs, outdir)
             for path in sorted(outdir.iterdir()):
                 data = path.read_bytes()
                 print(f"{hashlib.sha256(data).hexdigest()}  {name}/{path.name}")
                 if path.suffix == ".json":
                     print(f"{content_digest(data)}  {name}/{path.name} (content)")
         # a second circuit order: its stdout alone, which must equal the first order's
-        for name, argvs, outdir in reordered_runs(by_name, root / "in", root / "out"):
-            print_stdout_digests(name, argvs, outdir)
+        differ = [
+            second
+            for name, (second, argvs, outdir) in zip(REORDERED, reordered_runs(by_name, root / "in", root / "out"))
+            if print_stdout_digests(second, argvs, outdir) != stdouts[name]
+        ]
+    if differ:
+        raise SystemExit(f"stdout differs from its first circuit order's: {', '.join(differ)}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Selects robust and standard germ sets for the XYI gate set, builds the
 full, per-germ and random designs, certifies each one at a perturbed
 evaluation point and prints circuit counts, growth classifications and
 wall-clock estimates.  Everything is seeded; rerunning reproduces the same
-numbers.  Takes about half a minute.
+numbers.  Takes about a second.
 
     python3 scripts/reproduce_1q_certification.py [--outdir OUT]
 """

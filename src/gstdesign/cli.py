@@ -226,16 +226,16 @@ def cmd_certify(args) -> int:
         raise CliError(f"unknown operation label {args.op!r}; have {sorted(param_blocks(gs))}")
     try:
         fz.require_certifiable(design)
+        gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
+        frame = fz.NongaugeFrame(gs_eval, design, args.shots)
+        report = fz.certify_design(gs_eval, design, target=gs, shots=args.shots, frame=frame)
     except fz.CertificationError as exc:
         raise CliError(f"cannot certify {args.design}: {exc}") from None
-    gs_eval = fz.default_eval_model(gs, seed=args.perturb_seed, sigma=args.perturb_sigma)
-    # --kind projected takes its operation's columns from the same walk over circuits
-    columns = param_blocks(gs)[args.op] if args.kind == "projected" else None
-    frame = fz.NongaugeFrame(gs_eval, design, args.shots, columns)
-    report = fz.certify_design(gs_eval, design, target=gs, shots=args.shots, frame=frame)
     if args.csv:
-        series = {"cumulative": fz.cumulative_series, "incremental": fz.incremental_series,
-                  "projected": fz.block_series}[args.kind](design, frame)
+        if args.kind == "projected":
+            series = fz.block_series(design, frame, param_blocks(gs)[args.op])
+        else:
+            series = (fz.cumulative_series if args.kind == "cumulative" else fz.incremental_series)(design, frame)
         classes = report.classifications() if args.kind == "cumulative" else None
         with _writing(args.csv):
             fz.series_to_csv(series, args.csv, classes)

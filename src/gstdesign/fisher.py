@@ -34,24 +34,25 @@ of :func:`circuit_fim`'s largest entry at the certification clip floor;
 at the hard floor ``PROB_CLIP_FLOOR`` it is within 1e-8, because ``1/p``
 magnifies the rounding of probabilities near zero.
 
-Each sum is held by its smaller side (:class:`~gstdesign.held.HeldFim`):
-as its rows ``F`` while they are fewer than its width, so a two-qubit
-bucket of a few hundred rows is never squared into a 1023-wide matrix of
-rounding noise, and as its Gram ``F^T F`` from then on.  Both forms are
-read by :mod:`gstdesign.held`'s two rules: rounding-noise eigenvalues
-read ``0.0``, and Rayleigh quotients come from the rows or the Gram.
+Each sum has one column per parameter and is held by its smaller side
+(:class:`~gstdesign.held.HeldFim`): as its rows ``F`` while they are
+fewer than its width, so a two-qubit bucket of a few hundred rows is
+never squared into a 1263-wide matrix of rounding noise, and as its Gram
+``F^T F`` from then on.  Both forms are read by :mod:`gstdesign.held`'s
+two rules: rounding-noise eigenvalues read ``0.0``, and Rayleigh
+quotients come from the rows or the Gram.
 
-Spectra are taken in the non-gauge frame of the model the matrices were
-evaluated at (:class:`NongaugeFrame`), so no parameter-wide Gram is
-formed.  A design with at least as many rows as the frame's dimension
-has each block's ``W`` mapped into the frame inside :func:`circuits_fim`.
-A design with fewer rows keeps them unmapped, as one stack, and is read
-only through its row Gram ``W W^T``: outcome probabilities are gauge
-invariant at the frame's model, so ``W Q1 = 0`` for its gauge directions
-``Q1`` and ``W W^T`` is the mapped rows' row Gram.  The frame is the one
-source of every series; a series lists the non-gauge eigenvalues in
-descending order followed by one ``0.0`` per gauge direction, which is
-the full-frame spectrum in exact arithmetic.
+Spectra are read in the non-gauge frame of the model the matrices were
+evaluated at (:class:`NongaugeFrame`), but no row is mapped into it:
+outcome probabilities are gauge invariant at that model, so ``W Q1 = 0``
+for its gauge directions ``Q1``, and each matrix's spectrum is its
+non-gauge spectrum plus one rounding-level eigenvalue per gauge
+direction, which the noise rule reads as ``0.0``.  The frame is the one
+source of every series and the only use of the gauge tangent's pivoted
+QR, which gives its dimension; a series lists the non-gauge eigenvalues
+in descending order followed by one ``0.0`` per gauge direction, which
+is the full-frame spectrum in exact arithmetic.  A projected series
+slices one operation's block from the same matrices.
 
 Certification (:func:`certify_design`) classifies each eigen-direction
 of the deepest cumulative matrix, at a point unitarily perturbed off the
@@ -153,57 +154,33 @@ def circuits_fim(
     circuits,
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
-    coords=None,
     *,
     jacobians=None,
 ) -> HeldFim:
-    """Summed Fisher matrix of ``circuits``: the empty matrix plus, in
-    order, the weighted rows ``W`` of each block of ``FIM_BLOCK`` circuits,
-    so :class:`HeldFim`'s sum decides whether the result is held as its
-    rows or as its Gram (see the module docstring).
+    """Summed Fisher matrix of ``circuits``, one column per parameter: the
+    empty matrix plus, in order, the weighted rows ``W`` of each block of
+    ``FIM_BLOCK`` circuits, so :class:`HeldFim`'s sum decides whether the
+    result is held as its rows or as its Gram (see the module docstring).
 
     ``jacobians``, when given, yields each circuit's probability Jacobian
     in circuit order (as :func:`bucket_jacobians` does); otherwise each comes
     from :func:`~gstdesign.model.probability_jacobian`.
-
-    ``coords``, when given, maps each block's ``W`` (one column per
-    parameter) to the columns the matrix is wanted in, before it is added:
-    :meth:`~gstdesign.model.GaugeTangent.rows` gives the non-gauge frame,
-    so the result is ``Q2^T F Q2`` without ``F`` ever being formed.  A
-    :class:`NongaugeFrame` passes it only for designs of at least as many
-    rows as the frame's dimension; fewer rows are kept unmapped.
     """
     circuits = list(circuits)
-    coords = coords or (lambda w: w)
     if jacobians is None:
         jacobians = (probability_jacobian(gs, c) for c in circuits)
     jacobians = iter(jacobians)
     effects = gs.effect_matrix()
     # row 0 of a Jacobian, in effect 0's columns, is the circuit's output state v
     meas = param_blocks(gs)["meas"].start
-    total = HeldFim(rows=coords(np.zeros((0, n_params(gs)))))
+    total = HeldFim(rows=np.zeros((0, n_params(gs))))
     for lo in range(0, len(circuits), FIM_BLOCK):
         rows = []
         for _, jac in zip(circuits[lo : lo + FIM_BLOCK], jacobians):
             p = np.clip(effects @ jac[0, meas : meas + gs.dim], clip_floor, 1.0)
             rows.append(jac * np.sqrt(shots / p)[:, None])
-        total += HeldFim.from_rows(coords(np.concatenate(rows)))
+        total += HeldFim.from_rows(np.concatenate(rows))
     return total
-
-
-class _ColumnSum:
-    """A ``coords`` map for :func:`circuits_fim` that passes each block
-    ``W`` through ``coords`` (unmapped when ``None``) and also adds
-    ``W[:, columns]`` to its own sum, ``total``, by the same rule."""
-
-    def __init__(self, coords, columns: slice):
-        self.coords, self.columns = coords or (lambda w: w), columns
-        self.total: HeldFim | None = None
-
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        part = HeldFim.from_rows(w[:, self.columns])
-        self.total = part if self.total is None else self.total + part
-        return self.coords(w)
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -261,87 +238,60 @@ def bucket_fims(
     design: ExperimentDesign,
     shots: int = DEFAULT_SHOTS,
     clip_floor: float = PROB_CLIP_FLOOR,
-    coords=None,
 ) -> tuple[HeldFim, ...]:
     """Incremental Fisher matrix of each max-depth bucket, in schedule order,
-    in the columns ``coords`` maps to, each a :func:`circuits_fim` sum held
-    by :class:`HeldFim`'s rule: the one place a design's per-bucket
-    matrices are built.  Rows come from :func:`bucket_jacobians`."""
+    one column per parameter, each a :func:`circuits_fim` sum held by
+    :class:`HeldFim`'s rule: the one place a design's per-bucket matrices
+    are built.  Rows come from :func:`bucket_jacobians`."""
     return tuple(
-        circuits_fim(gs, circuits, shots, clip_floor, coords, jacobians=jacobians)
+        circuits_fim(gs, circuits, shots, clip_floor, jacobians=jacobians)
         for circuits, jacobians in bucket_jacobians(gs, design)
     )
 
 
 class NongaugeFrame:
-    """A design's bucket matrices in the non-gauge frame of one model.
+    """A design's bucket matrices, read in the non-gauge frame of one model.
 
-    The frame's coordinates, the :func:`~gstdesign.model.gauge_tangent` of
-    ``gs``, are taken once; its pivoted QR gives the non-gauge dimension
-    ``dim``.  ``increments`` (one :func:`circuits_fim` sum per bucket,
-    each built once) and their prefix sums ``cumulative`` are
-    :class:`HeldFim` sums, and the design's row count decides once how
-    they are held:
-
-    * A design with fewer rows than ``dim`` keeps its weighted rows ``W``
-      unmapped (``n_params`` wide), concatenated once into one stack:
-      bucket matrix ``k`` is a view of its rows of the stack, cumulative
-      matrix ``k`` a view of the first ``m_k`` rows.  These matrices are
-      only read through row Grams ``W W^T``, which equal those of the
-      mapped rows ``W Q2``: outcome probabilities are gauge invariant at
-      the frame's model, so ``W Q1 = 0`` for the gauge directions ``Q1``.
-    * Any other design has each block's ``W`` mapped to ``W Q2`` as it is
-      accumulated, so each bucket matrix is built directly ``dim`` wide
-      and held by :class:`HeldFim`'s rule (as rows or as its Gram).
-
-    With ``columns``, a slice of the parameter vector (such as one
-    operation's :func:`~gstdesign.model.param_blocks` entry), the same
-    walk over circuits also sums each block's ``W[:, columns]`` on its own
-    into ``column_increments``, the bucket's full-frame matrix restricted
-    to those columns.  The ``increments`` are built exactly as without
-    ``columns``, so the report does not depend on them.  Probabilities
-    are clipped at :func:`certification_clip_floor` of ``shots``.
+    The :func:`~gstdesign.model.gauge_tangent` of ``gs`` is taken once; its
+    pivoted QR gives the non-gauge dimension ``dim``.  ``increments`` (the
+    design's :func:`bucket_fims`, built once) and their prefix sums
+    ``cumulative`` are :class:`HeldFim` sums, one column per parameter,
+    held by its smaller-side rule.  No row is mapped into the frame:
+    outcome probabilities are gauge invariant at the frame's model, so
+    ``W Q1 = 0`` for its gauge directions ``Q1``, and a matrix's spectrum
+    is its ``dim`` non-gauge eigenvalues plus one rounding-level eigenvalue
+    per gauge direction, which :func:`~gstdesign.held.padded_spectrum`
+    reads as ``0.0``.  Every spectrum is the first ``dim`` entries of the
+    held matrix's padded spectrum.  Probabilities are clipped at
+    :func:`certification_clip_floor` of ``shots``.
 
     Eigensolves are cached, so no matrix is solved twice.  The deepest
     cumulative matrix is solved by one ``eigh`` of its Gram or, when it
     is row-held, of its ``m x m`` row Gram ``G = F F^T``; the eigenpairs
     above rounding noise are the tracked directions (:meth:`deepest`).
-    Every spectrum follows :func:`~gstdesign.held.padded_spectrum`'s
-    rule.  When the deepest matrix is row-held, so is every other one:
-    cumulative matrix ``k`` is the first ``m_k`` of its rows, its
-    trajectories are prefix sums (:meth:`trajectories`), and any other
-    spectrum is ``eigvalsh`` of a diagonal block of ``G``.  No eigensolve
-    is wider than the rows it comes from.
+    More than ``dim`` of them means gauge has leaked into the rows, and
+    raises :class:`CertificationError`.  When the deepest matrix is
+    row-held (fewer rows than ``n_params``), so is every other one: the
+    rows are concatenated once into one stack, bucket matrix ``k`` is a
+    view of its rows of the stack and cumulative matrix ``k`` a view of
+    the first ``m_k`` rows, its trajectories are prefix sums
+    (:meth:`trajectories`), and any other spectrum is ``eigvalsh`` of a
+    diagonal block of ``G``.  No eigensolve is wider than the rows it
+    comes from.
     """
 
-    def __init__(
-        self,
-        gs: GateSet,
-        design: ExperimentDesign,
-        shots: int = DEFAULT_SHOTS,
-        columns: slice | None = None,
-    ):
-        clip_floor = certification_clip_floor(shots)
+    def __init__(self, gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS):
         tangent = gauge_tangent(gs)
         self.n_params, self.dim = tangent.n_params, tangent.dim
-        self.column_increments: tuple[HeldFim, ...] = ()
-        # a design with fewer rows than the frame's dimension keeps them unmapped
-        self._row_held = len(design.circuits) * gs.num_effects < self.dim
-        coords = None if self._row_held else tangent.rows
-        if columns is None:
-            self.increments = bucket_fims(gs, design, shots, clip_floor, coords)
-        else:
-            sums = [_ColumnSum(coords, columns) for _ in design.maxdepths]
-            self.increments = tuple(
-                circuits_fim(gs, circuits, shots, clip_floor, walk, jacobians=jacobians)
-                for (circuits, jacobians), walk in zip(bucket_jacobians(gs, design), sums)
-            )
-            self.column_increments = tuple(walk.total for walk in sums)
+        self.increments = bucket_fims(gs, design, shots, certification_clip_floor(shots))
+        # HeldFim's rule for the deepest sum: its rows while they are fewer than n_params
+        n_rows = [self.n_params if m.rows is None else len(m.rows) for m in self.increments]
+        self._row_held = sum(n_rows) < self.n_params
         # where each cumulative matrix ends: its row count when row-held, else
         # its bucket count
         if self._row_held:
             # one stack of the rows, of which every matrix is a view
-            self._ends = np.cumsum([len(m.rows) for m in self.increments]).tolist()
+            self._ends = np.cumsum(n_rows).tolist()
             stack = np.concatenate([m.rows for m in self.increments])
             self.cumulative = tuple(HeldFim(rows=stack[:hi]) for hi in self._ends)
             self.increments = self.cumulative[:1] + tuple(
@@ -361,9 +311,15 @@ class NongaugeFrame:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenpairs above rounding noise of the deepest
-        cumulative matrix's Gram, or of its row Gram when it is row-held."""
+        cumulative matrix's Gram, or of its row Gram when it is row-held;
+        :class:`CertificationError` when there are more than ``dim``."""
         evals, vecs = np.linalg.eigh(self._row_gram if self._row_held else self.cumulative[-1].gram)
         noise = len(evals) - np.count_nonzero(above_noise(evals))
+        if len(evals) - noise > self.dim:
+            raise CertificationError(
+                f"the deepest Fisher matrix has {len(evals) - noise} eigenvalues above rounding noise, more than"
+                f" the evaluation model's {self.dim} non-gauge directions: gauge has leaked into its rows"
+            )
         return evals[noise:], vecs[:, noise:]
 
     def deepest(self) -> np.ndarray:
@@ -373,21 +329,21 @@ class NongaugeFrame:
 
     def spectrum(self, cumulative: bool, index: int) -> np.ndarray:
         """Non-gauge eigenvalues, descending, of bucket matrix ``index`` or,
-        when ``cumulative``, of its prefix sum, by
-        :func:`~gstdesign.held.padded_spectrum`'s rule."""
+        when ``cumulative``, of its prefix sum: the first ``dim`` entries
+        of its spectrum by :func:`~gstdesign.held.padded_spectrum`'s rule."""
         index = range(len(self.increments))[index]  # -1 and the last index share a cache entry
         # the matrix's span lo:hi of the deepest one's rows, or of the buckets;
         # a first bucket shares its entry with the first cumulative matrix
         key = (0 if cumulative or index == 0 else self._ends[index - 1], self._ends[index])
         if key not in self._spectra:
             if key == (0, self._ends[-1]):
-                spectrum = padded_spectrum(self._eigh[0], self.dim)
+                spectrum = padded_spectrum(self._eigh[0], self.n_params)
             elif self._row_held:
                 rows = slice(*key)
-                spectrum = padded_spectrum(np.linalg.eigvalsh(self._row_gram[rows, rows]), self.dim)
+                spectrum = padded_spectrum(np.linalg.eigvalsh(self._row_gram[rows, rows]), self.n_params)
             else:
                 spectrum = (self.cumulative if key[0] == 0 else self.increments)[index].eigvalsh()
-            self._spectra[key] = spectrum
+            self._spectra[key] = spectrum[: self.dim]
         return self._spectra[key]
 
     def trajectories(self, indices) -> np.ndarray:
@@ -430,16 +386,20 @@ def incremental_series(design: ExperimentDesign, frame: NongaugeFrame) -> Fisher
     return _frame_series(design, frame, False)
 
 
-def block_series(design: ExperimentDesign, frame: NongaugeFrame) -> FisherSeries:
+def block_series(design: ExperimentDesign, frame: NongaugeFrame, columns: slice) -> FisherSeries:
     """Series of each bucket matrix restricted to one operation's parameter
-    block and zero elsewhere, from the ``column_increments`` of a frame
-    built with that operation's ``columns``: each block's eigenvalues
-    and one ``0.0`` per other parameter."""
+    block ``columns`` (its :func:`~gstdesign.model.param_blocks` entry) and
+    zero elsewhere: each block, sliced from the frame's ``increments`` and
+    held by :class:`HeldFim`'s rule, gives its eigenvalues and one ``0.0``
+    per other parameter."""
+    blocks = (
+        HeldFim(gram=m.gram[columns, columns]) if m.rows is None else HeldFim.from_rows(m.rows[:, columns])
+        for m in frame.increments
+    )
     return FisherSeries(
         maxdepths=design.maxdepths,
         spectra=tuple(
-            tuple(np.concatenate([m.eigvalsh(), np.zeros(frame.n_params - m.width)]).tolist())
-            for m in frame.column_increments
+            tuple(np.concatenate([m.eigvalsh(), np.zeros(frame.n_params - m.width)]).tolist()) for m in blocks
         ),
     )
 
@@ -522,9 +482,9 @@ def certify_design(
 ) -> CertificationReport:
     """Classify every non-gauge direction of the cumulative series.
 
-    All linear algebra runs in the non-gauge frame of the evaluation point
-    (see :class:`NongaugeFrame`), which removes the gauge directions
-    exactly.  The classified directions are the deepest cumulative
+    Spectra are read in the non-gauge frame of the evaluation point (see
+    :class:`NongaugeFrame`), where the gauge directions carry only
+    rounding noise.  The classified directions are the deepest cumulative
     matrix's eigen-directions above rounding noise, in ascending order of
     its eigenvalues, which are the report's ``total_information``; the
     noise directions and those outside a row-held matrix's span come
@@ -555,9 +515,11 @@ def certify_design(
 
     Certification clips probabilities at the shot-resolution scale (see
     :func:`certification_clip_floor`) rather than the hard floor.
-    ``frame`` holds the design's bucket matrices at that floor in the
-    non-gauge frame of ``gs_eval``; it is built when not given, and the
-    eigensolves done here are cached on it for the caller's spectra.
+    ``frame`` holds the design's bucket matrices at that floor, read in
+    the non-gauge frame of ``gs_eval``; it is built when not given, and
+    the eigensolves done here are cached on it for the caller's spectra.
+    A frame whose deepest matrix has more directions above noise than
+    its dimension raises :class:`CertificationError`.
     """
     require_certifiable(design)
     target = target or gs_eval

@@ -758,17 +758,17 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
 
 
 class GaugeTangent:
-    """A gauge tangent basis, its rank and orthonormal coordinates on the
-    complement of its span, all from one pivoted Householder QR
+    """A gauge tangent basis and its rank, from one pivoted Householder QR
     ``basis P = Q R`` (built by :func:`gauge_tangent`).
 
-    ``rank`` is the :func:`numerical_rank` of ``|diag R|``; the trailing
-    ``dim = n_params - rank`` columns ``Q2`` of ``Q`` are the non-gauge
-    coordinates.  ``Q`` is kept as its reflectors and applied with LAPACK
-    ``dormqr``; it is only formed by :meth:`nongauge_basis`.  The QR, and
-    the SciPy import it needs, is taken on first use of the rank or of the
-    frame (``rank``, ``dim``, :meth:`rows`, :meth:`nongauge_basis`);
-    ``basis`` and ``n_params`` need none.
+    ``rank`` is the :func:`numerical_rank` of ``|diag R|``, and ``dim =
+    n_params - rank`` is the non-gauge dimension, the frame width that
+    certification reads its spectra in.  ``Q`` is kept as its reflectors;
+    its trailing ``dim`` columns ``Q2``, orthonormal coordinates on the
+    complement of the basis's span, are formed only by
+    :meth:`nongauge_basis`, the dense reference.  The QR, and the SciPy
+    import it needs, is taken on first use of ``rank``, ``dim`` or
+    :meth:`nongauge_basis`; ``basis`` and ``n_params`` need none.
     """
 
     def __init__(self, basis: np.ndarray):
@@ -791,26 +791,17 @@ class GaugeTangent:
     def dim(self) -> int:
         return self.n_params - self.rank
 
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        """``w Q2``: each row of ``w`` (a row over the parameters) in the
-        non-gauge coordinates."""
-        return self._apply("R", w)[:, self.rank :]
-
     def nongauge_basis(self) -> np.ndarray:
         """Dense ``Q2``, ``n_params x dim``: ``Q`` applied to the trailing
-        identity columns."""
+        identity columns by LAPACK ``dormqr``."""
         trailing = np.zeros((self.n_params, self.dim), order="F")
-        trailing[self.rank :] = np.eye(self.dim)
-        return self._apply("L", trailing)
-
-    def _apply(self, side: str, c: np.ndarray) -> np.ndarray:
-        """``Q`` times ``c`` from ``side`` ("L" or "R")."""
-        if c.size == 0:
-            return np.array(c, dtype=float)
+        if not self.dim:
+            return trailing
         from scipy.linalg import lapack
 
+        trailing[self.rank :] = np.eye(self.dim)
         reflectors, tau, _ = self._qr
-        args = (side, "N", reflectors, tau, c)
+        args = ("L", "N", reflectors, tau, trailing)
         lwork = int(lapack.dormqr(*args, -1)[1][0])
         out, _, info = lapack.dormqr(*args, lwork)
         if info != 0:

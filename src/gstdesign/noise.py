@@ -70,9 +70,13 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
     """Apply per-gate sampled coherent error (and optional depolarization).
 
     Each gate becomes ``D_eta . expm(sum_a h_a H_a) . G`` with independent
-    weights per gate; the error factor acts after the gate.  With
-    sigma = eta = 0 the target is returned unchanged.  A gate with a
-    non-finite entry raises :class:`NonFiniteModelError`.
+    weights per gate; the error factor acts after the gate.  The weights
+    are drawn gate by gate in sorted label order, so the noisy model does
+    not depend on the order the target lists its gates in (a saved and
+    loaded gate set lists them sorted); the gates come back in the
+    target's order.  With sigma = eta = 0 the target is returned
+    unchanged.  A gate with a non-finite entry raises
+    :class:`NonFiniteModelError`.
     """
     if spec.sigma == 0.0 and (spec.kind == "coherent-only" or spec.eta == 0.0):
         return target
@@ -82,7 +86,8 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
     depol = depolarizing_ptm(target.dim, spec.eta) if spec.kind == "coherent-depol" else None
     rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), 0x6E6F6973]))
     gates = {}
-    for label, g in target.gates.items():
+    for label in sorted(target.gates):
+        g = target.gates[label]
         weights = rng.normal(0.0, spec.sigma, size=len(gens))
         generator = sum(w * h for w, h in zip(weights, gens))
         err = scipy.linalg.expm(generator)
@@ -92,6 +97,7 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
         if not np.all(np.isfinite(noisy)):
             raise NonFiniteModelError(f"noise sigma {spec.sigma:g} makes gate {label!r} non-finite")
         gates[label] = noisy
+    gates = {label: gates[label] for label in target.gates}
     return GateSet(gates, target.prep, target.effects, target.two_qubit_labels)
 
 

@@ -226,8 +226,10 @@ def test_main_leaves_numpy_error_state(small_design, tmp_path):
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
 def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatch, kind):
-    # the random design keeps one pair per plaquette, so its buckets past
-    # L = 1 hold fewer rows than the 31 non-gauge columns and are row-held
+    # every bucket of the full design holds more rows than XYI's 43
+    # parameters and is held as its Gram; the random design keeps one pair
+    # per plaquette, so its buckets past L = 1 (184 rows) hold 2 to 6 rows
+    # and are held as rows
     sparse_design = tmp_path / "sparse.json"
     argv = ["--germs", "bare", "--fpr", "random", "--gamma", "0.03", "--Lmax", "16", "--seed", "3"]
     assert run(["design", "--gateset", "xyi", *argv, "--out", str(sparse_design)]) == 0
@@ -242,7 +244,7 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
         return fim
 
     monkeypatch.setattr(fisher, "circuits_fim", counting)
-    for path, row_held in ((small_design, False), (sparse_design, True)):
+    for path, row_held in ((small_design, [False] * 5), (sparse_design, [False] + [True] * 4)):
         seen.clear()
         forms.clear()
         code = run(
@@ -256,7 +258,7 @@ def test_certify_builds_each_circuit_fim_once(small_design, tmp_path, monkeypatc
         design = ExperimentDesign.load(path)
         assert seen == Counter(c.labels for c in design.circuits)
         assert set(seen.values()) == {1}
-        assert any(forms) == row_held
+        assert forms == row_held
 
 
 def _with_unreached_circuit(small_design, tmp_path):
@@ -697,7 +699,8 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
     assert len(models) == 2 and models[0] is not models[1]
 
 
-# small_design has 5 max depths and 31 non-gauge parameters
+# small_design has 5 max depths and 43 parameters, and each of its buckets
+# holds more rows than that, so every matrix is a 43-wide Gram
 @pytest.mark.parametrize(
     "options, solves",
     [
@@ -728,7 +731,7 @@ def test_certify_eigensolves_each_nongauge_matrix_once(small_design, tmp_path, m
     assert run(["certify", "--gateset", "xyi", "--design", str(small_design), *options]) == 0
     assert len(ExperimentDesign.load(small_design).maxdepths) == 5
     assert len(widths) == solves
-    assert set(widths) == {31}
+    assert set(widths) == {43}
 
 
 SERIES = {"cumulative": "cumulative_series", "incremental": "incremental_series", "projected": "block_series"}
@@ -850,6 +853,23 @@ def test_certify_single_depth_exits_3_before_any_fisher_matrix(tmp_path, monkeyp
     assert run(["certify", "--gateset", "xyi", "--design", str(path)]) == cli.EXIT_BAD_INPUT
     assert "needs at least two" in capsys.readouterr().err
     assert calls == []
+
+
+def test_certify_exits_3_when_gauge_leaks_into_the_rows(small_design, monkeypatch, capsys):
+    # a gauge tangent of too high a rank: 5 more independent columns leave
+    # 26 non-gauge directions against the 31 the design's rows resolve
+    gauge_tangent = model.gauge_tangent
+
+    def leaky(gs):
+        basis = gauge_tangent(gs).basis
+        noise = np.random.default_rng(3).standard_normal((len(basis), 5))
+        return model.GaugeTangent(np.column_stack([basis, noise]))
+
+    monkeypatch.setattr(fisher, "gauge_tangent", leaky)
+    assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot certify {small_design}: the deepest Fisher matrix has 31 eigenvalues")
+    assert "26 non-gauge directions: gauge has leaked into its rows" in err and "Traceback" not in err
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -26,7 +26,7 @@ from gstdesign.model import (
     probability_jacobian,
     to_vector,
 )
-from gstdesign.noise import perturbed_models
+from gstdesign.noise import PROB_CLIP_FLOOR, perturbed_models
 
 GERMS = [Circuit(("Gx",)), Circuit(("Gy",)), Circuit(("Gx", "Gx", "Gy"))]
 
@@ -155,26 +155,26 @@ def test_probabilities_read_from_each_jacobian_equal_the_reference_in_bits(walk_
         assert read.tobytes() == circuit_probabilities(gs, c).tobytes()
 
 
-def per_block_walk_fim(gs, circuits, shots, clip_floor, coords):
+def per_block_walk_fim(gs, circuits, shots, clip_floor):
     """circuits_fim with each block's probabilities from one prefix walk."""
-    coords = coords or (lambda w: w)
-    total = FI.HeldFim(rows=coords(np.zeros((0, n_params(gs)))))
+    total = FI.HeldFim(rows=np.zeros((0, n_params(gs))))
     for lo in range(0, len(circuits), FI.FIM_BLOCK):
         block = circuits[lo : lo + FI.FIM_BLOCK]
         probs = np.clip(circuits_probabilities(gs, block), clip_floor, 1.0)
         rows = [probability_jacobian(gs, c) * np.sqrt(shots / p)[:, None] for c, p in zip(block, probs)]
-        total += FI.HeldFim.from_rows(coords(np.concatenate(rows)))
+        total += FI.HeldFim.from_rows(np.concatenate(rows))
     return total
 
 
 @pytest.mark.parametrize("in_frame", [False, True])
 @pytest.mark.parametrize("name", ["xyi", "xycphase"])
 def test_circuits_fim_equals_the_per_block_walk_in_bits(walk_cases, name, in_frame):
+    """At the hard clip floor and, ``in_frame``, at the certification floor
+    a frame sums its buckets at."""
     gs, circuits = walk_cases[name]
-    coords = gauge_tangent(gs).rows if in_frame else None
-    clip_floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    got = FI.circuits_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor, coords)
-    want = per_block_walk_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor, coords)
+    clip_floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS) if in_frame else PROB_CLIP_FLOOR
+    got = FI.circuits_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor)
+    want = per_block_walk_fim(gs, circuits, FI.DEFAULT_SHOTS, clip_floor)
     assert (got.rows is None) == (want.rows is None) == (name == "xyi")  # Gram-held on XYI, row-held on 2Q
     held = (got.gram, want.gram) if got.rows is None else (got.rows, want.rows)
     assert held[0].tobytes() == held[1].tobytes()
@@ -303,9 +303,7 @@ def test_simulate_and_certify_walk_the_same_bodies(monkeypatch, xyi, xyi_fiducia
 
 
 def test_circuits_fim_of_no_circuits_is_an_empty_sum(eval_model):
-    tangent = gauge_tangent(eval_model)
     assert FI.circuits_fim(eval_model, []).rows.shape == (0, n_params(eval_model))
-    assert FI.circuits_fim(eval_model, [], coords=tangent.rows).rows.shape == (0, tangent.dim)
 
 
 def test_bucket_rows_do_not_depend_on_circuit_order(body_walk_designs):
@@ -408,47 +406,42 @@ def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, na
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
     q = gauge_tangent(gs).nongauge_basis()
     unmapped = FI.bucket_fims(gs, des, clip_floor=floor)
-    full = [m.matrix() for m in unmapped]
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
-    joint = FI.NongaugeFrame(gs, des, columns=sl)
-    dim, rows = q.shape[1], [gs.num_effects * des.buckets.count(depth) for depth in des.maxdepths]
-    # XYI designs hold more rows than its 31 non-gauge columns, so their
-    # frames map each block into those columns and hold a bucket as its Gram
-    # from 31 rows on; the 2Q design holds fewer rows than 1023 in all, so
-    # its frame keeps every bucket as its unmapped rows, 1263 wide.  Three
-    # sparse XYI buckets hold 32 or 34 rows and one holds 12, as many as the
-    # operation's columns
-    row_held = sum(rows) < dim
-    assert row_held == (name == "xycphase")
+    rows = [gs.num_effects * des.buckets.count(depth) for depth in des.maxdepths]
+    # every matrix is held one column per parameter by HeldFim's rule: as its
+    # rows while they are fewer than the parameters (43 on XYI, 1263 on
+    # XYCPHASE), then as its Gram.  The 2Q design holds fewer rows in all, so
+    # every matrix is rows; the sparse XYI buckets hold 34, 12, 32 and 34
+    # rows, each held as rows while their prefix sums are Grams from the
+    # second on, and the 12-row bucket has as many rows as the operation's
+    # columns
+    width = frame.n_params
+    assert (sum(rows) < width) == (name == "xycphase")
     if name == "xyi-sparse":
         assert rows == [34, 12, 32, 34] and sl.stop - sl.start == 12
-    width = frame.n_params if row_held else dim
-    for held in (frame, joint):
-        assert [m.width for m in held.increments] == [width] * len(des.maxdepths)
-        assert [m.rows is None for m in held.increments] == [r >= width for r in rows]
-        assert [m.rows is None for m in held.cumulative] == [r >= width for r in np.cumsum(rows)]
-    for k, m in enumerate(full):
-        want = q.T @ m @ q
+    assert [m.width for m in frame.increments + frame.cumulative] == [width] * 2 * len(des.maxdepths)
+    assert [m.rows is None for m in frame.increments] == [r >= width for r in rows]
+    assert [m.rows is None for m in frame.cumulative] == [r >= width for r in np.cumsum(rows)]
+    blocks = FI.block_series(des, frame, sl).spectra
+    for k, m in enumerate(unmapped):
+        # the frame's increments are the design's bucket matrices, bit for bit
+        assert frame.increments[k].matrix().tobytes() == m.matrix().tobytes()
+        full = m.matrix()
+        want = q.T @ full @ q
         scale = np.max(np.abs(want))
         assert scale > 0
-        if row_held:
-            # the rows, mapped here, give the projected matrix, and their row
-            # Gram is the mapped rows' one: outcome probabilities are gauge
-            # invariant, so the rows have no gauge component
-            got = frame.increments[k].rows
-            assert got.tobytes() == unmapped[k].rows.tobytes()
-            mapped = got @ q
-            assert np.max(np.abs(mapped.T @ mapped - want)) <= 1e-12 * scale
-            assert np.max(np.abs(got @ got.T - mapped @ mapped.T)) <= 1e-12 * scale
-        else:
-            assert np.max(np.abs(frame.increments[k].matrix() - want)) <= 1e-12 * scale
-        # a projected frame's increments are a cumulative frame's, bit for bit
-        same = joint.increments[k]
-        assert (same.rows is None) == (frame.increments[k].rows is None)
-        assert (same.matrix()).tobytes() == frame.increments[k].matrix().tobytes()
-        column = joint.column_increments[k].matrix()
-        assert np.max(np.abs(column - m[sl, sl])) <= 1e-12 * np.max(np.abs(m))
+        # outcome probabilities are gauge invariant, so the unmapped matrix
+        # is its projection: it has no gauge component, and its spectrum is
+        # the projected one followed by one 0.0 per gauge direction
+        assert np.max(np.abs(full - q @ want @ q.T)) <= 1e-12 * scale
+        spectrum = frame.spectrum(False, k)
+        assert len(spectrum) == frame.dim
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(want)[::-1])) <= 1e-12 * scale
+        # a projected series slices the operation's block from the same matrix
+        block = np.linalg.eigvalsh(full[sl, sl])[::-1]
+        assert np.max(np.abs(np.array(blocks[k][: len(block)]) - block)) <= 1e-12 * np.max(np.abs(full))
+        assert blocks[k][len(block) :] == (0.0,) * (width - len(block))
     sums = np.cumsum([m.matrix() for m in frame.increments], axis=0)
     for cum, want in zip(frame.cumulative, sums):
         assert np.max(np.abs(cum.matrix() - want)) <= 1e-12 * np.max(np.abs(want))
@@ -518,10 +511,12 @@ def test_counts_do_not_depend_on_circuit_order(xyi, xyi_fiducials):
     information in either held form, so every count is the same in each
     order.  The designs: the benchmark's wide 2Q design (germs Gxi and
     Gcphase Gxi Giy on 4 prep x 3 meas fiducials, L <= 4), 404 rows held
-    as rows against 1023 non-gauge columns, about a quarter of its row
-    Gram's eigenvalues noise; the 16-circuit XYI design (32 rows, held as
-    Grams from L = 4 on); and a 2Q random-FPR design of the standard germs
-    (gamma 0.03, seed 1, L <= 16, 833 circuits), held as Grams."""
+    as rows against 1263 parameters, about a quarter of its row Gram's
+    eigenvalues noise; the 16-circuit XYI design (32 rows, held as rows
+    against 43 parameters, more than its 31 non-gauge directions); the
+    22-circuit XYI design (44 rows, held as a Gram at L = 4); and a 2Q
+    random-FPR design of the standard germs (gamma 0.03, seed 1, L <= 16,
+    833 circuits), held as Grams."""
     xycphase = builtin_gateset("xycphase")
     cases = [
         (
@@ -536,6 +531,7 @@ def test_counts_do_not_depend_on_circuit_order(xyi, xyi_fiducials):
             5,
         ),
         (xyi, _boundary_design(xyi, xyi_fiducials, 16), 5),
+        (xyi, _boundary_design(xyi, xyi_fiducials, 22), 5),
         (
             xycphase,
             D.build_design(
@@ -549,7 +545,7 @@ def test_counts_do_not_depend_on_circuit_order(xyi, xyi_fiducials):
             3,
         ),
     ]
-    assert [len(des.circuits) for _, des, _ in cases] == [101, 16, 833]
+    assert [len(des.circuits) for _, des, _ in cases] == [101, 16, 22, 833]
     for gs, des, n_orders in cases:
         gs_eval = FI.default_eval_model(gs, seed=41 if gs is xyi else 97)
         counts = set()
@@ -564,16 +560,23 @@ def test_counts_do_not_depend_on_circuit_order(xyi, xyi_fiducials):
         assert len(counts) == 1, len(des.circuits)
 
 
+# circuits: (meas fiducials, germs) of an XYI design on one prep fiducial at L <= 4
+BOUNDARY_DESIGNS = {15: (3, 1), 16: (2, 3), 21: (5, 1), 22: (3, 3)}
+
+
 def _boundary_design(xyi, xyi_fiducials, n_circuits):
-    """An XYI design of 15 circuits (30 rows, one below the 31 non-gauge
-    columns) or of 16 circuits (32 rows), three max depths each."""
-    meass, germs = (xyi_fiducials[:3], GERMS[:1]) if n_circuits == 15 else (xyi_fiducials[:2], GERMS)
-    des = D.build_design(xyi_fiducials[:1], meass, germs, D.default_schedule(4), gateset_labels=xyi.labels)
+    """An XYI design of three max depths: 15 circuits (30 rows, one below
+    the 31 non-gauge directions), 16 (32 rows), 21 (42 rows, one below the
+    43 parameters) or 22 (44 rows, held as a Gram at the deepest depth)."""
+    n_meas, n_germs = BOUNDARY_DESIGNS[n_circuits]
+    des = D.build_design(
+        xyi_fiducials[:1], xyi_fiducials[:n_meas], GERMS[:n_germs], D.default_schedule(4), gateset_labels=xyi.labels
+    )
     assert len(des.circuits) == n_circuits
     return des
 
 
-@pytest.mark.parametrize("n_circuits", [15, 16])
+@pytest.mark.parametrize("n_circuits", [15, 16, 21, 22])
 def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(xyi, xyi_fiducials, n_circuits):
     des = _boundary_design(xyi, xyi_fiducials, n_circuits)
     gs = FI.default_eval_model(xyi, seed=41)
@@ -582,9 +585,9 @@ def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(x
     inc = np.stack([q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)])
     cum = np.cumsum(inc, axis=0)
     frame = FI.NongaugeFrame(gs, des)
-    # 30 rows are held unmapped, n_params wide; 32 are mapped and squared
-    assert (frame.cumulative[-1].rows is not None) == (n_circuits == 15)
-    assert frame.cumulative[-1].width == (43 if n_circuits == 15 else 31)
+    # up to 42 rows are held as rows, 44 as their Gram, one column per parameter
+    assert (frame.cumulative[-1].rows is not None) == (n_circuits < 22)
+    assert frame.cumulative[-1].width == 43
     evals, vecs = np.linalg.eigh(cum[-1])
     top = evals[-1]
     for series, matrices in ((FI.cumulative_series(des, frame), cum), (FI.incremental_series(des, frame), inc)):
@@ -609,7 +612,7 @@ def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(x
 
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
-@pytest.mark.parametrize("case", ["xyi-15", "xyi-16", "xycphase"])
+@pytest.mark.parametrize("case", ["xyi-15", "xyi-16", "xyi-22", "xycphase"])
 def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch, xyi, xyi_fiducials, case, kind):
     if case == "xycphase":
         gateset, op = "xycphase", "Gxi"
@@ -617,11 +620,11 @@ def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch
     else:
         gateset, op = "xyi", "Gx"
         des = _boundary_design(xyi, xyi_fiducials, int(case[-2:]))
-    row_held = case != "xyi-16"
+    row_held = case != "xyi-22"
     design = tmp_path / "design.json"
     dataclasses.replace(des, gateset_ref=gateset).save(design)
     calls, frames = Counter(), []
-    rows, dormqr, frame_type = GaugeTangent.rows, scipy.linalg.lapack.dormqr, FI.NongaugeFrame
+    dormqr, frame_type = scipy.linalg.lapack.dormqr, FI.NongaugeFrame
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -634,7 +637,6 @@ def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch
         frames.append(frame_type(*args, **kwargs))
         return frames[-1]
 
-    monkeypatch.setattr(GaugeTangent, "rows", counted("rows", rows))
     monkeypatch.setattr(scipy.linalg.lapack, "dormqr", counted("dormqr", dormqr))
     monkeypatch.setattr(FI, "NongaugeFrame", recorded)
     code = cli.main(
@@ -646,11 +648,12 @@ def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch
     )
     assert code == 0 and len(frames) == 1
     frame = frames[0]
-    if not row_held:
-        # a Gram-held frame maps every block, the empty first one included
-        assert calls["rows"] == len(des.maxdepths) * 2 and calls["dormqr"] > 0
-        return
+    # no frame maps a row into the non-gauge coordinates
     assert calls == Counter()
+    if not row_held:
+        # the deepest matrix is a Gram, one column per parameter
+        assert frame.cumulative[-1].gram.shape == (frame.n_params, frame.n_params)
+        return
     # every matrix is a view of one stack of all rows, one column per parameter
     stack = frame.cumulative[-1].rows.base
     n_rows = len(des.circuits) * (4 if gateset == "xycphase" else 2)
@@ -697,9 +700,6 @@ def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
     assert q2.shape == (30, 25)
     assert np.max(np.abs(q2.T @ q2 - np.eye(25))) <= 1e-12
     assert np.max(np.abs(core.T @ q2)) <= 1e-12 * np.max(np.abs(core))
-    w = rng.standard_normal((7, 30))
-    assert np.max(np.abs(coords.rows(w) - w @ q2)) <= 1e-12 * np.max(np.abs(w))
-    assert coords.rows(np.zeros((0, 30))).shape == (0, 25)
     assert GaugeTangent(np.zeros((30, 3))).rank == 0
     for gs in (xyi, make_xycphase_gateset()):
         tangent = gauge_tangent(gs)
@@ -719,11 +719,15 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         shapes.append(fim.gram.shape)
         return fim
 
-    def dense_basis(*args, **kwargs):
-        raise AssertionError("certify formed a dense non-gauge basis")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"certify called {name}")
+
+        return call
 
     monkeypatch.setattr(FI, "circuits_fim", recording)
-    monkeypatch.setattr(GaugeTangent, "nongauge_basis", dense_basis)
+    monkeypatch.setattr(GaugeTangent, "nongauge_basis", forbidden("nongauge_basis"))
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", forbidden("dormqr"))
     code = cli.main(
         [
             "certify", "--gateset", "xyi", "--design", str(design), "--kind", kind,
@@ -731,8 +735,9 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         ]
     )
     assert code == 0
-    # one Gram per max-depth bucket (L = 1, 2, 4, 8), each 31 x 31
-    assert shapes == [(31, 31)] * 4
+    # one Gram per max-depth bucket (L = 1, 2, 4, 8), one column per parameter,
+    # and no row mapped into the non-gauge frame
+    assert shapes == [(43, 43)] * 4
 
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
@@ -841,6 +846,34 @@ def test_certify_needs_two_depths(eval_model, xyi_fiducials):
         FI.certify_design(eval_model, des)
 
 
+def leaky_gauge_tangent(extra):
+    """A stand-in for gauge_tangent whose basis has ``extra`` more random,
+    independent columns, so its ``dim`` falls ``extra`` below the model's."""
+
+    def tangent(gs):
+        basis = gauge_tangent(gs).basis
+        noise = np.random.default_rng(3).standard_normal((len(basis), extra))
+        return GaugeTangent(np.column_stack([basis, noise]))
+
+    return tangent
+
+
+@pytest.mark.parametrize("n_circuits", [21, 22])
+def test_frame_names_gauge_leaked_into_the_rows(xyi, xyi_fiducials, monkeypatch, n_circuits):
+    """More directions above rounding noise than the frame's dimension is a
+    named error, in either held form, not a crash on a negative count."""
+    des = _boundary_design(xyi, xyi_fiducials, n_circuits)
+    gs = FI.default_eval_model(xyi, seed=41)
+    rank = len(FI.NongaugeFrame(gs, des).deepest())
+    assert 2 < rank <= 31
+    monkeypatch.setattr(FI, "gauge_tangent", leaky_gauge_tangent(31 - rank + 2))
+    frame = FI.NongaugeFrame(gs, des)
+    assert frame.dim == rank - 2 and (frame.cumulative[-1].rows is None) == (n_circuits == 22)
+    match = f"has {rank} eigenvalues above rounding noise, more than the evaluation model's {rank - 2} non-gauge"
+    with pytest.raises(FI.CertificationError, match=match):
+        FI.certify_design(gs, des, target=xyi, frame=frame)
+
+
 ROBUST_GERMS = [
     Circuit(tuple(g.split()))
     for g in (
@@ -884,8 +917,9 @@ def test_certification_gauge_invariant(xyi, xyi_fiducials, eval_model):
             assert abs(report.growing - base.growing) <= 1, name
             assert report.well_constructed == base.well_constructed, name
             assert report.insensitive == base.insensitive, name
-    # rank deficient and held as Grams: every count is exact, as rounding
-    # noise reads as no information
+    # rank deficient and held as rows, more of them than the non-gauge
+    # directions: every count is exact, as rounding noise reads as no
+    # information
     des = _boundary_design(xyi, xyi_fiducials, 16)
     for k in range(7):
         kmat = np.zeros((4, 4))
@@ -927,7 +961,7 @@ def test_block_series_matches_full_frame_projection(eval_model, xyi_fiducials):
     inc = [m.matrix() for m in FI.bucket_fims(eval_model, des, clip_floor=floor)]
     for label in ("Gx", "rho"):
         sl = param_blocks(eval_model)[label]
-        series = FI.block_series(des, FI.NongaugeFrame(eval_model, des, columns=sl))
+        series = FI.block_series(des, FI.NongaugeFrame(eval_model, des), sl)
         assert len(series.spectra) == len(inc) == len(des.maxdepths)
         for spectrum, matrix in zip(series.spectra, inc):
             # the full-frame matrix with everything outside the block zeroed
@@ -942,9 +976,9 @@ def test_spam_projected_series_flat(xyi, xyi_fiducials):
     des = D.build_design(
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(256), gateset_labels=xyi.labels
     )
+    frame = FI.NongaugeFrame(eval_gs, des)
     for label in ("rho", "meas"):
-        frame = FI.NongaugeFrame(eval_gs, des, columns=param_blocks(eval_gs)[label])
-        proj = FI.block_series(des, frame)
+        proj = FI.block_series(des, frame, param_blocks(eval_gs)[label])
         tops = np.array([spec[0] for spec in proj.spectra])
         # flat within a factor of ~3 across depth buckets, no systematic growth
         later = tops[3:]
@@ -985,13 +1019,13 @@ def test_series_csv_bytes_equal_the_csv_writer_reference(tmp_path, xyi, xyi_fidu
     des = D.build_design(
         xyi_fiducials, xyi_fiducials[:3], GERMS, D.default_schedule(16), gateset_labels=xyi.labels
     )
-    frame = FI.NongaugeFrame(eval_gs, des, columns=param_blocks(eval_gs)["Gx"])
+    frame = FI.NongaugeFrame(eval_gs, des)
     labels = FI.certify_design(eval_gs, des, target=xyi, frame=frame).classifications()
     assert labels.count("gauge") == 12 and len(labels) == 43
     for name, series, classes in (
         ("cumulative", FI.cumulative_series(des, frame), labels),
         ("incremental", FI.incremental_series(des, frame), None),
-        ("projected", FI.block_series(des, frame), None),
+        ("projected", FI.block_series(des, frame, param_blocks(eval_gs)["Gx"]), None),
     ):
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
         FI.series_to_csv(series, got, classes)

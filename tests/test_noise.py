@@ -6,12 +6,41 @@ import pytest
 import scipy.stats
 
 from gstdesign import noise as N
-from gstdesign.model import Circuit, circuit_probabilities, circuits_probabilities
+from gstdesign.builtins import builtin_gateset, make_xycphase_gateset
+from gstdesign.fisher import default_eval_model
+from gstdesign.model import Circuit, GateSet, circuit_probabilities, circuits_probabilities
 
 
 def test_zero_noise_returns_target_exactly(xyi):
     out = N.sample_noisy_gateset(xyi, N.NoiseSpec("coherent-only", 0.0, 0.0, 1))
     assert out is xyi
+
+
+def same_operations(a, b):
+    """Equal gates under each label and equal SPAM, entry for entry."""
+    return (
+        a.gates.keys() == b.gates.keys()
+        and all(np.array_equal(a.gates[label], b.gates[label]) for label in a.gates)
+        and np.array_equal(a.prep, b.prep)
+        and all(np.array_equal(x, y) for x, y in zip(a.effects, b.effects, strict=True))
+    )
+
+
+def test_noisy_models_do_not_depend_on_gate_order(tmp_path):
+    built, bundled = make_xycphase_gateset(), builtin_gateset("xycphase")
+    # the builder lists the gates as Gxi, Gyi, Gix, Giy, Gcphase, and a saved
+    # gate set loads them sorted
+    assert list(built.gates) != sorted(built.gates) and list(bundled.gates) == sorted(built.gates)
+    assert same_operations(built, bundled)
+    built.save(tmp_path / "xycphase.json")
+    loaded = GateSet.load(tmp_path / "xycphase.json")
+    spec = N.NoiseSpec("coherent-depol", 1e-2, 1e-3, 7)
+    noisy, reloaded = N.sample_noisy_gateset(built, spec), N.sample_noisy_gateset(loaded, spec)
+    # each keeps its target's gate order, and a round trip draws the same gates
+    assert list(noisy.gates) == list(built.gates) and list(reloaded.gates) == list(loaded.gates)
+    assert same_operations(noisy, reloaded)
+    # the built and the bundled gate set have the same default evaluation model
+    assert same_operations(default_eval_model(built), default_eval_model(bundled))
 
 
 @pytest.mark.parametrize("kind", ["coherent-only", "coherent-depol"])
