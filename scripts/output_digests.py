@@ -17,7 +17,9 @@ standard-germ (``Gi``, ``Gx Gx Gy``, ``Gx Gx Gx Gy Gy``, ``Gx Gy Gy``)
 full design up to L = 1024, so the datasets checked reach beyond
 design-1q's.  Several plaquettes of the last design reach some of its
 circuits, so its dataset also pins which plaquette's probabilities such
-a circuit keeps.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
+a circuit keeps.  ``germs`` runs robust XYI selection (seed 7) once with
+``--germ-score sum`` and once with ``--germ-score min``, so the germ files
+and stdouts of both scoring paths are pinned.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
 certified with their circuits in a second order (the workload's inputs
 at seed 2), and only those stdouts are hashed, on lines named
 ``<workload>--order-2``.  Each must equal its first order's: the script
@@ -98,7 +100,8 @@ def make_extra_inputs(workloads, indir: Path) -> None:
 
 def extra_runs(indir: Path, outroot: Path):
     """``simulate`` on the 2Q grid design, on an XYI random-FPR design and
-    on the XYI standard-germ full design."""
+    on the XYI standard-germ full design, then robust XYI ``germs`` under
+    each ``--germ-score``."""
     outdir = outroot / "certify-2q-grid--simulate"
     yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
     outdir = outroot / "xyi-random--simulate"
@@ -114,6 +117,14 @@ def extra_runs(indir: Path, outroot: Path):
         "--seed", "1", "--out", str(outdir / "design.json"),
     ]
     yield outdir.name, [design, simulate_argv("xyi", outdir / "design.json", outdir)], outdir
+    # the rank update scores sum, the eigensolve min
+    for score in ("sum", "min"):
+        outdir = outroot / f"xyi-robust--germs-{score}"
+        germs = [
+            "germs", "--gateset", "xyi", "--germs", "robust", "--seed", "7", "--germ-score", score,
+            "--out", str(outdir / "germs.json"),
+        ]
+        yield outdir.name, [germs], outdir
 
 
 def runs(workloads, indir: Path, outroot: Path):

@@ -27,11 +27,13 @@ batch of one, which is what :func:`kite_structure` and
 :func:`germ_twirled_jacobian` are.  Selection holds each candidate's
 Jacobian, and each model's chosen set, only as compressed rows
 (:mod:`gstdesign.held`): ``r_c`` rows for a candidate, ``rank_S`` for the
-set.  A test set's spectrum is then ``eigvalsh(R R^T)`` for the stacked
-rows ``R``, ``rank_S + r`` wide with ``r`` the widest ``r_c`` of the pool,
-not the ``n_params``-wide test Gram: at most 37 of 43 on XYI, and 126 to
-1085 of 1263 in the XYCPHASE standard selection.  A greedy step scores its
-first model for every candidate with stacked eigensolves, then completes
+set.  The default ``sum`` score of a test set is then a rank-``r_c``
+update of the chosen set's (see :func:`_updated_ranks_and_scores`): every
+solve is ``r_c`` wide, at most 12 on XYI and 126 on XYCPHASE, not the
+``n_params``-wide test Gram.  The ``min`` score needs the smallest
+eigenvalue, so it takes ``eigvalsh(R R^T)`` for the stacked rows ``R``,
+``rank_S + r`` wide with ``r`` the widest ``r_c`` of the pool.  A greedy
+step scores its first model for every candidate in stacks, then completes
 candidates in order of that lower bound, in batches that double in size,
 dropping each one whose bound lies past the tie window of the least
 complete key.  Ties within that window go to the (length, labels) that
@@ -86,11 +88,14 @@ PERTURBED_DEGENERACY_TOL = 1e-10
 # floored at the symmetric eigensolver's noise scale (~1e-12 of the top
 # eigenvalue), below which Gram eigenvalues are indistinguishable from zero
 GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
-# Working-array budget of one stack: Jacobians built together, or test
-# matrices eigensolved together in a greedy step.  It bounds the memory
-# stacking adds: a 1Q test matrix is at most 37 wide (11 KB), so 47 share a
-# stack, while a 2Q test matrix (126 to 1087 wide, up to 9.5 MB) and a 2Q
-# germ's build are each a stack of one.
+# Working-array budget of one stack: Jacobians built together, or tests
+# scored together in a greedy step.  It bounds the memory stacking adds.  A
+# rank update holds a candidate's rows and their residual, r_c x n_params
+# each, and three scaled cross blocks, r_c x rank_S: on XYI at most 12 x
+# (86 + 75) values (15 KB), so 33 share a stack, and on XYCPHASE up to
+# 126 x (2526 + 2883) (5.5 MB), a stack of one.  A ``min`` test matrix is
+# rank_S + r wide: at most 37 on XYI (11 KB), so 47 share a stack, and up
+# to 1087 on XYCPHASE (9.5 MB).  A 2Q germ's build is a stack of one.
 GERM_STACK_BYTES = 1 << 19
 # Relative width of the window in which test-set scores tie: among the
 # candidates of least shortfall scoring within it of the least score, the
@@ -514,14 +519,43 @@ def _test_ranks_and_scores(
     chosen: np.ndarray, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Ranks and scores of the chosen set joined with each candidate of
-    ``idx``, and the width of their test matrices.
+    ``idx``, and the width of the widest matrix solved for them.
+
+    ``sum`` scores come from :func:`_updated_ranks_and_scores`, whose
+    solves are ``r_c`` wide.  ``min`` scores need the smallest counted
+    eigenvalue, so they come from :func:`_eigensolved_ranks_and_scores`,
+    and so does every test the update cannot score exactly: one whose rank
+    passes the target counts only its top eigenvalues, and one whose
+    chosen set holds a direction at or under the rank cutoff may not
+    count it.
+    """
+    if score_fn not in ("sum", "min"):
+        raise ValueError(f"unknown score_fn {score_fn!r}")
+    if score_fn == "min":
+        return _eigensolved_ranks_and_scores(chosen, cands, idx, target, score_fn)
+    ranks, scores, width, unsure = _updated_ranks_and_scores(chosen, cands, idx)
+    redo = np.flatnonzero(unsure | (ranks > target))
+    if redo.size:
+        ranks[redo], scores[redo], wide = _eigensolved_ranks_and_scores(
+            chosen, cands, [idx[k] for k in redo], target, score_fn
+        )
+        width = max(width, wide)
+    return ranks, scores, width
+
+
+def _eigensolved_ranks_and_scores(
+    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ranks and scores of the chosen set joined with each candidate of
+    ``idx`` from the test spectra, and the width of their test matrices.
 
     Candidate ``c``'s test matrix is ``R R^T`` for the stacked rows
-    ``R = [C; K_c]``, ``C`` the chosen set's compressed rows and ``K_c``
+    ``R = [S; C_c]``, ``S`` the chosen set's compressed rows and ``C_c``
     the candidate's padded rows: its nonzero spectrum is that of the test
-    Gram ``C^T C + K_c^T K_c``, and the exact zeros past its width score
-    nothing.  ``C C^T`` and ``K_c K_c^T`` are shared and precomputed, so a
-    test costs the cross block ``K_c C^T`` and one ``eigvalsh``.  Every
+    Gram ``S^T S + C_c^T C_c``, and the exact zeros past its width score
+    nothing.  ``S S^T`` and ``C_c C_c^T`` are shared and precomputed, so a
+    test costs the cross block ``C_c S^T`` and one ``eigvalsh``,
+    ``rank_S + r`` wide with ``r`` the widest ``r_c`` of the pool.  Every
     test matrix of one chosen set and model has the same width, so a
     stacked ``eigvalsh`` of at most :data:`GERM_STACK_BYTES` of them gives
     each member the bits of its own call.
@@ -542,6 +576,86 @@ def _test_ranks_and_scores(
         spectra.append(np.linalg.eigvalsh(test))
     ranks, scores = _gram_ranks_and_scores(np.concatenate(spectra), target, score_fn)
     return ranks, scores, width
+
+
+def _updated_ranks_and_scores(
+    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int]
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Ranks and ``sum`` scores of the chosen set joined with each
+    candidate of ``idx`` by a rank-``r_c`` update, the widest ``r_c``, and
+    a mask of the tests whose chosen set holds a direction at or under
+    their rank cutoff, which the update counts and the eigensolve may not.
+
+    The chosen rows ``S`` have a diagonal row Gram ``Λ`` (compression
+    rotates them onto its eigenvectors), so ``S = Λ^(1/2) Q`` with
+    orthonormal ``Q``.  A candidate's rows ``C`` split into ``X Q``, with
+    ``X = C Sᵀ Λ^(-1/2)``, and the residual rows ``C - X Q``, orthogonal to
+    the chosen span, whose row Gram is ``P = Z Zᵀ``.  In an orthonormal
+    basis of the joint span the test Gram is
+    ``[[Λ + XᵀX, XᵀZ], [ZᵀX, ZᵀZ]]``.  With ``W = I + X Λ⁻¹ Xᵀ = L Lᵀ``
+    the Woodbury identity inverts its first block, and the Schur
+    complement of that block is ``T = Zᵀ W⁻¹ Z``, whose nonzero
+    eigenvalues ``t_j`` are those of ``L⁻¹ P L⁻ᵀ``, with eigenvectors
+    ``v_j``.  With ``U = C Sᵀ Λ^(-3/2)`` the trace of the test Gram's
+    inverse, the score, is
+
+        tr Λ⁻¹ + Σ_j 1/t_j - Σ_k ||Uᵀ L⁻ᵀ v_k||²,
+
+    ``j`` over the counted directions and ``k`` over the others.  ``P``
+    is formed from the residual rows, not as ``C Cᵀ - X Xᵀ``, whose
+    cancellation rounds a small ``t_j``: the last step of robust XYI
+    selection at pool depth 4 (seeds 1 and 7) adds a direction of
+    eigenvalue 1.7e-8, and its score then agrees with a 40-digit reference
+    to 1.3e-13, where the difference of Grams is off by 3e-9.
+
+    *Rank cutoff:* the joint rank is ``rank_S`` plus the count of ``t_j``
+    above :data:`GRAM_RANK_RTOL` of ``ρ``, the largest of the diagonal
+    entries ``Λ_i + ||X e_i||²`` and the candidate's top ``C Cᵀ``
+    eigenvalue.  Each is a Rayleigh quotient of the test Gram, so the
+    cutoff is at most the eigensolve's and at least half of it.  The
+    Schur complement's eigenvalues, not ``P``'s, are counted because a
+    small eigenvalue of the test Gram follows them: on the robust XYI
+    selection (seed 7, pool depth 6) a losing candidate has one within 11%
+    of the cutoff, which ``P`` puts on the other side.  A direction left
+    uncounted is left out of the score, so the score is that of the test
+    Gram on the counted directions.
+
+    Every solve is ``r_c`` wide.  Candidates are stacked by their ``r_c``,
+    at most :data:`GERM_STACK_BYTES` of cross blocks at a time, so a
+    candidate's result is that of its batch of one.
+    """
+    lam = np.einsum("ij,ij->i", chosen, chosen)
+    scale = np.sqrt(lam)
+    trace, floor = np.sum(1.0 / lam), lam.min(initial=np.inf)
+    ranks = np.zeros(len(idx), dtype=int)
+    scores = np.zeros(len(idx))
+    unsure = np.zeros(len(idx), dtype=bool)
+    by_rank: dict[int, list[int]] = {}
+    for k, ci in enumerate(idx):
+        by_rank.setdefault(int(cands.ranks[ci]), []).append(k)
+    for width, members in by_rank.items():
+        chunk = max(1, GERM_STACK_BYTES // (8 * max(width, 1) * (2 * chosen.shape[1] + 3 * len(chosen))))
+        for lo in range(0, len(members), chunk):
+            sub = members[lo : lo + chunk]
+            ci = [idx[k] for k in sub]
+            rows = cands.rows[ci, :width]
+            x = rows @ chosen.T / scale
+            y = x / scale
+            resid = rows - y @ chosen
+            # candidate rows come largest first: its top eigenvalue is its Gram's first entry
+            rho = np.max(lam + np.einsum("nij,nij->nj", x, x), axis=1, initial=0.0)
+            cutoff = GRAM_RANK_RTOL * np.maximum(rho, np.max(cands.grams[ci, :1, 0], axis=1, initial=0.0))
+            inv_low = np.linalg.inv(np.linalg.cholesky(np.eye(width) + y @ y.transpose(0, 2, 1)))
+            t, v = np.linalg.eigh(inv_low @ (resid @ resid.transpose(0, 2, 1)) @ inv_low.transpose(0, 2, 1))
+            spread = v.transpose(0, 2, 1) @ inv_low @ (y / scale)
+            counted = t > cutoff[:, None]
+            # a counted direction adds 1/t_j; any other takes back its share of tr(W⁻¹ U Uᵀ)
+            terms = np.divide(1.0, t, out=-np.einsum("nij,nij->ni", spread, spread), where=counted)
+            ranks[sub] = len(chosen) + np.count_nonzero(counted, axis=1)
+            scores[sub] = trace + np.sum(terms, axis=1)
+            unsure[sub] = floor <= cutoff
+    scores[ranks == 0] = np.inf
+    return ranks, scores, max(by_rank, default=0), unsure
 
 
 def _joined(chosen: np.ndarray, cands: _HeldCandidates, ci: int) -> np.ndarray:
@@ -585,15 +699,18 @@ def select_germs(
     what the experiment actually buys.  Every candidate's Jacobian is built
     up front, one stacked build per model and germ length, and held only
     as its compressed rows, ``r_c`` of them (see :mod:`gstdesign.held`);
-    each model's chosen set is held the same way, ``rank_S`` rows.  A test
-    set's spectrum comes from :func:`_test_ranks_and_scores`, whose test
-    matrices are ``rank_S + r`` wide, ``r`` the widest ``r_c`` of the pool
-    at that model, so no test solves the ``n_params``-wide Gram.
-    Compression drops directions below
+    each model's chosen set is held the same way, ``rank_S`` rows.  Tests
+    are scored by :func:`_test_ranks_and_scores`: a ``sum`` score by a
+    rank-``r_c`` update of the chosen set, whose solves are ``r_c`` wide,
+    and a ``min`` score from an eigensolved test matrix ``rank_S + r``
+    wide, ``r`` the widest ``r_c`` of the pool at that model, so no test
+    solves the ``n_params``-wide Gram.  Compression drops directions below
     :data:`~gstdesign.held.COMPRESS_RTOL` of a matrix's top eigenvalue, so
     each test eigenvalue lies within that of the dense test Gram's (Weyl's
-    inequality): a rank can differ from the dense one only through an
-    eigenvalue within 1% of the :data:`GRAM_RANK_RTOL` cutoff.  A pool
+    inequality): an eigensolved rank can differ from the dense one only
+    through an eigenvalue within 1% of the :data:`GRAM_RANK_RTOL` cutoff,
+    and an updated one only through an eigenvalue within a factor of two
+    of it, the slack of the update's cutoff scale.  A pool
     whose full Gram falls short of a model's target raises
     :class:`GermSelectionError` before any step; so does an empty pool,
     and an empty model list raises ``ValueError``.
@@ -613,7 +730,9 @@ def select_germs(
     a candidate can neither be the least nor fall inside the final window,
     so the chosen germs are exactly those of scoring every candidate on
     every model.  Each trajectory entry records the step's
-    ``eigensolves`` and its ``width``, the widest test matrix it solved.
+    ``eigensolves``, the tests it scored, and its ``width``, the widest
+    matrix it solved: the widest ``r_c`` it tested under ``sum``, the test
+    matrices' ``rank_S + r`` under ``min``.
     """
     if not models:
         raise ValueError("germ selection needs at least one model")

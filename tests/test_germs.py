@@ -390,9 +390,9 @@ def unpruned_select_germs(models, pool, score_fn="sum"):
     return greedy_reference(models, pool, empty, score_tests, join)
 
 
-def dense_select_germs(models, pool):
+def dense_select_germs(models, pool, score_fn="sum"):
     """The dense-Gram oracle: each test Gram ``G_S + J_c^T J_c`` is formed
-    ``n_params`` wide and eigensolved."""
+    ``n_params`` wide and eigensolved, whichever the score."""
     targets = [G.amplifiable_count(m) for m in models]
     weights = np.array([1.0 / len(g.labels) for g in pool])[:, None, None]
     grams = []  # per model, each candidate's J_c^T J_c
@@ -401,7 +401,7 @@ def dense_select_germs(models, pool):
         grams.append(jac.transpose(0, 2, 1) @ jac)
 
     def score_tests(mi, gram, unused):
-        ranks, scores = G._gram_ranks_and_scores(np.linalg.eigvalsh(gram + grams[mi][unused]), targets[mi], "sum")
+        ranks, scores = G._gram_ranks_and_scores(np.linalg.eigvalsh(gram + grams[mi][unused]), targets[mi], score_fn)
         return list(zip(ranks.tolist(), scores.tolist()))
 
     def join(mi, gram, ci):
@@ -438,14 +438,12 @@ def test_pruned_selection_equals_unpruned(xyi, perturbed, score_fn):
 HELD_SCORE_RTOL = 1e-7
 
 
-@pytest.mark.parametrize("depth", [4, 5, 6])
-@pytest.mark.parametrize("seed", [None, 1, 2, 3, 7], ids=["standard", "seed1", "seed2", "seed3", "seed7"])
-def test_held_scores_match_dense_oracle(xyi, seed, depth):
+def assert_matches_dense_oracle(xyi, seed, depth, score_fn):
     # robust models drawn as `germs --seed` draws them
     models = [xyi] + ([] if seed is None else perturbed_models(xyi, 5, 1e-3, seed + 7919))
     pool = G.germ_candidate_pool(xyi.labels, depth)
-    result = G.select_germs(models, pool)
-    germs, ranks, scores, trajectory = dense_select_germs(models, pool)
+    result = G.select_germs(models, pool, score_fn=score_fn)
+    germs, ranks, scores, trajectory = dense_select_germs(models, pool, score_fn)
     assert result.germs == germs
     assert result.ranks == ranks
     np.testing.assert_allclose(result.scores, scores, rtol=HELD_SCORE_RTOL)
@@ -454,6 +452,76 @@ def test_held_scores_match_dense_oracle(xyi, seed, depth):
     np.testing.assert_allclose(
         [step["worst_score"] for step in held], [step["worst_score"] for step in trajectory], rtol=HELD_SCORE_RTOL
     )
+
+
+@pytest.mark.parametrize("depth", [4, 5, 6])
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 7], ids=["standard", "seed1", "seed2", "seed3", "seed7"])
+def test_held_scores_match_dense_oracle(xyi, seed, depth):
+    assert_matches_dense_oracle(xyi, seed, depth, "sum")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 7], ids=["standard", "seed1", "seed7"])
+def test_min_scores_match_dense_oracle(xyi, seed):
+    # ``min`` keeps the eigensolve: the same oracle checks it
+    assert_matches_dense_oracle(xyi, seed, 4, "min")
+
+
+def test_update_matches_eigensolve_on_every_test(xyi):
+    # design-1q's robust selection (seed 7, pool depth 6): every unused
+    # candidate at every model and step.  The update's rank cutoff counts
+    # the Schur complement's eigenvalues against a Rayleigh quotient of the
+    # test Gram; a losing candidate there has an eigenvalue within 11% of
+    # the cutoff, so counting the residual's eigenvalues instead would
+    # split the ranks.  Scores far above the step's least count a tiny
+    # eigenvalue that the eigensolve rounds: they differ by up to 7.4e-5
+    # relative, all above 1.5e6 where the least is at most 93 (the update
+    # is within 3e-15 of a 40-digit reference on the worst), so only those
+    # within ten times the least are held to HELD_SCORE_RTOL.
+    models = [xyi] + perturbed_models(xyi, 5, 1e-3, 7 + 7919)
+    pool = G.germ_candidate_pool(xyi.labels, 6)
+    targets = [G.amplifiable_count(m) for m in models]
+    held = [G._held_candidates(m, pool, tol) for m, tol in zip(models, model_tols(models))]
+    names = [str(g) for g in pool]
+    chosen = [np.zeros((0, n_params(m))) for m in models]
+    used = []
+    steps = G.select_germs(models, pool).trajectory
+    assert len(steps) == 10
+    for step in steps:
+        unused = [ci for ci in range(len(pool)) if ci not in used]
+        for mi, cands in enumerate(held):
+            ranks, scores, _, unsure = G._updated_ranks_and_scores(chosen[mi], cands, unused)
+            eig_ranks, eig_scores, _ = G._eigensolved_ranks_and_scores(chosen[mi], cands, unused, targets[mi], "sum")
+            assert not unsure.any() and (ranks <= targets[mi]).all()
+            assert np.array_equal(ranks, eig_ranks)
+            near = eig_scores <= 10 * eig_scores[eig_ranks == eig_ranks.max()].min()
+            np.testing.assert_allclose(scores[near], eig_scores[near], rtol=HELD_SCORE_RTOL)
+        used.append(names.index(step["added"]))
+        chosen = [G._joined(c, cands, used[-1]) for c, cands in zip(chosen, held)]
+
+
+def test_update_defers_to_eigensolve(xyi):
+    # a rank past the target counts only the top eigenvalues, and a chosen
+    # direction under the rank cutoff may go uncounted: both are eigensolved
+    pool = G.germ_candidate_pool(xyi.labels, 4)
+    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    names = [str(g) for g in pool]
+    chosen = G._joined(np.zeros((0, n_params(xyi))), held, names.index("Gx"))
+    unused = [ci for ci in range(len(pool)) if pool[ci] != Circuit(("Gx",))]
+    ranks, _, _, unsure = G._updated_ranks_and_scores(chosen, held, unused)
+    over = ranks > 10
+    assert not unsure.any() and 0 < over.sum() < len(unused)
+    past = G._test_ranks_and_scores(chosen, held, unused, 10, "sum")
+    eig = G._eigensolved_ranks_and_scores(chosen, held, unused, 10, "sum")
+    assert np.array_equal(past[0], eig[0]) and np.array_equal(past[1][over], eig[1][over]) and past[2] == eig[2]
+    np.testing.assert_allclose(past[1], eig[1], rtol=HELD_SCORE_RTOL)
+
+    # a row orthogonal to the chosen ones, 1e-13 of their top eigenvalue
+    faint = np.linalg.svd(chosen)[2][-1] * np.sqrt(1e-13 * np.sum(chosen[0] ** 2))
+    tiny = np.concatenate([chosen, faint[None]])
+    assert G._updated_ranks_and_scores(tiny, held, unused)[3].all()
+    got = G._test_ranks_and_scores(tiny, held, unused, 25, "sum")
+    eig = G._eigensolved_ranks_and_scores(tiny, held, unused, 25, "sum")
+    assert np.array_equal(got[0], eig[0]) and np.array_equal(got[1], eig[1])
 
 
 def test_tie_window():
@@ -484,21 +552,28 @@ def test_exact_tie_settled_by_labels(xyi, monkeypatch):
 
 
 def test_trajectory_records_test_width(xyi):
-    # every test matrix of a model and step is rank_S + r wide: the chosen
-    # set's compressed rows and the widest candidate's
+    # a step's width is the widest matrix it solved.  The rank update of
+    # ``sum`` solves r_c wide, and every unused candidate is tested at the
+    # first model, so it is the widest unused r_c; ``min``'s eigensolved test
+    # matrices are rank_S + r wide, the chosen set's compressed rows and the
+    # widest candidate's
     pool = G.germ_candidate_pool(xyi.labels, 4)
     held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
     names = [str(g) for g in pool]
-    result = G.select_germs([xyi], pool)
-    chosen = np.zeros((0, n_params(xyi)))
-    for step in result.trajectory:
-        ci = names.index(step["added"])
-        assert step["width"] == len(chosen) + held.rows.shape[1]
-        assert step["width"] >= len(chosen) + held.ranks[ci]
-        chosen = G._joined(chosen, held, ci)
-        assert len(chosen) == step["ranks"][0]
     assert held.rows.shape[1] == 12 and sorted(set(held.ranks.tolist())) == [4, 6, 12]
-    assert [step["width"] for step in result.trajectory] == [12, 24, 30, 34]
+    for score_fn, widths in (("sum", [12, 6, 6, 6]), ("min", [12, 24, 30, 34])):
+        result = G.select_germs([xyi], pool, score_fn=score_fn)
+        chosen, used = np.zeros((0, n_params(xyi))), []
+        for step in result.trajectory:
+            unused = [ci for ci in range(len(pool)) if ci not in used]
+            if score_fn == "sum":
+                assert step["width"] == held.ranks[unused].max()
+            else:
+                assert step["width"] == len(chosen) + held.rows.shape[1]
+            used.append(names.index(step["added"]))
+            chosen = G._joined(chosen, held, used[-1])
+            assert len(chosen) == step["ranks"][0]
+        assert [step["width"] for step in result.trajectory] == widths
 
 
 def test_held_test_spectra_match_dense_2q():
@@ -512,7 +587,11 @@ def test_held_test_spectra_match_dense_2q():
         chosen = G._joined(chosen, held, ci)
     cands = list(range(len(chosen_germs), len(pool)))
     ranks, scores, width = G._test_ranks_and_scores(chosen, held, cands, 961, "sum")
-    assert width == len(chosen) + held.rows.shape[1] < n_params(gs)
+    assert width == held.ranks[cands].max() < held.rows.shape[1]
+    eig_ranks, eig_scores, eig_width = G._eigensolved_ranks_and_scores(chosen, held, cands, 961, "sum")
+    assert eig_width == len(chosen) + held.rows.shape[1] < n_params(gs)
+    assert np.array_equal(ranks, eig_ranks)
+    np.testing.assert_allclose(scores, eig_scores, rtol=HELD_SCORE_RTOL)
 
     jacs = G.germ_twirled_jacobians(gs, pool) / np.array([len(g.labels) for g in pool])[:, None, None]
     gram = sum(j.T @ j for j in jacs[: len(chosen_germs)])
