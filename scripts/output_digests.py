@@ -19,7 +19,10 @@ design-1q's.  Several plaquettes of the last design reach some of its
 circuits, so its dataset also pins which plaquette's probabilities such
 a circuit keeps.  ``germs`` runs robust XYI selection (seed 7) once with
 ``--germ-score sum`` and once with ``--germ-score min``, so the germ files
-and stdouts of both scoring paths are pinned.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
+and stdouts of both scoring paths are pinned.  ``certify`` also runs on
+``certify-1q-grams``' design with a gate-set file, XYI with ``Gx[3, 0] =
+0.01``: a non-unital gate brings back the gauge direction unital gates
+hide, so its amplifiable count is 24 and its SPAM budget 7, not 6.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
 certified with their circuits in a second order (the workload's inputs
 at seed 2), and only those stdouts are hashed, on lines named
 ``<workload>--order-2``.  Each must equal its first order's: the script
@@ -92,16 +95,25 @@ def simulate_argv(gateset: str, design: Path, outdir: Path) -> list[str]:
 
 
 def make_extra_inputs(workloads, indir: Path) -> None:
-    """The germ file of the XYI random-FPR design."""
+    """The germ file of the XYI random-FPR design and the non-unital XYI
+    gate-set file."""
+    from gstdesign.builtins import builtin_gateset
+
     (indir / "xyi-random").mkdir(parents=True)
     germs = [g.split() for g in workloads.GERMS_1Q_ROBUST]
     (indir / "xyi-random" / "germs.json").write_text(json.dumps(germs))
+    xyi = builtin_gateset("xyi")
+    gx = xyi.gates["Gx"].copy()
+    gx[3, 0] = 0.01  # still trace preserving, no longer unital
+    (indir / "xyi-non-unital").mkdir()
+    dataclasses.replace(xyi, gates={**xyi.gates, "Gx": gx}).save(indir / "xyi-non-unital" / "gateset.json")
 
 
 def extra_runs(indir: Path, outroot: Path):
     """``simulate`` on the 2Q grid design, on an XYI random-FPR design and
-    on the XYI standard-germ full design, then robust XYI ``germs`` under
-    each ``--germ-score``."""
+    on the XYI standard-germ full design, robust XYI ``germs`` under each
+    ``--germ-score``, then ``certify`` of ``certify-1q-grams``' design at
+    the non-unital XYI gate set."""
     outdir = outroot / "certify-2q-grid--simulate"
     yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
     outdir = outroot / "xyi-random--simulate"
@@ -125,6 +137,13 @@ def extra_runs(indir: Path, outroot: Path):
             "--out", str(outdir / "germs.json"),
         ]
         yield outdir.name, [germs], outdir
+    outdir = outroot / "certify-1q-grams--non-unital"
+    certify = [
+        "certify", "--gateset", str(indir / "xyi-non-unital" / "gateset.json"),
+        "--design", str(indir / "certify-1q-grams" / "design.json"),
+        "--csv", str(outdir / "spectra.csv"), "--report", str(outdir / "report.json"),
+    ]
+    yield outdir.name, [certify], outdir
 
 
 def runs(workloads, indir: Path, outroot: Path):

@@ -48,11 +48,11 @@ outcome probabilities are gauge invariant at that model, so ``W Q1 = 0``
 for its gauge directions ``Q1``, and each matrix's spectrum is its
 non-gauge spectrum plus one rounding-level eigenvalue per gauge
 direction, which the noise rule reads as ``0.0``.  The frame is the one
-source of every series and the only use of the gauge tangent's pivoted
-QR, which gives its dimension; a series lists the non-gauge eigenvalues
-in descending order followed by one ``0.0`` per gauge direction, which
-is the full-frame spectrum in exact arithmetic.  A projected series
-slices one operation's block from the same matrices.
+source of every series, and its dimension is ``n_params`` less the gauge
+tangent's rank; a series lists the non-gauge eigenvalues in descending
+order followed by one ``0.0`` per gauge direction, which is the
+full-frame spectrum in exact arithmetic.  A projected series slices one
+operation's block from the same matrices.
 
 Certification (:func:`certify_design`) classifies each eigen-direction
 of the deepest cumulative matrix, at a point unitarily perturbed off the
@@ -253,7 +253,7 @@ class NongaugeFrame:
     """A design's bucket matrices, read in the non-gauge frame of one model.
 
     The :func:`~gstdesign.model.gauge_tangent` of ``gs`` is taken once; its
-    pivoted QR gives the non-gauge dimension ``dim``.  ``increments`` (the
+    Gram rank gives the non-gauge dimension ``dim``.  ``increments`` (the
     design's :func:`bucket_fims`, built once) and their prefix sums
     ``cumulative`` are :class:`HeldFim` sums, one column per parameter,
     held by its smaller-side rule.  No row is mapped into the frame:
@@ -504,7 +504,7 @@ def certify_design(
     tangent loses rank only where a nonzero TP generator fixes every gate,
     the prep and the effects.  The bundled targets and their default
     evaluation models have full rank (31 non-gauge parameters on XYI, 1023
-    on XYCPHASE), so the frame's pivoted QR is the only one taken.
+    on XYCPHASE).  Both gauge ranks come from ``(D^2 - D)``-wide Grams.
 
     Insensitive directions are flagged from the deepest incremental
     matrix: eigenvalues below ``INSENSITIVE_REL`` times its median mark

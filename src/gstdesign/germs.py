@@ -51,12 +51,13 @@ import numpy as np
 
 from .held import HeldFim, compressed_rows
 from .model import (
-    RANK_RTOL,
+    GRAM_RANK_RTOL,
     Circuit,
     GateSet,
     gauge_tangent,
-    matrix_rank_rel,
+    gram_rank,
     n_params,
+    numerical_rank,
     param_blocks,
     require_labels,
 )
@@ -84,10 +85,6 @@ __all__ = [
 
 IDEAL_DEGENERACY_TOL = 1e-7
 PERTURBED_DEGENERACY_TOL = 1e-10
-# Relative rank cutoff on Gram eigenvalues: the squared singular-value cutoff,
-# floored at the symmetric eigensolver's noise scale (~1e-12 of the top
-# eigenvalue), below which Gram eigenvalues are indistinguishable from zero
-GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
 # Working-array budget of one stack: Jacobians built together, or tests
 # scored together in a greedy step.  It bounds the memory stacking adds.  A
 # rank update holds a candidate's rows and their residual, r_c x n_params
@@ -427,12 +424,13 @@ def amplifiable_count(model: GateSet) -> int:
     every gate is unital it moves no gate, drops out of the projected rank
     and is excluded from the count automatically; ideal targets, coherent
     perturbations and depolarization all keep gates unital.  A non-unital
-    gate brings it back and the target drops by one.  Only the tangent's
-    basis is read, so no pivoted QR is taken.
+    gate brings it back and the target drops by one.  The rank is the
+    :func:`~gstdesign.model.gram_rank` of the gate rows' Gram.
     """
     # gates lead the parameter order, so their rows are the basis's first
     n_gate = param_blocks(model)["rho"].start
-    return n_gate - matrix_rank_rel(gauge_tangent(model).basis[:n_gate])
+    gate_rows = gauge_tangent(model).basis[:n_gate]
+    return n_gate - gram_rank(gate_rows.T @ gate_rows)
 
 
 def bare_germs(model: GateSet) -> list[Circuit]:
@@ -464,8 +462,8 @@ def _gram_ranks_and_scores(
     """Ranks and inverse-eigenvalue scores of a stack of Gram spectra, one
     per row.
 
-    The rank cutoff is :data:`GRAM_RANK_RTOL` of the top eigenvalue.  The
-    score counts the top min(rank, target) eigenvalues so that
+    Ranks follow :func:`~gstdesign.model.gram_rank`'s rule.  The score
+    counts the top min(rank, target) eigenvalues so that
     rank-deficient sets still compare usefully.  Rows counting the same
     number of eigenvalues are summed together along the last axis, so each
     score is summed in the order of its spectrum alone.
@@ -473,8 +471,7 @@ def _gram_ranks_and_scores(
     if score_fn not in ("sum", "min"):
         raise ValueError(f"unknown score_fn {score_fn!r}")
     evals = np.clip(np.sort(gram_evals, axis=-1)[:, ::-1], 0.0, None)
-    # numerical_rank of each row at GRAM_RANK_RTOL
-    ranks = np.sum(evals > GRAM_RANK_RTOL * evals[:, :1], axis=1)
+    ranks = numerical_rank(evals, GRAM_RANK_RTOL)
     counted = np.minimum(ranks, target)
     scores = np.full(len(evals), np.inf)
     for length in np.unique(counted[counted > 0]).tolist():
@@ -525,9 +522,10 @@ def _test_ranks_and_scores(
     solves are ``r_c`` wide.  ``min`` scores need the smallest counted
     eigenvalue, so they come from :func:`_eigensolved_ranks_and_scores`,
     and so does every test the update cannot score exactly: one whose rank
-    passes the target counts only its top eigenvalues, and one whose
-    chosen set holds a direction at or under the rank cutoff may not
-    count it.
+    passes the target counts only its top eigenvalues, one whose chosen
+    set holds a direction at or under the rank cutoff may not count it,
+    and one that counts a direction within a factor of two of the update's
+    cutoff, the slack of its scale, may count one the eigensolve does not.
     """
     if score_fn not in ("sum", "min"):
         raise ValueError(f"unknown score_fn {score_fn!r}")
@@ -583,8 +581,8 @@ def _updated_ranks_and_scores(
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Ranks and ``sum`` scores of the chosen set joined with each
     candidate of ``idx`` by a rank-``r_c`` update, the widest ``r_c``, and
-    a mask of the tests whose chosen set holds a direction at or under
-    their rank cutoff, which the update counts and the eigensolve may not.
+    a mask of the tests the eigensolve may rank otherwise (see *Rank
+    cutoff*).
 
     The chosen rows ``S`` have a diagonal row Gram ``Λ`` (compression
     rotates them onto its eigenvectors), so ``S = Λ^(1/2) Q`` with
@@ -616,7 +614,11 @@ def _updated_ranks_and_scores(
     Schur complement's eigenvalues, not ``P``'s, are counted because a
     small eigenvalue of the test Gram follows them: on the robust XYI
     selection (seed 7, pool depth 6) a losing candidate has one within 11%
-    of the cutoff, which ``P`` puts on the other side.  A direction left
+    of the cutoff, which ``P`` puts on the other side.  A test is unsure
+    when its chosen set holds a direction at or under the cutoff, or when
+    it counts a ``t_j`` at most twice the cutoff, which may lie under the
+    eigensolve's (robust XYI, seed 3, pool depth 6: ``Gx Gx Gx Gx Gy``
+    gets rank 24 from the update, 23 from the eigensolve).  A direction left
     uncounted is left out of the score, so the score is that of the test
     Gram on the counted directions.
 
@@ -653,7 +655,7 @@ def _updated_ranks_and_scores(
             terms = np.divide(1.0, t, out=-np.einsum("nij,nij->ni", spread, spread), where=counted)
             ranks[sub] = len(chosen) + np.count_nonzero(counted, axis=1)
             scores[sub] = trace + np.sum(terms, axis=1)
-            unsure[sub] = floor <= cutoff
+            unsure[sub] = (floor <= cutoff) | np.any(counted & (t <= 2 * cutoff[:, None]), axis=1)
     scores[ranks == 0] = np.inf
     return ranks, scores, max(by_rank, default=0), unsure
 
@@ -708,9 +710,9 @@ def select_germs(
     :data:`~gstdesign.held.COMPRESS_RTOL` of a matrix's top eigenvalue, so
     each test eigenvalue lies within that of the dense test Gram's (Weyl's
     inequality): an eigensolved rank can differ from the dense one only
-    through an eigenvalue within 1% of the :data:`GRAM_RANK_RTOL` cutoff,
-    and an updated one only through an eigenvalue within a factor of two
-    of it, the slack of the update's cutoff scale.  A pool
+    through an eigenvalue within 1% of the :data:`GRAM_RANK_RTOL` cutoff;
+    a test whose update counts an eigenvalue within a factor of two of its
+    cutoff, the slack of the update's cutoff scale, is eigensolved.  A pool
     whose full Gram falls short of a model's target raises
     :class:`GermSelectionError` before any step; so does an empty pool,
     and an empty model list raises ``ValueError``.

@@ -19,7 +19,7 @@ Rows can also be compressed (:func:`compressed_rows`): with
 above noise keep the matrix's Gram less the dropped eigen-directions.
 Those are orthogonal, so the two differ in norm by at most
 ``COMPRESS_RTOL`` of the top eigenvalue: two decades below germ
-selection's rank cutoff :data:`~gstdesign.germs.GRAM_RANK_RTOL`, and
+selection's rank cutoff :data:`~gstdesign.model.GRAM_RANK_RTOL`, and
 about ten times the level at which a dense symmetric eigensolve places
 exact zeros.
 """

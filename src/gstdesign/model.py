@@ -87,15 +87,20 @@ __all__ = [
     "gauge_tangent",
     "non_gauge_count",
     "apply_gauge_transform",
+    "gram_rank",
     "matrix_rank_rel",
     "numerical_rank",
+    "GRAM_RANK_RTOL",
     "RANK_RTOL",
     "TP_TOL",
     "write_json",
 ]
 
-# Relative cutoff of :func:`numerical_rank`, used everywhere a numerical rank is taken.
+# Relative cutoff of :func:`numerical_rank` on singular values.
 RANK_RTOL = 1e-8
+# Relative cutoff of :func:`gram_rank` on Gram eigenvalues: the squared
+# singular-value cutoff, floored at the eigensolver's noise scale (~1e-12)
+GRAM_RANK_RTOL = max(RANK_RTOL**2, 1e-12)
 # Largest departure from trace preservation that :meth:`GateSet.validate` accepts.
 TP_TOL = 1e-12
 
@@ -123,16 +128,27 @@ def write_json(path, doc) -> None:
         f.write(text + "\n")
 
 
-def numerical_rank(values, rtol: float = RANK_RTOL) -> int:
-    """Number of entries above ``rtol`` times the first of a descending,
-    non-negative sequence (singular values, ``|diag R|`` of a pivoted QR)."""
-    values = np.asarray(values)
-    return int(np.sum(values > rtol * values[0])) if values.size else 0
+def numerical_rank(values, rtol: float = RANK_RTOL):
+    """Number of entries above ``rtol`` times the first of a descending
+    sequence whose first entry is its largest (singular values at
+    :data:`RANK_RTOL`, Gram eigenvalues at :data:`GRAM_RANK_RTOL`); for a
+    stack of such sequences along the last axis, an array of counts."""
+    ranks = np.sum(np.asarray(values) > rtol * np.asarray(values)[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def matrix_rank_rel(a: np.ndarray) -> int:
     """Rank of ``a`` counting singular values above ``RANK_RTOL * s_max``."""
     return numerical_rank(np.linalg.svd(a, compute_uv=False)) if a.size else 0
+
+
+def gram_rank(gram: np.ndarray) -> int:
+    """Rank of ``a`` from its Gram ``gram = a^T a``: the number of
+    eigenvalues above :data:`GRAM_RANK_RTOL` times the largest, from one
+    ``eigvalsh``.  It is :func:`matrix_rank_rel` of ``a`` except for a
+    singular value between ``RANK_RTOL`` and ``sqrt(GRAM_RANK_RTOL)``
+    (1e-8 to 1e-6) of the largest, which only the latter counts."""
+    return numerical_rank(np.linalg.eigvalsh(gram)[::-1], GRAM_RANK_RTOL)
 
 
 def pauli_matrices(num_qubits: int, normalized: bool = True) -> list[np.ndarray]:
@@ -758,17 +774,14 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
 
 
 class GaugeTangent:
-    """A gauge tangent basis and its rank, from one pivoted Householder QR
-    ``basis P = Q R`` (built by :func:`gauge_tangent`).
+    """A gauge tangent basis and its rank (built by :func:`gauge_tangent`).
 
-    ``rank`` is the :func:`numerical_rank` of ``|diag R|``, and ``dim =
-    n_params - rank`` is the non-gauge dimension, the frame width that
-    certification reads its spectra in.  ``Q`` is kept as its reflectors;
-    its trailing ``dim`` columns ``Q2``, orthonormal coordinates on the
-    complement of the basis's span, are formed only by
-    :meth:`nongauge_basis`, the dense reference.  The QR, and the SciPy
-    import it needs, is taken on first use of ``rank``, ``dim`` or
-    :meth:`nongauge_basis`; ``basis`` and ``n_params`` need none.
+    ``rank``, taken on first use, is the :func:`gram_rank` of the basis's
+    ``(D^2 - D)``-wide Gram, and ``dim = n_params - rank`` is the
+    non-gauge dimension, the frame width certification reads spectra in.
+    On the bundled targets and their default evaluation models the kept
+    singular values are at least 0.10 of the largest (0.23 on the gate
+    rows) and the dropped ones at most 2.3e-16, far from the cutoff.
     """
 
     def __init__(self, basis: np.ndarray):
@@ -776,37 +789,12 @@ class GaugeTangent:
         self.n_params = self.basis.shape[0]
 
     @functools.cached_property
-    def _qr(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Reflectors, their scales and the numerical rank."""
-        import scipy.linalg
-
-        (reflectors, tau), r, _ = scipy.linalg.qr(self.basis, mode="raw", pivoting=True)
-        return reflectors, tau, numerical_rank(np.abs(np.diag(r)))
-
-    @property
     def rank(self) -> int:
-        return self._qr[2]
+        return gram_rank(self.basis.T @ self.basis)
 
     @property
     def dim(self) -> int:
         return self.n_params - self.rank
-
-    def nongauge_basis(self) -> np.ndarray:
-        """Dense ``Q2``, ``n_params x dim``: ``Q`` applied to the trailing
-        identity columns by LAPACK ``dormqr``."""
-        trailing = np.zeros((self.n_params, self.dim), order="F")
-        if not self.dim:
-            return trailing
-        from scipy.linalg import lapack
-
-        trailing[self.rank :] = np.eye(self.dim)
-        reflectors, tau, _ = self._qr
-        args = ("L", "N", reflectors, tau, trailing)
-        lwork = int(lapack.dormqr(*args, -1)[1][0])
-        out, _, info = lapack.dormqr(*args, lwork)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dormqr failed with info={info}")
-        return out
 
 
 def gauge_tangent(gs: GateSet) -> GaugeTangent:
@@ -820,9 +808,9 @@ def gauge_tangent(gs: GateSet) -> GaugeTangent:
     ``kron(I', rho^T)`` for the prep and ``-kron(E[1:], I)`` for a free
     effect.  Each block is written by index into one zeroed array, which
     gives the Kronecker products' bits up to the sign of zeros.  Adding
-    ``0.0`` then makes every zero positive: LAPACK takes its Householder
-    signs from the entries, zeros included, so this keeps the QR
-    independent of how each zero was produced.
+    ``0.0`` then makes every zero positive, so the basis, and any product
+    or factorization of it, does not depend on how each zero was
+    produced.
     """
     dim = gs.dim
     blocks = param_blocks(gs)

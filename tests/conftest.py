@@ -1,6 +1,7 @@
 import hypothesis
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gstdesign.builtins import make_xyi_gateset, standard_xyi_fiducials
 
@@ -30,3 +31,21 @@ def random_circuit(rng, labels=("Gi", "Gx", "Gy"), max_depth=20):
 
     depth = int(rng.integers(0, max_depth + 1))
     return Circuit(tuple(rng.choice(labels, size=depth)))
+
+
+def direct_gauge_frame(basis):
+    """Rank and dense ``Q2`` of a gauge tangent basis from one pivoted QR
+    and ``dormqr``: ``Q2``'s orthonormal columns span the complement of the
+    basis's span, the non-gauge frame the dense test references read in."""
+    from gstdesign.model import numerical_rank
+
+    (reflectors, tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
+    rank = numerical_rank(np.abs(np.diag(r)))
+    n = basis.shape[0]
+    trailing = np.zeros((n, n - rank), order="F")
+    trailing[rank:] = np.eye(n - rank)
+    args = ("L", "N", reflectors, tau, trailing)
+    lwork = int(scipy.linalg.lapack.dormqr(*args, -1)[1][0])
+    q2, _, info = scipy.linalg.lapack.dormqr(*args, lwork)
+    assert info == 0
+    return rank, q2

@@ -700,7 +700,9 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
 
 
 # small_design has 5 max depths and 43 parameters, and each of its buckets
-# holds more rows than that, so every matrix is a 43-wide Gram
+# holds more rows than that, so every matrix is a 43-wide Gram; the two
+# gauge ranks, the frame's and amplifiable_count's, are one eigvalsh each
+# of a 12-wide gauge Gram on top
 @pytest.mark.parametrize(
     "options, solves",
     [
@@ -730,8 +732,8 @@ def test_certify_eigensolves_each_nongauge_matrix_once(small_design, tmp_path, m
         options = options + [str(tmp_path / "s.csv")]
     assert run(["certify", "--gateset", "xyi", "--design", str(small_design), *options]) == 0
     assert len(ExperimentDesign.load(small_design).maxdepths) == 5
-    assert len(widths) == solves
-    assert set(widths) == {43}
+    assert len(widths) == solves + 2
+    assert widths.count(12) == 2 and set(widths) == {43, 12}
 
 
 SERIES = {"cumulative": "cumulative_series", "incremental": "incremental_series", "projected": "block_series"}

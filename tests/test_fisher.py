@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import direct_gauge_frame
 from gstdesign import cli
 from gstdesign import design as D
 from gstdesign import fisher as FI
@@ -404,7 +405,7 @@ def _frame_case(name, xyi, xyi_fiducials):
 def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = gauge_tangent(gs).nongauge_basis()
+    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
     unmapped = FI.bucket_fims(gs, des, clip_floor=floor)
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
@@ -455,7 +456,7 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
     right singular vectors of the deepest rows."""
     gs, des = _frame_case("xycphase", xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = gauge_tangent(gs).nongauge_basis()
+    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
     inc = [q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)]
     frame = FI.NongaugeFrame(gs, des)
     dim = frame.dim
@@ -581,7 +582,7 @@ def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(x
     des = _boundary_design(xyi, xyi_fiducials, n_circuits)
     gs = FI.default_eval_model(xyi, seed=41)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = gauge_tangent(gs).nongauge_basis()
+    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
     inc = np.stack([q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)])
     cum = np.cumsum(inc, axis=0)
     frame = FI.NongaugeFrame(gs, des)
@@ -691,13 +692,14 @@ def test_projected_report_is_the_cumulative_report_in_bytes(tmp_path, n_prep, n_
 
 def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
     core = rng.standard_normal((30, 5))
-    near = core[:, 1] + 1e-12 * rng.standard_normal(30)  # dependent below the 1e-8 cutoff
+    near = core[:, 1] + 1e-12 * rng.standard_normal(30)  # dependent below the cutoff
     zero = np.zeros(30)
     basis = np.column_stack([zero, core, core[:, :2], 3.0 * core[:, 4], zero, near])
     coords = GaugeTangent(basis)
     assert (coords.rank, coords.n_params, coords.dim) == (5, 30, 25)
-    q2 = coords.nongauge_basis()
-    assert q2.shape == (30, 25)
+    # the dense reference frame the tests read in spans the complement
+    rank, q2 = direct_gauge_frame(basis)
+    assert rank == 5 and q2.shape == (30, 25)
     assert np.max(np.abs(q2.T @ q2 - np.eye(25))) <= 1e-12
     assert np.max(np.abs(core.T @ q2)) <= 1e-12 * np.max(np.abs(core))
     assert GaugeTangent(np.zeros((30, 3))).rank == 0
@@ -726,7 +728,6 @@ def test_certify_forms_only_frame_width_matrices(tmp_path, monkeypatch, kind):
         return call
 
     monkeypatch.setattr(FI, "circuits_fim", recording)
-    monkeypatch.setattr(GaugeTangent, "nongauge_basis", forbidden("nongauge_basis"))
     monkeypatch.setattr(scipy.linalg.lapack, "dormqr", forbidden("dormqr"))
     code = cli.main(
         [
@@ -777,7 +778,12 @@ def test_certify_eigensolves_no_wider_than_the_rows(tmp_path, monkeypatch, kind)
     # one row-held matrix per bucket (L = 1, 2, 4); all of them together
     # are the deepest cumulative matrix, still fewer rows than 1023 columns
     assert len(rows) == 3 and sum(rows) < 1023
-    assert widths and all(shape[-1] <= sum(rows) for shape in widths)
+    # two gauge ranks, the frame's and amplifiable_count's, each from one
+    # 240-wide gauge Gram; every Fisher solve is no wider than its rows
+    gauge = (gs.dim**2 - gs.dim,) * 2
+    fisher_widths = [shape for shape in widths if shape != gauge]
+    assert len(widths) - len(fisher_widths) == 2 and sum(rows) < gauge[0]
+    assert fisher_widths and all(shape[-1] <= sum(rows) for shape in fisher_widths)
 
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental", "projected"])
@@ -810,10 +816,10 @@ def test_row_held_certify_takes_one_eigh_and_no_wide_svd(tmp_path, monkeypatch, 
     assert code == 0
     # the deepest cumulative matrix: one row per circuit and outcome, 1023 wide
     m = gs.num_effects * D.circuit_count(des)
-    # one eigh, of its rows' m x m Gram, and no SVD of 1023-wide rows
-    # (amplifiable_count's SVD of the gauge tangent's gate rows is narrower)
+    # one eigh, of its rows' m x m Gram, and no SVD at all: both gauge
+    # ranks come from eigvalsh of a Gram
     assert shapes["eigh"] == [(m, m)] and m < 1023
-    assert all(shape[-1] != 1023 for shape in shapes["svd"])
+    assert shapes["svd"] == []
 
 
 def test_frame_dim_is_the_targets(xyi):
@@ -825,18 +831,26 @@ def test_frame_dim_is_the_targets(xyi):
         assert target.rank == at_eval.rank == gs.dim**2 - gs.dim
 
 
-def test_certify_takes_one_pivoted_qr(xyi, xyi_fiducials, monkeypatch):
+def test_certify_takes_no_qr_and_no_gauge_wide_svd(xyi, xyi_fiducials, monkeypatch):
     eval_model = FI.default_eval_model(xyi)
     design = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(8), gateset_labels=xyi.labels)
-    qr, calls = scipy.linalg.qr, []
+    qrs, svds, grams = [], [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+    def recorded(calls, f):
+        def wrapper(a, *args, **kwargs):
+            calls.append(a.shape)
+            return f(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "qr", recorded(qrs, scipy.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", recorded(svds, np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded(grams, np.linalg.eigvalsh))
     report = FI.certify_design(eval_model, design, target=xyi)
-    assert calls == [(43, 12)]  # the frame's, of the evaluation model's gauge tangent
+    assert qrs == [] and all(12 not in shape for shape in svds)
+    # the frame's gauge rank, at the evaluation model, and amplifiable_count's,
+    # at the target, each from one eigensolve of a 12-wide gauge Gram
+    assert grams.count((12, 12)) == 2
     assert report.spam_budget == 31 - 25
 
 

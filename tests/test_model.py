@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_circuit
+from conftest import direct_gauge_frame, random_circuit
 from gstdesign import model as M
 from gstdesign.builtins import builtin_gateset, make_xycphase_gateset, make_xyi_gateset
 from gstdesign.noise import NoiseSpec, sample_noisy_gateset
@@ -180,9 +180,9 @@ def test_gauge_tangent_matches_per_generator_reference(xyi, rng, name):
         gs = sample_noisy_gateset(make_xycphase_gateset(), NoiseSpec("coherent-depol", 1e-2, 1e-3, 5))
     tangent = M.gauge_tangent(gs)
     assert np.array_equal(tangent.basis, reference_gauge_tangent_basis(gs))
-    # no negative zeros: LAPACK's Householder signs follow the signs of zeros
+    # no negative zeros, so no product of the basis depends on how a zero was made
     assert not np.any(np.signbit(tangent.basis) & (tangent.basis == 0.0))
-    # the pivoted-QR rank agrees with the singular-value rank
+    # the Gram rank agrees with the singular-value rank
     assert tangent.rank == M.matrix_rank_rel(tangent.basis)
     assert tangent.dim == M.n_params(gs) - tangent.rank == M.non_gauge_count(gs)
 
@@ -206,49 +206,68 @@ def test_gauge_tangent_basis_equals_the_kron_formula(name):
     basis = M.gauge_tangent(gs).basis
     want = kron_gauge_tangent_basis(gs)
     assert np.array_equal(basis, want)
-    # equal signs of zeros too, so the pivoted QR sees the same entries
+    # equal signs of zeros too, so every product of the basis sees the same entries
     assert np.array_equal(np.signbit(basis), np.signbit(want))
 
 
-def direct_gauge_frame(basis):
-    """Rank and dense ``Q2`` from one direct pivoted QR and ``dormqr``."""
-    (reflectors, tau), r, _ = scipy.linalg.qr(basis, mode="raw", pivoting=True)
-    rank = M.numerical_rank(np.abs(np.diag(r)))
-    n = basis.shape[0]
-    trailing = np.zeros((n, n - rank), order="F")
-    trailing[rank:] = np.eye(n - rank)
-    args = ("L", "N", reflectors, tau, trailing)
-    lwork = int(scipy.linalg.lapack.dormqr(*args, -1)[1][0])
-    q2, _, info = scipy.linalg.lapack.dormqr(*args, lwork)
-    assert info == 0
-    return rank, q2
+def test_gauge_tangent_rank_boundary(rng):
+    """The Gram rank counts a singular value above ``sqrt(GRAM_RANK_RTOL)``
+    (1e-6) of the largest and drops one below ``RANK_RTOL`` (1e-8) as the
+    SVD rank does; between the two only the SVD rank counts it."""
+    core = rng.standard_normal((30, 5))
+
+    def dependent(eps):
+        return core[:, 0] + eps * rng.standard_normal(30)
+
+    basis = np.column_stack([core, dependent(1e-4), dependent(1e-10)])
+    svals = np.linalg.svd(basis, compute_uv=False)
+    assert svals[5] > 1e-5 * svals[0] and svals[6] < 1e-9 * svals[0]
+    assert M.GaugeTangent(basis).rank == M.matrix_rank_rel(basis) == 6
+    between = np.column_stack([core, dependent(1e-7)])
+    svals = np.linalg.svd(between, compute_uv=False)
+    assert M.RANK_RTOL * svals[0] < svals[5] < np.sqrt(M.GRAM_RANK_RTOL) * svals[0]
+    assert (M.GaugeTangent(between).rank, M.matrix_rank_rel(between)) == (5, 6)
 
 
 @pytest.mark.parametrize("name", ["xyi", "xycphase"])
-def test_gauge_tangent_equals_direct_qr_in_bits(name):
+def test_gauge_tangent_rank_equals_direct_qr_rank(name, monkeypatch):
     gs = builtin_gateset(name)
     tangent = M.gauge_tangent(gs)
-    rank, q2 = direct_gauge_frame(tangent.basis)
-    assert (tangent.rank, tangent.dim) == (rank, tangent.n_params - rank)
-    got_q2 = tangent.nongauge_basis()
-    assert got_q2.tobytes() == q2.tobytes() and got_q2.shape == q2.shape
+    qr_rank, _ = direct_gauge_frame(tangent.basis)
+    widths = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        widths.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the gauge rank takes no QR and no SVD")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+    # the rank from one eigensolve of the (D^2 - D)-wide Gram is the pivoted QR's
+    assert tangent.rank == qr_rank == gs.dim**2 - gs.dim
+    assert tangent.dim == tangent.n_params - qr_rank
+    assert widths == [(gs.dim**2 - gs.dim,) * 2]
 
 
-def test_gauge_tangent_takes_its_qr_once_on_first_use(xyi, monkeypatch):
+def test_gauge_tangent_takes_one_gram_eigensolve_on_first_use(xyi, monkeypatch):
     calls = []
-    qr = scipy.linalg.qr
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return qr(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "qr", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     tangent = M.gauge_tangent(xyi)
     assert (tangent.n_params, tangent.basis.shape) == (43, (43, 12))
     assert calls == []
     assert (tangent.rank, tangent.dim) == (12, 31)
-    tangent.nongauge_basis()
-    assert calls == [1]
+    assert (tangent.rank, tangent.dim) == (12, 31)
+    assert calls == [(12, 12)]
 
 
 @pytest.mark.parametrize("name, make", [("xyi", make_xyi_gateset), ("xycphase", make_xycphase_gateset)])
