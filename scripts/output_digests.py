@@ -22,11 +22,15 @@ a circuit keeps.  ``germs`` runs robust XYI selection (seed 7) once with
 and stdouts of both scoring paths are pinned.  ``certify`` also runs on
 ``certify-1q-grams``' design with a gate-set file, XYI with ``Gx[3, 0] =
 0.01``: a non-unital gate brings back the gauge direction unital gates
-hide, so its amplifiable count is 24 and its SPAM budget 7, not 6.  ``certify-1q-grams`` and ``certify-2q-grid`` are also
-certified with their circuits in a second order (the workload's inputs
-at seed 2), and only those stdouts are hashed, on lines named
-``<workload>--order-2``.  Each must equal its first order's: the script
-exits non-zero, after printing every line, when one does not, so a
+hide, so its amplifiable count is 24 and its SPAM budget 7, not 6.
+``fpr --mode per-germ`` also runs on the 2Q germ ``Gxi`` (eps 0.5, seed
+11), whose kite has rank 88 of 96 coordinates, so the FPR screen's cap
+is 9 columns wide where ``fpr-2q``'s is one.  ``certify-1q-grams`` and
+``certify-2q-grid`` are also certified with their circuits in a second
+order (the workload's inputs at seed 2), and only those stdouts are
+hashed, on lines named ``<workload>--order-2``.  Each must equal its
+first order's: the script exits non-zero, after printing every line,
+when one does not, so a
 Gram-held verdict that depends on the circuit order fails the run.
 Running the script on two checkouts and diffing the output shows whether
 a change keeps every output byte-identical:
@@ -95,13 +99,15 @@ def simulate_argv(gateset: str, design: Path, outdir: Path) -> list[str]:
 
 
 def make_extra_inputs(workloads, indir: Path) -> None:
-    """The germ file of the XYI random-FPR design and the non-unital XYI
-    gate-set file."""
+    """The germ files of the XYI random-FPR design and of the 2Q ``Gxi``
+    FPR run, and the non-unital XYI gate-set file."""
     from gstdesign.builtins import builtin_gateset
 
     (indir / "xyi-random").mkdir(parents=True)
     germs = [g.split() for g in workloads.GERMS_1Q_ROBUST]
     (indir / "xyi-random" / "germs.json").write_text(json.dumps(germs))
+    (indir / "xycphase-gxi").mkdir()
+    (indir / "xycphase-gxi" / "germs.json").write_text(json.dumps([["Gxi"]]))
     xyi = builtin_gateset("xyi")
     gx = xyi.gates["Gx"].copy()
     gx[3, 0] = 0.01  # still trace preserving, no longer unital
@@ -112,8 +118,8 @@ def make_extra_inputs(workloads, indir: Path) -> None:
 def extra_runs(indir: Path, outroot: Path):
     """``simulate`` on the 2Q grid design, on an XYI random-FPR design and
     on the XYI standard-germ full design, robust XYI ``germs`` under each
-    ``--germ-score``, then ``certify`` of ``certify-1q-grams``' design at
-    the non-unital XYI gate set."""
+    ``--germ-score``, ``certify`` of ``certify-1q-grams``' design at the
+    non-unital XYI gate set, then 2Q per-germ ``fpr`` on the germ ``Gxi``."""
     outdir = outroot / "certify-2q-grid--simulate"
     yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
     outdir = outroot / "xyi-random--simulate"
@@ -144,6 +150,13 @@ def extra_runs(indir: Path, outroot: Path):
         "--csv", str(outdir / "spectra.csv"), "--report", str(outdir / "report.json"),
     ]
     yield outdir.name, [certify], outdir
+    # rank 88 of 96 kite coordinates: the screen's cap is 9 columns wide
+    outdir = outroot / "xycphase-gxi--fpr"
+    fpr = [
+        "fpr", "--gateset", "xycphase", "--germ-file", str(indir / "xycphase-gxi" / "germs.json"),
+        "--mode", "per-germ", "--eps", "0.5", "--seed", "11", "--out", str(outdir / "fpr.json"),
+    ]
+    yield outdir.name, [fpr], outdir
 
 
 def runs(workloads, indir: Path, outroot: Path):

@@ -12,9 +12,11 @@ The search scores a candidate exactly, by an SVD of its Jacobian rows,
 only when it may be the accepted winner of its size.  Two stacked
 eigensolves per size bound every candidate's score first: a cap from the
 full grid's trailing eigenspace, then an estimate from the candidate's
-Gram, each within ``SCREEN_RTOL`` times the Gram's trace of exact
-arithmetic.  A candidate whose bound falls below the acceptance threshold
-or strictly below another candidate's is provably not the winner, so the
+gathered rows' Gram, each within ``SCREEN_RTOL`` times the Gram's trace
+of exact arithmetic.  A stack gathers at most
+:data:`~gstdesign.germs.GERM_STACK_BYTES` of rows, and no per-pair Gram
+is kept.  A candidate whose bound falls below the acceptance threshold or
+strictly below another candidate's is provably not the winner, so the
 chosen pairs and ratios are equal in bits to scoring every candidate (see
 :func:`per_germ_fpr`).
 
@@ -57,7 +59,7 @@ SCREEN_RTOL = 1e-10
 screen's bounds on its score (see :func:`per_germ_fpr`).
 
 The exact score ``s`` comes from a backward-stable SVD of the candidate's
-rows, the screen's values from sums of per-pair Grams and backward-stable
+rows, the screen's values from gathered rows' Grams and backward-stable
 ``eigvalsh`` calls, and the cap's trailing basis is orthonormal to
 rounding.  Each rounding error is bounded by ``(rows + coords)`` times the
 machine epsilon times ``||G|| <= trace(G)``, so the screen's values and
@@ -103,62 +105,56 @@ def kite_param_jacobian(
     return jac
 
 
-def _exact_score(jac_full: np.ndarray, sel: np.ndarray, m: int, rank: int) -> float:
+def _exact_score(blocks: np.ndarray, sel: np.ndarray, rank: int) -> float:
     """A candidate's score: the rank-th largest squared singular value of
-    its rows of ``jac_full`` (pair ``r`` owns rows ``r*m`` to ``r*m + m``).
-    A candidate has at least ``rank`` rows, and the full grid at least
-    ``rank`` columns."""
-    rows = (sel[:, None] * m + np.arange(m)).ravel()
-    return float(np.linalg.svd(jac_full[rows], compute_uv=False)[rank - 1] ** 2)
+    its pairs' rows, pair ``r`` owning the ``(m, width)`` block
+    ``blocks[r]``.  A candidate has at least ``rank`` rows, and the full
+    grid at least ``rank`` columns."""
+    rows = blocks[sel].reshape(-1, blocks.shape[2])
+    return float(np.linalg.svd(rows, compute_uv=False)[rank - 1] ** 2)
 
 
-def _pair_grams(blocks: np.ndarray) -> np.ndarray:
-    """Per-pair Grams ``B_r^H B_r`` of ``(pairs, m, w)`` row blocks, one flat
-    row of their real and imaginary parts per pair, so that a 0/1 selection
-    product sums them in real arithmetic."""
-    grams = np.matmul(blocks.conj().transpose(0, 2, 1), blocks)
-    return grams.reshape(len(blocks), -1).view(np.float64)
-
-
-def _eigvalsh_at(select: np.ndarray, pair_grams: np.ndarray, width: int, index: int) -> np.ndarray:
-    """Ascending eigenvalue ``index`` of each selection row's sum of
-    per-pair Grams, a Hermitian ``width x width`` matrix, stacked at most
-    :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
-    chunk = max(1, GERM_STACK_BYTES // (16 * width * width))
-    grams = (select[lo : lo + chunk] @ pair_grams for lo in range(0, len(select), chunk))
-    return np.concatenate([
-        np.linalg.eigvalsh(g.view(complex).reshape(-1, width, width))[:, index] for g in grams
-    ])
+def _eigvalsh_at(blocks: np.ndarray, draws: np.ndarray, index: int) -> np.ndarray:
+    """Ascending eigenvalue ``index`` of each draw's Gram ``R^H R``, ``R``
+    being its pairs' rows of the ``(pairs, m, width)`` blocks, gathered at
+    most :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
+    cands, size = draws.shape
+    _, m, width = blocks.shape
+    chunk = max(1, GERM_STACK_BYTES // (blocks.itemsize * size * m * width))
+    out = []
+    for lo in range(0, cands, chunk):
+        rows = blocks[draws[lo : lo + chunk]].reshape(-1, size * m, width)
+        out.append(np.linalg.eigvalsh(rows.conj().transpose(0, 2, 1) @ rows)[:, index])
+    return np.concatenate(out)
 
 
 class _PairScreen:
     """Bounds on the scores of one size's candidate pair sets.
 
-    A candidate's score ``s`` is the rank-th largest eigenvalue of its Gram
-    ``G = J^H J``, which is the sum of its per-pair Grams ``P_r = J_r^H J_r``.
-    Two stacked eigensolves bound it, each within ``delta = SCREEN_RTOL *
-    trace(G)`` of exact arithmetic:
+    A candidate's score ``s`` is the rank-th largest eigenvalue of the Gram
+    ``G = R^H R`` of its gathered rows ``R``.  Two stacked eigensolves bound
+    it, each within ``delta = SCREEN_RTOL * trace(G)`` of exact arithmetic:
 
     * a cap: ``s`` is at most the top eigenvalue of ``W^H G W`` for any
       ``width - rank + 1`` orthonormal columns ``W`` (Courant-Fischer).
       ``W`` spans the full grid's trailing eigenvectors, so the cap solves
-      ``width - rank + 1`` wide matrices, one wide for a full-rank germ;
-    * an estimate ``a``: the rank-th largest eigenvalue of ``G``, a 0/1
-      selection matrix times the stacked ``P_r``.  ``G`` is
+      the Grams of the rows ``R W``, ``width - rank + 1`` wide, one wide
+      for a full-rank germ;
+    * an estimate ``a``: the rank-th largest eigenvalue of ``G``.  ``G`` is
       ``width x width`` at every size, also for a candidate with fewer
       rows than that: its eigenvalues beyond the rows are zero, a candidate
       has at least ``rank`` rows, and the bound holds for a Gram of any
       rank.
     """
 
-    def __init__(self, jac_full: np.ndarray, m: int, rank: int):
+    def __init__(self, blocks: np.ndarray, rank: int):
         self.rank = rank
-        self.pairs, self.width = len(jac_full) // m, jac_full.shape[1]
-        blocks = jac_full.reshape(self.pairs, m, self.width)
+        self.blocks = blocks
         self.traces = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-        trailing = np.linalg.eigh(jac_full.conj().T @ jac_full)[1][:, : self.width - rank + 1]
-        self._cap_grams = _pair_grams(blocks @ trailing)
-        self._pair_grams = _pair_grams(blocks)
+        width = blocks.shape[2]
+        rows = blocks.reshape(-1, width)
+        trailing = np.linalg.eigh(rows.conj().T @ rows)[1][:, : width - rank + 1]
+        self._cap_blocks = blocks @ trailing
 
     def survivors(self, draws: np.ndarray, threshold: float) -> np.ndarray:
         """Indices, in draw order, of the candidates (rows of sorted pair
@@ -167,16 +163,12 @@ class _PairScreen:
         whose ``a + delta`` reaches every capped-in candidate's
         ``a - delta``.  Every other candidate scores below the threshold or
         strictly below a survivor."""
-        cands = len(draws)
-        select = np.zeros((cands, self.pairs))
-        select[np.arange(cands)[:, None], draws] = 1.0
-        delta = SCREEN_RTOL * (select @ self.traces)
-        w = self.width - self.rank + 1
-        cap = _eigvalsh_at(select, self._cap_grams, w, w - 1)
+        delta = SCREEN_RTOL * self.traces[draws].sum(axis=1)
+        cap = _eigvalsh_at(self._cap_blocks, draws, self._cap_blocks.shape[2] - 1)
         idx = np.flatnonzero(cap + delta >= threshold)
         if not idx.size:
             return idx
-        est = _eigvalsh_at(select[idx], self._pair_grams, self.width, self.width - self.rank)
+        est = _eigvalsh_at(self.blocks, draws[idx], self.blocks.shape[2] - self.rank)
         upper, lower = est + delta[idx], est - delta[idx]
         return idx[upper >= max(threshold, lower.max())]
 
@@ -220,9 +212,9 @@ def per_germ_fpr(
 
     Each size's draws are screened before any is scored (see
     :class:`_PairScreen`).  With ``delta = SCREEN_RTOL * trace(G)`` for a
-    candidate Gram ``G``, a stacked cap ``c`` and a stacked estimate ``a``
-    satisfy ``s <= c + delta`` and ``|s - a| <= delta`` for the exact
-    score ``s``.  A candidate with ``c + delta`` or ``a + delta`` below the
+    candidate's gathered rows' Gram ``G``, a stacked cap ``c`` and a
+    stacked estimate ``a`` satisfy ``s <= c + delta`` and
+    ``|s - a| <= delta`` for the exact score ``s``.  A candidate with ``c + delta`` or ``a + delta`` below the
     threshold cannot be accepted, and one whose ``a + delta`` is below the
     largest ``a - delta`` scores strictly below that candidate; neither
     gets an SVD.  A size with no candidate left is rejected unscored.  The
@@ -255,7 +247,7 @@ def per_germ_fpr(
         lam_baseline = float(svals[rank - 1] ** 2)
         threshold = eps_lambda * lam_baseline
         base_rank[k] = rank
-        screen = _PairScreen(jac_full, m, rank)
+        screen = _PairScreen(jac_full.reshape(len(full_grid), m, -1), rank)
         rng = np.random.default_rng(np.random.SeedSequence([int(search_seed), k]))
 
         found = None
@@ -269,7 +261,7 @@ def per_germ_fpr(
                 continue
             best = None
             for sel in draws[screen.survivors(draws, threshold)]:
-                lam = _exact_score(jac_full, sel, m, rank)
+                lam = _exact_score(screen.blocks, sel, rank)
                 if best is None or lam > best[0]:
                     best = (lam, sel)
             if best is None:

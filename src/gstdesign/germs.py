@@ -92,7 +92,11 @@ PERTURBED_DEGENERACY_TOL = 1e-10
 # (86 + 75) values (15 KB), so 33 share a stack, and on XYCPHASE up to
 # 126 x (2526 + 2883) (5.5 MB), a stack of one.  A ``min`` test matrix is
 # rank_S + r wide: at most 37 on XYI (11 KB), so 47 share a stack, and up
-# to 1087 on XYCPHASE (9.5 MB).  A 2Q germ's build is a stack of one.
+# to 1087 on XYCPHASE (9.5 MB).  A 2Q germ's build is a stack of one.  A
+# per-germ FPR candidate's gathered rows are size x m x kite coordinates:
+# on XYI at most 35 x 2 x 16 values (18 KB), so 29 share a stack, and on a
+# full-rank 2Q kite of 136 coordinates at least 34 x 4 x 136 (0.3 MB), a
+# stack of one.
 GERM_STACK_BYTES = 1 << 19
 # Relative width of the window in which test-set scores tie: among the
 # candidates of least shortfall scoring within it of the least score, the

@@ -1,4 +1,4 @@
-"""Extended two-qubit checks (92 s on 2 cores, one BLAS thread); enable with GSTDESIGN_RUN_2Q=1.
+"""Extended two-qubit checks (82 s on 2 cores, one BLAS thread); enable with GSTDESIGN_RUN_2Q=1.
 
 Pins the 13 standard germs that greedy selection picks, in order, and
 otherwise asserts only the qualitative contracts: the median cumulative

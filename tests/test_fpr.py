@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,15 +245,39 @@ def assert_matches_exhaustive(gs, preps, meass, germs, eps, seed, **kw):
 
 
 @pytest.mark.parametrize("seed, eps", [(0, 1.0 / 30.0), (3, 0.0333), (5, 0.1), (7, 0.5)])
-def test_screened_search_equals_exhaustive_xyi(xyi, xyi_fiducials, seed, eps):
+def test_screened_search_equals_exhaustive_xyi(xyi, xyi_fiducials, seed, eps, monkeypatch):
     pool = G.germ_candidate_pool(xyi.labels, 3)
+    assert_matches_exhaustive(xyi, xyi_fiducials, xyi_fiducials, pool, eps, seed)
+    # a one-byte budget gathers every candidate's rows in a stack of its own
+    monkeypatch.setattr(FP, "GERM_STACK_BYTES", 1)
     assert_matches_exhaustive(xyi, xyi_fiducials, xyi_fiducials, pool, eps, seed)
 
 
 def test_screened_search_equals_exhaustive_2q():
     gs = make_xycphase_gateset()
     preps, meass = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
+    # full rank on its kite: a one-column cap
     assert_matches_exhaustive(gs, preps, meass, [Circuit(("Gcphase", "Gxi", "Giy"))], 0.1, 11)
+    # rank 88 of 96 kite coordinates: a 9-column cap
+    result = assert_matches_exhaustive(gs, preps, meass, [Circuit(("Gxi",))], 0.1, 11, candidates_per_size=10)
+    assert result.baseline_rank[0] == 88
+
+
+def test_screen_holds_no_per_pair_grams():
+    # Gcphase has 136 kite coordinates on a 144-pair grid, so one Gram per
+    # pair would hold 144 x 136^2 complex values, 42.6 MB.  Building the
+    # 576 x 136 full-grid Jacobian (1.25 MB) holds three arrays of its size
+    # at once, and a stack gathers at most GERM_STACK_BYTES (0.5 MB) of
+    # rows: 10 MB bounds both with room to spare.
+    gs = make_xycphase_gateset()
+    preps, meass = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")
+    tracemalloc.start()
+    try:
+        FP.per_germ_fpr(gs, preps, meass, [Circuit(("Gcphase",))], search_seed=11, candidates_per_size=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("eps, seed", [(0.1, 3), (0.5, 3), (0.0333, 0), (0.5, 7)])
