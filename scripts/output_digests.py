@@ -19,7 +19,9 @@ design-1q's.  Several plaquettes of the last design reach some of its
 circuits, so its dataset also pins which plaquette's probabilities such
 a circuit keeps.  ``germs`` runs robust XYI selection (seed 7) once with
 ``--germ-score sum`` and once with ``--germ-score min``, so the germ files
-and stdouts of both scoring paths are pinned.  ``certify`` also runs on
+and stdouts of both scoring paths are pinned, and once more at seed 3,
+where the ``sum`` rank update hands a test (``Gx Gx Gx Gx Gy`` with 23
+chosen rows) to the eigensolve.  ``certify`` also runs on
 ``certify-1q-grams``' design with a gate-set file, XYI with ``Gx[3, 0] =
 0.01``: a non-unital gate brings back the gauge direction unital gates
 hide, so its amplifiable count is 24 and its SPAM budget 7, not 6.
@@ -118,7 +120,7 @@ def make_extra_inputs(workloads, indir: Path) -> None:
 def extra_runs(indir: Path, outroot: Path):
     """``simulate`` on the 2Q grid design, on an XYI random-FPR design and
     on the XYI standard-germ full design, robust XYI ``germs`` under each
-    ``--germ-score``, ``certify`` of ``certify-1q-grams``' design at the
+    ``--germ-score`` and at seed 3, ``certify`` of ``certify-1q-grams``' design at the
     non-unital XYI gate set, then 2Q per-germ ``fpr`` on the germ ``Gxi``."""
     outdir = outroot / "certify-2q-grid--simulate"
     yield outdir.name, [simulate_argv("xycphase", indir / "certify-2q-grid" / "design.json", outdir)], outdir
@@ -143,6 +145,12 @@ def extra_runs(indir: Path, outroot: Path):
             "--out", str(outdir / "germs.json"),
         ]
         yield outdir.name, [germs], outdir
+    # the update defers one of seed 3's tests to the eigensolve
+    outdir = outroot / "xyi-robust-seed3--germs"
+    germs = [
+        "germs", "--gateset", "xyi", "--germs", "robust", "--seed", "3", "--out", str(outdir / "germs.json"),
+    ]
+    yield outdir.name, [germs], outdir
     outdir = outroot / "certify-1q-grams--non-unital"
     certify = [
         "certify", "--gateset", str(indir / "xyi-non-unital" / "gateset.json"),

@@ -17,14 +17,21 @@ the idle gate's) yields the "robust" set; the "bare" set is just the gates
 themselves and is deliberately not AC.
 
 Work is done in stacks, on held rows, and only work that can change the
-chosen set is done.  A germ's twirled Jacobian is one matrix product per
-gate label, because the kite projector factors through the commutant
-basis, and all germs of one length are built together: stacked prefix and
-suffix products, one stacked eigendecomposition, condition number and
-inverse per spectrum type, and one contraction per label (see
-:func:`germ_twirled_jacobians`).  Each member comes out bit for bit as its
-batch of one, which is what :func:`kite_structure` and
-:func:`germ_twirled_jacobian` are.  Selection holds each candidate's
+chosen set is done.  The kite projector factors through the commutant
+basis, so a germ's twirled Jacobian is ``Re(A C)``: ``A`` holds the ``D^2``
+entries of the m commutant basis elements, m the commutant dimension, and
+``C`` their ``m x n_params`` coefficients, one contraction per gate label.
+All (model, germ) members of one length are built together, over every
+model at once: stacked prefix and suffix products, one stacked
+eigendecomposition and inverse per spectrum type, an exact condition
+number only where a Frobenius bound flags a defective basis, and one
+contraction per label (see :func:`germ_twirled_jacobians`).  Each member
+comes out bit for bit as its batch of one, which is what
+:func:`kite_structure` and :func:`germ_twirled_jacobian` are.  Selection
+forms no ``D^2``-row Jacobian: pairing each commutant coordinate with its
+conjugate makes the factor real, ``J = A_r C_r`` with m columns, and a
+candidate is compressed from the m rows ``R C_r``, ``R^T R = A_r^T A_r``
+(see :meth:`_TwirledFactors.held_rows`).  Selection holds each candidate's
 Jacobian, and each model's chosen set, only as compressed rows
 (:mod:`gstdesign.held`): ``r_c`` rows for a candidate, ``rank_S`` for the
 set.  The default ``sum`` score of a test set is then a rank-``r_c``
@@ -85,18 +92,26 @@ __all__ = [
 
 IDEAL_DEGENERACY_TOL = 1e-7
 PERTURBED_DEGENERACY_TOL = 1e-10
-# Working-array budget of one stack: Jacobians built together, or tests
-# scored together in a greedy step.  It bounds the memory stacking adds.  A
-# rank update holds a candidate's rows and their residual, r_c x n_params
-# each, and three scaled cross blocks, r_c x rank_S: on XYI at most 12 x
-# (86 + 75) values (15 KB), so 33 share a stack, and on XYCPHASE up to
-# 126 x (2526 + 2883) (5.5 MB), a stack of one.  A ``min`` test matrix is
-# rank_S + r wide: at most 37 on XYI (11 KB), so 47 share a stack, and up
-# to 1087 on XYCPHASE (9.5 MB).  A 2Q germ's build is a stack of one.  A
-# per-germ FPR candidate's gathered rows are size x m x kite coordinates:
-# on XYI at most 35 x 2 x 16 values (18 KB), so 29 share a stack, and on a
-# full-rank 2Q kite of 136 coordinates at least 34 x 4 x 136 (0.3 MB), a
-# stack of one.
+# Working-array budget of one stack: Jacobian factors built together, or
+# tests scored together in a greedy step.  It bounds the memory stacking
+# adds.  A build stack holds each member's gates with their prefix and
+# suffix products and its kite arrays, (24 n + 56) D^2 bytes at germ length
+# n: 163 XYI members of length 6 share a stack, and 13 XYCPHASE members of
+# length 4.  Its members of one commutant dimension m are factored in
+# stacks of their own: the complex image and coefficients, (D^2 + n_params)
+# m values, the products they come from, 2 n D^2, and four real
+# m x n_params arrays of held rows.  On XYI that is 17 KB at m = 6, every
+# perturbed model's dimension, so 30 share a stack, and 40 KB at m = 16; on
+# XYCPHASE it is 1.8 MB at m = 28, a stack of one.  A rank update holds a
+# candidate's rows and their residual, r_c x n_params each, and three
+# scaled cross blocks, r_c x rank_S: on XYI at most 12 x (86 + 75) values
+# (15 KB), so 33 share a stack, and on XYCPHASE up to 126 x (2526 + 2883)
+# (5.5 MB), a stack of one.  A ``min`` test matrix is rank_S + r wide: at
+# most 37 on XYI (11 KB), so 47 share a stack, and up to 1087 on XYCPHASE
+# (9.5 MB).  A per-germ FPR candidate's gathered rows are size x m x kite
+# coordinates: on XYI at most 35 x 2 x 16 values (18 KB), so 29 share a
+# stack, and on a full-rank 2Q kite of 136 coordinates at least
+# 34 x 4 x 136 (0.3 MB), a stack of one.
 GERM_STACK_BYTES = 1 << 19
 # Relative width of the window in which test-set scores tie: among the
 # candidates of least shortfall scoring within it of the least score, the
@@ -138,14 +153,14 @@ class KiteStructure:
         return np.nonzero(inside)
 
 
-def _cluster_labels(evals: np.ndarray, tol: float) -> np.ndarray:
+def _cluster_labels(evals: np.ndarray, tols) -> np.ndarray:
     """Connected-component clustering of a stack of spectra ``(N, D)`` at
-    relative tolerance: ``i`` and ``j`` of one member are joined when
-    ``|evals[i] - evals[j]|`` is within ``tol`` of that member's largest
-    modulus.  Each eigenvalue is labelled by the smallest index of its
-    component."""
+    relative tolerance: ``i`` and ``j`` of member ``n`` are joined when
+    ``|evals[i] - evals[j]|`` is within ``tols[n]`` of that member's
+    largest modulus (a scalar ``tols`` serves every member).  Each
+    eigenvalue is labelled by the smallest index of its component."""
     scale = np.max(np.abs(evals), axis=-1)
-    thresh = tol * np.where(scale > 0, scale, 1.0)
+    thresh = tols * np.where(scale > 0, scale, 1.0)
     # transitive closure of the adjacency by boolean squaring, then each
     # index's component is named by the smallest index it reaches
     reach = np.abs(evals[:, :, None] - evals[:, None, :]) <= thresh[:, None, None]
@@ -179,12 +194,21 @@ def _generalized_eigenbasis(op: np.ndarray, clusters, evals) -> np.ndarray:
     return np.hstack(cols)
 
 
+# Condition number of an eigenvector basis past which it is taken as
+# defective and replaced by generalized eigenspaces
+DEFECTIVE_COND = 1e12
+
+
 @dataclass(frozen=True)
 class _KiteStack:
     """Kite structures of the members ``members`` of a stack, in arrays of
     one dtype: ``labels[n, i]`` is eigenvalue ``i``'s cluster (see
     :func:`_cluster_labels`) and ``order`` the kite order of the eig
-    indices, clusters by smallest index and ascending within one."""
+    indices, clusters by smallest index and ascending within one.
+    ``partner[n, k]`` is the kite column whose basis vector is exactly the
+    complex conjugate of column ``k``'s, or ``-1`` throughout for a member
+    whose basis does not pair that way (a real basis pairs each column with
+    itself)."""
 
     members: np.ndarray
     evals: np.ndarray
@@ -192,6 +216,7 @@ class _KiteStack:
     order: np.ndarray
     basis: np.ndarray
     basis_inv: np.ndarray
+    partner: np.ndarray
 
     def in_block(self) -> np.ndarray:
         """``(N, D, D)`` mask of kite-basis entries that share a block."""
@@ -199,16 +224,22 @@ class _KiteStack:
         return ordered[:, :, None] == ordered[:, None, :]
 
 
-def _kite_stacks(ops: np.ndarray, tol: float) -> list[_KiteStack]:
-    """Kite structures of a stack of operators ``(N, D, D)``, one stacked
-    solve of each kind per spectrum type.
+def _kite_stacks(ops: np.ndarray, tols: np.ndarray) -> list[_KiteStack]:
+    """Kite structures of a stack of operators ``(N, D, D)``, member ``n``
+    clustered at degeneracy tolerance ``tols[n]``, one stacked solve of
+    each kind per spectrum type.
 
     A stacked ``np.linalg.eig`` returns complex arrays for every member once
     any member has a complex eigenvalue, where a lone call on a
-    real-spectrum matrix returns real ones, and the later ``cond`` and
-    ``inv`` then run in other arithmetic.  Members with a real spectrum are
+    real-spectrum matrix returns real ones, and the later ``inv`` and
+    ``cond`` then run in other arithmetic.  Members with a real spectrum are
     therefore taken back to real arrays and solved apart from the rest, so
     that each member's kite is bit for bit that of its batch of one.
+
+    On a real matrix ``eig`` returns each complex pair at adjacent indices,
+    positive imaginary part first, and the two eigenvectors as exact
+    conjugates: that gives ``partner``, checked bit for bit on the final
+    basis, so a generalized-eigenbasis fallback is unpaired.
     """
     if not np.all(np.isfinite(ops)):
         raise ValueError("kite_structure input has non-finite entries")
@@ -223,18 +254,63 @@ def _kite_stacks(ops: np.ndarray, tol: float) -> list[_KiteStack]:
     for members, evals, evecs in groups:
         if members.size == 0:
             continue
-        labels = _cluster_labels(evals, tol)
+        labels = _cluster_labels(evals, tols[members])
         order = np.argsort(labels, axis=1, kind="stable")
         # columns in kite order, each member column-major as a lone
         # ``evecs[:, order]`` is: later products take their BLAS path from it
         basis = np.take_along_axis(evecs.transpose(0, 2, 1), order[:, :, None], axis=1)
         basis = basis.transpose(0, 2, 1)
-        # fall back to generalized eigenspaces where the eigenvector matrix
-        # is defective (non-diagonalizable input), one member at a time
-        for n in np.flatnonzero(np.linalg.cond(basis) > 1e12):
-            basis[n] = _generalized_eigenbasis(ops[members[n]], _clusters(labels[n]), evals[n])
-        stacks.append(_KiteStack(members, evals, labels, order, basis, np.linalg.inv(basis)))
+        basis_inv = _nondefective_inverse(ops[members], basis, labels, evals)
+        stacks.append(
+            _KiteStack(members, evals, labels, order, basis, basis_inv, _conjugate_partners(evals, order, basis))
+        )
     return stacks
+
+
+def _nondefective_inverse(ops, basis, labels, evals) -> np.ndarray:
+    """Replace in place each member's ``basis`` whose condition number
+    passes :data:`DEFECTIVE_COND` (non-diagonalizable input) by its
+    generalized eigenspaces, one member at a time, and return the inverse
+    of every final basis.
+
+    ``cond_2(S) <= ||S||_F ||S^-1||_F``, so the exact ``cond``, an SVD, runs
+    only on members whose bound from the stacked inverse passes half the
+    cutoff; the half covers the rounding of a computed inverse.  A stacked
+    inverse that raises (an exactly singular member) takes ``cond`` on
+    every member first.  Either way the same members fall back and each
+    member's inverse is that of its batch of one.
+    """
+    try:
+        inv = np.linalg.inv(basis)
+    except np.linalg.LinAlgError:
+        inv, flagged = None, np.arange(len(basis))
+    else:
+        bound = np.linalg.norm(basis, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        flagged = np.flatnonzero(~(bound <= 0.5 * DEFECTIVE_COND))
+    if flagged.size:
+        flagged = flagged[np.linalg.cond(basis[flagged]) > DEFECTIVE_COND]
+    for n in flagged:
+        basis[n] = _generalized_eigenbasis(ops[n], _clusters(labels[n]), evals[n])
+    if inv is None:
+        return np.linalg.inv(basis)
+    if flagged.size:
+        inv[flagged] = np.linalg.inv(basis[flagged])
+    return inv
+
+
+def _conjugate_partners(evals, order, basis) -> np.ndarray:
+    """:attr:`_KiteStack.partner` of a stack's kite bases."""
+    count, dim = order.shape
+    if not np.iscomplexobj(basis):
+        return np.tile(np.arange(dim), (count, 1))
+    # eig index of each eigenvalue's conjugate: the next one for a positive
+    # imaginary part, the previous one for a negative one
+    conj = np.clip(np.arange(dim) + np.sign(evals.imag).astype(int), 0, dim - 1)
+    position = np.argsort(order, axis=1)
+    partner = np.take_along_axis(position, np.take_along_axis(conj, order, axis=1), axis=1)
+    paired = np.all(np.take_along_axis(basis, partner[:, None, :], axis=2) == basis.conj(), axis=(1, 2))
+    partner[~paired] = -1
+    return partner
 
 
 def kite_structures(ops, degeneracy_tol: float = IDEAL_DEGENERACY_TOL) -> list[KiteStructure]:
@@ -244,7 +320,7 @@ def kite_structures(ops, degeneracy_tol: float = IDEAL_DEGENERACY_TOL) -> list[K
     if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
         raise ValueError("kite_structures needs a stack of square matrices")
     kites: list[KiteStructure] = [None] * len(ops)
-    for stack in _kite_stacks(ops, degeneracy_tol):
+    for stack in _kite_stacks(ops, np.full(len(ops), degeneracy_tol)):
         for n, member in enumerate(stack.members.tolist()):
             clusters = _clusters(stack.labels[n])
             sizes = [len(group) for group in clusters]
@@ -296,16 +372,11 @@ def germ_twirled_jacobians(
         sum_(c,d) in blocks  S[:, c] S^-1[d, :] * sum_i left_i[c, a] right_i[b, d].
 
     The first factor depends only on the germ and the second only on the
-    label, so each gate label costs one (D^2, m) @ (m, (D-1) D) product,
-    m being the commutant dimension ``kite.num_params``.
-
-    Germs are built in stacks of one length, at most
-    :data:`GERM_STACK_BYTES` of working arrays at a time: the prefix and
-    suffix products are stacked matmuls, the kites come from
-    :func:`_kite_stacks`, and each label's coefficients are one contraction
-    over the members of equal commutant dimension, the occurrence sum
-    running over every position with weight one or zero.  A member's
-    Jacobian does not depend on the stack it is built in.
+    label, so the Jacobian is ``Re(A C)``: ``A`` is ``(D^2, m)``, its
+    columns the commutant basis elements ``S E_cd S^-1``, and ``C`` is
+    ``(m, n_params)``, m being the commutant dimension ``kite.num_params``
+    (see :func:`_twirled_factors`).  A member's Jacobian does not depend on
+    the stack it is built in.
 
     Columns for parameters of gates absent from a germ (and all SPAM
     parameters) are zero.  Real part is returned: the projected derivative
@@ -314,46 +385,127 @@ def germ_twirled_jacobians(
     """
     germs = list(germs)
     jac = np.zeros((len(germs), model.dim**2, n_params(model)))
-    for idx, block in _twirled_jacobian_stacks(model, germs, degeneracy_tol):
-        jac[idx] = block
+    for factors in _twirled_factors([model], germs, [degeneracy_tol]):
+        jac[factors.germs] = (factors.image @ factors.coef).real
     return jac
 
 
-def _twirled_jacobian_stacks(model: GateSet, germs: list[Circuit], tol: float):
-    """Yield (indices into ``germs``, their twirled Jacobians) stack by
-    stack, as :func:`germ_twirled_jacobians` builds them.  The empty germ,
-    whose Jacobian is zero, is in no stack."""
-    dim = model.dim
-    labels = list(model.gates)
-    gates = np.stack([model.gates[lab] for lab in labels])
+@dataclass(frozen=True)
+class _TwirledFactors:
+    """Twirled Jacobians ``Re(image @ coef)`` of a stack of (model, germ)
+    members of one length and one commutant dimension ``m``: ``image`` is
+    ``(N, D^2, m)``, ``coef`` ``(N, m, n_params)``, both complex unless
+    every member's spectrum is real, and ``partner[n]`` maps each in-block
+    coordinate to its conjugate coordinate, ``-1`` throughout where the
+    kite basis is unpaired (see :attr:`_KiteStack.partner`)."""
+
+    models: np.ndarray
+    germs: np.ndarray
+    image: np.ndarray
+    coef: np.ndarray
+    partner: np.ndarray
+
+    def held_rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(members, rows ``F``) with ``F^T F = J^T J`` for each member's
+        Jacobian ``J``, m rows per paired member and 2m per unpaired one:
+        ``F`` never has ``D^2`` rows.
+
+        Pairing each coordinate ``(c, d)`` with its conjugate
+        ``(c̄, d̄)``, whose image and coefficients are the conjugates of its
+        own, gives a real factor ``J = A_r C_r`` of m columns: coordinate
+        ``k`` of a pair ``k < k̄`` takes ``sqrt(2) Re`` of ``k``'s image
+        column and coefficient row, ``k̄`` takes ``sqrt(2) Im`` of the
+        column and ``-sqrt(2) Im`` of the row, and a self-conjugate
+        coordinate takes the real parts.  With ``R^T R = A_r^T A_r`` (an
+        m x m Cholesky) the rows are ``R C_r``.  An unpaired member's rows
+        are ``[Re K; Im K]`` for ``K = L C``, ``L^H L = A^H A``: their Gram
+        is ``Re((AC)^H AC)``, ``J^T J`` up to the rounding of ``Im(AC)``.
+        """
+        paired = self.partner[:, 0] >= 0
+        out = []
+        if paired.any():
+            image, coef = self.image[paired], self.coef[paired]
+            if np.iscomplexobj(image):
+                k = np.arange(image.shape[-1])
+                partner = self.partner[paired]
+                lead = np.minimum(partner, k)  # a pair's coordinate of lower index
+                im = partner < k  # a pair's other coordinate takes the imaginary parts
+                weight = np.where(partner == k, 1.0, np.sqrt(2.0))
+                member = np.arange(len(lead))[:, None]
+                # each real coordinate's part of its lead, from the (Re, Im) real views
+                image = image.view(float).reshape(*image.shape, 2)[member, :, lead, im.astype(int)]
+                image = image.transpose(0, 2, 1) * weight[:, None, :]
+                coef = coef.view(float).reshape(*coef.shape, 2)[member, lead, :, im.astype(int)]
+                coef *= np.where(im, -weight, weight)[:, :, None]
+            out.append((np.flatnonzero(paired), _gram_root(image) @ coef))
+        if not paired.all():
+            k = _gram_root(self.image[~paired]) @ self.coef[~paired]
+            out.append((np.flatnonzero(~paired), np.concatenate([k.real, k.imag], axis=1)))
+        return out
+
+
+def _gram_root(a: np.ndarray) -> np.ndarray:
+    """Upper triangular ``R`` with ``R^H R = a^H a`` for each member of a
+    stack ``(N, rows, m)`` of full column rank: the Cholesky factor of the
+    m x m Gram, or, where that Gram is not numerically positive definite,
+    the ``R`` of a QR decomposition.  A member's ``R`` is that of its batch
+    of one."""
+    try:
+        return np.linalg.cholesky(a.conj().transpose(0, 2, 1) @ a, upper=True)
+    except np.linalg.LinAlgError:
+        if len(a) > 1:
+            return np.stack([_gram_root(member[None])[0] for member in a])
+        return np.linalg.qr(a, mode="r")
+
+
+def _twirled_factors(models: list[GateSet], germs: list[Circuit], tols):
+    """Yield the :class:`_TwirledFactors` of every (model, germ) member,
+    ``tols[mi]`` being model ``mi``'s degeneracy tolerance.
+
+    Members of one length are built together across all models, which
+    must share the gate labels and dimension of ``models[0]``, in stacks of
+    at most :data:`GERM_STACK_BYTES` of working arrays: the prefix and
+    suffix products are stacked matmuls and the kites come from
+    :func:`_kite_stacks`.  Each kite stack's members of one commutant
+    dimension are then factored in stacks of their own, each label's
+    coefficients one contraction over them, the occurrence sum running
+    over every position with weight one or zero.  The empty germ, whose
+    Jacobian is zero, is in no stack.
+    """
+    dim = models[0].dim
+    labels = list(models[0].gates)
+    if any(m.dim != dim or list(m.gates) != labels for m in models):
+        raise ValueError("models built together must share gate labels and dimension")
+    require_labels(models[0], [germ.labels for germ in germs])
+    gates = np.stack([m.gates[lab] for m in models for lab in labels])
     position = {lab: i for i, lab in enumerate(labels)}
-    require_labels(model, [germ.labels for germ in germs])
-    by_length: dict[int, list[int]] = {}
+    by_length: dict[int, list[tuple[int, int]]] = {}
     for gi, germ in enumerate(germs):
         if germ.labels:  # the empty germ has no gate columns
-            by_length.setdefault(len(germ.labels), []).append(gi)
+            by_length.setdefault(len(germ.labels), []).extend((mi, gi) for mi in range(len(models)))
 
-    blocks = param_blocks(model)
+    blocks = param_blocks(models[0])
     columns = [blocks[lab] for lab in labels]
-    # image, coefficients and product: at most three complex (D^2, D^2) arrays a member
-    chunk = max(1, GERM_STACK_BYTES // (3 * 16 * dim**4))
-    for members in by_length.values():
+    tols = np.asarray(tols, dtype=float)
+    for length, members in by_length.items():
+        # real gates and their prefix and suffix products, and the complex
+        # eigenvectors, kite basis and inverse: (24 length + 56) D^2 bytes a member
+        chunk = max(1, GERM_STACK_BYTES // ((24 * length + 56) * dim**2))
         for lo in range(0, len(members), chunk):
-            idx = np.array(members[lo : lo + chunk])
-            seq = np.array([[position[lab] for lab in germs[gi].labels] for gi in idx])
-            jac = np.zeros((len(idx), dim * dim, n_params(model)))
-            for rows, cols, block in _twirled_jacobian_stack(gates, seq, columns, tol):
-                jac[rows, :, cols] = block
-            yield idx, jac
+            mis, gis = np.array(members[lo : lo + chunk]).T
+            seq = np.array([[position[lab] for lab in germs[gi].labels] for gi in gis])
+            ops = gates[mis[:, None] * len(labels) + seq]
+            for member, *factors in _twirled_factor_stacks(ops, tols[mis], seq, columns, n_params(models[0])):
+                yield _TwirledFactors(mis[member], gis[member], *factors)
 
 
-def _twirled_jacobian_stack(gates, seq, columns, tol):
-    """Twirled Jacobians of the germs ``seq`` ``(N, n)``, gate indices into
-    ``gates`` in time order, all of one length ``n``.  Yields each nonzero
-    block as (germs, gate columns, values)."""
-    length = seq.shape[1]
-    dim = gates.shape[1]
-    ops = gates[seq]  # ops[:, i] is the gate at occurrence position i
+def _twirled_factor_stacks(ops, tols, seq, columns, width):
+    """Yield (members, image, coef, partner) of :class:`_TwirledFactors`
+    for the germs ``ops`` ``(N, n, D, D)``, the gates of each in time
+    order, all of one length ``n``, members numbered by their position in
+    ``ops``; ``seq`` holds the gates' label indices, whose parameters are
+    ``columns[label]`` of ``width``."""
+    length, dim = ops.shape[1:3]
     prefix = np.empty_like(ops)  # prefix[:, i] = G_i ... G_1, the gates before position i
     prefix[:, 0] = np.eye(dim)
     for i in range(1, length):
@@ -364,36 +516,63 @@ def _twirled_jacobian_stack(gates, seq, columns, tol):
         suffix[:, i] = suffix[:, i + 1] @ ops[:, i + 1]
     taus = ops[:, -1] @ prefix[:, -1]
 
-    for stack in _kite_stacks(taus, tol):
+    for stack in _kite_stacks(taus, tols):
         inside = stack.in_block()
         sizes = inside.sum(axis=(1, 2))
         for size in np.unique(sizes).tolist():
-            sub = np.flatnonzero(sizes == size)
-            germ = stack.members[sub]
-            s, sinv = stack.basis[sub], stack.basis_inv[sub]
-            # (c, d): each member's in-block entries, row-major
-            _, c, d = np.nonzero(inside[sub])
-            c, d = c.reshape(sub.size, size), d.reshape(sub.size, size)
-            # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
-            s_c = np.take_along_axis(s, c[:, None, :], axis=2)
-            sinv_d = np.take_along_axis(sinv, d[:, :, None], axis=1)
-            image = s_c[:, :, None, :] * sinv_d.transpose(0, 2, 1)[:, None, :, :]
-            image = image.reshape(sub.size, dim * dim, size)
-            # row 0 of every gate is fixed, so only a >= 1 has a parameter
-            left = sinv[:, None] @ suffix[germ][..., 1:]  # (members, n, D, D-1)
-            left = np.take_along_axis(left, c[:, None, :, None], axis=2)
-            right = np.take_along_axis(prefix[germ] @ s[:, None], d[:, None, None, :], axis=3)
-            for gate, cols in enumerate(columns):
-                occurs = seq[germ] == gate  # (members, n)
-                present = occurs.any(axis=1)
-                if not present.any():
-                    continue
-                weights = occurs[present].astype(float)[:, :, None, None]
-                # coef[m, a, b] = sum_i [G at i] left_i[c_m, a] right_i[b, d_m]
-                coef = (left[present] * weights).transpose(0, 2, 3, 1)
-                coef = coef @ right[present].transpose(0, 3, 1, 2)
-                flat = coef.reshape(coef.shape[0], size, -1)
-                yield germ[present], cols, (image[present] @ flat).real
+            same = np.flatnonzero(sizes == size)
+            # complex image and coefficients, (D^2 + n_params) m values, the
+            # products they come from, 2 length D^2, and up to four real
+            # m x n_params arrays of held rows
+            per_member = 16 * (dim * dim + width) * size + 32 * length * dim * dim + 32 * size * width
+            chunk = max(1, GERM_STACK_BYTES // per_member)
+            for lo in range(0, same.size, chunk):
+                sub = same[lo : lo + chunk]
+                member = stack.members[sub]
+                yield member, *_factor(
+                    stack.basis[sub], stack.basis_inv[sub], stack.partner[sub], inside[sub],
+                    prefix[member], suffix[member], seq[member], columns, width,
+                )
+
+
+def _factor(s, sinv, p, inside, prefix, suffix, seq, columns, width):
+    """Image ``A``, coefficients ``C`` and coordinate partners (see
+    :class:`_TwirledFactors`) of a stack of members of one commutant
+    dimension, from their kite bases ``s``, inverses ``sinv``, column
+    partners ``p``, in-block masks ``inside``, prefix and suffix products
+    and label sequences."""
+    count, dim = s.shape[:2]
+    size = int(inside[0].sum())
+    # (c, d): each member's in-block entries, row-major
+    _, c, d = np.nonzero(inside)
+    c, d = c.reshape(count, size), d.reshape(count, size)
+    # column m: the commutant basis element S E_(c_m d_m) S^-1, flattened
+    s_c = np.take_along_axis(s, c[:, None, :], axis=2)
+    sinv_d = np.take_along_axis(sinv, d[:, :, None], axis=1)
+    image = s_c[:, :, None, :] * sinv_d.transpose(0, 2, 1)[:, None, :, :]
+    image = image.reshape(count, dim * dim, size)
+    # row 0 of every gate is fixed, so only a >= 1 has a parameter
+    left = sinv[:, None] @ suffix[..., 1:]  # (members, n, D, D-1)
+    left = np.take_along_axis(left, c[:, None, :, None], axis=2)
+    right = np.take_along_axis(prefix @ s[:, None], d[:, None, None, :], axis=3)
+    coef = np.zeros((count, size, width), dtype=image.dtype)
+    for gate, cols in enumerate(columns):
+        occurs = seq == gate  # (members, n)
+        present = np.flatnonzero(occurs.any(axis=1))
+        if not present.size:
+            continue
+        weights = occurs[present].astype(float)[:, :, None, None]
+        # coef[m, a, b] = sum_i [G at i] left_i[c_m, a] right_i[b, d_m]
+        block = (left[present] * weights).transpose(0, 2, 3, 1)
+        block = block @ right[present].transpose(0, 3, 1, 2)
+        coef[present, :, cols] = block.reshape(present.size, size, -1)
+    # each in-block coordinate's conjugate, by its index among them
+    index = np.full((count, dim, dim), -1)
+    rows = np.arange(count)[:, None]
+    index[rows, c, d] = np.arange(size)
+    partner = index[rows, np.take_along_axis(p, c, axis=1), np.take_along_axis(p, d, axis=1)]
+    partner[np.any(partner < 0, axis=1) | (p[:, 0] < 0)] = -1
+    return image, coef, partner
 
 
 def germ_twirled_jacobian(
@@ -500,20 +679,31 @@ class _HeldCandidates:
     grams: np.ndarray
 
 
-def _held_candidates(model: GateSet, pool: list[Circuit], tol: float) -> _HeldCandidates:
-    """Each candidate's twirled Jacobian divided by its length, compressed
-    stack by stack as it is built, so no more than one stack of Jacobians
-    is held at a time."""
+def _held_candidates(models: list[GateSet], pool: list[Circuit], tols) -> list[_HeldCandidates]:
+    """Each candidate's twirled Jacobian divided by its length, at each
+    model, compressed from its factor rows (:meth:`_TwirledFactors.held_rows`)
+    stack by stack as they are built: no ``D^2``-row Jacobian, Gram or
+    eigensolve is formed, and no more than one stack of factors is held at
+    a time.  Every model is built in the same stacks, and each model's
+    candidates come out bit for bit as a build of that model alone."""
     parts = []
-    for idx, jac in _twirled_jacobian_stacks(model, pool, tol):
-        jac *= np.array([1.0 / len(pool[gi].labels) for gi in idx])[:, None, None]
-        parts.append((idx, *compressed_rows(jac)))
-    rows = np.zeros((len(pool), max(kept.shape[1] for _, kept, _ in parts), n_params(model)))
-    ranks = np.zeros(len(pool), dtype=int)
-    for idx, kept, rank in parts:
-        rows[idx, : kept.shape[1]] = kept
-        ranks[idx] = rank
-    return _HeldCandidates(rows, ranks, rows @ rows.transpose(0, 2, 1))
+    for factors in _twirled_factors(models, pool, tols):
+        scale = 1.0 / len(pool[factors.germs[0]].labels)
+        for sub, rows in factors.held_rows():
+            rows *= scale
+            parts.append((factors.models[sub], factors.germs[sub], *compressed_rows(rows)))
+    held = []
+    for mi in range(len(models)):
+        ranks = np.zeros(len(pool), dtype=int)
+        for mis, gis, _, rank in parts:
+            ranks[gis[mis == mi]] = rank[mis == mi]
+        # the model's widest rank: a stack's padding may serve other models' members
+        rows = np.zeros((len(pool), ranks.max(), n_params(models[0])))
+        for mis, gis, kept, _ in parts:
+            kept = kept[mis == mi, : rows.shape[1]]
+            rows[gis[mis == mi], : kept.shape[1]] = kept
+        held.append(_HeldCandidates(rows, ranks, rows @ rows.transpose(0, 2, 1)))
+    return held
 
 
 def _test_ranks_and_scores(
@@ -703,8 +893,9 @@ def select_germs(
     Each germ's Jacobian is scored divided by its length: a germ of length
     q only reaches power L/q at max depth L, so per-depth amplification is
     what the experiment actually buys.  Every candidate's Jacobian is built
-    up front, one stacked build per model and germ length, and held only
-    as its compressed rows, ``r_c`` of them (see :mod:`gstdesign.held`);
+    up front, every model in the same stacks (see :func:`_held_candidates`),
+    and held only as its compressed rows, ``r_c`` of them (see
+    :mod:`gstdesign.held`);
     each model's chosen set is held the same way, ``rank_S`` rows.  Tests
     are scored by :func:`_test_ranks_and_scores`: a ``sum`` score by a
     rank-``r_c`` update of the chosen set, whose solves are ``r_c`` wide,
@@ -718,8 +909,10 @@ def select_germs(
     a test whose update counts an eigenvalue within a factor of two of its
     cutoff, the slack of the update's cutoff scale, is eigensolved.  A pool
     whose full Gram falls short of a model's target raises
-    :class:`GermSelectionError` before any step; so does an empty pool,
-    and an empty model list raises ``ValueError``.
+    :class:`GermSelectionError` before any step; so does an empty pool.
+    An empty model list raises ``ValueError``, and so do models that do
+    not list the target's gate labels in its order, as perturbed copies
+    (:func:`~gstdesign.noise.perturbed_models`) do.
 
     The chosen test set is settled by a tie window, not by the last bits
     of a score: take the least (shortfall, score) over all candidates,
@@ -746,7 +939,7 @@ def select_germs(
     if not pool:
         raise GermSelectionError("candidate pool is empty")
     targets = [amplifiable_count(m) for m in models]
-    held = [_held_candidates(m, pool, tol) for m, tol in zip(models, _degeneracy_tols(len(models)))]
+    held = _held_candidates(models, pool, _degeneracy_tols(len(models)))
 
     deficits = []
     for mi, cands in enumerate(held):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 from gstdesign import germs as G
 from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.fisher import default_eval_model
+from gstdesign.held import compressed_rows
 from gstdesign.model import (
     Circuit,
     apply_gauge_transform,
@@ -426,7 +429,7 @@ def unpruned_select_germs(models, pool, score_fn="sum"):
     """Every candidate scored on every model, one test matrix per call,
     through the held-row scorer."""
     targets = [G.amplifiable_count(m) for m in models]
-    held = [G._held_candidates(m, pool, tol) for m, tol in zip(models, model_tols(models))]
+    held = G._held_candidates(models, pool, model_tols(models))
 
     def score_tests(mi, chosen, unused):
         out = []
@@ -540,7 +543,7 @@ def test_update_matches_eigensolve_on_every_test(xyi):
     for seed in (7, 3):
         models = [xyi] + perturbed_models(xyi, 5, 1e-3, seed + 7919)
         targets = [G.amplifiable_count(m) for m in models]
-        held = [G._held_candidates(m, pool, tol) for m, tol in zip(models, model_tols(models))]
+        held = G._held_candidates(models, pool, model_tols(models))
         chosen = [np.zeros((0, n_params(m))) for m in models]
         used, steps = [], G.select_germs(models, pool).trajectory
         assert len(steps) == 10
@@ -568,7 +571,7 @@ def test_update_defers_to_eigensolve(xyi):
     # a rank past the target counts only the top eigenvalues, and a chosen
     # direction under the rank cutoff may go uncounted: both are eigensolved
     pool = G.germ_candidate_pool(xyi.labels, 4)
-    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    held = G._held_candidates([xyi], pool, [G.IDEAL_DEGENERACY_TOL])[0]
     names = [str(g) for g in pool]
     chosen = G._joined(np.zeros((0, n_params(xyi))), held, names.index("Gx"))
     unused = [ci for ci in range(len(pool)) if pool[ci] != Circuit(("Gx",))]
@@ -601,7 +604,7 @@ def test_exact_tie_settled_by_labels(xyi, monkeypatch):
     # after Gi, Gx Gx Gy and Gx Gy Gy tie: the X/Y mirror of each other
     pool = G.germ_candidate_pool(xyi.labels, 4)
     names = [str(g) for g in pool]
-    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    held = G._held_candidates([xyi], pool, [G.IDEAL_DEGENERACY_TOL])[0]
     chosen = G._joined(np.zeros((0, n_params(xyi))), held, names.index("Gi"))
     pair = [names.index("Gx Gx Gy"), names.index("Gx Gy Gy")]
     ranks, scores, _ = G._test_ranks_and_scores(chosen, held, pair, 25, "sum")
@@ -623,7 +626,7 @@ def test_trajectory_records_test_width(xyi):
     # matrices are rank_S + r wide, the chosen set's compressed rows and the
     # widest candidate's
     pool = G.germ_candidate_pool(xyi.labels, 4)
-    held = G._held_candidates(xyi, pool, G.IDEAL_DEGENERACY_TOL)
+    held = G._held_candidates([xyi], pool, [G.IDEAL_DEGENERACY_TOL])[0]
     names = [str(g) for g in pool]
     assert held.rows.shape[1] == 12 and sorted(set(held.ranks.tolist())) == [4, 6, 12]
     for score_fn, widths in (("sum", [12, 6, 6, 6]), ("min", [12, 24, 30, 34])):
@@ -646,7 +649,7 @@ def test_held_test_spectra_match_dense_2q():
     chosen_germs = ["Gcphase", "Gix Gix Giy"]
     cand_germs = ["Gxi Gxi Gyi", "Gcphase Gix Gcphase Giy", "Gix Gxi Gyi Giy"]
     pool = [Circuit(tuple(g.split())) for g in chosen_germs + cand_germs]
-    held = G._held_candidates(gs, pool, G.IDEAL_DEGENERACY_TOL)
+    held = G._held_candidates([gs], pool, [G.IDEAL_DEGENERACY_TOL])[0]
     chosen = np.zeros((0, n_params(gs)))
     for ci in range(len(chosen_germs)):
         chosen = G._joined(chosen, held, ci)
@@ -699,6 +702,13 @@ def test_no_models_raises_value_error(xyi):
         G.select_germs([], G.germ_candidate_pool(xyi.labels, 2))
 
 
+def test_models_in_another_gate_order_raise_value_error(xyi):
+    # every model is built in the target's parameter columns
+    reordered = dataclasses.replace(xyi, gates=dict(reversed(list(xyi.gates.items()))))
+    with pytest.raises(ValueError, match="share gate labels"):
+        G.select_germs([xyi, reordered], G.germ_candidate_pool(xyi.labels, 2))
+
+
 def assert_same_kite(stacked, alone):
     assert stacked.eigenvalues == alone.eigenvalues and stacked.blocks == alone.blocks
     for a, b in ((stacked.basis, alone.basis), (stacked.basis_inv, alone.basis_inv)):
@@ -735,15 +745,123 @@ def test_stack_mixing_real_and_complex_spectra(xyi):
         assert_same_kite(kite, G.kite_structure(op))
 
 
-def test_stack_with_defective_member(rng):
+def test_stack_with_defective_member(rng, monkeypatch):
     jordan = np.diag([1.0, 1.0, 0.5, 0.2])
     jordan[0, 1] = 1.0  # one 2x2 Jordan block: no eigenvector basis
-    ops = np.stack([rng.standard_normal((4, 4)), jordan, np.diag([0.9, 0.3, 0.2, 0.1])])
+    rotation = np.eye(4)
+    rotation[1:3, 1:3] = [[0.6, -0.8], [0.8, 0.6]]
+    ops = np.stack(
+        [rng.standard_normal((4, 4)), jordan, np.diag([0.9, 0.3, 0.2, 0.1]), rotation, rng.standard_normal((4, 4))]
+    )
+    alone = [G.kite_structure(op) for op in ops]
+    # the Frobenius bound screens every diagonalizable member: the exact
+    # cond, an SVD, runs on the Jordan member alone
+    cond, screened = np.linalg.cond, []
+    monkeypatch.setattr(np.linalg, "cond", lambda x, *a: screened.append(len(x)) or cond(x, *a))
     kites = G.kite_structures(ops)
+    assert screened == [1]
     assert kites[1].blocks == ((0, 2), (2, 1), (3, 1))
     assert np.linalg.cond(kites[1].basis) < 1e3  # the generalized eigenbasis
-    for op, kite in zip(ops, kites):
-        assert_same_kite(kite, G.kite_structure(op))
+    for kite, ref in zip(kites, alone):
+        assert_same_kite(kite, ref)
+
+    # a stacked inverse that raises takes cond on every member first
+    inv, raised = np.linalg.inv, []
+
+    def inv_raising_once(a):
+        if a.ndim == 3 and len(a) > 1 and not raised:
+            raised.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv_raising_once)
+    screened.clear()
+    for kite, ref in zip(G.kite_structures(ops), alone):
+        assert_same_kite(kite, ref)
+    assert raised and raised[0] in screened
+
+
+def defective_xyi_models(xyi):
+    """XYI with ``Gx`` replaced, and their degeneracy tolerances.  The
+    first ``Gx`` has a complex pair 1e-13 off the real axis that is nearly
+    defective: its kite falls back to generalized eigenspaces, which do not
+    pair.  The next two are nearly defective with a real spectrum (gaps
+    1e-10 and 1e-5): the first one's image Gram is not numerically positive
+    definite, and the second shares its stack."""
+    gx = np.diag([1.0, 1.0, 1.0, 0.2])
+    gx[1, 2], gx[2, 1] = 1.0, -1e-26
+    gxs = [gx]
+    for gap in (1e-10, 1e-5):
+        gxs.append(np.array([[1, 0, 0, 0], [0, 0.5, 1, 0], [0, 0, 0.5 + gap, 0], [0, 0, 0, 0.2]]))
+    models = [dataclasses.replace(xyi, gates={**xyi.gates, "Gx": g}) for g in gxs]
+    return models, [1e-12] * len(models)
+
+
+def held_build_cases(xyi) -> dict:
+    """(models, pool, tols) of the held-candidate builds checked against
+    the dense Jacobians and against builds of one, by name."""
+    pool6 = G.germ_candidate_pool(xyi.labels, 6)
+    seed7 = [xyi] + perturbed_models(xyi, 5, 1e-3, 7 + 7919)
+    xycphase = make_xycphase_gateset()
+    two_q = [xycphase] + perturbed_models(xycphase, 1, 1e-3, 7 + 7919)
+    pool2q = [Circuit(tuple(g.split())) for g in ("Gxi", "Gcphase", "Gcphase Gxi Giy")]
+    defective, tols = defective_xyi_models(xyi)
+    return {
+        "xyi-target": ([xyi], pool6, [G.IDEAL_DEGENERACY_TOL]),
+        "xyi-seed7": (seed7, pool6, model_tols(seed7)),
+        "2q": (two_q, pool2q, model_tols(two_q)),
+        "defective": (defective, G.germ_candidate_pool(xyi.labels, 2), tols),
+    }
+
+
+# Largest difference between a candidate's held Gram (its factor rows')
+# and the Gram J^T J of its dense twirled Jacobian, relative to the dense
+# Gram's largest entry.  Measured worst: 7.0e-15 on the XYI depth-6 pool,
+# 3.0e-15 on the 2Q germs, 1.0e-15 on the defective models.
+FACTOR_GRAM_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("case", ["xyi-target", "xyi-seed7", "2q", "defective"])
+def test_factor_rows_match_dense_jacobians(xyi, case, monkeypatch):
+    models, pool, tols = held_build_cases(xyi)[case]
+    # the members' kinds: a real spectrum, conjugate pairs, an unpaired basis
+    kinds = set()
+    for factors in G._twirled_factors(models, pool, tols):
+        k = np.arange(factors.partner.shape[1])
+        for partner in factors.partner:
+            kinds.add("real" if not np.iscomplexobj(factors.image) else "unpaired" if partner[0] < 0 else "paired")
+            assert partner[0] < 0 or np.array_equal(partner[partner], k)
+    assert kinds == ({"real", "paired", "unpaired"} if case == "defective" else {"real", "paired"})
+    qr, factored = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: factored.append(len(a)) or qr(a, *args, **kw))
+    held = G._held_candidates(models, pool, tols)
+    # only Gx and Gi Gx (the same operator) at the gap-1e-10 model fall
+    # back from Cholesky to QR, each one alone
+    assert factored == ([1, 1] if case == "defective" else [])
+    weights = np.array([1.0 / len(g.labels) for g in pool])[:, None, None]
+    for model, tol, cands in zip(models, tols, held):
+        jac = G.germ_twirled_jacobians(model, pool, tol) * weights
+        assert np.array_equal(cands.ranks, compressed_rows(jac)[1])
+        for c in range(len(pool)):
+            dense = jac[c].T @ jac[c]
+            gram = cands.rows[c].T @ cands.rows[c]
+            assert np.abs(gram - dense).max() <= FACTOR_GRAM_RTOL * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("case", ["xyi-target", "xyi-seed7", "2q", "defective"])
+def test_held_member_does_not_depend_on_its_stack(xyi, case):
+    # all models in one pass give each model's candidates as a build of
+    # that model alone, and each candidate as its batch of one
+    models, pool, tols = held_build_cases(xyi)[case]
+    for model, tol, held in zip(models, tols, G._held_candidates(models, pool, tols)):
+        alone = G._held_candidates([model], pool, [tol])[0]
+        for a, b in ((held.rows, alone.rows), (held.ranks, alone.ranks), (held.grams, alone.grams)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        for c, germ in enumerate(pool):
+            one = G._held_candidates([model], [germ], [tol])[0]
+            width = one.rows.shape[1]
+            assert one.ranks[0] == held.ranks[c]
+            assert np.array_equal(one.rows[0], held.rows[c, :width]) and not held.rows[c, width:].any()
 
 
 def test_selection_independent_of_stack_budget(xyi, monkeypatch):
