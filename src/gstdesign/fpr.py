@@ -253,12 +253,10 @@ def per_germ_fpr(
         found = None
         start_size = max(1, math.ceil(rank / m))
         for size in range(start_size, len(full_grid)):
-            draws = np.array([
-                np.sort(rng.choice(len(full_grid), size=size, replace=False))
-                for _ in range(candidates_per_size)
-            ])
+            draws = np.array([rng.choice(len(full_grid), size=size, replace=False) for _ in range(candidates_per_size)])
             if not len(draws):
                 continue
+            draws = np.sort(draws, axis=1)
             best = None
             for sel in draws[screen.survivors(draws, threshold)]:
                 lam = _exact_score(screen.blocks, sel, rank)

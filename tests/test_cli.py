@@ -888,6 +888,13 @@ SCIPY_FREE_COMMANDS = {
                      "--seed", "1", "--out", "OUT"],
     "fiducials": ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "OUT"],
     "germs-standard": ["germs", "--gateset", "xyi", "--germs", "standard", "--seed", "1", "--out", "OUT"],
+    # noisy models: certify's evaluation point, robust germ selection's
+    # perturbed copies and simulate's noisy model
+    "certify": ["certify", "--gateset", "xyi", "--design", "DESIGN", "--report", "OUT"],
+    "germs-robust": ["germs", "--gateset", "xyi", "--germs", "robust", "--seed", "1", "--out", "OUT"],
+    "design-robust": ["design", "--gateset", "xyi", "--germs", "robust", "--Lmax", "4", "--seed", "1", "--out", "OUT"],
+    "simulate-noisy": ["simulate", "--gateset", "xyi", "--design", "DESIGN", "--seed", "1",
+                       "--sigma", "0.01", "--eta", "0.001", "--out", "OUT"],
 }
 
 
@@ -921,6 +928,21 @@ def test_command_runs_without_loading_scipy(small_design, tmp_path, case):
         f"print(json.dumps([code, {LOADED_SCIPY}]))\n"
     )
     assert json.loads(_fresh_python(code, *argv)) == [0, []]
+
+
+def test_noisy_commands_run_where_scipy_cannot_be_imported(small_design, tmp_path):
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from gstdesign import cli\n"
+        "design, out = sys.argv[1:]\n"
+        "print([\n"
+        "    cli.main(['certify', '--gateset', 'xyi', '--design', design, '--report', out]),\n"
+        "    cli.main(['simulate', '--gateset', 'xyi', '--design', design, '--seed', '1',\n"
+        "              '--sigma', '0.01', '--eta', '0.001', '--out', out]),\n"
+        "])\n"
+    )
+    assert _fresh_python(code, str(small_design), str(tmp_path / "out.json")) == "[0, 0]"
 
 
 def test_wallclock_without_gateset_reads_the_design_gateset(tmp_path, monkeypatch):

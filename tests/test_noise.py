@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 from gstdesign import noise as N
 from gstdesign.builtins import builtin_gateset, make_xycphase_gateset
 from gstdesign.fisher import default_eval_model
-from gstdesign.model import Circuit, GateSet, circuit_probabilities, circuits_probabilities
+from gstdesign.model import (
+    Circuit,
+    GateSet,
+    circuit_probabilities,
+    circuits_probabilities,
+    hamiltonian_generator_ptms,
+)
 
 
 def test_zero_noise_returns_target_exactly(xyi):
@@ -47,6 +54,43 @@ def test_noisy_models_do_not_depend_on_gate_order(tmp_path):
 def test_non_finite_noisy_model_raises_named_error(xyi, kind):
     with pytest.raises(N.NonFiniteModelError, match="non-finite"):
         N.sample_noisy_gateset(xyi, N.NoiseSpec(kind, 1e300, 0.001 if kind == "coherent-depol" else 0.0, 1))
+
+
+def sampled_generators(num_qubits, sigma):
+    """One random ``sum_a h_a H_a`` for each of 50 seeds, weights from N(0, sigma)."""
+    gens = np.array(hamiltonian_generator_ptms(num_qubits))
+    for seed in range(50):
+        yield np.tensordot(np.random.default_rng(seed).normal(0.0, sigma, len(gens)), gens, 1)
+
+
+def expm(a):
+    return N._expm(a, float(np.abs(a).sum(axis=0).max()))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0])
+def test_expm_agrees_with_scipy(num_qubits, sigma):
+    for a in sampled_generators(num_qubits, sigma):
+        assert np.max(np.abs(expm(a) - scipy.linalg.expm(a))) < 1e-13
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0])
+def test_expm_is_orthogonal_and_fixes_the_trace_direction(num_qubits, sigma):
+    for a in sampled_generators(num_qubits, sigma):
+        err = expm(a)
+        eye = np.eye(len(a))
+        assert np.max(np.abs(err.T @ err - eye)) < 1e-14
+        assert np.array_equal(err[0], eye[0]) and np.array_equal(err[:, 0], eye[0])
+
+
+@pytest.mark.parametrize("gateset", ["xyi", "xycphase"])
+@pytest.mark.parametrize("kind", ["coherent-only", "coherent-depol"])
+def test_huge_sigma_raises_named_error_for_every_seed(gateset, kind):
+    target = builtin_gateset(gateset)
+    for seed in range(20):
+        with pytest.raises(N.NonFiniteModelError, match="non-finite"):
+            N.sample_noisy_gateset(target, N.NoiseSpec(kind, 1e300, 0.001 if kind == "coherent-depol" else 0.0, seed))
 
 
 def test_spec_validation():
