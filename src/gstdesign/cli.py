@@ -251,7 +251,9 @@ def cmd_certify(args) -> int:
 def cmd_simulate(args) -> int:
     gs = _load_gateset(args.gateset)
     design = _load_design(args.design, gs)
-    noisy = nz.sample_noisy_gateset(gs, nz.NoiseSpec(args.noise, args.sigma, args.eta, args.seed))
+    # coherent-only noise has no depolarization; main refuses an --eta with it
+    eta = 0.0 if args.noise == "coherent-only" else 0.001 if args.eta is None else args.eta
+    noisy = nz.sample_noisy_gateset(gs, nz.NoiseSpec(args.noise, args.sigma, eta, args.seed))
     dataset = nz.simulate_dataset(noisy, design, args.shots, args.seed)
     with _writing(args.out):
         dataset.save(args.out)
@@ -400,9 +402,13 @@ _unit_interval = _checked(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _depolarization = _checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 
 
-def _add_common(p: argparse.ArgumentParser, seed_required: bool = True) -> None:
+def _add_gateset(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gateset", required=True, help="builtin name (xyi, xycphase) or JSON path")
-    p.add_argument("--seed", type=_seed, required=seed_required, help="master RNG seed")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_gateset(p)
+    p.add_argument("--seed", type=_seed, required=True, help="master RNG seed")
 
 
 def _add_germ_options(p: argparse.ArgumentParser) -> None:
@@ -438,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design, outputs=("out", "circuit_text"))
 
     p = sub.add_parser("certify", help="Fisher-information certification of a design")
-    _add_common(p, seed_required=False)
+    _add_gateset(p)
     p.add_argument("--design", required=True)
     p.add_argument("--shots", type=_positive_int, default=fz.DEFAULT_SHOTS)
     p.add_argument("--perturb-seed", type=_seed, default=97)
@@ -454,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--noise", choices=["coherent-only", "coherent-depol"], default="coherent-depol")
     p.add_argument("--sigma", type=_nonnegative, default=0.01)
-    p.add_argument("--eta", type=_depolarization, default=0.001)
+    p.add_argument("--eta", type=_depolarization, help="per-gate depolarization of coherent-depol (default 0.001)")
     p.add_argument("--shots", type=_shot_count, default=fz.DEFAULT_SHOTS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate, outputs=("out",))
@@ -471,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wallclock, outputs=("report",))
 
     p = sub.add_parser("fiducials", help="greedy informationally-complete fiducial selection")
-    _add_common(p, seed_required=False)
+    _add_gateset(p)
     p.add_argument("--kind", choices=["prep", "meas"], required=True)
     p.add_argument("--max-depth", type=_positive_int, default=3)
     p.add_argument("--pool", choices=["sequences", "per-qubit"], default="sequences")
@@ -506,6 +512,8 @@ def main(argv=None) -> int:
             if args.kind == "projected"
             else f"argument --op: only valid with --kind projected, not --kind {args.kind}"
         )
+    if args.command == "simulate" and args.noise == "coherent-only" and args.eta is not None:
+        parser.error("argument --eta: not allowed with --noise coherent-only, which has no depolarization")
     try:
         for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
             _check_writable(path)

@@ -106,9 +106,11 @@ PERTURBED_DEGENERACY_TOL = 1e-10
 # candidate's rows and their residual, r_c x n_params each, and three
 # scaled cross blocks, r_c x rank_S: on XYI at most 12 x (86 + 75) values
 # (15 KB), so 33 share a stack, and on XYCPHASE up to 126 x (2526 + 2883)
-# (5.5 MB), a stack of one.  A ``min`` test matrix is rank_S + r wide: at
-# most 37 on XYI (11 KB), so 47 share a stack, and up to 1087 on XYCPHASE
-# (9.5 MB).  A per-germ FPR candidate's gathered rows are size x m x kite
+# (5.5 MB), a stack of one.  A ``min`` test holds its candidate's rows
+# padded to the pool's widest rank r, r x n_params, and its test matrix,
+# rank_S + r wide: on XYI at most 12 x 43 + 37 x 37 values (15 KB), so 34
+# share a stack, and on XYCPHASE up to 126 x 1263 + 1087 x 1087 (10.7 MB).
+# A per-germ FPR candidate's gathered rows are size x m x kite
 # coordinates: on XYI at most 35 x 2 x 16 values (18 KB), so 29 share a
 # stack, and on a full-rank 2Q kite of 136 coordinates at least
 # 34 x 4 x 136 (0.3 MB), a stack of one.
@@ -666,48 +668,31 @@ def _gram_ranks_and_scores(
     return ranks, scores
 
 
-@dataclass(frozen=True)
-class _HeldCandidates:
-    """Every candidate's weighted twirled Jacobian at one model, held as
-    compressed rows (:func:`~gstdesign.held.compressed_rows`): ``rows``
-    ``(N, r, n_params)`` are candidate ``c``'s ``ranks[c]`` rows followed by
-    zero rows up to the widest rank ``r`` of the pool, and ``grams`` their
-    ``(N, r, r)`` row Grams."""
-
-    rows: np.ndarray
-    ranks: np.ndarray
-    grams: np.ndarray
-
-
-def _held_candidates(models: list[GateSet], pool: list[Circuit], tols) -> list[_HeldCandidates]:
+def _held_candidates(models: list[GateSet], pool: list[Circuit], tols) -> list[list[np.ndarray]]:
     """Each candidate's twirled Jacobian divided by its length, at each
-    model, compressed from its factor rows (:meth:`_TwirledFactors.held_rows`)
-    stack by stack as they are built: no ``D^2``-row Jacobian, Gram or
-    eigensolve is formed, and no more than one stack of factors is held at
-    a time.  Every model is built in the same stacks, and each model's
-    candidates come out bit for bit as a build of that model alone."""
-    parts = []
+    model, held as its own ``r_c x n_params`` compressed rows
+    (:func:`~gstdesign.held.compressed_rows`), largest first; the empty
+    germ holds none.  The rows are compressed from the factor rows
+    (:meth:`_TwirledFactors.held_rows`) stack by stack as they are built and
+    copied out of their stack, so no stack's padding outlives it: no
+    ``D^2``-row Jacobian, Gram or eigensolve is formed, and no more than
+    one stack of factors is held at a time.  Every model is built in the
+    same stacks, and each model's candidates come out bit for bit as a
+    build of that model alone."""
+    empty = np.zeros((0, n_params(models[0])))
+    held = [[empty] * len(pool) for _ in models]
     for factors in _twirled_factors(models, pool, tols):
         scale = 1.0 / len(pool[factors.germs[0]].labels)
         for sub, rows in factors.held_rows():
             rows *= scale
-            parts.append((factors.models[sub], factors.germs[sub], *compressed_rows(rows)))
-    held = []
-    for mi in range(len(models)):
-        ranks = np.zeros(len(pool), dtype=int)
-        for mis, gis, _, rank in parts:
-            ranks[gis[mis == mi]] = rank[mis == mi]
-        # the model's widest rank: a stack's padding may serve other models' members
-        rows = np.zeros((len(pool), ranks.max(), n_params(models[0])))
-        for mis, gis, kept, _ in parts:
-            kept = kept[mis == mi, : rows.shape[1]]
-            rows[gis[mis == mi], : kept.shape[1]] = kept
-        held.append(_HeldCandidates(rows, ranks, rows @ rows.transpose(0, 2, 1)))
+            kept, ranks = compressed_rows(rows)
+            for mi, gi, member, rank in zip(factors.models[sub], factors.germs[sub], kept, ranks):
+                held[mi][gi] = member[:rank].copy()
     return held
 
 
 def _test_ranks_and_scores(
-    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
+    chosen: np.ndarray, cands: list[np.ndarray], idx: list[int], target: int, score_fn: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Ranks and scores of the chosen set joined with each candidate of
     ``idx``, and the width of the widest matrix solved for them.
@@ -736,42 +721,47 @@ def _test_ranks_and_scores(
 
 
 def _eigensolved_ranks_and_scores(
-    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int], target: int, score_fn: str
+    chosen: np.ndarray, cands: list[np.ndarray], idx: list[int], target: int, score_fn: str
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Ranks and scores of the chosen set joined with each candidate of
     ``idx`` from the test spectra, and the width of their test matrices.
 
     Candidate ``c``'s test matrix is ``R R^T`` for the stacked rows
     ``R = [S; C_c]``, ``S`` the chosen set's compressed rows and ``C_c``
-    the candidate's padded rows: its nonzero spectrum is that of the test
-    Gram ``S^T S + C_c^T C_c``, and the exact zeros past its width score
-    nothing.  ``S S^T`` and ``C_c C_c^T`` are shared and precomputed, so a
-    test costs the cross block ``C_c S^T`` and one ``eigvalsh``,
-    ``rank_S + r`` wide with ``r`` the widest ``r_c`` of the pool.  Every
-    test matrix of one chosen set and model has the same width, so a
+    the candidate's, padded with zero rows to the widest ``r_c`` of the
+    pool, ``r``, as each stack is formed: its nonzero spectrum is that of
+    the test Gram ``S^T S + C_c^T C_c``, and the exact zeros past its width
+    score nothing.  Compressed rows are orthogonal, so ``S S^T`` and
+    ``C_c C_c^T`` are diagonal, their squared row norms, and a test costs
+    the cross block ``C_c S^T`` and one ``eigvalsh``, ``rank_S + r`` wide.
+    Every test matrix of one chosen set and model has the same width, so a
     stacked ``eigvalsh`` of at most :data:`GERM_STACK_BYTES` of them gives
     each member the bits of its own call.
     """
-    split = len(chosen)
-    width = split + cands.rows.shape[1]
-    top = chosen @ chosen.T
-    chunk = max(1, GERM_STACK_BYTES // (8 * width * width))
+    split, widest = len(chosen), max(map(len, cands))
+    width = split + widest
+    lam = np.einsum("ij,ij->i", chosen, chosen)
+    chunk = max(1, GERM_STACK_BYTES // (8 * (widest * chosen.shape[1] + width * width)))
     spectra = []
     for lo in range(0, len(idx), chunk):
         sub = idx[lo : lo + chunk]
-        cross = cands.rows[sub] @ chosen.T
-        test = np.empty((len(sub), width, width))
-        test[:, :split, :split] = top
+        rows = np.zeros((len(sub), widest, chosen.shape[1]))
+        for k, ci in enumerate(sub):
+            rows[k, : len(cands[ci])] = cands[ci]
+        cross = rows @ chosen.T
+        test = np.zeros((len(sub), width, width))
         test[:, split:, :split] = cross
         test[:, :split, split:] = cross.transpose(0, 2, 1)
-        test[:, split:, split:] = cands.grams[sub]
+        diagonal = np.einsum("nii->ni", test)  # a writable view
+        diagonal[:, :split] = lam
+        diagonal[:, split:] = np.einsum("nij,nij->ni", rows, rows)
         spectra.append(np.linalg.eigvalsh(test))
     ranks, scores = _gram_ranks_and_scores(np.concatenate(spectra), target, score_fn)
     return ranks, scores, width
 
 
 def _updated_ranks_and_scores(
-    chosen: np.ndarray, cands: _HeldCandidates, idx: list[int]
+    chosen: np.ndarray, cands: list[np.ndarray], idx: list[int]
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Ranks and ``sum`` scores of the chosen set joined with each
     candidate of ``idx`` by a rank-``r_c`` update, the widest ``r_c``, and
@@ -828,19 +818,19 @@ def _updated_ranks_and_scores(
     unsure = np.zeros(len(idx), dtype=bool)
     by_rank: dict[int, list[int]] = {}
     for k, ci in enumerate(idx):
-        by_rank.setdefault(int(cands.ranks[ci]), []).append(k)
+        by_rank.setdefault(len(cands[ci]), []).append(k)
     for width, members in by_rank.items():
         chunk = max(1, GERM_STACK_BYTES // (8 * max(width, 1) * (2 * chosen.shape[1] + 3 * len(chosen))))
         for lo in range(0, len(members), chunk):
             sub = members[lo : lo + chunk]
             ci = [idx[k] for k in sub]
-            rows = cands.rows[ci, :width]
+            rows = np.stack([cands[c] for c in ci])
             x = rows @ chosen.T / scale
             y = x / scale
             resid = rows - y @ chosen
-            # candidate rows come largest first: its top eigenvalue is its Gram's first entry
+            # candidate rows come largest first: its top eigenvalue is its first row's squared norm
             rho = np.max(lam + np.einsum("nij,nij->nj", x, x), axis=1, initial=0.0)
-            cutoff = GRAM_RANK_RTOL * np.maximum(rho, np.max(cands.grams[ci, :1, 0], axis=1, initial=0.0))
+            cutoff = GRAM_RANK_RTOL * np.maximum(rho, np.sum(rows[:, :1] ** 2, axis=(1, 2)))
             inv_low = np.linalg.inv(np.linalg.cholesky(np.eye(width) + y @ y.transpose(0, 2, 1)))
             t, v = np.linalg.eigh(inv_low @ (resid @ resid.transpose(0, 2, 1)) @ inv_low.transpose(0, 2, 1))
             spread = v.transpose(0, 2, 1) @ inv_low @ (y / scale)
@@ -854,9 +844,9 @@ def _updated_ranks_and_scores(
     return ranks, scores, max(by_rank, default=0), unsure
 
 
-def _joined(chosen: np.ndarray, cands: _HeldCandidates, ci: int) -> np.ndarray:
+def _joined(chosen: np.ndarray, cands: list[np.ndarray], ci: int) -> np.ndarray:
     """The chosen set's compressed rows after candidate ``ci`` joins it."""
-    return compressed_rows(np.concatenate([chosen, cands.rows[ci, : cands.ranks[ci]]])[None])[0][0]
+    return compressed_rows(np.concatenate([chosen, cands[ci]])[None])[0][0]
 
 
 def _past_window(key: tuple[int, float], least: tuple[int, float]) -> bool:
@@ -894,14 +884,14 @@ def select_germs(
     q only reaches power L/q at max depth L, so per-depth amplification is
     what the experiment actually buys.  Every candidate's Jacobian is built
     up front, every model in the same stacks (see :func:`_held_candidates`),
-    and held only as its compressed rows, ``r_c`` of them (see
-    :mod:`gstdesign.held`);
-    each model's chosen set is held the same way, ``rank_S`` rows.  Tests
-    are scored by :func:`_test_ranks_and_scores`: a ``sum`` score by a
-    rank-``r_c`` update of the chosen set, whose solves are ``r_c`` wide,
-    and a ``min`` score from an eigensolved test matrix ``rank_S + r``
-    wide, ``r`` the widest ``r_c`` of the pool at that model, so no test
-    solves the ``n_params``-wide Gram.  Compression drops directions below
+    and held only as its own compressed rows, ``r_c`` of them (see
+    :mod:`gstdesign.held`), with no padding to the pool's widest rank and
+    no Gram; each model's chosen set is held the same way, ``rank_S``
+    rows.  Tests are scored by :func:`_test_ranks_and_scores`: a ``sum``
+    score by a rank-``r_c`` update of the chosen set, whose solves are
+    ``r_c`` wide, and a ``min`` score from an eigensolved test matrix
+    ``rank_S + r`` wide, ``r`` the widest ``r_c`` of the pool at that model,
+    so no test solves the ``n_params``-wide Gram.  Compression drops directions below
     :data:`~gstdesign.held.COMPRESS_RTOL` of a matrix's top eigenvalue, so
     each test eigenvalue lies within that of the dense test Gram's (Weyl's
     inequality): an eigensolved rank can differ from the dense one only
@@ -943,8 +933,8 @@ def select_germs(
 
     deficits = []
     for mi, cands in enumerate(held):
-        live = cands.rows[np.arange(cands.rows.shape[1]) < cands.ranks[:, None]]
-        (rank,), _ = _gram_ranks_and_scores(HeldFim.from_rows(live).eigvalsh()[None], targets[mi], score_fn)
+        pooled = HeldFim.from_rows(np.concatenate(cands)).eigvalsh()
+        (rank,), _ = _gram_ranks_and_scores(pooled[None], targets[mi], score_fn)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))
     if deficits:

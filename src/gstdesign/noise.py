@@ -50,7 +50,8 @@ PROB_CLIP_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """kind in {"coherent-only", "coherent-depol"}; sigma >= 0; eta in [0, 1)."""
+    """kind in {"coherent-only", "coherent-depol"}; sigma >= 0; eta in [0, 1),
+    and 0 for coherent-only, which has no depolarization."""
 
     kind: str = "coherent-only"
     sigma: float = 0.01
@@ -64,6 +65,8 @@ class NoiseSpec:
             raise ValueError("sigma must be >= 0")
         if not (0.0 <= self.eta < 1.0):
             raise ValueError("eta must lie in [0, 1)")
+        if self.kind == "coherent-only" and self.eta != 0.0:
+            raise ValueError("coherent-only noise has no depolarization: eta must be 0")
 
 
 class NonFiniteModelError(ValueError):
@@ -113,7 +116,7 @@ def sample_noisy_gateset(target: GateSet, spec: NoiseSpec) -> GateSet:
     :class:`NonFiniteModelError`; below that the noisy gates of a finite
     target are finite.
     """
-    if spec.sigma == 0.0 and (spec.kind == "coherent-only" or spec.eta == 0.0):
+    if spec.sigma == 0.0 and spec.eta == 0.0:
         return target
     gens = hamiltonian_generator_ptms(target.num_qubits)
     depol = depolarizing_ptm(target.dim, spec.eta) if spec.kind == "coherent-depol" else None

@@ -139,6 +139,32 @@ def test_simulate_deterministic(small_design, tmp_path):
     assert all(sum(row) == 1000 for row in doc["counts"])
 
 
+def test_simulate_coherent_only_without_eta(small_design, tmp_path):
+    out = tmp_path / "ds.json"
+    argv = ["simulate", "--gateset", "xyi", "--design", str(small_design), "--noise", "coherent-only",
+            "--sigma", "0.01", "--shots", "100", "--seed", "5", "--out", str(out)]
+    assert run(argv) == 0
+    assert json.loads(out.read_text())["shots"] == 100
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--gateset", "xyi", "--design", "d.json", "--seed", "1"],
+        ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "f.json", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_refused_where_nothing_is_random(capsys, monkeypatch, tmp_path, argv):
+    # neither command draws anything, so it takes no --seed
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+
 def test_wallclock_three_architectures(capsys):
     code = run(["wallclock", "--device", "all", "--circuits", "104002", "--shots", "100"])
     assert code == 0
@@ -644,6 +670,9 @@ def test_empty_circuit_stays_a_valid_fiducial(tmp_path, monkeypatch):
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "2"],
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "1"],
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--eta", "-0.1"],
+        # coherent-only noise has no depolarization to set
+        ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json",
+         "--noise", "coherent-only", "--eta", "0.5"],
         ["certify", "--gateset", "xyi", "--design", "d.json", "--perturb-sigma", "-1"],
         ["certify", "--gateset", "xyi", "--design", "d.json", "--kind", "cumulative", "--op", "Gx"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--perturb-sigma", "-1"],

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -627,17 +628,18 @@ def test_trajectory_records_test_width(xyi):
     # widest candidate's
     pool = G.germ_candidate_pool(xyi.labels, 4)
     held = G._held_candidates([xyi], pool, [G.IDEAL_DEGENERACY_TOL])[0]
+    held_ranks = np.array([len(rows) for rows in held])
     names = [str(g) for g in pool]
-    assert held.rows.shape[1] == 12 and sorted(set(held.ranks.tolist())) == [4, 6, 12]
+    assert sorted(set(held_ranks.tolist())) == [4, 6, 12]
     for score_fn, widths in (("sum", [12, 6, 6, 6]), ("min", [12, 24, 30, 34])):
         result = G.select_germs([xyi], pool, score_fn=score_fn)
         chosen, used = np.zeros((0, n_params(xyi))), []
         for step in result.trajectory:
             unused = [ci for ci in range(len(pool)) if ci not in used]
             if score_fn == "sum":
-                assert step["width"] == held.ranks[unused].max()
+                assert step["width"] == held_ranks[unused].max()
             else:
-                assert step["width"] == len(chosen) + held.rows.shape[1]
+                assert step["width"] == len(chosen) + held_ranks.max()
             used.append(names.index(step["added"]))
             chosen = G._joined(chosen, held, used[-1])
             assert len(chosen) == step["ranks"][0]
@@ -650,14 +652,15 @@ def test_held_test_spectra_match_dense_2q():
     cand_germs = ["Gxi Gxi Gyi", "Gcphase Gix Gcphase Giy", "Gix Gxi Gyi Giy"]
     pool = [Circuit(tuple(g.split())) for g in chosen_germs + cand_germs]
     held = G._held_candidates([gs], pool, [G.IDEAL_DEGENERACY_TOL])[0]
+    held_ranks = np.array([len(rows) for rows in held])
     chosen = np.zeros((0, n_params(gs)))
     for ci in range(len(chosen_germs)):
         chosen = G._joined(chosen, held, ci)
     cands = list(range(len(chosen_germs), len(pool)))
     ranks, scores, width = G._test_ranks_and_scores(chosen, held, cands, 961, "sum")
-    assert width == held.ranks[cands].max() < held.rows.shape[1]
+    assert width == held_ranks[cands].max() < held_ranks.max()
     eig_ranks, eig_scores, eig_width = G._eigensolved_ranks_and_scores(chosen, held, cands, 961, "sum")
-    assert eig_width == len(chosen) + held.rows.shape[1] < n_params(gs)
+    assert eig_width == len(chosen) + held_ranks.max() < n_params(gs)
     assert np.array_equal(ranks, eig_ranks)
     np.testing.assert_allclose(scores, eig_scores, rtol=HELD_SCORE_RTOL)
 
@@ -669,7 +672,7 @@ def test_held_test_spectra_match_dense_2q():
         assert ranks[k] == dense_rank
         assert scores[k] == pytest.approx(dense_score, rel=HELD_SCORE_RTOL)
         # the held-row spectrum: the test matrix's eigenvalues, then exact zeros
-        r = np.concatenate([chosen, held.rows[ci]])
+        r = np.concatenate([chosen, held[ci]])
         thin = np.linalg.eigvalsh(r @ r.T)[::-1]
         np.testing.assert_allclose(thin[:dense_rank], dense[:dense_rank], rtol=0, atol=1e-12 * dense[0])
 
@@ -841,10 +844,10 @@ def test_factor_rows_match_dense_jacobians(xyi, case, monkeypatch):
     weights = np.array([1.0 / len(g.labels) for g in pool])[:, None, None]
     for model, tol, cands in zip(models, tols, held):
         jac = G.germ_twirled_jacobians(model, pool, tol) * weights
-        assert np.array_equal(cands.ranks, compressed_rows(jac)[1])
+        assert np.array_equal([len(rows) for rows in cands], compressed_rows(jac)[1])
         for c in range(len(pool)):
             dense = jac[c].T @ jac[c]
-            gram = cands.rows[c].T @ cands.rows[c]
+            gram = cands[c].T @ cands[c]
             assert np.abs(gram - dense).max() <= FACTOR_GRAM_RTOL * np.abs(dense).max()
 
 
@@ -855,21 +858,43 @@ def test_held_member_does_not_depend_on_its_stack(xyi, case):
     models, pool, tols = held_build_cases(xyi)[case]
     for model, tol, held in zip(models, tols, G._held_candidates(models, pool, tols)):
         alone = G._held_candidates([model], pool, [tol])[0]
-        for a, b in ((held.rows, alone.rows), (held.ranks, alone.ranks), (held.grams, alone.grams)):
-            assert a.shape == b.shape and np.array_equal(a, b)
         for c, germ in enumerate(pool):
-            one = G._held_candidates([model], [germ], [tol])[0]
-            width = one.rows.shape[1]
-            assert one.ranks[0] == held.ranks[c]
-            assert np.array_equal(one.rows[0], held.rows[c, :width]) and not held.rows[c, width:].any()
+            (one,) = G._held_candidates([model], [germ], [tol])[0]
+            for a in (alone[c], one):
+                assert a.shape == held[c].shape and np.array_equal(a, held[c])
 
 
 def test_selection_independent_of_stack_budget(xyi, monkeypatch):
+    # under ``min`` a 1-byte budget pads each candidate's rows in a stack of its own
     models = [xyi] + perturbed_models(xyi, 2, 1e-3, seed=5)
     pool = G.germ_candidate_pool(xyi.labels, 4)
-    default = G.select_germs(models, pool)
+    default = {score_fn: G.select_germs(models, pool, score_fn=score_fn) for score_fn in ("sum", "min")}
     monkeypatch.setattr(G, "GERM_STACK_BYTES", 1)  # one germ or one Gram per stack
-    assert G.select_germs(models, pool) == default
+    for score_fn, result in default.items():
+        assert G.select_germs(models, pool, score_fn=score_fn) == result
+
+
+def test_held_candidates_keep_their_own_rows_2q():
+    # each candidate is held as its own r_c compressed rows, copied out of
+    # its build stack: the store is exactly those rows' bytes, and the build
+    # peaks not far above it (42 MB against 33.6 MB, where rows padded to
+    # the pool's widest rank and their Grams peaked at 116 MB)
+    gs = make_xycphase_gateset()
+    pool = G.germ_candidate_pool(gs.labels, 3)
+    assert len(pool) == 55
+    tracemalloc.start()
+    try:
+        (held,) = G._held_candidates([gs], pool, [G.IDEAL_DEGENERACY_TOL])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ranks = [compressed_rows(G.germ_twirled_jacobian(gs, g)[None] / len(g.labels))[1][0] for g in pool]
+    for rows, rank in zip(held, ranks):
+        assert rows.shape == (rank, n_params(gs)) and rows.flags.owndata
+        assert np.all(np.any(rows != 0.0, axis=1))
+    stored = sum(rows.nbytes for rows in held)
+    assert stored == 8 * n_params(gs) * sum(ranks)
+    assert peak < 1.5 * stored
 
 
 def test_kite_basis_is_a_lone_eig_in_kite_order(xyi, rng):

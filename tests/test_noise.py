@@ -100,6 +100,8 @@ def test_spec_validation():
         N.NoiseSpec("coherent-only", -1.0, 0.0, 1)
     with pytest.raises(ValueError):
         N.NoiseSpec("coherent-depol", 0.01, 1.0, 1)
+    with pytest.raises(ValueError, match="eta must be 0"):
+        N.NoiseSpec("coherent-only", 0.01, 0.5, 1)
 
 
 def test_coherent_error_factor_is_orthogonal(xyi):
