@@ -5,13 +5,13 @@ Per circuit the Fisher information under multinomial sampling is
 because outcome probabilities sum to one); information is additive over
 circuits, so a design's matrix is the sum over its circuit list.  Row 0
 of a circuit's Jacobian, in the columns of effect 0, is its output state
-``v``, so its probabilities are ``p = E v`` with no second walk.  The
-weighted rows ``sqrt(N_c / p_i) grad p_i`` of ``FIM_BLOCK`` circuits are
-stacked into ``W``, and the blocks are added in row order as
-:class:`HeldFim` sums (:func:`circuits_fim`).  The block size bounds the
-memory of ``W``; the summation order is fixed, so the result depends on
-nothing but the rows and the BLAS build (BLAS threading may change the
-last bits of the products).
+``v``, so its probabilities are ``p = E v`` with no second walk.  Each
+circuit's weighted rows ``sqrt(N_c / p_i) grad p_i`` are written once,
+in place, into a stack ``W`` of ``FIM_BLOCK`` circuits, and the blocks
+are added in row order as :class:`HeldFim` sums (:func:`circuits_fim`).
+The block size bounds the memory of ``W``; the summation order is fixed,
+so the result depends on nothing but the rows and the BLAS build (BLAS
+threading may change the last bits of the products).
 
 Series bucket each deduplicated circuit at the smallest max depth at
 which it enters the design.  :func:`bucket_fims` builds the incremental
@@ -41,6 +41,10 @@ never squared into a 1263-wide matrix of rounding noise, and as its Gram
 ``F^T F`` from then on.  Both forms are read by :mod:`gstdesign.held`'s
 two rules: rounding-noise eigenvalues read ``0.0``, and Rayleigh
 quotients come from the rows or the Gram.
+When a whole design has fewer rows than parameters, :func:`bucket_fims`
+writes its rows once, in :func:`bucket_jacobians` order, into one stack
+allocated up front, which every bucket matrix and every cumulative
+matrix views.
 
 Spectra are read in the non-gauge frame of the model the matrices were
 evaluated at (:class:`NongaugeFrame`), but no row is mapped into it:
@@ -156,11 +160,17 @@ def circuits_fim(
     clip_floor: float = PROB_CLIP_FLOOR,
     *,
     jacobians=None,
+    out: np.ndarray | None = None,
 ) -> HeldFim:
-    """Summed Fisher matrix of ``circuits``, one column per parameter: the
-    empty matrix plus, in order, the weighted rows ``W`` of each block of
-    ``FIM_BLOCK`` circuits, so :class:`HeldFim`'s sum decides whether the
-    result is held as its rows or as its Gram (see the module docstring).
+    """Summed Fisher matrix of ``circuits``, one column per parameter.
+
+    Each circuit's weighted rows are written once, in circuit order.
+    ``out``, when given, receives all of them (one row per circuit and
+    outcome, such as a bucket's slice of :func:`bucket_fims`' stack) and
+    is returned held by its smaller side.  Otherwise the sum is the empty
+    matrix plus, in order, the rows ``W`` of each block of ``FIM_BLOCK``
+    circuits, so :class:`HeldFim`'s sum decides whether the result is
+    held as its rows or as its Gram (see the module docstring).
 
     ``jacobians``, when given, yields each circuit's probability Jacobian
     in circuit order (as :func:`bucket_jacobians` does); otherwise each comes
@@ -170,17 +180,30 @@ def circuits_fim(
     if jacobians is None:
         jacobians = (probability_jacobian(gs, c) for c in circuits)
     jacobians = iter(jacobians)
-    effects = gs.effect_matrix()
+    if out is not None:
+        return HeldFim.from_rows(_weighted_rows(gs, circuits, jacobians, shots, clip_floor, out))
+    width, per = n_params(gs), gs.num_effects
+    total = HeldFim(rows=np.zeros((0, width)))
+    for lo in range(0, len(circuits), FIM_BLOCK):
+        block = circuits[lo : lo + FIM_BLOCK]
+        total += HeldFim.from_rows(
+            _weighted_rows(gs, block, jacobians, shots, clip_floor, np.empty((len(block) * per, width)))
+        )
+    return total
+
+
+def _weighted_rows(
+    gs: GateSet, circuits: list, jacobians, shots: int, clip_floor: float, out: np.ndarray
+) -> np.ndarray:
+    """Write ``sqrt(N_c / p_i) grad p_i`` of each of ``circuits``, drawing
+    its Jacobian from ``jacobians``, into consecutive rows of ``out``."""
+    effects, per = gs.effect_matrix(), gs.num_effects
     # row 0 of a Jacobian, in effect 0's columns, is the circuit's output state v
     meas = param_blocks(gs)["meas"].start
-    total = HeldFim(rows=np.zeros((0, n_params(gs))))
-    for lo in range(0, len(circuits), FIM_BLOCK):
-        rows = []
-        for _, jac in zip(circuits[lo : lo + FIM_BLOCK], jacobians):
-            p = np.clip(effects @ jac[0, meas : meas + gs.dim], clip_floor, 1.0)
-            rows.append(jac * np.sqrt(shots / p)[:, None])
-        total += HeldFim.from_rows(np.concatenate(rows))
-    return total
+    for k, (_, jac) in enumerate(zip(circuits, jacobians)):
+        p = np.clip(effects @ jac[0, meas : meas + gs.dim], clip_floor, 1.0)
+        np.multiply(jac, np.sqrt(shots / p)[:, None], out=out[k * per : (k + 1) * per])
+    return out
 
 
 def certification_clip_floor(shots: int) -> float:
@@ -242,18 +265,35 @@ def bucket_fims(
     """Incremental Fisher matrix of each max-depth bucket, in schedule order,
     one column per parameter, each a :func:`circuits_fim` sum held by
     :class:`HeldFim`'s rule: the one place a design's per-bucket matrices
-    are built.  Rows come from :func:`bucket_jacobians`."""
-    return tuple(
-        circuits_fim(gs, circuits, shots, clip_floor, jacobians=jacobians)
-        for circuits, jacobians in bucket_jacobians(gs, design)
-    )
+    are built.  Rows come from :func:`bucket_jacobians`.
+
+    When the whole design has fewer weighted rows than parameters, one
+    ``(rows, n_params)`` stack is allocated up front and each bucket's
+    rows are written once, in :func:`bucket_jacobians` order, into its
+    slice: every bucket matrix is a row-held view of that stack (its
+    ``rows.base``)."""
+    stack = np.empty((len(design.circuits) * gs.num_effects, n_params(gs))) if _rows_held(gs, design) else None
+    fims, lo = [], 0
+    for circuits, jacobians in bucket_jacobians(gs, design):
+        hi = lo + len(circuits) * gs.num_effects
+        out = None if stack is None else stack[lo:hi]
+        fims.append(circuits_fim(gs, circuits, shots, clip_floor, jacobians=jacobians, out=out))
+        lo = hi
+    return tuple(fims)
+
+
+def _rows_held(gs: GateSet, design: ExperimentDesign) -> bool:
+    """Whether ``design``'s summed Fisher matrix at ``gs`` is held as its
+    rows: one per circuit and outcome, fewer than the parameters."""
+    return len(design.circuits) * gs.num_effects < n_params(gs)
 
 
 class NongaugeFrame:
     """A design's bucket matrices, read in the non-gauge frame of one model.
 
     The :func:`~gstdesign.model.gauge_tangent` of ``gs`` is taken once; its
-    Gram rank gives the non-gauge dimension ``dim``.  ``increments`` (the
+    Gram rank gives the non-gauge dimension ``dim``, and the dense tangent
+    is dropped before any row is written.  ``increments`` (the
     design's :func:`bucket_fims`, built once) and their prefix sums
     ``cumulative`` are :class:`HeldFim` sums, one column per parameter,
     held by its smaller-side rule.  No row is mapped into the frame:
@@ -272,9 +312,10 @@ class NongaugeFrame:
     More than ``dim`` of them means gauge has leaked into the rows, and
     raises :class:`CertificationError`.  When the deepest matrix is
     row-held (fewer rows than ``n_params``), so is every other one: the
-    rows are concatenated once into one stack, bucket matrix ``k`` is a
-    view of its rows of the stack and cumulative matrix ``k`` a view of
-    the first ``m_k`` rows, its trajectories are prefix sums
+    rows are written once, in :func:`bucket_jacobians` order, into the one
+    stack :func:`bucket_fims` allocates, bucket matrix ``k`` is a view of
+    its rows of the stack and cumulative matrix ``k`` a view of the first
+    ``m_k`` rows, its trajectories are prefix sums
     (:meth:`trajectories`), and any other spectrum is ``eigvalsh`` of a
     diagonal block of ``G``.  No eigensolve is wider than the rows it
     comes from.
@@ -283,20 +324,16 @@ class NongaugeFrame:
     def __init__(self, gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS):
         tangent = gauge_tangent(gs)
         self.n_params, self.dim = tangent.n_params, tangent.dim
+        del tangent  # dense, n_params x (D^2 - D): dropped before any row exists
         self.increments = bucket_fims(gs, design, shots, certification_clip_floor(shots))
-        # HeldFim's rule for the deepest sum: its rows while they are fewer than n_params
-        n_rows = [self.n_params if m.rows is None else len(m.rows) for m in self.increments]
-        self._row_held = sum(n_rows) < self.n_params
+        self._row_held = _rows_held(gs, design)
         # where each cumulative matrix ends: its row count when row-held, else
         # its bucket count
         if self._row_held:
-            # one stack of the rows, of which every matrix is a view
-            self._ends = np.cumsum(n_rows).tolist()
-            stack = np.concatenate([m.rows for m in self.increments])
-            self.cumulative = tuple(HeldFim(rows=stack[:hi]) for hi in self._ends)
-            self.increments = self.cumulative[:1] + tuple(
-                HeldFim(rows=stack[lo:hi]) for lo, hi in zip(self._ends, self._ends[1:])
-            )
+            # every bucket is a view of one stack, and so is each prefix of it
+            self._ends = np.cumsum([len(m.rows) for m in self.increments]).tolist()
+            stack = self.increments[0].rows.base
+            self.cumulative = self.increments[:1] + tuple(HeldFim(rows=stack[:hi]) for hi in self._ends[1:])
         else:
             self._ends = list(range(1, len(self.increments) + 1))
             self.cumulative = tuple(itertools.accumulate(self.increments))

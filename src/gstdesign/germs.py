@@ -849,6 +849,22 @@ def _joined(chosen: np.ndarray, cands: list[np.ndarray], ci: int) -> np.ndarray:
     return compressed_rows(np.concatenate([chosen, cands[ci]])[None])[0][0]
 
 
+def _pooled(cands: list[np.ndarray]) -> HeldFim:
+    """The whole pool's matrix, the sum of every candidate's ``F^T F``:
+    summed through :class:`HeldFim` from consecutive groups of candidates,
+    each group no more rows than the width, so no copy of the held rows
+    is larger than the ``n_params``-wide Gram the sum forms."""
+    width = cands[0].shape[1]
+    groups, size = [[]], 0
+    for rows in cands:
+        if size + len(rows) > width:
+            groups.append([])
+            size = 0
+        groups[-1].append(rows)
+        size += len(rows)
+    return sum((HeldFim.from_rows(np.concatenate(group)) for group in groups), HeldFim(rows=np.zeros((0, width))))
+
+
 def _past_window(key: tuple[int, float], least: tuple[int, float]) -> bool:
     """Whether a (shortfall, score) ``key`` lies past the tie window of the
     least key: a larger shortfall, or a score more than
@@ -933,7 +949,7 @@ def select_germs(
 
     deficits = []
     for mi, cands in enumerate(held):
-        pooled = HeldFim.from_rows(np.concatenate(cands)).eigvalsh()
+        pooled = _pooled(cands).eigvalsh()
         (rank,), _ = _gram_ranks_and_scores(pooled[None], targets[mi], score_fn)
         if rank < targets[mi]:
             deficits.append((mi, rank, targets[mi]))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -662,6 +663,29 @@ def test_row_held_certify_maps_no_rows_and_holds_them_once(tmp_path, monkeypatch
     for m in frame.cumulative + frame.increments:
         assert m.rows.base is stack and np.shares_memory(m.rows, stack)
     assert sum(len(m.rows) for m in frame.increments) == n_rows
+
+
+def test_row_held_frame_writes_its_rows_once():
+    # XYCPHASE germs Gxi and Gcphase Gxi Giy on 4 prep x 3 meas fiducials at
+    # L <= 4: 404 rows of 1263 parameters, a 4.1 MB stack.  Each row is
+    # written once into it, and the 2.4 MB gauge tangent is gone before the
+    # first is, so the build peaks at about 1.3 stacks; a copy of the rows,
+    # or the tangent held beside them, would take it past 1.5
+    gs = make_xycphase_gateset()
+    des = D.build_design(
+        builtin_fiducials("xycphase", "prep")[:4], builtin_fiducials("xycphase", "meas")[:3],
+        [Circuit(("Gxi",)), Circuit(("Gcphase", "Gxi", "Giy"))], D.default_schedule(4), gateset_labels=gs.labels,
+    )
+    eval_gs = FI.default_eval_model(gs)
+    tracemalloc.start()
+    try:
+        frame = FI.NongaugeFrame(eval_gs, des)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = frame.cumulative[-1].rows.base
+    assert stack.shape == (4 * len(des.circuits), n_params(gs)) == (404, 1263)
+    assert peak <= 1.5 * stack.nbytes
 
 
 @pytest.mark.parametrize("n_prep, n_meas", [(4, 3), (None, None)], ids=["wide-rows", "grid-grams"])

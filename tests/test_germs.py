@@ -695,6 +695,26 @@ def test_bare_pool_fails_pretest(xyi):
         G.select_germs([xyi, model], G.bare_germs(xyi))
 
 
+def test_pool_sum_copies_no_more_rows_than_its_gram(rng):
+    # the pre-check sums the pool's F^T F from consecutive groups of at most
+    # n_params candidate rows: 40 candidates of 150 rows on 200 columns hold
+    # 9.6 MB, and the sum peaks at about 3.5 Grams of 0.32 MB, where one
+    # concatenation of every row peaked at 31
+    width = 200
+    cands = [rng.standard_normal((150, width)) for _ in range(40)] + [np.zeros((0, width))]
+    want = sum(c.T @ c for c in cands)
+    tracemalloc.start()
+    try:
+        pooled = G._pooled(cands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(pooled.gram - want)) <= 1e-12 * np.max(np.abs(want))
+    assert peak <= 5 * want.nbytes
+    # a pool with fewer rows than columns is held as its rows, in pool order
+    assert G._pooled(cands[-1:] + cands[:1]).rows.tobytes() == cands[0].tobytes()
+
+
 def test_empty_pool_raises_germ_selection_error(xyi):
     with pytest.raises(G.GermSelectionError, match="empty"):
         G.select_germs([xyi], [])
