@@ -17,7 +17,7 @@ from gstdesign.builtins import (
     make_xyi_gateset,
     standard_xyi_fiducials,
 )
-from gstdesign.fiducials import per_qubit_pattern_pool, select_fiducials
+from gstdesign.fiducials import per_qubit_pattern_pool, qubit_gate_pairs, select_fiducials
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "src" / "gstdesign" / "data"
 
@@ -77,7 +77,7 @@ def main() -> None:
 
     # a 5% relative-improvement bar keeps the two-qubit lists compact
     # (18 preps / 8 meas) while staying informationally complete
-    pool = per_qubit_pattern_pool(("Gxi", "Gyi"), ("Gix", "Giy"))
+    pool = per_qubit_pattern_pool(*qubit_gate_pairs(xycphase))
     preps = select_fiducials(xycphase, pool, "prep", rel_improvement=0.05)
     meass = select_fiducials(xycphase, pool, "meas", rel_improvement=0.05)
     dump(

@@ -39,6 +39,7 @@ from .fiducials import (
     fiducial_candidate_pool,
     fiducial_score,
     per_qubit_pattern_pool,
+    qubit_gate_pairs,
     select_fiducials,
 )
 from .model import Circuit, GateSet, param_blocks, write_json
@@ -313,9 +314,11 @@ def cmd_wallclock(args) -> int:
 
 def cmd_fiducials(args) -> int:
     gs = _load_gateset(args.gateset)
-    if gs.num_qubits == 2 and args.pool == "per-qubit":
-        labels = list(gs.gates)
-        pool = per_qubit_pattern_pool(tuple(labels[0:2]), tuple(labels[2:4]))
+    if args.pool == "per-qubit":
+        try:
+            pool = per_qubit_pattern_pool(*qubit_gate_pairs(gs))
+        except ValueError as exc:
+            raise CliError(f"argument --pool: {exc}", EXIT_USAGE) from None
     else:
         pool = fiducial_candidate_pool(gs.labels, args.max_depth)
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    TP_TOL,
     Circuit,
     GateSet,
     effective_fiducial_effects,
@@ -29,6 +30,7 @@ __all__ = [
     "fiducial_score",
     "fiducial_candidate_pool",
     "per_qubit_pattern_pool",
+    "qubit_gate_pairs",
     "select_fiducials",
 ]
 
@@ -91,6 +93,33 @@ def fiducial_candidate_pool(labels, max_depth: int = 3) -> list[Circuit]:
 # label-index sequences applied to each qubit's (x, y) gate pair; they
 # mirror the single-qubit octahedral fiducials
 QUBIT_PATTERNS = ((), (0,), (1,), (0, 0), (0, 0, 0), (1, 1, 1))
+
+
+def qubit_gate_pairs(gs: GateSet) -> tuple[tuple[str, str], tuple[str, str]]:
+    """Each qubit's two single-qubit gate labels, in the gate set's order,
+    for :func:`per_qubit_pattern_pool`.
+
+    Pauli string ``P_a (x) P_b`` is basis index ``4 a + b``, ``a`` on qubit 0.
+    A gate acts on qubit 0 alone when it fixes every string with ``a = 0``
+    (to :data:`~gstdesign.model.TP_TOL`) and on qubit 1 alone when it fixes
+    every string with ``b = 0``; a gate that fixes both is an idle and
+    belongs to neither.  Raises :class:`ValueError` unless the gate set is
+    two-qubit with exactly two such gates on each qubit.
+    """
+    if gs.num_qubits != 2:
+        raise ValueError(f"per-qubit fiducial patterns need a two-qubit gate set, not a {gs.num_qubits}-qubit one")
+    eye = np.eye(gs.dim)
+    q0, q1 = (
+        {label for label, g in gs.gates.items() if np.max(np.abs(g[:, cols] - eye[:, cols])) <= TP_TOL}
+        for cols in (np.arange(4), np.arange(0, 16, 4))
+    )
+    pairs = (
+        tuple(label for label in gs.gates if label in q0 - q1),
+        tuple(label for label in gs.gates if label in q1 - q0),
+    )
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"per-qubit fiducial patterns need two gates on each qubit; the gate set has {pairs}")
+    return pairs
 
 
 def per_qubit_pattern_pool(q0_labels, q1_labels) -> list[Circuit]:

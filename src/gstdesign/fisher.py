@@ -7,10 +7,11 @@ circuits, so a design's matrix is the sum over its circuit list.  Row 0
 of a circuit's Jacobian, in the columns of effect 0, is its output state
 ``v``, so its probabilities are ``p = E v`` with no second walk.  Each
 circuit's weighted rows ``sqrt(N_c / p_i) grad p_i`` are written once,
-in place, into a stack ``W`` of ``FIM_BLOCK`` circuits, and the blocks
-are added in row order as :class:`HeldFim` sums (:func:`circuits_fim`).
-The block size bounds the memory of ``W``; the summation order is fixed,
-so the result depends on nothing but the rows and the BLAS build (BLAS
+in place (:func:`circuits_fim`): all into one array while they are fewer
+than the parameters, and otherwise ``FIM_BLOCK`` circuits at a time into
+one reused buffer ``W``, whose Grams are added in row order.  The block
+size bounds the memory of ``W``; the summation order is fixed, so the
+result depends on nothing but the rows and the BLAS build (BLAS
 threading may change the last bits of the products).
 
 Series bucket each deduplicated circuit at the smallest max depth at
@@ -75,11 +76,11 @@ from functools import cached_property
 import numpy as np
 
 from .design import ExperimentDesign, design_bodies
-from .germs import GERM_STACK_BYTES, amplifiable_count
 from .held import HeldFim, above_noise, padded_spectrum
 from .model import (
     Circuit,
     GateSet,
+    amplifiable_count,
     circuit_probabilities,
     fiducial_jacobians,
     gauge_tangent,
@@ -164,13 +165,13 @@ def circuits_fim(
 ) -> HeldFim:
     """Summed Fisher matrix of ``circuits``, one column per parameter.
 
-    Each circuit's weighted rows are written once, in circuit order.
-    ``out``, when given, receives all of them (one row per circuit and
-    outcome, such as a bucket's slice of :func:`bucket_fims`' stack) and
-    is returned held by its smaller side.  Otherwise the sum is the empty
-    matrix plus, in order, the rows ``W`` of each block of ``FIM_BLOCK``
-    circuits, so :class:`HeldFim`'s sum decides whether the result is
-    held as its rows or as its Gram (see the module docstring).
+    The held form is decided once, by :func:`_rows_held`, and each
+    circuit's weighted rows are written once, in circuit order.  Fewer
+    rows than parameters are written into one array, ``out`` when given
+    (such as a bucket's slice of :func:`bucket_fims`' stack), and held as
+    those rows.  Otherwise the rows ``W`` of each block of ``FIM_BLOCK``
+    circuits are written into one reused buffer, and the sum is the
+    blocks' Grams ``W^T W`` added in order; ``out`` is not used.
 
     ``jacobians``, when given, yields each circuit's probability Jacobian
     in circuit order (as :func:`bucket_jacobians` does); otherwise each comes
@@ -180,16 +181,20 @@ def circuits_fim(
     if jacobians is None:
         jacobians = (probability_jacobian(gs, c) for c in circuits)
     jacobians = iter(jacobians)
-    if out is not None:
-        return HeldFim.from_rows(_weighted_rows(gs, circuits, jacobians, shots, clip_floor, out))
     width, per = n_params(gs), gs.num_effects
-    total = HeldFim(rows=np.zeros((0, width)))
+    if _rows_held(gs, len(circuits)):
+        out = np.empty((len(circuits) * per, width)) if out is None else out
+        return HeldFim(rows=_weighted_rows(gs, circuits, jacobians, shots, clip_floor, out))
+    buffer = np.empty((min(len(circuits), FIM_BLOCK) * per, width))
+    gram = None
     for lo in range(0, len(circuits), FIM_BLOCK):
         block = circuits[lo : lo + FIM_BLOCK]
-        total += HeldFim.from_rows(
-            _weighted_rows(gs, block, jacobians, shots, clip_floor, np.empty((len(block) * per, width)))
-        )
-    return total
+        rows = _weighted_rows(gs, block, jacobians, shots, clip_floor, buffer[: len(block) * per])
+        if gram is None:
+            gram = rows.T @ rows
+        else:
+            gram += rows.T @ rows
+    return HeldFim(gram=gram)
 
 
 def _weighted_rows(
@@ -250,7 +255,7 @@ def _walk_jacobians(gs: GateSet, design: ExperimentDesign, walks: dict, fallback
     """Each circuit's Jacobian in :func:`bucket_jacobians`' row order."""
     for body, pairs in walks.items():
         yield from fiducial_jacobians(
-            gs, design.prep_fiducials, design.meas_fiducials, body, [(j, i) for j, i, _ in pairs], GERM_STACK_BYTES
+            gs, design.prep_fiducials, design.meas_fiducials, body, [(j, i) for j, i, _ in pairs]
         )
     for c in fallback:
         yield probability_jacobian(gs, c)
@@ -272,7 +277,8 @@ def bucket_fims(
     rows are written once, in :func:`bucket_jacobians` order, into its
     slice: every bucket matrix is a row-held view of that stack (its
     ``rows.base``)."""
-    stack = np.empty((len(design.circuits) * gs.num_effects, n_params(gs))) if _rows_held(gs, design) else None
+    rows_held = _rows_held(gs, len(design.circuits))
+    stack = np.empty((len(design.circuits) * gs.num_effects, n_params(gs))) if rows_held else None
     fims, lo = [], 0
     for circuits, jacobians in bucket_jacobians(gs, design):
         hi = lo + len(circuits) * gs.num_effects
@@ -282,10 +288,11 @@ def bucket_fims(
     return tuple(fims)
 
 
-def _rows_held(gs: GateSet, design: ExperimentDesign) -> bool:
-    """Whether ``design``'s summed Fisher matrix at ``gs`` is held as its
-    rows: one per circuit and outcome, fewer than the parameters."""
-    return len(design.circuits) * gs.num_effects < n_params(gs)
+def _rows_held(gs: GateSet, n_circuits: int) -> bool:
+    """Whether the summed Fisher matrix of ``n_circuits`` circuits at ``gs``
+    is held as its rows: one per circuit and outcome, fewer than the
+    parameters."""
+    return n_circuits * gs.num_effects < n_params(gs)
 
 
 class NongaugeFrame:
@@ -326,7 +333,7 @@ class NongaugeFrame:
         self.n_params, self.dim = tangent.n_params, tangent.dim
         del tangent  # dense, n_params x (D^2 - D): dropped before any row exists
         self.increments = bucket_fims(gs, design, shots, certification_clip_floor(shots))
-        self._row_held = _rows_held(gs, design)
+        self._row_held = _rows_held(gs, len(design.circuits))
         # where each cumulative matrix ends: its row count when row-held, else
         # its bucket count
         if self._row_held:

@@ -14,8 +14,8 @@ eigensolves per size bound every candidate's score first: a cap from the
 full grid's trailing eigenspace, then an estimate from the candidate's
 gathered rows' Gram, each within ``SCREEN_RTOL`` times the Gram's trace
 of exact arithmetic.  A stack gathers at most
-:data:`~gstdesign.germs.GERM_STACK_BYTES` of rows, and no per-pair Gram
-is kept.  A candidate whose bound falls below the acceptance threshold or
+:data:`~gstdesign.held.STACK_BYTES` of rows, and no per-pair Gram is
+kept.  A candidate whose bound falls below the acceptance threshold or
 strictly below another candidate's is provably not the winner, so the
 chosen pairs and ratios are equal in bits to scoring every candidate (see
 :func:`per_germ_fpr`).
@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import held
 from .design import FprPolicy, keep_count
-from .germs import GERM_STACK_BYTES, IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
+from .germs import IDEAL_DEGENERACY_TOL, KiteStructure, kite_structure
 from .model import (
     GateSet,
     circuit_ptm,
@@ -117,10 +118,11 @@ def _exact_score(blocks: np.ndarray, sel: np.ndarray, rank: int) -> float:
 def _eigvalsh_at(blocks: np.ndarray, draws: np.ndarray, index: int) -> np.ndarray:
     """Ascending eigenvalue ``index`` of each draw's Gram ``R^H R``, ``R``
     being its pairs' rows of the ``(pairs, m, width)`` blocks, gathered at
-    most :data:`~gstdesign.germs.GERM_STACK_BYTES` at a time."""
+    most :data:`~gstdesign.held.STACK_BYTES` at a time."""
     cands, size = draws.shape
     _, m, width = blocks.shape
-    chunk = max(1, GERM_STACK_BYTES // (blocks.itemsize * size * m * width))
+    # a draw's gathered rows, size x m x width
+    chunk = max(1, held.STACK_BYTES // (blocks.itemsize * size * m * width))
     out = []
     for lo in range(0, cands, chunk):
         rows = blocks[draws[lo : lo + chunk]].reshape(-1, size * m, width)

@@ -46,7 +46,7 @@ dropping each one whose bound lies past the tie window of the least
 complete key.  Ties within that window go to the (length, labels) that
 sorts first, which leaves the chosen germs exactly as scoring every
 candidate on every model would (see :func:`select_germs`).  Stacks hold at
-most :data:`GERM_STACK_BYTES` of working arrays.
+most :data:`gstdesign.held.STACK_BYTES` of working arrays.
 """
 
 from __future__ import annotations
@@ -56,13 +56,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import held
 from .held import HeldFim, compressed_rows
 from .model import (
     GRAM_RANK_RTOL,
     Circuit,
     GateSet,
-    gauge_tangent,
-    gram_rank,
+    amplifiable_count,
     n_params,
     numerical_rank,
     param_blocks,
@@ -86,35 +86,11 @@ __all__ = [
     "IDEAL_DEGENERACY_TOL",
     "PERTURBED_DEGENERACY_TOL",
     "GRAM_RANK_RTOL",
-    "GERM_STACK_BYTES",
     "SCORE_TIE_RTOL",
 ]
 
 IDEAL_DEGENERACY_TOL = 1e-7
 PERTURBED_DEGENERACY_TOL = 1e-10
-# Working-array budget of one stack: Jacobian factors built together, or
-# tests scored together in a greedy step.  It bounds the memory stacking
-# adds.  A build stack holds each member's gates with their prefix and
-# suffix products and its kite arrays, (24 n + 56) D^2 bytes at germ length
-# n: 163 XYI members of length 6 share a stack, and 13 XYCPHASE members of
-# length 4.  Its members of one commutant dimension m are factored in
-# stacks of their own: the complex image and coefficients, (D^2 + n_params)
-# m values, the products they come from, 2 n D^2, and four real
-# m x n_params arrays of held rows.  On XYI that is 17 KB at m = 6, every
-# perturbed model's dimension, so 30 share a stack, and 40 KB at m = 16; on
-# XYCPHASE it is 1.8 MB at m = 28, a stack of one.  A rank update holds a
-# candidate's rows and their residual, r_c x n_params each, and three
-# scaled cross blocks, r_c x rank_S: on XYI at most 12 x (86 + 75) values
-# (15 KB), so 33 share a stack, and on XYCPHASE up to 126 x (2526 + 2883)
-# (5.5 MB), a stack of one.  A ``min`` test holds its candidate's rows
-# padded to the pool's widest rank r, r x n_params, and its test matrix,
-# rank_S + r wide: on XYI at most 12 x 43 + 37 x 37 values (15 KB), so 34
-# share a stack, and on XYCPHASE up to 126 x 1263 + 1087 x 1087 (10.7 MB).
-# A per-germ FPR candidate's gathered rows are size x m x kite
-# coordinates: on XYI at most 35 x 2 x 16 values (18 KB), so 29 share a
-# stack, and on a full-rank 2Q kite of 136 coordinates at least
-# 34 x 4 x 136 (0.3 MB), a stack of one.
-GERM_STACK_BYTES = 1 << 19
 # Relative width of the window in which test-set scores tie: among the
 # candidates of least shortfall scoring within it of the least score, the
 # one whose (length, labels) sorts first is chosen, so rounding never
@@ -466,8 +442,8 @@ def _twirled_factors(models: list[GateSet], germs: list[Circuit], tols):
 
     Members of one length are built together across all models, which
     must share the gate labels and dimension of ``models[0]``, in stacks of
-    at most :data:`GERM_STACK_BYTES` of working arrays: the prefix and
-    suffix products are stacked matmuls and the kites come from
+    at most :data:`~gstdesign.held.STACK_BYTES` of working arrays: the
+    prefix and suffix products are stacked matmuls and the kites come from
     :func:`_kite_stacks`.  Each kite stack's members of one commutant
     dimension are then factored in stacks of their own, each label's
     coefficients one contraction over them, the occurrence sum running
@@ -492,7 +468,7 @@ def _twirled_factors(models: list[GateSet], germs: list[Circuit], tols):
     for length, members in by_length.items():
         # real gates and their prefix and suffix products, and the complex
         # eigenvectors, kite basis and inverse: (24 length + 56) D^2 bytes a member
-        chunk = max(1, GERM_STACK_BYTES // ((24 * length + 56) * dim**2))
+        chunk = max(1, held.STACK_BYTES // ((24 * length + 56) * dim**2))
         for lo in range(0, len(members), chunk):
             mis, gis = np.array(members[lo : lo + chunk]).T
             seq = np.array([[position[lab] for lab in germs[gi].labels] for gi in gis])
@@ -527,7 +503,7 @@ def _twirled_factor_stacks(ops, tols, seq, columns, width):
             # products they come from, 2 length D^2, and up to four real
             # m x n_params arrays of held rows
             per_member = 16 * (dim * dim + width) * size + 32 * length * dim * dim + 32 * size * width
-            chunk = max(1, GERM_STACK_BYTES // per_member)
+            chunk = max(1, held.STACK_BYTES // per_member)
             for lo in range(0, same.size, chunk):
                 sub = same[lo : lo + chunk]
                 member = stack.members[sub]
@@ -600,24 +576,6 @@ def germset_jacobian(models: list[GateSet], germs) -> list[np.ndarray]:
     ]
 
 
-def amplifiable_count(model: GateSet) -> int:
-    """Gate parameters minus the gauge tangent's rank within gate coordinates.
-
-    The gauge direction ``diag(0, 1, ..., 1)``, which rescales all
-    traceless components, commutes with every unital gate (one whose first
-    column is ``(1, 0, ..., 0)``: it maps the identity to itself).  While
-    every gate is unital it moves no gate, drops out of the projected rank
-    and is excluded from the count automatically; ideal targets, coherent
-    perturbations and depolarization all keep gates unital.  A non-unital
-    gate brings it back and the target drops by one.  The rank is the
-    :func:`~gstdesign.model.gram_rank` of the gate rows' Gram.
-    """
-    # gates lead the parameter order, so their rows are the basis's first
-    n_gate = param_blocks(model)["rho"].start
-    gate_rows = gauge_tangent(model).basis[:n_gate]
-    return n_gate - gram_rank(gate_rows.T @ gate_rows)
-
-
 def bare_germs(model: GateSet) -> list[Circuit]:
     return [Circuit((lab,)) for lab in model.gates]
 
@@ -680,15 +638,15 @@ def _held_candidates(models: list[GateSet], pool: list[Circuit], tols) -> list[l
     same stacks, and each model's candidates come out bit for bit as a
     build of that model alone."""
     empty = np.zeros((0, n_params(models[0])))
-    held = [[empty] * len(pool) for _ in models]
+    store = [[empty] * len(pool) for _ in models]
     for factors in _twirled_factors(models, pool, tols):
         scale = 1.0 / len(pool[factors.germs[0]].labels)
         for sub, rows in factors.held_rows():
             rows *= scale
             kept, ranks = compressed_rows(rows)
             for mi, gi, member, rank in zip(factors.models[sub], factors.germs[sub], kept, ranks):
-                held[mi][gi] = member[:rank].copy()
-    return held
+                store[mi][gi] = member[:rank].copy()
+    return store
 
 
 def _test_ranks_and_scores(
@@ -735,13 +693,14 @@ def _eigensolved_ranks_and_scores(
     ``C_c C_c^T`` are diagonal, their squared row norms, and a test costs
     the cross block ``C_c S^T`` and one ``eigvalsh``, ``rank_S + r`` wide.
     Every test matrix of one chosen set and model has the same width, so a
-    stacked ``eigvalsh`` of at most :data:`GERM_STACK_BYTES` of them gives
-    each member the bits of its own call.
+    stacked ``eigvalsh`` of at most :data:`~gstdesign.held.STACK_BYTES` of
+    them gives each member the bits of its own call.
     """
     split, widest = len(chosen), max(map(len, cands))
     width = split + widest
     lam = np.einsum("ij,ij->i", chosen, chosen)
-    chunk = max(1, GERM_STACK_BYTES // (8 * (widest * chosen.shape[1] + width * width)))
+    # a test's padded candidate rows, r x n_params, and its test matrix, rank_S + r wide
+    chunk = max(1, held.STACK_BYTES // (8 * (widest * chosen.shape[1] + width * width)))
     spectra = []
     for lo in range(0, len(idx), chunk):
         sub = idx[lo : lo + chunk]
@@ -807,8 +766,8 @@ def _updated_ranks_and_scores(
     Gram on the counted directions.
 
     Every solve is ``r_c`` wide.  Candidates are stacked by their ``r_c``,
-    at most :data:`GERM_STACK_BYTES` of cross blocks at a time, so a
-    candidate's result is that of its batch of one.
+    at most :data:`~gstdesign.held.STACK_BYTES` of cross blocks at a time,
+    so a candidate's result is that of its batch of one.
     """
     lam = np.einsum("ij,ij->i", chosen, chosen)
     scale = np.sqrt(lam)
@@ -820,7 +779,8 @@ def _updated_ranks_and_scores(
     for k, ci in enumerate(idx):
         by_rank.setdefault(len(cands[ci]), []).append(k)
     for width, members in by_rank.items():
-        chunk = max(1, GERM_STACK_BYTES // (8 * max(width, 1) * (2 * chosen.shape[1] + 3 * len(chosen))))
+        # a test's rows and residual, r_c x n_params each, and three r_c x rank_S cross blocks
+        chunk = max(1, held.STACK_BYTES // (8 * max(width, 1) * (2 * chosen.shape[1] + 3 * len(chosen))))
         for lo in range(0, len(members), chunk):
             sub = members[lo : lo + chunk]
             ci = [idx[k] for k in sub]
@@ -945,10 +905,10 @@ def select_germs(
     if not pool:
         raise GermSelectionError("candidate pool is empty")
     targets = [amplifiable_count(m) for m in models]
-    held = _held_candidates(models, pool, _degeneracy_tols(len(models)))
+    candidates = _held_candidates(models, pool, _degeneracy_tols(len(models)))
 
     deficits = []
-    for mi, cands in enumerate(held):
+    for mi, cands in enumerate(candidates):
         pooled = _pooled(cands).eigvalsh()
         (rank,), _ = _gram_ranks_and_scores(pooled[None], targets[mi], score_fn)
         if rank < targets[mi]:
@@ -982,7 +942,7 @@ def select_germs(
 
         def test(mi: int, cands: list[int]) -> None:
             cand_ranks, cand_scores, width = _test_ranks_and_scores(
-                chosen[mi], held[mi], cands, targets[mi], score_fn
+                chosen[mi], candidates[mi], cands, targets[mi], score_fn
             )
             widths.append(width)
             for ci, rank, score in zip(cands, cand_ranks.tolist(), cand_scores.tolist()):
@@ -1009,7 +969,7 @@ def select_germs(
         ci = min(window, key=lambda ci: (len(pool[ci].labels), pool[ci].labels))
 
         chosen_idx.append(ci)
-        chosen = [_joined(c, cands, ci) for c, cands in zip(chosen, held)]
+        chosen = [_joined(c, cands, ci) for c, cands in zip(chosen, candidates)]
         ranks = [tested[ci][mi][0] for mi in range(len(models))]
         scores = [tested[ci][mi][1] for mi in range(len(models))]
         trajectory.append(

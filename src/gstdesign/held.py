@@ -22,6 +22,10 @@ Those are orthogonal, so the two differ in norm by at most
 selection's rank cutoff :data:`~gstdesign.model.GRAM_RANK_RTOL`, and
 about ten times the level at which a dense symmetric eigensolve places
 exact zeros.
+
+Every stacked kernel (germ factors and greedy tests, the FPR screen, the
+body walk) holds at most :data:`STACK_BYTES` of working arrays a stack,
+read at call time, so one assignment bounds them all.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HeldFim", "above_noise", "compressed_rows", "padded_spectrum", "COMPRESS_RTOL"]
+__all__ = ["HeldFim", "above_noise", "compressed_rows", "padded_spectrum", "COMPRESS_RTOL", "STACK_BYTES"]
 
 # Relative cutoff at or below which a small-side Gram's eigenvalues are
 # rounding noise, read as 0.0 and dropped by compression.  Exact zeros
@@ -41,6 +45,8 @@ __all__ = ["HeldFim", "above_noise", "compressed_rows", "padded_spectrum", "COMP
 # Gcphase Gxi Giy, 4 x 3 fiducials, L <= 4 (404 rows), every row Gram block
 # has its noise at most 3.0e-16 and its kept eigenvalues from 2.9e-12 up.
 COMPRESS_RTOL = 1e-14
+# Working-array budget of one stack in bytes; a larger member is a stack of one
+STACK_BYTES = 1 << 19
 
 
 def above_noise(evals: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ the reference, or one body at a time from :func:`fiducial_jacobians`:
 for circuits ``F_j body H_i`` that share a label sequence ``body``, the
 prep-fiducial states are carried forward and the effect rows backward
 through the body once, and each gate label's columns for a grid of
-fiducial pairs are one product over its positions.  The caller
+fiducial pairs are one product over its positions, in chunks of at most
+:data:`gstdesign.held.STACK_BYTES`.  The caller
 (:func:`gstdesign.fisher.bucket_jacobians`) walks the bodies of
 :func:`gstdesign.design.design_bodies`, in an order fixed by the design's
 structure, not by its circuit list, and falls back to
@@ -46,6 +47,10 @@ agree to rounding: within 4e-15 of each circuit's largest Jacobian entry
 on XYI designs to L = 1024 and XYCPHASE designs to L = 16, which keeps
 one circuit's :func:`gstdesign.fisher.circuit_fim` within 1e-12 of its
 largest entry at the certification clip floor.
+
+Gauge counts are Gram ranks (:func:`gram_rank`) of :func:`gauge_tangent`:
+:func:`non_gauge_count`, the width certification reads spectra in, and
+:func:`amplifiable_count`, the gate directions germ selection aims at.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import held
 
 __all__ = [
     "GateSetError",
@@ -86,6 +93,7 @@ __all__ = [
     "probability_hessian",
     "gauge_tangent",
     "non_gauge_count",
+    "amplifiable_count",
     "apply_gauge_transform",
     "gram_rank",
     "matrix_rank_rel",
@@ -624,7 +632,7 @@ def probability_jacobian(gs: GateSet, circuit: Circuit) -> np.ndarray:
     return jac
 
 
-def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs, budget: int) -> np.ndarray:
+def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs) -> np.ndarray:
     """Probability Jacobians of the circuits ``F_j body H_i``, one for
     each ``(j, i)`` of ``pairs``, shape ``(len(pairs), num_effects,
     n_params)``; an unknown label raises :class:`GateSetError`.
@@ -634,10 +642,10 @@ def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs,
     ``[E_l H_i]`` backward through it once.  A gate label's columns are
     then one product over the label's positions in the body for each grid
     of pairs (prep fiducials that share their measurement fiducials),
-    taken in chunks of at most ``budget`` bytes of gathered states and
-    rows.  Positions inside the fiducials are taken per fiducial.  Equal
-    to :func:`probability_jacobian`, the one-circuit reference, to
-    rounding, not bit for bit.
+    taken in chunks of at most :data:`gstdesign.held.STACK_BYTES` of
+    gathered states and rows.  Positions inside the fiducials are taken
+    per fiducial.  Equal to :func:`probability_jacobian`, the one-circuit
+    reference, to rounding, not bit for bit.
     """
     dim, m = gs.dim, gs.num_effects
     blocks = param_blocks(gs)
@@ -654,7 +662,7 @@ def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs,
     effects = _backward(gs, np.vstack([r[0] for r in meas_rows]), body).reshape(len(body) + 1, len(meass), m, dim)
 
     jac = np.zeros((len(pairs), m, n_params(gs)))
-    _add_body_columns(jac, gs, body, states, effects, col_of, row_of, budget)
+    _add_body_columns(jac, gs, body, states, effects, col_of, row_of)
 
     for c, before in enumerate(prep_states):
         n = [k for k, cc in enumerate(col_of) if cc == c]
@@ -678,12 +686,12 @@ def fiducial_jacobians(gs: GateSet, prep_fiducials, meas_fiducials, body, pairs,
     return jac
 
 
-def _add_body_columns(jac, gs: GateSet, body, states, effects, col_of, row_of, budget: int) -> None:
+def _add_body_columns(jac, gs: GateSet, body, states, effects, col_of, row_of) -> None:
     """Add the body's gate positions to ``jac``, whose pair ``n`` is column
     ``col_of[n]`` of ``states`` and row block ``row_of[n]`` of ``effects``:
     per label, one product over its positions per grid of pairs (prep
-    columns that share their row blocks), at most ``budget`` bytes of
-    gathered rows at a time."""
+    columns that share their row blocks), at most
+    :data:`~gstdesign.held.STACK_BYTES` of gathered rows at a time."""
     if not body:
         return
     dim, m = gs.dim, gs.num_effects
@@ -699,7 +707,8 @@ def _add_body_columns(jac, gs: GateSet, body, states, effects, col_of, row_of, b
         n = [k for k, c in enumerate(col_of) if c in cols]
         cells = ([rows.index(row_of[k]) for k in n], [cols.index(col_of[k]) for k in n])
         picks.append((list(rows), cols, n, cells))
-    chunk = max(1, budget // (8 * (effects.shape[1] * m * (dim - 1) + dim * states.shape[2])))
+    # a position's effect rows, meas x m x (D - 1), and states, D x preps
+    chunk = max(1, held.STACK_BYTES // (8 * (effects.shape[1] * m * (dim - 1) + dim * states.shape[2])))
     for label in dict.fromkeys(body):
         positions = np.array([t for t, lab in enumerate(body) if lab == label])
         for lo in range(0, len(positions), chunk):
@@ -832,6 +841,24 @@ def gauge_tangent(gs: GateSet) -> GaugeTangent:
 def non_gauge_count(gs: GateSet) -> int:
     """Number of physically observable parameters: N_p - gauge rank."""
     return gauge_tangent(gs).dim
+
+
+def amplifiable_count(gs: GateSet) -> int:
+    """Gate parameters minus the gauge tangent's rank within gate coordinates.
+
+    The gauge direction ``diag(0, 1, ..., 1)``, which rescales all
+    traceless components, commutes with every unital gate (one whose first
+    column is ``(1, 0, ..., 0)``: it maps the identity to itself).  While
+    every gate is unital it moves no gate, drops out of the projected rank
+    and is excluded from the count automatically; ideal targets, coherent
+    perturbations and depolarization all keep gates unital.  A non-unital
+    gate brings it back and the target drops by one.  The rank is the
+    :func:`gram_rank` of the gate rows' Gram.
+    """
+    # gates lead the parameter order, so their rows are the basis's first
+    n_gate = param_blocks(gs)["rho"].start
+    gate_rows = gauge_tangent(gs).basis[:n_gate]
+    return n_gate - gram_rank(gate_rows.T @ gate_rows)
 
 
 def apply_gauge_transform(gs: GateSet, mat: np.ndarray) -> GateSet:

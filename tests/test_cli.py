@@ -205,6 +205,28 @@ def test_fiducials_non_ic_pool_exit_code(tmp_path, capsys):
     assert "not informationally complete" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["prep", "meas"])
+def test_per_qubit_fiducials_are_the_bundled_lists(tmp_path, kind):
+    # the bundled gate set lists its gates sorted (Gcphase, Gix, Giy, Gxi,
+    # Gyi), so each qubit's gates come from their actions, not their places;
+    # the bundled lists are this selection at a 5% bar
+    out = tmp_path / "f.json"
+    code = run(
+        ["fiducials", "--gateset", "xycphase", "--kind", kind, "--pool", "per-qubit",
+         "--rel-improvement", "0.05", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text()) == [list(c.labels) for c in builtin_fiducials("xycphase", kind)]
+
+
+def test_per_qubit_pool_needs_a_two_qubit_gate_set(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    code = run(["fiducials", "--gateset", "xyi", "--kind", "prep", "--pool", "per-qubit", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "argument --pool" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_germs_non_ac_pool_exit_code(tmp_path, capsys):
     code = run(
         [
@@ -304,7 +326,7 @@ def test_certify_takes_each_circuits_rows_from_one_source(small_design, tmp_path
 
     def circuits_of(name, args):
         if name == "fiducial_jacobians":
-            gs, preps, meass, body, pairs, _ = args
+            gs, preps, meass, body, pairs = args
             return [preps[j].labels + body + meass[i].labels for j, i in pairs]
         circuits = args[1]
         return [circuits.labels] if isinstance(circuits, model.Circuit) else [c.labels for c in circuits]
@@ -715,7 +737,8 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
         models.append(gs)
         return gauge_tangent(gs)
 
-    for module in (model, fisher, germs):
+    # amplifiable_count reads model's binding; the frame reads fisher's
+    for module in (model, fisher):
         monkeypatch.setattr(module, "gauge_tangent", counting)
     code = run(
         [

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gstdesign import fiducials as F
-from gstdesign.builtins import make_xycphase_gateset
+from gstdesign.builtins import builtin_gateset, make_xycphase_gateset
 from gstdesign.model import Circuit
 
 
@@ -83,3 +85,19 @@ def test_two_qubit_pattern_pool_selection():
     assert len(pool) == 36
     chosen = F.select_fiducials(gs, pool, "prep", rel_improvement=0.05)
     assert F.fiducial_score(gs, chosen, "prep").rank == 16
+
+
+def test_qubit_gate_pairs_follow_the_gates_not_their_order():
+    built, bundled = make_xycphase_gateset(), builtin_gateset("xycphase")
+    assert built.labels != bundled.labels
+    for gs in (built, bundled):
+        assert F.qubit_gate_pairs(gs) == (("Gxi", "Gyi"), ("Gix", "Giy"))
+
+
+def test_qubit_gate_pairs_refuse_other_gate_sets(xyi):
+    with pytest.raises(ValueError, match="two-qubit"):
+        F.qubit_gate_pairs(xyi)
+    gs = make_xycphase_gateset()
+    one_sided = dataclasses.replace(gs, gates={k: g for k, g in gs.gates.items() if k != "Giy"})
+    with pytest.raises(ValueError, match="two gates on each qubit"):
+        F.qubit_gate_pairs(one_sided)

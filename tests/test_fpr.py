@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from gstdesign import design as D
 from gstdesign import fpr as FP
 from gstdesign import germs as G
+from gstdesign import held as H
 from gstdesign.builtins import builtin_fiducials, make_xycphase_gateset
 from gstdesign.model import (
     Circuit,
@@ -249,7 +250,7 @@ def test_screened_search_equals_exhaustive_xyi(xyi, xyi_fiducials, seed, eps, mo
     pool = G.germ_candidate_pool(xyi.labels, 3)
     assert_matches_exhaustive(xyi, xyi_fiducials, xyi_fiducials, pool, eps, seed)
     # a one-byte budget gathers every candidate's rows in a stack of its own
-    monkeypatch.setattr(FP, "GERM_STACK_BYTES", 1)
+    monkeypatch.setattr(H, "STACK_BYTES", 1)
     assert_matches_exhaustive(xyi, xyi_fiducials, xyi_fiducials, pool, eps, seed)
 
 
@@ -267,7 +268,7 @@ def test_screen_holds_no_per_pair_grams():
     # Gcphase has 136 kite coordinates on a 144-pair grid, so one Gram per
     # pair would hold 144 x 136^2 complex values, 42.6 MB.  Building the
     # 576 x 136 full-grid Jacobian (1.25 MB) holds three arrays of its size
-    # at once, and a stack gathers at most GERM_STACK_BYTES (0.5 MB) of
+    # at once, and a stack gathers at most held.STACK_BYTES (0.5 MB) of
     # rows: 10 MB bounds both with room to spare.
     gs = make_xycphase_gateset()
     preps, meass = builtin_fiducials("xycphase", "prep"), builtin_fiducials("xycphase", "meas")

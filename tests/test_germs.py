@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from gstdesign import germs as G
+from gstdesign import held as H
 from gstdesign.builtins import make_xycphase_gateset
 from gstdesign.fisher import default_eval_model
 from gstdesign.held import compressed_rows
@@ -614,8 +615,8 @@ def test_exact_tie_settled_by_labels(xyi, monkeypatch):
 
     expected = G.select_germs([xyi], pool).germs
     assert [str(g) for g in expected[:2]] == ["Gi", "Gx Gx Gy"]
-    for budget in (G.GERM_STACK_BYTES, 1):
-        monkeypatch.setattr(G, "GERM_STACK_BYTES", budget)
+    for budget in (H.STACK_BYTES, 1):
+        monkeypatch.setattr(H, "STACK_BYTES", budget)
         for order in (pool[::-1], pool[5:] + pool[:5], sorted(pool, key=lambda g: g.labels[::-1])):
             assert G.select_germs([xyi], order).germs == expected
 
@@ -889,7 +890,7 @@ def test_selection_independent_of_stack_budget(xyi, monkeypatch):
     models = [xyi] + perturbed_models(xyi, 2, 1e-3, seed=5)
     pool = G.germ_candidate_pool(xyi.labels, 4)
     default = {score_fn: G.select_germs(models, pool, score_fn=score_fn) for score_fn in ("sum", "min")}
-    monkeypatch.setattr(G, "GERM_STACK_BYTES", 1)  # one germ or one Gram per stack
+    monkeypatch.setattr(H, "STACK_BYTES", 1)  # one germ or one Gram per stack
     for score_fn, result in default.items():
         assert G.select_germs(models, pool, score_fn=score_fn) == result
 
