@@ -72,7 +72,7 @@ def main() -> None:
         wall = W.estimate(design, 100, transmons)["total"]
         verdict = "OK" if report.well_constructed else "deficient"
         print(
-            f"{name:<24} {D.circuit_count(design):>8} {report.growing:>8} "
+            f"{name:<24} {len(design.circuits):>8} {report.growing:>8} "
             f"{report.plateaued:>9} {verdict:<14} {wall:>11.1f} s   ({time.time() - t0:.1f}s)"
         )
         design.save(outdir / f"{name}.json")

@@ -4,7 +4,6 @@ from .model import (  # noqa: F401
     Circuit,
     GateSet,
     GateSetError,
-    GaugeTangent,
     apply_gauge_transform,
     circuit_probabilities,
     from_vector,

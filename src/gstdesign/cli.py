@@ -1,7 +1,8 @@
 """Command-line front end: design, certify, simulate, wallclock, fiducials, germs, fpr.
 
 Every randomized subcommand requires an explicit ``--seed`` and is
-deterministic end to end (rerunning writes byte-identical files).  Exit
+deterministic end to end (rerunning writes byte-identical files);
+``germs`` takes ``--seed`` with ``--germs robust`` only.  Exit
 codes: 0 on success, 2 for usage errors (argparse, including a negative
 seed, and a noise sigma so large that the sampled model is not finite), 3
 for unreadable or invalid input files, for an output file that cannot be
@@ -320,7 +321,7 @@ def cmd_fiducials(args) -> int:
         except ValueError as exc:
             raise CliError(f"argument --pool: {exc}", EXIT_USAGE) from None
     else:
-        pool = fiducial_candidate_pool(gs.labels, args.max_depth)
+        pool = fiducial_candidate_pool(gs.labels, args.max_depth or 3)
     try:
         chosen = select_fiducials(gs, pool, args.kind, rel_improvement=args.rel_improvement)
     except PoolNotInformationallyComplete as exc:
@@ -482,14 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiducials", help="greedy informationally-complete fiducial selection")
     _add_gateset(p)
     p.add_argument("--kind", choices=["prep", "meas"], required=True)
-    p.add_argument("--max-depth", type=_positive_int, default=3)
+    p.add_argument("--max-depth", type=_positive_int, help="--pool sequences depth bound (default 3)")
     p.add_argument("--pool", choices=["sequences", "per-qubit"], default="sequences")
     p.add_argument("--rel-improvement", type=_nonnegative, default=1e-9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fiducials, outputs=("out",))
 
     p = sub.add_parser("germs", help="greedy amplificationally-complete germ selection")
-    _add_common(p)
+    _add_gateset(p)
+    p.add_argument("--seed", type=_seed, help="master RNG seed, for --germs robust only")
     _add_germ_options(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_germs, outputs=("out",))
@@ -517,6 +519,14 @@ def main(argv=None) -> int:
         )
     if args.command == "simulate" and args.noise == "coherent-only" and args.eta is not None:
         parser.error("argument --eta: not allowed with --noise coherent-only, which has no depolarization")
+    if args.command == "germs" and (args.germs == "robust") != (args.seed is not None):
+        parser.error(
+            "argument --seed: required with --germs robust"
+            if args.germs == "robust"
+            else f"argument --seed: not allowed with --germs {args.germs}, which draws nothing"
+        )
+    if args.command == "fiducials" and args.pool == "per-qubit" and args.max_depth is not None:
+        parser.error("argument --max-depth: not allowed with --pool per-qubit")
     try:
         for path in filter(None, (getattr(args, dest) for dest in args.outputs)):
             _check_writable(path)

@@ -58,7 +58,6 @@ __all__ = [
     "build_design",
     "design_probabilities",
     "design_bodies",
-    "circuit_count",
     "count_by_depth",
 ]
 
@@ -455,10 +454,6 @@ def design_bodies(design: ExperimentDesign, labels) -> tuple[list, list[int]]:
                 reached[n] = True
                 bodies.setdefault(body, []).append((j, i, n))
     return list(bodies.items()), np.flatnonzero(~reached).tolist()
-
-
-def circuit_count(design: ExperimentDesign) -> int:
-    return len(design.circuits)
 
 
 def count_by_depth(design: ExperimentDesign) -> dict[int, int]:

@@ -83,8 +83,8 @@ from .model import (
     amplifiable_count,
     circuit_probabilities,
     fiducial_jacobians,
-    gauge_tangent,
     n_params,
+    non_gauge_count,
     param_blocks,
     probability_hessian,
     probability_jacobian,
@@ -298,18 +298,17 @@ def _rows_held(gs: GateSet, n_circuits: int) -> bool:
 class NongaugeFrame:
     """A design's bucket matrices, read in the non-gauge frame of one model.
 
-    The :func:`~gstdesign.model.gauge_tangent` of ``gs`` is taken once; its
-    Gram rank gives the non-gauge dimension ``dim``, and the dense tangent
-    is dropped before any row is written.  ``increments`` (the
-    design's :func:`bucket_fims`, built once) and their prefix sums
-    ``cumulative`` are :class:`HeldFim` sums, one column per parameter,
-    held by its smaller-side rule.  No row is mapped into the frame:
-    outcome probabilities are gauge invariant at the frame's model, so
-    ``W Q1 = 0`` for its gauge directions ``Q1``, and a matrix's spectrum
-    is its ``dim`` non-gauge eigenvalues plus one rounding-level eigenvalue
-    per gauge direction, which :func:`~gstdesign.held.padded_spectrum`
-    reads as ``0.0``.  Every spectrum is the first ``dim`` entries of the
-    held matrix's padded spectrum.  Probabilities are clipped at
+    ``dim`` is the :func:`~gstdesign.model.non_gauge_count` of ``gs``.
+    ``increments`` (the design's :func:`bucket_fims`, built once) and
+    their prefix sums ``cumulative`` are :class:`HeldFim` sums, one column
+    per parameter, held by its smaller-side rule.  No row is mapped into
+    the frame: outcome probabilities are gauge invariant at the frame's
+    model, so ``W Q1 = 0`` for its gauge directions ``Q1``, and a matrix's
+    spectrum is its ``dim`` non-gauge eigenvalues plus one rounding-level
+    eigenvalue per gauge direction, which
+    :func:`~gstdesign.held.padded_spectrum` reads as ``0.0``.  Every
+    spectrum is the first ``dim`` entries of the held matrix's padded
+    spectrum.  Probabilities are clipped at
     :func:`certification_clip_floor` of ``shots``.
 
     Eigensolves are cached, so no matrix is solved twice.  The deepest
@@ -329,9 +328,7 @@ class NongaugeFrame:
     """
 
     def __init__(self, gs: GateSet, design: ExperimentDesign, shots: int = DEFAULT_SHOTS):
-        tangent = gauge_tangent(gs)
-        self.n_params, self.dim = tangent.n_params, tangent.dim
-        del tangent  # dense, n_params x (D^2 - D): dropped before any row exists
+        self.n_params, self.dim = n_params(gs), non_gauge_count(gs)
         self.increments = bucket_fims(gs, design, shots, certification_clip_floor(shots))
         self._row_held = _rows_held(gs, len(design.circuits))
         # where each cumulative matrix ends: its row count when row-held, else
@@ -520,7 +517,7 @@ def require_certifiable(design: ExperimentDesign) -> None:
 def certify_design(
     gs_eval: GateSet,
     design: ExperimentDesign,
-    target: GateSet | None = None,
+    target: GateSet,
     shots: int = DEFAULT_SHOTS,
     frame: NongaugeFrame | None = None,
 ) -> CertificationReport:
@@ -544,11 +541,8 @@ def certify_design(
     count) is the frame's non-gauge dimension minus the target's
     amplifiable parameter count; the design is well constructed when no
     more than that many directions plateau.  The frame's dimension is the
-    target's whenever both gauge tangents have full rank ``D^2 - D``: a
-    tangent loses rank only where a nonzero TP generator fixes every gate,
-    the prep and the effects.  The bundled targets and their default
-    evaluation models have full rank (31 non-gauge parameters on XYI, 1023
-    on XYCPHASE).  Both gauge ranks come from ``(D^2 - D)``-wide Grams.
+    target's whenever both gauge tangents have full rank (see
+    :func:`~gstdesign.model.non_gauge_count`).
 
     Insensitive directions are flagged from the deepest incremental
     matrix: eigenvalues below ``INSENSITIVE_REL`` times its median mark
@@ -566,7 +560,6 @@ def certify_design(
     its dimension raises :class:`CertificationError`.
     """
     require_certifiable(design)
-    target = target or gs_eval
     frame = frame or NongaugeFrame(gs_eval, design, shots)
 
     depths = np.asarray(design.maxdepths, float)

@@ -69,7 +69,6 @@ __all__ = [
     "GateSetError",
     "Circuit",
     "GateSet",
-    "GaugeTangent",
     "pauli_matrices",
     "unitary_to_ptm",
     "density_to_statevec",
@@ -84,7 +83,6 @@ __all__ = [
     "effective_fiducial_states",
     "effective_fiducial_effects",
     "param_blocks",
-    "param_entries",
     "n_params",
     "to_vector",
     "from_vector",
@@ -252,9 +250,6 @@ class Circuit:
 
     def __add__(self, other: "Circuit") -> "Circuit":
         return Circuit(self.labels + other.labels)
-
-    def repeated(self, power: int) -> "Circuit":
-        return Circuit(self.labels * power)
 
     def __str__(self) -> str:
         return "{}" if not self.labels else " ".join(self.labels)
@@ -513,22 +508,6 @@ def n_params(gs: GateSet) -> int:
     return len(gs.gates) * (dim - 1) * dim + (dim - 1) + (gs.num_effects - 1) * dim
 
 
-def param_entries(gs: GateSet) -> list[tuple[str, tuple]]:
-    """Ordered (operation label, coordinate) pairs defining the theta vector."""
-    dim = gs.dim
-    entries: list[tuple[str, tuple]] = []
-    for label in gs.gates:
-        for a in range(1, dim):
-            for b in range(dim):
-                entries.append((label, (a, b)))
-    for b in range(1, dim):
-        entries.append(("rho", (b,)))
-    for l in range(gs.num_effects - 1):
-        for b in range(dim):
-            entries.append((f"E{l}", (b,)))
-    return entries
-
-
 def to_vector(gs: GateSet) -> np.ndarray:
     """Flatten the free coordinates of ``gs`` into a parameter vector."""
     parts = [g[1:, :].ravel() for g in gs.gates.values()]
@@ -782,32 +761,9 @@ def probability_hessian(gs: GateSet, circuit: Circuit) -> np.ndarray:
 # Gauge structure
 
 
-class GaugeTangent:
-    """A gauge tangent basis and its rank (built by :func:`gauge_tangent`).
-
-    ``rank``, taken on first use, is the :func:`gram_rank` of the basis's
-    ``(D^2 - D)``-wide Gram, and ``dim = n_params - rank`` is the
-    non-gauge dimension, the frame width certification reads spectra in.
-    On the bundled targets and their default evaluation models the kept
-    singular values are at least 0.10 of the largest (0.23 on the gate
-    rows) and the dropped ones at most 2.3e-16, far from the cutoff.
-    """
-
-    def __init__(self, basis: np.ndarray):
-        self.basis = np.asarray(basis, dtype=float)
-        self.n_params = self.basis.shape[0]
-
-    @functools.cached_property
-    def rank(self) -> int:
-        return gram_rank(self.basis.T @ self.basis)
-
-    @property
-    def dim(self) -> int:
-        return self.n_params - self.rank
-
-
-def gauge_tangent(gs: GateSet) -> GaugeTangent:
-    """Parameter-space images of the infinitesimal TP gauge generators.
+def gauge_tangent(gs: GateSet) -> np.ndarray:
+    """Parameter-space images of the infinitesimal TP gauge generators, an
+    ``n_params x (D^2 - D)`` basis.
 
     Column ``(a - 1) D + b`` is the generator ``K = E_ab`` (a >= 1, so the
     first row stays zero): gates move by ``K G - G K``, the prep by
@@ -835,12 +791,23 @@ def gauge_tangent(gs: GateSet) -> GaugeTangent:
         rows = slice(blocks["meas"].start + l * dim, blocks["meas"].start + (l + 1) * dim)
         basis[rows].reshape(dim, dim - 1, dim)[outer, :, outer] = -e[1:]
     basis += 0.0
-    return GaugeTangent(basis)
+    return basis
 
 
 def non_gauge_count(gs: GateSet) -> int:
-    """Number of physically observable parameters: N_p - gauge rank."""
-    return gauge_tangent(gs).dim
+    """Number of physically observable parameters: ``n_params`` minus the
+    :func:`gram_rank` of the gauge tangent's ``(D^2 - D)``-wide Gram.
+
+    This is the frame width certification reads spectra in.  The tangent
+    loses rank below ``D^2 - D`` only where a nonzero TP generator fixes
+    every gate, the prep and the effects.  On the bundled targets and
+    their default evaluation models it has full rank (31 non-gauge
+    parameters on XYI, 1023 on XYCPHASE): the kept singular values are at
+    least 0.10 of the largest (0.23 on the gate rows) and the dropped ones
+    at most 2.3e-16, far from the cutoff.
+    """
+    basis = gauge_tangent(gs)
+    return n_params(gs) - gram_rank(basis.T @ basis)
 
 
 def amplifiable_count(gs: GateSet) -> int:
@@ -857,7 +824,7 @@ def amplifiable_count(gs: GateSet) -> int:
     """
     # gates lead the parameter order, so their rows are the basis's first
     n_gate = param_blocks(gs)["rho"].start
-    gate_rows = gauge_tangent(gs).basis[:n_gate]
+    gate_rows = gauge_tangent(gs)[:n_gate]
     return n_gate - gram_rank(gate_rows.T @ gate_rows)
 
 

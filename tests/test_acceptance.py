@@ -156,7 +156,7 @@ def test_criterion_04_fisher_structure(xyi, eval_model):
     with criterion(4, "Fisher structure"):
         t0 = time.time()
         rng = np.random.default_rng(4)
-        basis = gauge_tangent(eval_model).basis
+        basis = gauge_tangent(eval_model)
         checked = 0
         while checked < 20:
             c = random_circuits(rng, 1, 16, min_depth=1)[0]

@@ -99,7 +99,7 @@ def test_2q_full_design_median_growth(xycphase, fids2q, standard_germs_2q, eval_
     design = D.build_design(
         preps, meass, standard_germs_2q, D.default_schedule(64), gateset_labels=xycphase.labels
     )
-    print(f"full design: {D.circuit_count(design)} circuits")
+    print(f"full design: {len(design.circuits)} circuits")
     t0 = time.time()
     depths, medians = median_trajectory(eval_model_2q, design)
     print(f"medians ({time.time() - t0:.0f}s):", [f"{m:.3g}" for m in medians])
@@ -116,7 +116,7 @@ def test_2q_per_germ_design_median_growth(
         preps, meass, standard_germs_2q, D.default_schedule(64), result.to_policy(),
         gateset_labels=xycphase.labels,
     )
-    print(f"per-germ design: {D.circuit_count(design)} circuits")
+    print(f"per-germ design: {len(design.circuits)} circuits")
     depths, medians = median_trajectory(eval_model_2q, design)
     print("medians:", [f"{m:.3g}" for m in medians])
     assert_growing(depths, medians)
@@ -129,7 +129,7 @@ def test_2q_random_design_median_growth(xycphase, fids2q, standard_germs_2q, eva
         preps, meass, standard_germs_2q, D.default_schedule(64), policy,
         gateset_labels=xycphase.labels,
     )
-    print(f"random design: {D.circuit_count(design)} circuits")
+    print(f"random design: {len(design.circuits)} circuits")
     depths, medians = median_trajectory(eval_model_2q, design)
     print("medians:", [f"{m:.3g}" for m in medians])
     assert_growing(depths, medians)
@@ -153,7 +153,7 @@ def test_2q_wallclock_totals_within_quarter(xycphase, fids2q, standard_germs_2q,
         gateset_labels=xycphase.labels,
     )
     for kind, design in designs.items():
-        print(f"{kind}: {D.circuit_count(design)} circuits at L=1024")
+        print(f"{kind}: {len(design.circuits)} circuits at L=1024")
         for dev_name, expected in published[kind].items():
             dev = W.DeviceParams.from_json_dict(builtin_device_doc(dev_name))
             got = W.estimate(design, 100, dev, two_qubit_labels=xycphase.two_qubit_labels)["total"]

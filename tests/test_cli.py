@@ -165,6 +165,53 @@ def test_seed_refused_where_nothing_is_random(capsys, monkeypatch, tmp_path, arg
     assert "error: unrecognized arguments: --seed 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("germs", ["standard", "bare"])
+def test_germs_without_a_draw_run_without_seed(tmp_path, germs):
+    out = tmp_path / "g.json"
+    assert run(["germs", "--gateset", "xyi", "--germs", germs, "--germ-depth", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "germs, seed, message",
+    [
+        ("standard", ["--seed", "1"], "argument --seed: not allowed with --germs standard"),
+        ("bare", ["--seed", "1"], "argument --seed: not allowed with --germs bare"),
+        ("robust", [], "argument --seed: required with --germs robust"),
+    ],
+    ids=["standard-with-seed", "bare-with-seed", "robust-without-seed"],
+)
+def test_germs_takes_seed_with_robust_only(tmp_path, capsys, germs, seed, message):
+    out = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["germs", "--gateset", "xyi", "--germs", germs, "--germ-depth", "3", *seed, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_per_qubit_fiducials_refuse_max_depth(tmp_path, capsys):
+    # the per-qubit pool has fixed patterns, so a depth bound would be ignored
+    out = tmp_path / "f.json"
+    with pytest.raises(SystemExit) as exc:
+        run(
+            ["fiducials", "--gateset", "xycphase", "--kind", "meas", "--pool", "per-qubit", "--max-depth", "1",
+             "--rel-improvement", "0.05", "--out", str(out)]
+        )
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-depth: not allowed with --pool per-qubit" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sequence_fiducials_default_to_max_depth_3(tmp_path):
+    argv = ["fiducials", "--gateset", "xyi", "--kind", "prep"]
+    assert run([*argv, "--out", str(tmp_path / "default.json")]) == 0
+    assert run([*argv, "--max-depth", "3", "--out", str(tmp_path / "three.json")]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "three.json").read_bytes()
+
+
 def test_wallclock_three_architectures(capsys):
     code = run(["wallclock", "--device", "all", "--circuits", "104002", "--shots", "100"])
     assert code == 0
@@ -241,8 +288,7 @@ def test_germs_non_ac_pool_exit_code(tmp_path, capsys):
 def test_germs_and_fpr_pipeline(tmp_path):
     germs_path = tmp_path / "germs.json"
     code = run(
-        ["germs", "--gateset", "xyi", "--germs", "standard", "--seed", "2",
-         "--out", str(germs_path)]
+        ["germs", "--gateset", "xyi", "--germs", "standard", "--out", str(germs_path)]
     )
     assert code == 0
     fpr_path = tmp_path / "fpr.json"
@@ -680,7 +726,7 @@ def test_empty_circuit_stays_a_valid_fiducial(tmp_path, monkeypatch):
         ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "o.json", "--shots", "0"],
         ["wallclock", "--device", "all", "--circuits", "10", "--shots", "0"],
         ["wallclock", "--device", "all", "--circuits", "-3"],
-        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germ-depth", "0"],
+        ["germs", "--gateset", "xyi", "--out", "g.json", "--germ-depth", "0"],
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "0"],
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--gamma", "0"],
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--eps", "nan"],
@@ -697,7 +743,7 @@ def test_empty_circuit_stays_a_valid_fiducial(tmp_path, monkeypatch):
          "--noise", "coherent-only", "--eta", "0.5"],
         ["certify", "--gateset", "xyi", "--design", "d.json", "--perturb-sigma", "-1"],
         ["certify", "--gateset", "xyi", "--design", "d.json", "--kind", "cumulative", "--op", "Gx"],
-        ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--perturb-sigma", "-1"],
+        ["germs", "--gateset", "xyi", "--out", "g.json", "--perturb-sigma", "-1"],
         ["design", "--gateset", "xyi", "--seed", "1", "--out", "o.json", "--Lmax", "4", "--perturb-sigma", "nan"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "-2"],
         ["germs", "--gateset", "xyi", "--seed", "1", "--out", "g.json", "--germs", "robust", "--robust-models", "0"],
@@ -737,9 +783,8 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
         models.append(gs)
         return gauge_tangent(gs)
 
-    # amplifiable_count reads model's binding; the frame reads fisher's
-    for module in (model, fisher):
-        monkeypatch.setattr(module, "gauge_tangent", counting)
+    # non_gauge_count (the frame's) and amplifiable_count both read model's binding
+    monkeypatch.setattr(model, "gauge_tangent", counting)
     code = run(
         [
             "certify", "--gateset", "xyi", "--design", str(small_design),
@@ -747,7 +792,7 @@ def test_certify_builds_each_gauge_tangent_once(small_design, tmp_path, monkeypa
         ]
     )
     assert code == 0
-    # one for the evaluation model (the projector), one for the target
+    # one for the evaluation model (the frame), one for the target
     assert len(models) == 2 and models[0] is not models[1]
 
 
@@ -864,7 +909,7 @@ def test_fpr_random_file_reads_back_as_its_policy(germ_file, tmp_path):
 
 def test_germs_rejects_germ_file(germ_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["germs", "--gateset", "xyi", "--seed", "1", "--germ-file", str(germ_file),
+        run(["germs", "--gateset", "xyi", "--germ-file", str(germ_file),
              "--out", str(tmp_path / "o.json")])
     assert exc.value.code == 2
     assert "--germ-file" in capsys.readouterr().err
@@ -915,11 +960,12 @@ def test_certify_exits_3_when_gauge_leaks_into_the_rows(small_design, monkeypatc
     gauge_tangent = model.gauge_tangent
 
     def leaky(gs):
-        basis = gauge_tangent(gs).basis
+        basis = gauge_tangent(gs)
         noise = np.random.default_rng(3).standard_normal((len(basis), 5))
-        return model.GaugeTangent(np.column_stack([basis, noise]))
+        return np.column_stack([basis, noise])
 
-    monkeypatch.setattr(fisher, "gauge_tangent", leaky)
+    # patched in model alone: the frame reads its dimension through model
+    monkeypatch.setattr(model, "gauge_tangent", leaky)
     assert run(["certify", "--gateset", "xyi", "--design", str(small_design)]) == cli.EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot certify {small_design}: the deepest Fisher matrix has 31 eigenvalues")
@@ -939,7 +985,7 @@ SCIPY_FREE_COMMANDS = {
     "fpr-per-germ": ["fpr", "--gateset", "xyi", "--mode", "per-germ", "--germ-file", "GERMS",
                      "--seed", "1", "--out", "OUT"],
     "fiducials": ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "OUT"],
-    "germs-standard": ["germs", "--gateset", "xyi", "--germs", "standard", "--seed", "1", "--out", "OUT"],
+    "germs-standard": ["germs", "--gateset", "xyi", "--germs", "standard", "--out", "OUT"],
     # noisy models: certify's evaluation point, robust germ selection's
     # perturbed copies and simulate's noisy model
     "certify": ["certify", "--gateset", "xyi", "--design", "DESIGN", "--report", "OUT"],
@@ -1016,7 +1062,7 @@ def test_wallclock_without_gateset_reads_the_design_gateset(tmp_path, monkeypatc
 
 UNWRITABLE_OUTPUTS = {
     "design": ["design", "--gateset", "xyi", "--germs", "bare", "--Lmax", "2", "--seed", "1", "--out", "OUT"],
-    "germs": ["germs", "--gateset", "xyi", "--germs", "bare", "--seed", "1", "--out", "OUT"],
+    "germs": ["germs", "--gateset", "xyi", "--germs", "bare", "--out", "OUT"],
     "simulate": ["simulate", "--gateset", "xyi", "--design", "DESIGN", "--seed", "1", "--out", "OUT"],
     "certify": ["certify", "--gateset", "xyi", "--design", "DESIGN", "--report", "OUT"],
     "wallclock": ["wallclock", "--device", "all", "--circuits", "10", "--report", "OUT"],
@@ -1098,7 +1144,7 @@ EARLY_OUTPUT_CHECKS = {
     "simulate --out": ["simulate", "--gateset", "xyi", "--design", "d.json", "--seed", "1", "--out", "BAD"],
     "wallclock --report": ["wallclock", "--device", "all", "--circuits", "10", "--report", "BAD"],
     "fiducials --out": ["fiducials", "--gateset", "xyi", "--kind", "prep", "--out", "BAD"],
-    "germs --out": ["germs", "--gateset", "xyi", "--seed", "1", "--out", "BAD"],
+    "germs --out": ["germs", "--gateset", "xyi", "--out", "BAD"],
     "fpr --out": ["fpr", "--gateset", "xyi", "--germ-file", "g.json", "--seed", "1", "--out", "BAD"],
 }
 UNWRITABLE_PATHS = {

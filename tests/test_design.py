@@ -53,7 +53,7 @@ def test_empty_germ_list_gives_base_only(xyi, xyi_fiducials):
     )
     # base layer: F H plus F G_k H for three gates, deduplicated
     assert des.plaquettes == ()
-    assert 36 < D.circuit_count(des) <= 36 * 4
+    assert 36 < len(des.circuits) <= 36 * 4
     assert all(b == 1 for b in des.buckets)
 
 
@@ -94,7 +94,7 @@ def test_counts_monotone_in_lmax(xyi, xyi_fiducials):
         des = D.build_design(
             xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(lmax), gateset_labels=xyi.labels
         )
-        count = D.circuit_count(des)
+        count = len(des.circuits)
         assert count >= prev
         prev = count
 
@@ -106,7 +106,7 @@ def test_count_by_depth_cumulative(xyi, xyi_fiducials):
     counts = D.count_by_depth(des)
     values = list(counts.values())
     assert values == sorted(values)
-    assert values[-1] == D.circuit_count(des)
+    assert values[-1] == len(des.circuits)
 
 
 def test_plaquette_contributes_at_most_grid_size(xyi, xyi_fiducials):
@@ -116,7 +116,7 @@ def test_plaquette_contributes_at_most_grid_size(xyi, xyi_fiducials):
         des = D.build_design(
             xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(lmax), gateset_labels=xyi.labels
         )
-        count = D.circuit_count(des)
+        count = len(des.circuits)
         if prev_counts is not None:
             assert count - prev_counts <= len(GERMS) * 36
         prev_counts = count
@@ -176,7 +176,7 @@ def test_circuit_text_roundtrip(xyi, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(4), gateset_labels=xyi.labels
     )
     lines = des.circuit_text().splitlines()
-    assert len(lines) == D.circuit_count(des)
+    assert len(lines) == len(des.circuits)
     parsed = [Circuit.from_str(line) for line in lines]
     assert tuple(parsed) == des.circuits
 

@@ -11,19 +11,21 @@ from conftest import direct_gauge_frame
 from gstdesign import cli
 from gstdesign import design as D
 from gstdesign import fisher as FI
+from gstdesign import model
 from gstdesign.builtins import builtin_fiducials, builtin_gateset, make_xycphase_gateset
 from gstdesign.germs import bare_germs
 from gstdesign.model import (
     Circuit,
-    GaugeTangent,
     apply_gauge_transform,
     circuit_probabilities,
     circuits_probabilities,
     fiducial_outcomes,
     from_vector,
     gauge_tangent,
+    gram_rank,
     matrix_rank_rel,
     n_params,
+    non_gauge_count,
     param_blocks,
     probability_jacobian,
     to_vector,
@@ -324,7 +326,7 @@ def test_gauge_annihilation(eval_model, xyi_fiducials):
         xyi_fiducials, xyi_fiducials, GERMS, D.default_schedule(16), gateset_labels=eval_model.labels
     )
     fim = FI.circuits_fim(eval_model, des.circuits).matrix()
-    basis = gauge_tangent(eval_model).basis
+    basis = gauge_tangent(eval_model)
     norm = np.linalg.norm(fim, 2)
     for col in range(basis.shape[1]):
         v = basis[:, col]
@@ -335,7 +337,7 @@ def test_single_circuit_series_coincide(eval_model, xyi_fiducials):
     des = D.build_design(
         [Circuit(())], [Circuit(())], [], (1,), gateset_labels=()
     )
-    assert D.circuit_count(des) == 1
+    assert len(des.circuits) == 1
     assert np.array_equal(FI.bucket_fims(eval_model, des)[0].rows, FI.circuits_fim(eval_model, des.circuits).rows)
     frame = FI.NongaugeFrame(eval_model, des)
     assert frame.cumulative[0] is frame.increments[0]
@@ -406,7 +408,7 @@ def _frame_case(name, xyi, xyi_fiducials):
 def test_frame_increments_equal_projected_bucket_matrices(xyi, xyi_fiducials, name, op):
     gs, des = _frame_case(name, xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
+    q = direct_gauge_frame(gauge_tangent(gs))[1]
     unmapped = FI.bucket_fims(gs, des, clip_floor=floor)
     sl = param_blocks(gs)[op]
     frame = FI.NongaugeFrame(gs, des)
@@ -457,7 +459,7 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
     right singular vectors of the deepest rows."""
     gs, des = _frame_case("xycphase", xyi, xyi_fiducials)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
+    q = direct_gauge_frame(gauge_tangent(gs))[1]
     inc = [q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)]
     frame = FI.NongaugeFrame(gs, des)
     dim = frame.dim
@@ -490,7 +492,7 @@ def test_row_held_2q_frame_spectra_and_trajectories(xyi, xyi_fiducials):
     assert np.all(np.abs(traj - dense) <= 1e-9 * np.abs(dense))
     assert np.max(np.abs(traj[-1] - evals[-n:])) <= 1e-12 * evals[-1]
 
-    report = FI.certify_design(gs, des, frame=frame)
+    report = FI.certify_design(gs, des, target=gs, frame=frame)
     unseen = dim - len(evals)
     assert len(report.slopes) == len(report.total_information) == dim
     assert report.total_information == [0.0] * unseen + evals.tolist()
@@ -583,7 +585,7 @@ def test_frames_either_side_of_the_row_held_boundary_match_the_dense_reference(x
     des = _boundary_design(xyi, xyi_fiducials, n_circuits)
     gs = FI.default_eval_model(xyi, seed=41)
     floor = FI.certification_clip_floor(FI.DEFAULT_SHOTS)
-    q = direct_gauge_frame(gauge_tangent(gs).basis)[1]
+    q = direct_gauge_frame(gauge_tangent(gs))[1]
     inc = np.stack([q.T @ m.matrix() @ q for m in FI.bucket_fims(gs, des, clip_floor=floor)])
     cum = np.cumsum(inc, axis=0)
     frame = FI.NongaugeFrame(gs, des)
@@ -719,17 +721,16 @@ def test_nongauge_coordinates_rank_and_orthogonality(rng, xyi):
     near = core[:, 1] + 1e-12 * rng.standard_normal(30)  # dependent below the cutoff
     zero = np.zeros(30)
     basis = np.column_stack([zero, core, core[:, :2], 3.0 * core[:, 4], zero, near])
-    coords = GaugeTangent(basis)
-    assert (coords.rank, coords.n_params, coords.dim) == (5, 30, 25)
+    assert gram_rank(basis.T @ basis) == 5
     # the dense reference frame the tests read in spans the complement
     rank, q2 = direct_gauge_frame(basis)
     assert rank == 5 and q2.shape == (30, 25)
     assert np.max(np.abs(q2.T @ q2 - np.eye(25))) <= 1e-12
     assert np.max(np.abs(core.T @ q2)) <= 1e-12 * np.max(np.abs(core))
-    assert GaugeTangent(np.zeros((30, 3))).rank == 0
+    assert gram_rank(np.zeros((3, 3))) == 0
     for gs in (xyi, make_xycphase_gateset()):
         tangent = gauge_tangent(gs)
-        assert tangent.rank == matrix_rank_rel(tangent.basis)
+        assert gram_rank(tangent.T @ tangent) == matrix_rank_rel(tangent)
 
 
 @pytest.mark.parametrize("kind", ["cumulative", "incremental"])
@@ -839,7 +840,7 @@ def test_row_held_certify_takes_one_eigh_and_no_wide_svd(tmp_path, monkeypatch, 
     )
     assert code == 0
     # the deepest cumulative matrix: one row per circuit and outcome, 1023 wide
-    m = gs.num_effects * D.circuit_count(des)
+    m = gs.num_effects * len(des.circuits)
     # one eigh, of its rows' m x m Gram, and no SVD at all: both gauge
     # ranks come from eigvalsh of a Gram
     assert shapes["eigh"] == [(m, m)] and m < 1023
@@ -850,9 +851,10 @@ def test_frame_dim_is_the_targets(xyi):
     # certify takes the SPAM budget's non-gauge count from the frame, at the
     # evaluation model: both gauge tangents have full rank D^2 - D
     for gs, dim in ((xyi, 31), (make_xycphase_gateset(), 1023)):
-        target, at_eval = gauge_tangent(gs), gauge_tangent(FI.default_eval_model(gs))
-        assert target.dim == at_eval.dim == dim
-        assert target.rank == at_eval.rank == gs.dim**2 - gs.dim
+        target, at_eval = gs, FI.default_eval_model(gs)
+        assert non_gauge_count(target) == non_gauge_count(at_eval) == dim
+        ranks = [gram_rank(t.T @ t) for t in (gauge_tangent(target), gauge_tangent(at_eval))]
+        assert ranks == [gs.dim**2 - gs.dim] * 2
 
 
 def test_certify_takes_no_qr_and_no_gauge_wide_svd(xyi, xyi_fiducials, monkeypatch):
@@ -878,20 +880,21 @@ def test_certify_takes_no_qr_and_no_gauge_wide_svd(xyi, xyi_fiducials, monkeypat
     assert report.spam_budget == 31 - 25
 
 
-def test_certify_needs_two_depths(eval_model, xyi_fiducials):
+def test_certify_needs_two_depths(xyi, eval_model, xyi_fiducials):
     des = D.build_design(xyi_fiducials, xyi_fiducials, GERMS, (1,), gateset_labels=eval_model.labels)
     with pytest.raises(FI.CertificationError, match="at least two"):
-        FI.certify_design(eval_model, des)
+        FI.certify_design(eval_model, des, target=xyi)
 
 
 def leaky_gauge_tangent(extra):
     """A stand-in for gauge_tangent whose basis has ``extra`` more random,
-    independent columns, so its ``dim`` falls ``extra`` below the model's."""
+    independent columns, so the non-gauge count falls ``extra`` below the
+    model's."""
 
     def tangent(gs):
-        basis = gauge_tangent(gs).basis
+        basis = gauge_tangent(gs)
         noise = np.random.default_rng(3).standard_normal((len(basis), extra))
-        return GaugeTangent(np.column_stack([basis, noise]))
+        return np.column_stack([basis, noise])
 
     return tangent
 
@@ -904,7 +907,8 @@ def test_frame_names_gauge_leaked_into_the_rows(xyi, xyi_fiducials, monkeypatch,
     gs = FI.default_eval_model(xyi, seed=41)
     rank = len(FI.NongaugeFrame(gs, des).deepest())
     assert 2 < rank <= 31
-    monkeypatch.setattr(FI, "gauge_tangent", leaky_gauge_tangent(31 - rank + 2))
+    # patched in model alone: the frame reads its dimension through model
+    monkeypatch.setattr(model, "gauge_tangent", leaky_gauge_tangent(31 - rank + 2))
     frame = FI.NongaugeFrame(gs, des)
     assert frame.dim == rank - 2 and (frame.cumulative[-1].rows is None) == (n_circuits == 22)
     match = f"has {rank} eigenvalues above rounding noise, more than the evaluation model's {rank - 2} non-gauge"
@@ -986,7 +990,7 @@ def test_design_fim_nongauge_rank_and_null_alignment(xyi, xyi_fiducials):
     tol = 1e-8 * evals[-1]
     assert np.sum(evals > tol) == 31
     null_vecs = evecs[:, evals <= tol]
-    gauge = gauge_tangent(eval_gs).basis
+    gauge = gauge_tangent(eval_gs)
     angles = scipy.linalg.subspace_angles(null_vecs, gauge)
     assert np.max(angles) < 1e-4
 

@@ -301,8 +301,8 @@ def test_amplifiable_count_drops_only_at_a_non_unital_gate(xyi):
 
 @pytest.mark.parametrize("name", ["xyi", "xycphase"])
 def test_gram_gauge_ranks_equal_the_svd_ranks(xyi, name):
-    """Both gauge ranks, the full tangent's (``GaugeTangent.rank``) and its
-    gate rows' (``amplifiable_count``), counted from a Gram's eigenvalues,
+    """Both gauge ranks, the full tangent's (behind ``non_gauge_count``) and
+    its gate rows' (``amplifiable_count``), counted from a Gram's eigenvalues,
     equal the singular-value ranks of ``matrix_rank_rel`` on the target,
     its default evaluation model, perturbed and noisy models and three
     random TP gauge transforms (and, on XYI, a non-unital gate set)."""
@@ -321,10 +321,11 @@ def test_gram_gauge_ranks_equal_the_svd_ranks(xyi, name):
     for label, model in models.items():
         tangent = gauge_tangent(model)
         n_gate = param_blocks(model)["rho"].start
-        svd_rank = matrix_rank_rel(tangent.basis)
-        svd_amplifiable = n_gate - matrix_rank_rel(tangent.basis[:n_gate])
-        assert (tangent.rank, G.amplifiable_count(model)) == (svd_rank, svd_amplifiable), label
-        assert tangent.rank == width, label
+        svd_rank = matrix_rank_rel(tangent)
+        svd_amplifiable = n_gate - matrix_rank_rel(tangent[:n_gate])
+        gram_rank = n_params(model) - non_gauge_count(model)
+        assert (gram_rank, G.amplifiable_count(model)) == (svd_rank, svd_amplifiable), label
+        assert gram_rank == width, label
         assert svd_amplifiable == amplifiable - (label == "damped"), label
 
 
